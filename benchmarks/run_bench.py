@@ -3,8 +3,8 @@
 Runs the end-to-end online assignment loop of ``measure_engine_speedup`` at
 the Algorithm 2 cadence (``refit_every=1``) on the seed path (cold EM, scalar
 gains, full candidate rescans) and on the engine paths (incremental indexes +
-vectorised batch gains; warm-started EM; sharded candidate pool), then writes
-the wall-clock numbers and the decision-equivalence checks as JSON.
+vectorised batch gains; warm-started EM; async refit; worker processes), then
+writes the wall-clock numbers and the decision-equivalence checks as JSON.
 
 Run from the repo root::
 
@@ -17,21 +17,19 @@ gate on.  The committed ``BENCH_engine.json`` is a smoke-tier run recorded
 with ``--profile --scale``; the CI perf gate in
 ``scripts/check_perf_regression.py`` compares a fresh smoke run against it
 with headroom for runner jitter, plus an absolute 1.5x floor on the
-composed serving mode.
+async serving path.
 
 Recorded fields (see also ``benchmarks/README.md``):
 
-* ``speedup`` / ``speedup_warm`` / ``speedup_sharded`` — seed-path seconds
-  divided by the engine / warm-start / sharded path seconds.
+* ``speedup`` / ``speedup_warm`` — seed-path seconds divided by the
+  engine / warm-start path seconds.
 * ``speedup_async`` (with ``--async-refit``) — *synchronous engine path*
   seconds divided by the bounded-staleness async path's seconds: selects
   serve background snapshots lock-free and warm refits stop early on the
   EM objective, so this is the async win on top of the engine's.
-* ``identical_assignments`` / ``identical_assignments_sharded`` /
-  ``identical_assignments_async`` / ``identical_assignments_sharded_async``
-  — the exact engine path, the partitioned top-K path, the async path at
-  ``max_stale_answers=0`` and the composed sharded+async path must replay
-  the seed path's assignment sequence bit for bit; all are hard failures
+* ``identical_assignments`` / ``identical_assignments_async`` — the exact
+  engine path and the async path at ``max_stale_answers=0`` must replay
+  the seed path's assignment sequence bit for bit; both are hard failures
   here and in CI.
 * ``identical_assignments_multiprocess`` / ``speedup_multiprocess`` /
   ``multiprocess_answers_per_sec`` (with ``--processes N``) — the
@@ -62,10 +60,11 @@ Recorded fields (see also ``benchmarks/README.md``):
 * ``audit_overhead_ratio`` (with ``--serve``) — relative wall-clock cost
   of decision recording on the scripted scenario; the CI gate floors it
   at < 10 %.
-* ``identical_estimates_sharded_async`` — the composed equivalence run's
-  *final truth estimates* must also match the seed path's exactly (both end
-  with a cold fit over the same final answer set), not just the assignment
-  sequence; hard failure in the CI perf gate.
+* ``identical_estimates_async`` — the async equivalence run's *final truth
+  estimates* must also match the seed path's exactly (both end with a cold
+  fit over the same final answer set), not just the assignment sequence —
+  the check that catches a stale scoring-cache hit; hard failure here and
+  in the CI perf gate.
 * ``strategy_default_identical`` (with ``--strategies``) — pinning
   ``policy.strategy = "paper"`` explicitly must reproduce the default
   spec's assignment sequence, final estimates and decision-chain head bit
@@ -87,7 +86,7 @@ Recorded fields (see also ``benchmarks/README.md``):
   number that should be high — the warm path lands on the same truths, it
   just breaks scoring ties differently along the way.
 * ``profile_*`` (with ``--profile``) — a separate, untimed run of the
-  composed production path with per-stage timers attached:
+  async production path with per-stage timers attached:
   ``profile_stages`` breaks the hot path into snapshot acquisition, lock
   wait, EM refit, calculator build, batch scoring and top-K merge (calls,
   seconds, max, mean and latency histogram buckets per stage),
@@ -97,13 +96,12 @@ Recorded fields (see also ``benchmarks/README.md``):
   timed runs so its overhead never contaminates the recorded speedups.
 * ``*_scale`` (with ``--scale``) — the scaled benchmark tier: a synthetic
   table of >= 10k rows and hundreds of workers driven through the sync
-  engine, async and composed serving paths for a bounded number of steps
-  (``speedup_async_scale`` / ``speedup_sharded_async_scale`` relative to
-  the synchronous engine path, select p50/p99 latencies per path, and a
-  cold-fit ``lbfgs``-vs-``newton`` M-step comparison in ``scale_m_step``).
-  Non-gating: the scaled tier exists to catch regressions that a 60-row
-  table cannot express (cache behaviour, per-shard overheads, EM cost at
-  real answer counts).
+  engine and async serving paths for a bounded number of steps
+  (``speedup_async_scale`` relative to the synchronous engine path, select
+  p50/p99 latencies per path, and a cold-fit ``lbfgs``-vs-``newton``
+  M-step comparison in ``scale_m_step``).  Non-gating: the scaled tier
+  exists to catch regressions that a 60-row table cannot express (cache
+  behaviour, EM cost at real answer counts).
 
 Timing runs pin the BLAS/OpenMP thread pools to one thread (unless the
 caller already exported a value) so recorded baselines do not depend on
@@ -162,8 +160,6 @@ def spec_from_args(args, target: float) -> SessionSpec:
         .policy(refit_every=args.refit_every)
         .simulation(target_answers_per_task=target, seed=args.seed)
     )
-    if args.shards and args.shards > 1:
-        builder.sharded(args.shards, args.shard_workers or None)
     if args.async_refit:
         if args.max_stale is None:
             from repro.datasets import load_celebrity
@@ -195,14 +191,6 @@ def main(argv=None) -> int:
                         help="budget in answers per task")
     parser.add_argument("--refit-every", type=int, default=1)
     parser.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for the partitioned path (0 or 1 disables it)",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="scoring threads per select on the sharded path (0 = sequential)",
-    )
-    parser.add_argument(
         "--async-refit", action="store_true",
         help="also time the async-refit path and record the "
         "max_stale_answers=0 staleness-equivalence bit",
@@ -226,7 +214,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="also run the composed hot path once under per-stage timers "
+        help="also run the async hot path once under per-stage timers "
         "and cProfile, recording the breakdown as profile_* fields "
         "(separate from the timed runs)",
     )
@@ -281,8 +269,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             num_rows=rows,
             target_answers_per_task=target,
-            shards=args.shards if args.shards and args.shards > 1 else 4,
-            shard_workers=args.shard_workers or None,
             max_stale_answers=args.max_stale,
         )
         profiler.disable()
@@ -303,7 +289,6 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 num_rows=args.scale_rows,
                 max_steps=args.scale_steps,
-                shards=args.shards if args.shards and args.shards > 1 else 8,
             )
         )
     if args.strategies:
@@ -325,7 +310,7 @@ def main(argv=None) -> int:
         scripted_scenario = {"seed": args.seed}
         stats.update(
             verify_recovery_identical(
-                mode="sharded_async" if args.async_refit else "plain",
+                mode="async" if args.async_refit else "plain",
                 crash_after_steps=3,
                 truncate_bytes=7,
                 snapshot_every=25,
@@ -338,7 +323,7 @@ def main(argv=None) -> int:
         rotation_bounded = True
         for storage_backend in ("jsonl", "sqlite"):
             rotation = verify_recovery_rotation(
-                mode="sharded", backend=storage_backend,
+                mode="plain", backend=storage_backend,
                 scenario=scripted_scenario,
             )
             rotation_identical &= rotation["rotation_identical"]
@@ -367,7 +352,7 @@ def main(argv=None) -> int:
         audit_identical = True
         for storage_backend in ("jsonl", "sqlite"):
             audit = verify_audit_replay(
-                mode="sharded_async" if args.async_refit else "plain",
+                mode="async" if args.async_refit else "plain",
                 backend=storage_backend,
                 scenario=scripted_scenario,
             )
@@ -392,9 +377,9 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 num_rows=12 if args.smoke else 24,
                 target_answers_per_task=1.3 if args.smoke else 1.6,
-                # Serve the same mode the engine benchmark timed (composed
-                # when --shards/--async-refit are on) so /metrics exposes
-                # the hot-path stage histograms over real HTTP traffic.
+                # Serve the same mode the engine benchmark timed (async
+                # with --async-refit) so /metrics exposes the hot-path
+                # stage histograms over real HTTP traffic.
                 serving=spec.to_dict()["serving"],
             )
         )
@@ -415,23 +400,10 @@ def main(argv=None) -> int:
     if not stats["identical_assignments"]:
         print("FAIL: exact engine path diverged from the seed path", file=sys.stderr)
         return 1
-    if not stats.get("identical_assignments_sharded", True):
-        print(
-            "FAIL: sharded top-K path diverged from the seed path",
-            file=sys.stderr,
-        )
-        return 1
     if not stats.get("identical_assignments_async", True):
         print(
             "FAIL: async path at max_stale_answers=0 diverged from the "
             "seed path",
-            file=sys.stderr,
-        )
-        return 1
-    if not stats.get("identical_assignments_sharded_async", True):
-        print(
-            "FAIL: composed sharded+async path at max_stale_answers=0 "
-            "diverged from the seed path",
             file=sys.stderr,
         )
         return 1
@@ -442,10 +414,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not stats.get("identical_estimates_sharded_async", True):
+    if not stats.get("identical_estimates_async", True):
         print(
-            "FAIL: composed sharded+async equivalence run's final truth "
-            "estimates differ from the seed path's",
+            "FAIL: async equivalence run's final truth estimates differ "
+            "from the seed path's (stale snapshot or scoring-cache hit?)",
             file=sys.stderr,
         )
         return 1
@@ -506,23 +478,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    # The hard 1.5x composed floor lives in check_perf_regression.py and is
-    # enforced at the smoke tier (the serving-shaped workload the cache
-    # targets); the full tier replays one select per answer step — every
-    # select a cache miss — so it only carries the same absolute target as
-    # the plain async path.
-    if (
-        not args.smoke
-        and "speedup_sharded_async" in stats
-        and stats["speedup_sharded_async"] < 1.2
-    ):
-        print(
-            f"FAIL: composed sharded+async speedup "
-            f"{stats['speedup_sharded_async']:.2f}x over the synchronous "
-            "engine path is below the 1.2x target",
-            file=sys.stderr,
-        )
-        return 1
+    # The hard 1.5x async floor lives in check_perf_regression.py and is
+    # enforced at the smoke tier; the full tier replays one select per
+    # answer step — every select a cache miss — so it carries the 1.2x
+    # target above.
     return 0
 
 

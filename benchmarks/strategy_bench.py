@@ -3,8 +3,8 @@
 Two measurements feed ``BENCH_engine.json``:
 
 * :func:`verify_strategy_default_identical` — the **safety gate** for the
-  strategy seam.  For every serving mode (plain, sharded, async, composed,
-  multiprocess) the scripted golden-trace session runs twice: once with the
+  strategy seam.  For every serving mode (plain, async, multiprocess) the
+  scripted golden-trace session runs twice: once with the
   default spec (no strategy section beyond the implicit ``"paper"``) and
   once with ``strategy = "paper"`` pinned explicitly.  Assignment sequence
   and decision-chain head must match **bit for bit** — proving the strategy

@@ -5,15 +5,13 @@ committed smoke-tier baseline (``BENCH_engine.json``, recorded with
 ``--profile --scale``) and fails the build when either
 
 * an equivalence bit flipped — ``identical_assignments`` (exact engine path
-  vs seed path), ``identical_assignments_sharded`` (partitioned top-K vs
-  seed path), ``identical_assignments_async`` (async serving path at
+  vs seed path), ``identical_assignments_async`` (async serving path at
   ``max_stale_answers=0`` vs seed path),
-  ``identical_assignments_sharded_async`` (the composed sharded+async
-  policy), ``identical_assignments_multiprocess`` (the process-level
-  shard-worker coordinator vs seed path),
-  ``identical_estimates_sharded_async`` (the composed equivalence
-  run's *final truth estimates* match the seed path's exactly — the check
-  that would catch a stale scoring-cache hit), ``recovery_identical``
+  ``identical_assignments_multiprocess`` (the process-level shard-worker
+  coordinator vs seed path), ``identical_estimates_async`` (the async
+  equivalence run's *final truth estimates* match the seed path's
+  exactly — the check that would catch a stale scoring-cache hit),
+  ``recovery_identical``
   (WAL+snapshot crash recovery replays the session bit for bit) or
   ``audit_replay_identical`` (replaying the WAL re-derives the recorded
   decision ledger hash for hash) or ``strategy_default_identical``
@@ -44,13 +42,13 @@ committed smoke-tier baseline (``BENCH_engine.json``, recorded with
   ``run_bench.py --repeats``), so baseline and candidate measure the same
   scenario; on a noisy single-core runner even best-of-N ratios can swing.
   An engine path that regressed to the seed path's speed (speedup ~1.0)
-  still trips the floor, and the composed serving mode additionally
-  carries an absolute 1.5x floor.
+  still trips the floor, and the async serving path additionally carries
+  an absolute 1.5x floor.
 
 The baseline itself is validated too: it must be the smoke-tier reference
 with the ``--scale`` tier entry (>= 10k rows) and the ``--profile``
-per-stage breakdown recorded, and its ``speedup_sharded_async`` must meet
-the same absolute 1.5x floor the candidate is held to.
+per-stage breakdown recorded, and its ``speedup_async`` must meet the same
+absolute 1.5x floor the candidate is held to.
 
 Usage::
 
@@ -117,8 +115,8 @@ def main(argv=None) -> int:
     if int(baseline.get("scale_num_rows") or 0) < 10_000:
         failures.append(
             f"baseline {args.baseline} has no --scale tier entry of >= 10k "
-            "rows; regenerate it with `run_bench.py --smoke --shards 4 "
-            "--async-refit --processes 2 --serve --profile --scale`"
+            "rows; regenerate it with `run_bench.py --smoke --async-refit "
+            "--processes 2 --serve --profile --strategies --scale`"
         )
     if "profile_stages" not in baseline:
         failures.append(
@@ -131,27 +129,17 @@ def main(argv=None) -> int:
             "count; regenerate it with the current run_bench.py (the "
             "'repeats' key)"
         )
-    if float(baseline.get("speedup_sharded_async") or 0.0) < 1.5:
+    if float(baseline.get("speedup_async") or 0.0) < 1.5:
         failures.append(
-            "baseline speedup_sharded_async "
-            f"{baseline.get('speedup_sharded_async')} is below the 1.5x "
-            "floor the composed serving mode is held to"
+            "baseline speedup_async "
+            f"{baseline.get('speedup_async')} is below the 1.5x "
+            "floor the async serving path is held to"
         )
 
     if not candidate.get("identical_assignments", False):
         failures.append(
             "identical_assignments is false: the exact engine path no longer "
             "replays the seed path's assignment sequence"
-        )
-    if "identical_assignments_sharded" not in candidate:
-        failures.append(
-            "candidate has no identical_assignments_sharded field: the smoke "
-            "run must include the sharded path (run_bench.py --shards >= 2)"
-        )
-    elif not candidate["identical_assignments_sharded"]:
-        failures.append(
-            "identical_assignments_sharded is false: the partitioned top-K "
-            "merge no longer replays the seed path's assignment sequence"
         )
     if "identical_assignments_async" not in candidate:
         failures.append(
@@ -164,29 +152,16 @@ def main(argv=None) -> int:
             "at max_stale_answers=0 no longer replays the seed path's "
             "assignment sequence"
         )
-    if "identical_assignments_sharded_async" not in candidate:
+    if "identical_estimates_async" not in candidate:
         failures.append(
-            "candidate has no identical_assignments_sharded_async field: "
-            "the smoke run must include the composed path (run_bench.py "
-            "--shards >= 2 --async-refit)"
+            "candidate has no identical_estimates_async field: the smoke "
+            "run must include the async path (run_bench.py --async-refit)"
         )
-    elif not candidate["identical_assignments_sharded_async"]:
+    elif not candidate["identical_estimates_async"]:
         failures.append(
-            "identical_assignments_sharded_async is false: the composed "
-            "sharded+async policy at max_stale_answers=0 no longer replays "
-            "the seed path's assignment sequence"
-        )
-    if "identical_estimates_sharded_async" not in candidate:
-        failures.append(
-            "candidate has no identical_estimates_sharded_async field: the "
-            "smoke run must include the composed path (run_bench.py "
-            "--shards >= 2 --async-refit)"
-        )
-    elif not candidate["identical_estimates_sharded_async"]:
-        failures.append(
-            "identical_estimates_sharded_async is false: the composed "
-            "sharded+async equivalence run's final truth estimates differ "
-            "from the seed path's (stale snapshot or scoring-cache hit?)"
+            "identical_estimates_async is false: the async equivalence "
+            "run's final truth estimates differ from the seed path's "
+            "(stale snapshot or scoring-cache hit?)"
         )
     if "identical_assignments_multiprocess" not in candidate:
         failures.append(
@@ -299,30 +274,22 @@ def main(argv=None) -> int:
         )
 
     floors = {}
-    for field in (
-        "speedup", "speedup_sharded", "speedup_async",
-        "speedup_sharded_async", "speedup_multiprocess",
-    ):
+    for field in ("speedup", "speedup_async", "speedup_multiprocess"):
         if field not in baseline and field != "speedup":
-            continue  # older baselines predate the sharded/async paths
+            continue  # older baselines predate the async/multiprocess paths
         baseline_speedup = float(baseline.get(field, 0.0))
         candidate_speedup = float(candidate.get(field, 0.0))
         # Seed-relative speedups are clamped at 1.0: an engine path that is
         # no faster than the seed path is a regression outright.  The async
-        # ratio is engine-relative and sits near 1.77x, so a 1.0 clamp would
-        # leave it no headroom at all on a jittery smoke runner — it keeps
-        # the plain baseline*headroom floor (the full-size run_bench.py
-        # enforces the absolute >= 1.2x target).  The composed path is this
-        # codebase's production serving mode: after the stacked-scoring +
-        # scoring-cache speed pass it clears 1.5x even at smoke size, and
-        # that absolute floor is the contract run_bench.py enforces at full
-        # size, so the gate pins it here too.
-        # ...  The multiprocess path pays IPC and WAL-replay overhead per
-        # request, so at smoke size it can legitimately land below 1.0x;
-        # its value is the equivalence bit plus the baseline-relative floor.
-        if field == "speedup_sharded_async":
+        # path is this codebase's production serving mode; with its scoring
+        # cache it clears 1.5x over the synchronous engine path even at
+        # smoke size, so it carries that absolute floor.  The multiprocess
+        # path pays IPC and WAL-replay overhead per request, so at smoke
+        # size it can legitimately land below 1.0x; its value is the
+        # equivalence bit plus the baseline-relative floor.
+        if field == "speedup_async":
             minimum = 1.5
-        elif field in ("speedup_async", "speedup_multiprocess"):
+        elif field == "speedup_multiprocess":
             minimum = 0.0
         else:
             minimum = 1.0
@@ -342,14 +309,11 @@ def main(argv=None) -> int:
         )
     print(
         f"identical={candidate.get('identical_assignments')}, "
-        f"identical_sharded={candidate.get('identical_assignments_sharded')}, "
         f"identical_async={candidate.get('identical_assignments_async')}, "
-        f"identical_sharded_async="
-        f"{candidate.get('identical_assignments_sharded_async')}, "
         f"identical_multiprocess="
         f"{candidate.get('identical_assignments_multiprocess')}, "
-        f"identical_estimates_sharded_async="
-        f"{candidate.get('identical_estimates_sharded_async')}, "
+        f"identical_estimates_async="
+        f"{candidate.get('identical_estimates_async')}, "
         f"recovery_identical={candidate.get('recovery_identical')}, "
         f"audit_replay_identical={candidate.get('audit_replay_identical')}, "
         f"audit_overhead_ratio={candidate.get('audit_overhead_ratio')}"

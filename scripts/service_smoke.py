@@ -3,9 +3,9 @@
 Starts ``python -m repro.service --port 0`` as a real subprocess, drives a
 scripted session over HTTP (create session from a **v1 SessionSpec body**
 → seed answers → select/ingest loop → estimates → ``GET .../config``),
-scrapes ``/metrics``, pins the legacy-config **upgrade shim** with one
-PR-4-dialect request, and shuts the server down cleanly (SIGINT, asserting
-the clean-shutdown message).  Exercises the same code path an operator
+scrapes ``/metrics``, asserts a body without ``version`` is a strict 400
+naming the missing field, and shuts the server down cleanly (SIGINT,
+asserting the clean-shutdown message).  Exercises the same code path an operator
 would run, end to end, in a few seconds.
 
 With ``--processes N`` the smoke instead pins the **process-level serving
@@ -455,7 +455,6 @@ def audit_main() -> int:
                 SessionSpec.builder()
                 .model(max_iterations=4, m_step_iterations=8)
                 .policy(refit_every=1)
-                .sharded(2)
                 .durable(None, snapshot_every_answers=20, wal_fsync=False)
                 .build()
             )
@@ -482,7 +481,7 @@ def audit_main() -> int:
                 "client-side chain head disagrees with the served stats"
             )
             for record in records:
-                assert record["shards"], record  # sharded mode: lineage present
+                assert record["shards"], record  # candidate lineage present
             print(
                 f"client-side chain recompute OK: {len(records)} records, "
                 f"head {head[:12]}…"
@@ -625,7 +624,6 @@ def main() -> int:
             SessionSpec.builder()
             .model(max_iterations=4, m_step_iterations=8)
             .policy(refit_every=1)
-            .sharded(2)
             .async_refit(max_stale=0)
             .build()
         )
@@ -679,27 +677,22 @@ def main() -> int:
         estimates = client.get_estimates(session_id)
         assert len(estimates["estimates"]) == schema.num_cells, estimates
 
-        # One legacy PR-4-dialect body pins the upgrade shim: the same
-        # session expressed the old way must create fine and serve back a
-        # canonical v1 spec.
-        legacy = client.create_session(
+        # A body without "version" (the retired pre-spec dialect) is a
+        # strict 400 naming the missing field, not a silent upgrade.
+        status, body = client.request(
+            "POST",
+            "/sessions",
             {
                 "schema": schema_to_dict(schema),
                 "policy": {
                     "refit_every": 1,
                     "model": {"max_iterations": 4, "m_step_iterations": 8},
                 },
-                "serving": {"shards": 2, "async_refit": True,
-                            "max_stale_answers": 0},
-            }
+                "serving": {"async_refit": True, "max_stale_answers": 0},
+            },
         )
-        status, legacy_config = client.request(
-            "GET", f"/sessions/{legacy['session_id']}/config"
-        )
-        assert status == 200 and legacy_config["version"] == 1, legacy_config
-        assert legacy_config["serving"]["shards"] == 2, legacy_config
-        client.delete_session(legacy["session_id"])
-        print("legacy-config upgrade shim OK")
+        assert status == 400 and body.get("path") == "version", (status, body)
+        print("version-less body rejected OK")
 
         metrics = client.get_metrics()
         for needle in (

@@ -1,17 +1,16 @@
 """One versioned, serializable configuration API for the whole system.
 
 :class:`SessionSpec` is the single way to describe a serving session —
-policy + model options, serving mode (sharded / async / composed),
-durability, and simulation budget — consumed by every entry point:
+policy + model options, serving mode (plain / async refit / worker
+processes), durability, and simulation budget — consumed by every entry
+point:
 
 * ``CrowdsourcingSession.from_spec(dataset, spec)`` (the platform
-  simulator; legacy keyword arguments adapt via
-  :meth:`SessionSpec.from_legacy_kwargs` with ``DeprecationWarning``);
+  simulator);
 * ``measure_engine_speedup(spec=...)`` and ``benchmarks/run_bench.py``;
-* the HTTP service: ``POST /sessions`` takes a v1 spec body (the PR-4
-  dialect upgrades via :func:`upgrade_legacy_config`), the canonical spec
-  is pinned to durable ``session.json`` manifests and served back on
-  ``GET /sessions/{id}/config``.
+* the HTTP service: ``POST /sessions`` takes a version-1 spec body, the
+  canonical spec is pinned to durable ``session.json`` manifests and served
+  back on ``GET /sessions/{id}/config``.
 
 :mod:`repro.config.factory` turns specs into live policies (the shared
 wrapper-selection table); ``python -m repro.config.validate`` checks spec
@@ -32,7 +31,6 @@ from repro.config.spec import (
     SpecValidationError,
     StrategySpec,
     split_envelope,
-    upgrade_legacy_config,
 )
 
 __all__ = [
@@ -49,5 +47,4 @@ __all__ = [
     "SpecValidationError",
     "StrategySpec",
     "split_envelope",
-    "upgrade_legacy_config",
 ]

@@ -1,19 +1,21 @@
 """Build live policy objects from a :class:`~repro.config.SessionSpec`.
 
-This is the **single** wrapper-selection point of the codebase.  The same
-serving table used to be duplicated (with drifting defaults) between
-``platform/session.py``, ``service/registry.build_policy`` and the
-benchmark drivers; they all call :func:`wrap_policy` now:
+This is the **single** wrapper-selection point of the codebase: the
+platform simulator, ``service/registry.build_policy`` and the benchmark
+drivers all call :func:`wrap_policy`, which has three outcomes:
 
 ========================  =============================================
 ``serving`` section       policy served
 ========================  =============================================
 defaults                  the plain incremental assigner, unwrapped
-``shards`` > 1 only       :class:`~repro.engine.ShardedAssignmentPolicy`
-``async_refit`` only      :class:`~repro.engine.AsyncRefitPolicy`
-both                      :class:`~repro.engine.ShardedAsyncPolicy`
+``async_refit``           :class:`~repro.engine.AsyncRefitPolicy`
 ``processes`` >= 1        :class:`~repro.engine.ProcessShardCoordinator`
+                          over ``max(shards, processes)`` row shards
 ========================  =============================================
+
+``serving.shards`` partitions rows only for the process coordinator; an
+in-process session serves every row from one candidate pool, so a spec
+with ``shards`` but no ``processes`` gets the plain assigner.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def wrap_policy(
 ) -> AssignmentPolicy:
     """Wrap ``policy`` in the serving mode a :class:`ServingSpec` picks.
 
-    Returns ``policy`` itself for the default (unsharded, synchronous)
-    spec.  Wrapped policies own background threads — callers that create
-    them are responsible for ``close()``.
+    Returns ``policy`` itself for the default (synchronous, in-process)
+    spec.  Wrapped policies own background threads or worker processes —
+    callers that create them are responsible for ``close()``.
 
     Parameters
     ----------
@@ -73,15 +75,15 @@ def wrap_policy(
     serving:
         The serving section of a spec.
     clock:
-        Optional :class:`~repro.engine.VirtualClock` for the async modes —
+        Optional :class:`~repro.engine.VirtualClock` for the async mode —
         deterministic synchronous refits for tests and replay harnesses.
     """
     if not serving.wants_wrapper:
         return policy
     if not isinstance(policy, TCrowdAssigner):
         raise ConfigurationError(
-            "serving.shards > 1 / serving.async_refit / serving.processes "
-            f">= 1 require a TCrowdAssigner policy, got {type(policy).__name__}"
+            "serving.async_refit / serving.processes >= 1 require a "
+            f"TCrowdAssigner policy, got {type(policy).__name__}"
         )
     if serving.processes >= 1:
         from repro.engine import ProcessShardCoordinator
@@ -90,25 +92,6 @@ def wrap_policy(
             policy,
             processes=serving.processes,
             num_shards=max(serving.shards, serving.processes),
-        )
-    if serving.shards > 1 and serving.async_refit:
-        from repro.engine import ShardedAsyncPolicy
-
-        return ShardedAsyncPolicy(
-            policy,
-            num_shards=serving.shards,
-            max_workers=serving.shard_workers,
-            max_stale_answers=serving.max_stale_answers,
-            scoring_cache=serving.scoring_cache,
-            clock=clock,
-        )
-    if serving.shards > 1:
-        from repro.engine import ShardedAssignmentPolicy
-
-        return ShardedAssignmentPolicy(
-            policy,
-            num_shards=serving.shards,
-            max_workers=serving.shard_workers,
         )
     from repro.engine import AsyncRefitPolicy
 

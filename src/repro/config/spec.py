@@ -1,12 +1,8 @@
 """The versioned ``SessionSpec``: one serializable description of a session.
 
-Every serving mode the engine grew in PRs 1-4 (incremental, sharded,
-async-refit, composed, durable) used to be wired through a different ad-hoc
-surface: ``CrowdsourcingSession.__init__`` keyword arguments, the
-``measure_engine_speedup`` benchmark knobs (with *different* defaults),
-hand-mapped CLI flags in ``benchmarks/run_bench.py``, and the JSON dialect
-of ``POST /sessions``.  This module replaces all of them with one typed,
-immutable, **versioned** document:
+The platform simulator, the benchmarks and ``POST /sessions`` all configure
+a session — its policy, serving mode, durability and simulation budget —
+through one typed, immutable, **versioned** document:
 
 ``SessionSpec``
     ``version`` (always ``1``) plus four nested sections —
@@ -18,15 +14,16 @@ The spec is the unit that crosses boundaries: it round-trips through
 the same ``repr``-based discipline as the WAL codec in
 :mod:`repro.service.wal`), it is pinned to ``session.json`` inside durable
 directories, it is the body of ``POST /sessions`` and the response of
-``GET /sessions/{id}/config`` — and, being plain data, it can ship across a
-process boundary next to the ``(epoch, answers_seen)`` snapshot protocol,
-which is what the process-level sharding follow-up in ROADMAP.md needs.
+``GET /sessions/{id}/config`` — and, being plain data, it ships across
+the process boundary to the coordinator's shard workers.
 
 Validation is strict and **path-qualified**: every violation raises a
 :class:`SpecValidationError` (a :class:`~repro.utils.exceptions.ConfigurationError`)
 whose message starts with the dotted field path, e.g.
 ``serving.shards must be >= 1, got 0`` — the HTTP API surfaces the path in
-its 400 responses.  Unknown fields are rejected, never ignored.
+its 400 responses.  Unknown fields are rejected, never ignored, with one
+exception: the retired serving fields in :data:`RETIRED_SERVING_FIELDS`,
+which older manifests carry, are accepted and dropped.
 
 This module deliberately imports nothing heavy (no numpy, no engine code):
 ``python -m repro.config.validate`` must run in a lint-only environment.
@@ -44,9 +41,14 @@ from typing import ClassVar, Dict, Optional, Tuple
 from repro.utils.exceptions import ConfigurationError
 
 #: The one schema version this package reads and writes.  Bump only with an
-#: upgrade shim from every older version (the PR-4 service dialect upgrades
-#: via :func:`upgrade_legacy_config`).
+#: upgrade path from every older version.
 SPEC_VERSION = 1
+
+#: Serving fields removed from the spec without a version bump: neither
+#: ever changed a decision.  Manifests written while they existed carry
+#: both (``to_dict`` emits every field), so ``from_dict`` accepts and drops
+#: them; any other unknown key is still rejected.
+RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache")
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -390,15 +392,19 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ServingSpec:
-    """How the policy is served: sharding, async refits, staleness.
+    """How the policy is served: async refits, staleness, worker processes.
+
+    The serving table (see :mod:`repro.config.factory`): the default spec
+    serves the bare assigner, ``async_refit`` the async refit wrapper, and
+    ``processes >= 1`` the process coordinator.
 
     ``max_stale_answers`` semantics (the **single** definition — the
     platform session and the benchmarks used to disagree on the default):
 
     * ``0`` (the default) — *blocking*: every select waits until the model
       has seen every collected answer, which replays the synchronous
-      session bit for bit.  This is the mode all recorded equivalence bits
-      (``identical_assignments_async`` / ``..._sharded_async``) pin.
+      session bit for bit.  This is the mode the recorded equivalence bits
+      (``identical_assignments_async`` / ``identical_estimates_async``) pin.
     * a positive bound — *bounded staleness*: selects score against the
       latest published snapshot as long as it trails the collected answers
       by at most this many; only a staler snapshot blocks.  The production
@@ -410,17 +416,14 @@ class ServingSpec:
     lives here rather than in :class:`PolicySpec` because it tunes the
     serving loop, not the paper's algorithm.
 
-    ``scoring_cache`` (composed mode only) reuses the snapshot-derived gain
-    calculator across selects, keyed by ``(epoch, answers_seen)``; the
-    cache is behaviour-neutral (a hit requires the exact inputs a rebuild
-    would use) and exists purely as an escape hatch for debugging.
-
     ``processes`` moves the scoring/refit workers out of process: ``0``
-    (the default) keeps every serving mode in-process; ``N >= 1`` spawns
-    ``N`` shard-group worker processes behind a coordinator
-    (:class:`repro.engine.coordinator.ProcessShardCoordinator`).  The
-    effective shard count is ``max(shards, processes)`` so every worker
-    owns at least one contiguous shard range.
+    (the default) serves in-process; ``N >= 1`` spawns ``N`` shard-group
+    worker processes behind a coordinator
+    (:class:`repro.engine.coordinator.ProcessShardCoordinator`).
+    ``shards`` is that coordinator's row partition: the effective shard
+    count is ``max(shards, processes)`` so every worker owns at least one
+    contiguous shard range.  Without ``processes`` it selects nothing —
+    in-process serving is unpartitioned.
 
     ``audit`` (default on) records every select into the session's
     decision-provenance ledger
@@ -434,11 +437,9 @@ class ServingSpec:
     _SECTION: ClassVar[str] = "serving"
 
     shards: int = 1
-    shard_workers: Optional[int] = None
     async_refit: bool = False
     max_stale_answers: Optional[int] = 0
     refit_tol: Optional[float] = None
-    scoring_cache: bool = True
     processes: int = 0
     audit: bool = True
 
@@ -446,9 +447,6 @@ class ServingSpec:
         s = self._SECTION
         set_ = object.__setattr__
         set_(self, "shards", _check_int(f"{s}.shards", self.shards, 1))
-        set_(self, "shard_workers",
-             _check_int(f"{s}.shard_workers", self.shard_workers, 1,
-                        optional=True))
         set_(self, "async_refit",
              _check_bool(f"{s}.async_refit", self.async_refit))
         set_(self, "max_stale_answers",
@@ -457,8 +455,6 @@ class ServingSpec:
         set_(self, "refit_tol",
              _check_float(f"{s}.refit_tol", self.refit_tol, 0.0,
                           exclusive=True, optional=True))
-        set_(self, "scoring_cache",
-             _check_bool(f"{s}.scoring_cache", self.scoring_cache))
         set_(self, "processes",
              _check_int(f"{s}.processes", self.processes, 0))
         set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
@@ -472,16 +468,16 @@ class ServingSpec:
 
     @property
     def wants_wrapper(self) -> bool:
-        """True when a serving wrapper (sharded/async/composed) is needed."""
-        return self.async_refit or self.shards > 1 or self.processes >= 1
+        """True when a serving wrapper (async or multiprocess) is needed."""
+        return self.async_refit or self.processes >= 1
 
     def describe(self) -> str:
-        """Human-readable serving mode, e.g. ``sharded x4 + async refit``."""
+        """Human-readable serving mode, e.g. ``multiprocess x2 + sharded x4``."""
         parts = []
         if self.processes >= 1:
             parts.append(f"multiprocess x{self.processes}")
-        if self.shards > 1:
-            parts.append(f"sharded x{self.shards}")
+            if self.shards > 1:
+                parts.append(f"sharded x{self.shards}")
         if self.async_refit:
             stale = (
                 "unbounded"
@@ -496,8 +492,13 @@ class ServingSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingSpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
-        return cls(**payload)
+        _reject_unknown(
+            cls._SECTION, payload, _field_names(cls) + RETIRED_SERVING_FIELDS
+        )
+        return cls(**{
+            key: value for key, value in payload.items()
+            if key not in RETIRED_SERVING_FIELDS
+        })
 
 
 #: Durability backend names (must match ``repro.service.storage``; listed
@@ -687,13 +688,6 @@ class SessionSpec:
                 raise SpecValidationError(
                     name, f"must be a {name} object, got {getattr(self, name)!r}"
                 )
-        if self.serving.shards > 1 and self.policy.continuous_samples:
-            raise SpecValidationError(
-                "policy.continuous_samples",
-                "must be 0 when serving.shards > 1 (the Monte-Carlo gain "
-                "estimator consumes an ordered sample stream that sharding "
-                "would reorder)",
-            )
         if self.serving.async_refit and self.policy.continuous_samples:
             raise SpecValidationError(
                 "policy.continuous_samples",
@@ -726,13 +720,14 @@ class SessionSpec:
 
         Sections may be omitted (their defaults apply); unknown keys and
         invalid values raise :class:`SpecValidationError` with the dotted
-        field path.
+        field path.  A missing ``version`` is reported before any unknown
+        key: which keys are known depends on the version.
         """
-        _reject_unknown("spec", payload, _field_names(cls))
-        if "version" not in payload:
+        if isinstance(payload, dict) and "version" not in payload:
             raise SpecValidationError(
                 "version", f"is required (this library reads version {SPEC_VERSION})"
             )
+        _reject_unknown("spec", payload, _field_names(cls))
         return cls(
             version=payload["version"],
             policy=PolicySpec.from_dict(payload.get("policy") or {}),
@@ -747,7 +742,7 @@ class SessionSpec:
     def builder() -> "SessionSpecBuilder":
         """A fluent builder::
 
-            SessionSpec.builder().sharded(4).async_refit(max_stale=64) \\
+            SessionSpec.builder().async_refit(max_stale=64) \\
                        .durable(root).build()
         """
         return SessionSpecBuilder()
@@ -766,61 +761,6 @@ class SessionSpec:
         if self.durability.durable_dir is not None:
             text += " [durable]"
         return text
-
-    # -- legacy adapters ------------------------------------------------------
-
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        *,
-        target_answers_per_task: float = 5.0,
-        initial_answers_per_task: int = 1,
-        batch_size: Optional[int] = None,
-        eval_every_answers_per_task: float = 0.5,
-        seed=None,
-        max_steps: Optional[int] = None,
-        shards: Optional[int] = None,
-        shard_workers: Optional[int] = None,
-        async_refit: bool = False,
-        max_stale_answers: Optional[int] = 0,
-        durable_dir=None,
-        snapshot_every_answers: int = 200,
-        wal_fsync: bool = False,
-    ) -> "SessionSpec":
-        """Adapt the pre-spec ``CrowdsourcingSession`` keyword surface.
-
-        The defaults are the session's historical defaults — in particular
-        ``max_stale_answers=0`` (blocking), the value this spec adopted as
-        the unified default (see :class:`ServingSpec`).  ``shards`` of
-        ``None``/``0``/``1`` all mean "unsharded".  The session's RNG seed
-        may be any value :func:`repro.utils.rng.as_generator` accepts, so
-        it is only recorded when it is a plain non-negative integer.
-        """
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            seed = None
-        return cls(
-            serving=ServingSpec(
-                shards=shards if shards else 1,
-                shard_workers=shard_workers,
-                async_refit=bool(async_refit),
-                max_stale_answers=max_stale_answers,
-            ),
-            durability=DurabilitySpec(
-                durable_dir=(
-                    None if durable_dir is None else os.fspath(durable_dir)
-                ),
-                snapshot_every_answers=snapshot_every_answers,
-                wal_fsync=bool(wal_fsync),
-            ),
-            simulation=SimulationSpec(
-                target_answers_per_task=target_answers_per_task,
-                initial_answers_per_task=initial_answers_per_task,
-                batch_size=batch_size,
-                eval_every_answers_per_task=eval_every_answers_per_task,
-                seed=seed,
-                max_steps=max_steps,
-            ),
-        )
 
 
 # -- fluent builder -----------------------------------------------------------
@@ -857,13 +797,6 @@ class SessionSpecBuilder:
     def serving(self, **options) -> "SessionSpecBuilder":
         """Set :class:`ServingSpec` fields directly."""
         self._serving.update(options)
-        return self
-
-    def sharded(self, shards: int, workers: Optional[int] = None) -> "SessionSpecBuilder":
-        """Serve through a partitioned candidate pool of ``shards`` shards."""
-        self._serving["shards"] = shards
-        if workers is not None:
-            self._serving["shard_workers"] = workers
         return self
 
     def async_refit(
@@ -944,58 +877,3 @@ def split_envelope(body: dict) -> Tuple[dict, dict]:
         else:
             payload[key] = value
     return envelope, payload
-
-
-def upgrade_legacy_config(config: dict) -> dict:
-    """Upgrade the PR-4 ``POST /sessions`` dialect to a v1 spec body.
-
-    The legacy dialect (still accepted, documented here as the upgrade
-    path) differs from v1 in four ways:
-
-    * no ``version`` key (its absence is what routes a body through this
-      shim);
-    * durability fields at the top level (``durable_dir``,
-      ``snapshot_every``, ``fsync``) instead of a ``durability`` section
-      (``durable_dir``, ``snapshot_every_answers``, ``wal_fsync``);
-    * ``refit_tol`` under ``policy`` instead of ``serving``;
-    * ``serving.shards`` could be ``null`` to mean "unsharded" (v1 says
-      ``1``).
-
-    Returns the equivalent v1 body (envelope keys preserved); raises
-    :class:`SpecValidationError` for keys neither dialect defines.
-    """
-    config = dict(config)
-    out: Dict[str, object] = {"version": SPEC_VERSION}
-    for key in ENVELOPE_KEYS:
-        if key in config:
-            out[key] = config.pop(key)
-    policy = dict(config.pop("policy", None) or {})
-    refit_tol = policy.pop("refit_tol", None)
-    if policy:
-        out["policy"] = policy
-    serving = dict(config.pop("serving", None) or {})
-    if serving.get("shards", 1) is None:
-        serving.pop("shards")
-    if refit_tol is not None:
-        serving["refit_tol"] = refit_tol
-    if serving:
-        out["serving"] = serving
-    durability = {}
-    if config.get("durable_dir") is not None:
-        durability["durable_dir"] = config.pop("durable_dir")
-    else:
-        config.pop("durable_dir", None)
-    if "snapshot_every" in config:
-        durability["snapshot_every_answers"] = config.pop("snapshot_every")
-    if "fsync" in config:
-        durability["wal_fsync"] = config.pop("fsync")
-    if durability:
-        out["durability"] = durability
-    if config:
-        key = sorted(config)[0]
-        raise SpecValidationError(
-            key,
-            "is not a recognised legacy session-config key; post a "
-            "version-1 spec body instead (see repro.config)",
-        )
-    return out

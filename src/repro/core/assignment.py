@@ -100,7 +100,7 @@ def merge_top_k_stable(parts: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Global stable top-``k`` over the virtual concatenation of ``parts``.
 
     Each part is a gains array over a contiguous block of the global
-    candidate list (the sharded engine scores one block per shard).  The
+    candidate list (the process coordinator's workers score one block each).  The
     global winners are found without materialising the concatenation: every
     global top-``k`` element must sit in its own part's stable top-``k``
     (anything a part drops is tied-or-worse *and* later in index order than
@@ -401,13 +401,12 @@ class TCrowdAssigner(AssignmentPolicy):
         Convenience composition of the two real seams —
         :meth:`_ensure_result` (the refit cadence) and
         :meth:`_build_calculator` (what scores are computed with).  Every
-        serving mode goes through those two: the vectorized :meth:`select`
-        calls them via :meth:`rank_candidates`, the scalar path and the
-        sharded wrapper (:class:`~repro.engine.ShardedAssignmentPolicy`)
-        call this method, and the async policy substitutes a snapshot
-        result into the same :meth:`rank_candidates`.  None of the paths
-        can diverge on *when* they refit or *what* they score with — the
-        precondition for their bit-identical decisions.
+        serving mode goes through those two: :meth:`select` and the
+        process coordinator's worker twins call this method, and the async
+        policy builds its calculator over a snapshot result through
+        :meth:`calculator_for`.  None of the paths can diverge on *when*
+        they refit or *what* they score with — the precondition for their
+        bit-identical decisions.
         """
         result = self._ensure_result(answers)
         return self._build_calculator(result, answers)
@@ -419,11 +418,13 @@ class TCrowdAssigner(AssignmentPolicy):
         candidates = self.candidate_cells(worker, answers)
         if not candidates:
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
+        calculator = self.prepare_scoring(answers)
         if self.vectorized:
-            result = self._ensure_result(answers)
-            assignment = self.rank_candidates(result, worker, answers, candidates, k)
+            gains = calculator.gains_batch(worker, candidates)
+            order = top_k_stable(gains, k)
+            cells = tuple(candidates[index] for index in order)
+            values = tuple(float(gains[index]) for index in order)
         else:
-            calculator = self.prepare_scoring(answers)
             gains = {
                 cell: calculator.gain(worker, cell[0], cell[1])
                 for cell in candidates
@@ -433,7 +434,7 @@ class TCrowdAssigner(AssignmentPolicy):
             )[:k]
             cells = tuple(cell for cell, _gain in ranked)
             values = tuple(gain for _cell, gain in ranked)
-            assignment = BatchAssignment(worker, cells, values)
+        assignment = BatchAssignment(worker, cells, values)
         self._record_decision(
             assignment,
             answers_seen=self._answers_at_last_fit,
@@ -444,29 +445,6 @@ class TCrowdAssigner(AssignmentPolicy):
         )
         return assignment
 
-    def rank_candidates(
-        self,
-        result: InferenceResult,
-        worker: str,
-        answers: AnswerSet,
-        candidates: List[Cell],
-        k: int,
-    ) -> BatchAssignment:
-        """Vectorised stable top-``k`` over ``candidates`` scored with ``result``.
-
-        The one scoring block shared by every serving mode that brings its
-        own inference result — :meth:`select` (the result of the policy's
-        own refit cadence) and the async policy (a
-        :class:`~repro.engine.ModelSnapshot`'s result) — so ranking and
-        tie-breaking cannot drift between them.
-        """
-        calculator = self._build_calculator(result, answers)
-        gains = calculator.gains_batch(worker, candidates)
-        order = top_k_stable(gains, k)
-        cells = tuple(candidates[index] for index in order)
-        values = tuple(float(gains[index]) for index in order)
-        return BatchAssignment(worker, cells, values)
-
     def observe(self, answers: AnswerSet) -> None:
         """Refresh truth inference if enough new answers arrived."""
         self._ensure_result(answers)
@@ -475,10 +453,10 @@ class TCrowdAssigner(AssignmentPolicy):
         """Gain calculator scoring with an externally supplied ``result``.
 
         The public seam used by serving modes that bring their own inference
-        result — the sharded scorer reading async
-        :class:`~repro.engine.ModelSnapshot`s builds its per-shard
-        calculator here, so its scores come from exactly the same
-        calculator construction as :meth:`rank_candidates`.
+        result — :class:`~repro.engine.AsyncRefitPolicy` builds (and
+        caches) its calculator over an async
+        :class:`~repro.engine.ModelSnapshot` here, so its scores come from
+        exactly the same calculator construction as :meth:`select`.
         """
         return self._build_calculator(result, answers)
 
@@ -544,12 +522,11 @@ class TCrowdAssigner(AssignmentPolicy):
     def _build_calculator(self, result: InferenceResult, answers: AnswerSet):
         """The calculator scoring this state — strategy-aware dispatcher.
 
-        Every serving mode funnels scoring through here (directly, via
-        :meth:`prepare_scoring`, :meth:`rank_candidates` or
-        :meth:`calculator_for`), so swapping the strategy swaps scoring
-        for *all* of them at once while everything around the scores —
-        candidate filtering, stable top-K, shard merge, provenance —
-        stays shared.
+        Every serving mode funnels scoring through here (via
+        :meth:`prepare_scoring` or :meth:`calculator_for`), so swapping
+        the strategy swaps scoring for *all* of them at once while
+        everything around the scores — candidate filtering, stable top-K,
+        shard merge, provenance — stays shared.
         """
         if self.strategy is not None:
             return self.strategy.build_calculator(self, result, answers)

@@ -117,16 +117,6 @@ class InformationGainCalculator:
         """Information gain for every candidate cell ``(row, col)``."""
         return {cell: self.gain(worker, cell[0], cell[1]) for cell in candidates}
 
-    def prewarm(self) -> None:
-        """Build the lazily-cached scoring tables eagerly.
-
-        After this call :meth:`gains_batch` no longer mutates the calculator,
-        so disjoint candidate blocks may be scored from concurrent threads
-        (the sharded engine calls this before fanning out).
-        """
-        self._continuous_variance_grid()
-        self._categorical_prob_grid()
-
     def gains_batch(
         self,
         worker: str,

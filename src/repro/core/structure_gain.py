@@ -79,15 +79,6 @@ class StructureAwareGainCalculator:
         """Structure-aware gain for every candidate cell."""
         return {cell: self.gain(worker, cell[0], cell[1]) for cell in candidates}
 
-    def prewarm(self) -> None:
-        """Eagerly build the inherent calculator's cached scoring tables.
-
-        The structure-aware layer itself keeps no mutable state across
-        :meth:`gains_batch` calls; see
-        :meth:`InformationGainCalculator.prewarm`.
-        """
-        self._inherent.prewarm()
-
     def gains_batch(self, worker: str, cells) -> np.ndarray:
         """Structure-aware gain for many candidate cells in one pass.
 

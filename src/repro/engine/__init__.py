@@ -9,8 +9,10 @@ loop is driven by the (warm-started) EM refit and one vectorised gain pass.
 
 Layering: ``core`` holds the paper's algorithms, ``engine`` holds the
 incremental session state those algorithms consult in the online loop, and
-``platform`` / ``experiments`` drive both.  Future scaling work (sharding the
-candidate pool, async refits, multi-backend state) plugs in here.
+``platform`` / ``experiments`` drive both.  In-process sessions are served by
+the bare assigner or :class:`AsyncRefitPolicy`; process-level serving
+(:class:`ProcessShardCoordinator` over a :class:`ShardedSessionState` row
+partition) plugs in here too.
 """
 
 from repro.engine.state import SessionState
@@ -18,8 +20,6 @@ from repro.engine.state import SessionState
 __all__ = [
     "SessionState",
     "ShardedSessionState",
-    "ShardedAssignmentPolicy",
-    "ShardedAsyncPolicy",
     "AsyncRefitEngine",
     "AsyncRefitPolicy",
     "DecisionRecord",
@@ -31,7 +31,7 @@ __all__ = [
     "VirtualClock",
 ]
 
-_SHARDING_EXPORTS = ("ShardedSessionState", "ShardedAssignmentPolicy")
+_SHARDING_EXPORTS = ("ShardedSessionState",)
 _PROFILING_EXPORTS = ("HotPathProfile",)
 _PROVENANCE_EXPORTS = ("DecisionRecord", "DecisionRecorder")
 _REFIT_EXPORTS = (
@@ -40,14 +40,14 @@ _REFIT_EXPORTS = (
     "ModelSnapshot",
     "VirtualClock",
 )
-_COMPOSED_EXPORTS = ("ShardedAsyncPolicy",)
 _COORDINATOR_EXPORTS = ("ProcessShardCoordinator", "ShardGroupScorer")
 
 
 def __getattr__(name):
     # Lazy so that ``core.assignment → engine.state → engine.__init__`` does
-    # not re-enter ``core.assignment`` (sharding and the async refit worker
-    # build on the policy base classes) while it is still half-initialised.
+    # not re-enter ``core.assignment`` (the async refit worker and the
+    # coordinator build on the policy base classes) while it is still
+    # half-initialised.
     if name in _SHARDING_EXPORTS:
         from repro.engine import sharding
 
@@ -56,10 +56,6 @@ def __getattr__(name):
         from repro.engine import refit_worker
 
         return getattr(refit_worker, name)
-    if name in _COMPOSED_EXPORTS:
-        from repro.engine import composed
-
-        return getattr(composed, name)
     if name in _COORDINATOR_EXPORTS:
         from repro.engine import coordinator
 

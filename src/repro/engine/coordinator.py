@@ -1,8 +1,8 @@
 """Process-level sharded serving: a coordinator over shard-group workers.
 
-Every serving mode of PRs 1–6 — incremental, sharded, async, composed —
-runs in one Python process, so the GIL caps throughput no matter how fast
-the composed hot path gets.  This module moves the scoring/refit work out
+The in-process serving policies — the bare assigner and the async refit
+wrapper — run in one Python process, so the GIL caps throughput no matter
+how fast the hot path gets.  This module moves the scoring/refit work out
 of process:
 
 * :class:`ShardGroupScorer` — everything **one worker process** does, as a
@@ -592,7 +592,7 @@ class ProcessShardCoordinator(AssignmentPolicy):
             incremental=True,
         )
         from repro.service.registry import schema_to_dict
-        from repro.service.wal import WriteAheadLog
+        from repro.service.storage import WriteAheadLog
 
         rows = max(inner.schema.num_rows, 1)
         self.inner = inner

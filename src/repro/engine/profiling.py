@@ -1,15 +1,16 @@
 """Per-stage wall-clock accounting for the serving hot path.
 
-Optimising the composed serving mode needs attribution, not anecdotes: a
+Optimising the async serving path needs attribution, not anecdotes: a
 select that takes 4 ms could be spending it acquiring the model snapshot,
-rebuilding the gain calculator, scoring candidates, or merging per-shard
-top-Ks — and the fix is different for each.  :class:`HotPathProfile` is the
+rebuilding the gain calculator, scoring candidates, or selecting the
+top-K — and the fix is different for each.  :class:`HotPathProfile` is the
 lightweight answer: a thread-safe set of named stage timers that the engine
 layer feeds through :meth:`HotPathProfile.stage` context managers.  Profiles
 are strictly opt-in — no policy carries one until :meth:`set_profile` wires
 it — so the default hot path pays nothing beyond an attribute check.
 
-The canonical stage names (``STAGES``) cover the composed pipeline:
+The canonical stage names (``STAGES``) cover the async select pipeline
+(:class:`~repro.engine.AsyncRefitPolicy` and its refit engine):
 
 ``snapshot_acquire``
     Getting the inference result to score with (lock-free snapshot read, or
@@ -25,8 +26,7 @@ The canonical stage names (``STAGES``) cover the composed pipeline:
 ``gains_batch``
     Vectorised candidate scoring.
 ``top_k_merge``
-    Selecting the global top-K (stacked ``top_k_stable`` or the per-shard
-    heap merge).
+    Selecting the stable top-K over the scored candidates.
 
 Aggregates per stage: call count, total seconds, max seconds, and a
 fixed-bound latency histogram — the same cumulative-bucket shape Prometheus
@@ -115,8 +115,8 @@ def stage(profile: Optional["HotPathProfile"], name: str):
 class HotPathProfile:
     """Thread-safe per-stage wall-clock profile of the serving hot path.
 
-    One instance is shared by every component of a policy stack (sharded
-    scorer, async engine, service session), each timing its own stages; the
+    One instance is shared by every component of a policy stack (async
+    policy, refit engine, service session), each timing its own stages; the
     per-stage aggregates therefore describe the stack as one pipeline.
     Recording is two dict lookups plus float adds under a lock — cheap
     enough to leave on during benchmarking, but still opt-in.

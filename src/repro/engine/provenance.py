@@ -24,8 +24,8 @@ Two hashing scopes, deliberately:
 
 * ``record_hash`` covers the *core* payload — the decision and the model
   state that produced it.  Those fields are identical across every
-  serving mode (plain / sharded / async at ``max_stale_answers=0`` /
-  composed / multi-process), which is exactly the equivalence guarantee;
+  serving mode (plain / async at ``max_stale_answers=0`` /
+  multi-process), which is exactly the equivalence guarantee;
   the golden-trace audit matrix asserts the chain head matches across
   all of them.
 * The ``shards`` annotations describe *how* the candidates were merged —

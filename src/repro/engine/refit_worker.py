@@ -24,7 +24,9 @@ on EM.  This module is that worker:
   sleeps or races.
 * :class:`AsyncRefitPolicy` — the policy wrapper plugging the engine behind
   the same :class:`~repro.core.assignment.AssignmentPolicy` seam the
-  platform loop already drives.
+  platform loop already drives, with a scoring cache that reuses one gain
+  calculator across selects served from the same snapshot and answer
+  prefix.
 
 The bounded-staleness contract: with ``max_stale_answers=0`` no background
 refit is ever scheduled and every select blocks until the model is within
@@ -52,6 +54,7 @@ from repro.core.assignment import (
     TCrowdAssigner,
     _single_shard_lineage,
     refit_model,
+    top_k_stable,
 )
 from repro.core.inference import InferenceResult
 from repro.core.schema import TableSchema
@@ -354,8 +357,8 @@ class AsyncRefitEngine:
 
         Returning the whole :class:`ModelSnapshot` (rather than just its
         result) gives callers a consistent ``(epoch, result,
-        answers_seen)`` read off one atomic reference — the key the
-        composed policy's scoring cache is indexed by.
+        answers_seen)`` read off one atomic reference — the key
+        :class:`AsyncRefitPolicy`'s scoring cache is indexed by.
         """
         self._raise_background_error()
         snapshot = self._snapshot
@@ -467,6 +470,17 @@ class AsyncRefitPolicy(AssignmentPolicy):
     difference to the synchronous policy is *which* inference result scores
     a select, exactly as bounded by ``max_stale_answers``.
 
+    **Scoring cache.**  A gain calculator is a pure function of the
+    snapshot's result and the answer prefix it scores over; with answers
+    append-only, ``(epoch, len(answers))`` identifies both.  The policy
+    keeps the last calculator under that key and rebuilds it only when a
+    refit publishes a new epoch or new answers arrive, so repeat selects
+    against an unchanged state (several workers polling between answer
+    batches) skip the structure-model fit.  A hit returns exactly the
+    object a rebuild would produce; :meth:`restore_state` clears the cache
+    because restored epoch numbering restarts.  Selects run under the
+    caller's session lock, so the cache needs no lock of its own.
+
     Parameters
     ----------
     inner:
@@ -500,6 +514,10 @@ class AsyncRefitPolicy(AssignmentPolicy):
             )
         self.inner = inner
         self.profile: Optional[HotPathProfile] = None
+        self._cached_key: Optional[Tuple[int, int]] = None
+        self._cached_calculator = None
+        self.scoring_cache_hits = 0
+        self.scoring_cache_misses = 0
         self.engine = AsyncRefitEngine(
             inner.model,
             inner.schema,
@@ -537,6 +555,22 @@ class AsyncRefitPolicy(AssignmentPolicy):
 
     # -- policy --------------------------------------------------------------
 
+    def _scoring_calculator(self, snapshot: ModelSnapshot, answers: AnswerSet):
+        """The calculator scoring ``answers`` with ``snapshot``, cached."""
+        key = (snapshot.epoch, len(answers))
+        if key == self._cached_key:
+            self.scoring_cache_hits += 1
+            return self._cached_calculator
+        # Release the stale calculator before building its successor, so
+        # at most one is alive at a time.
+        self._cached_key = self._cached_calculator = None
+        with _stage(self.profile, "calculator_build"):
+            calculator = self.inner.calculator_for(snapshot.result, answers)
+        self.scoring_cache_misses += 1
+        self._cached_key = key
+        self._cached_calculator = calculator
+        return calculator
+
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
         """Assign the top-``k`` cells, scored with the served snapshot."""
         if k < 1:
@@ -551,8 +585,15 @@ class AsyncRefitPolicy(AssignmentPolicy):
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
         with _stage(self.profile, "snapshot_acquire"):
             snapshot = self.engine.snapshot_for(answers)
-        assignment = self.inner.rank_candidates(
-            snapshot.result, worker, answers, candidates, k
+        calculator = self._scoring_calculator(snapshot, answers)
+        with _stage(self.profile, "gains_batch"):
+            gains = calculator.gains_batch(worker, candidates)
+        with _stage(self.profile, "top_k_merge"):
+            order = top_k_stable(gains, k).tolist()
+        assignment = BatchAssignment(
+            worker,
+            tuple(candidates[index] for index in order),
+            tuple(float(gains[index]) for index in order),
         )
         if self._recorder is not None:
             self._record_decision(
@@ -583,5 +624,10 @@ class AsyncRefitPolicy(AssignmentPolicy):
         return snapshot.result, snapshot.answers_seen
 
     def restore_state(self, result: InferenceResult, answers_seen: int) -> None:
-        """Re-seat a persisted snapshot (see :meth:`AsyncRefitEngine.restore`)."""
+        """Re-seat a persisted snapshot (see :meth:`AsyncRefitEngine.restore`).
+
+        Drops the scoring cache: the restored epoch numbering restarts, so
+        a stale ``(epoch, answers_seen)`` key could otherwise collide.
+        """
+        self._cached_key = self._cached_calculator = None
         self.engine.restore(result, answers_seen)

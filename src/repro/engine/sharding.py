@@ -1,44 +1,31 @@
-"""Sharded session state and partitioned top-K assignment.
+"""Row-range partition of the session state (the coordinator's shards).
 
 The monolithic :class:`~repro.engine.state.SessionState` serves one candidate
-pool for the whole table.  For multi-worker serving the ROADMAP calls for
-partitioning that pool: :class:`ShardedSessionState` splits the rows into
+pool for the whole table.  :class:`ShardedSessionState` splits the rows into
 ``K`` contiguous shards, each owning its slice of the answer counts, the
 per-worker answered masks and the open-candidate pool, with O(1) routing of
 every ingested answer to the owning shard (a precomputed row→shard table).
 
-:class:`ShardedAssignmentPolicy` runs the paper's top-K selection over that
-partition: each shard enumerates its candidates and scores them with one
-``gains_batch`` call (optionally from a thread pool), and the per-shard
-stable top-Ks are heap-merged by
-:func:`~repro.core.assignment.merge_top_k_stable` into the global stable
-top-K.  Because the shards are contiguous row ranges, the concatenation of
-the per-shard candidate lists *is* the monolithic row-major candidate list,
-so the sharded selection is bit-identical to
-:meth:`~repro.core.assignment.TCrowdAssigner.select` — the equivalence the
-benchmark records as ``identical_assignments_sharded`` and CI gates on.
+This partition is the topology of process-level serving:
+:class:`~repro.engine.coordinator.ProcessShardCoordinator` hands each worker
+process a contiguous range of shards and heap-merges their per-shard stable
+top-Ks with :func:`~repro.core.assignment.merge_top_k_stable`.  Because the
+shards are contiguous row ranges, the concatenation of the per-shard
+candidate lists *is* the monolithic row-major candidate list, so the merged
+selection is bit-identical to
+:meth:`~repro.core.assignment.TCrowdAssigner.select`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.answers import Answer, AnswerSet
-from repro.core.assignment import (
-    AssignmentPolicy,
-    BatchAssignment,
-    TCrowdAssigner,
-    merge_top_k_stable,
-    top_k_stable,
-)
+from repro.core.answers import Answer
 from repro.core.schema import TableSchema
-from repro.engine.profiling import HotPathProfile
-from repro.engine.profiling import stage as _stage
 from repro.engine.state import SessionState
-from repro.utils.exceptions import AssignmentError, ConfigurationError
+from repro.utils.exceptions import ConfigurationError
 
 Cell = Tuple[int, int]
 
@@ -123,229 +110,3 @@ class ShardedSessionState(SessionState):
         flat = np.flatnonzero(block.ravel())
         rows, cols = np.divmod(flat, self.schema.num_columns)
         return list(zip((rows + start).tolist(), cols.tolist()))
-
-
-class ShardedAssignmentPolicy(AssignmentPolicy):
-    """Partitioned top-K wrapper around a :class:`TCrowdAssigner`.
-
-    Plugs in behind the same :meth:`AssignmentPolicy.session_state` seam the
-    platform loop already consults: the wrapper keeps a
-    :class:`ShardedSessionState` in sync with the answer set, delegates model
-    refits (and their warm-start bookkeeping) to the wrapped assigner, and
-    replaces the single global scoring pass with one ``gains_batch`` per
-    shard followed by a stable heap merge of the per-shard top-Ks.
-
-    Parameters
-    ----------
-    inner:
-        The assigner whose model, gain calculator and refit cadence are
-        reused.  Monte-Carlo gain estimation (``continuous_samples > 0``)
-        draws from an ordered sample stream and is rejected — the sharded
-        path supports the closed-form calculators (the default).
-    num_shards:
-        Number of contiguous row-range shards.
-    max_workers:
-        Optional thread-pool size for scoring shards concurrently; ``None``
-        or ``1`` scores them sequentially.  Either way the merged selection
-        is deterministic and bit-identical to the unsharded assigner.
-    """
-
-    def __init__(
-        self,
-        inner: TCrowdAssigner,
-        num_shards: int = 2,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            inner.schema,
-            max_answers_per_cell=inner.max_answers_per_cell,
-            incremental=True,
-        )
-        if inner.continuous_samples:
-            raise ConfigurationError(
-                "ShardedAssignmentPolicy requires the closed-form gain path "
-                "(continuous_samples=0); the Monte-Carlo estimator consumes "
-                "an ordered sample stream that sharding would reorder"
-            )
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        self.inner = inner
-        # Clip like ShardedSessionState does, so name / num_shards / pool
-        # size all describe the partition actually served.
-        self.num_shards = min(int(num_shards), max(inner.schema.num_rows, 1))
-        self.max_workers = None if max_workers is None else int(max_workers)
-        self.profile: Optional[HotPathProfile] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if self.max_workers is not None and self.max_workers > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(self.max_workers, self.num_shards),
-                thread_name_prefix="shard-score",
-            )
-
-    @property
-    def name(self) -> str:
-        return f"{self.inner.name} [sharded x{self.num_shards}]"
-
-    @property
-    def last_result(self):
-        """The wrapped assigner's most recent truth-inference result."""
-        return self.inner.last_result
-
-    def final_result(self, answers: AnswerSet):
-        """Catch-up fit over all answers (see :meth:`TCrowdAssigner.final_result`)."""
-        return self.inner.final_result(answers)
-
-    def snapshot_state(self):
-        """Delegate durable snapshots to the wrapped assigner."""
-        return self.inner.snapshot_state()
-
-    def restore_state(self, result, answers_seen: int) -> None:
-        """Delegate durable restores to the wrapped assigner."""
-        self.inner.restore_state(result, answers_seen)
-
-    def set_profile(self, profile: Optional[HotPathProfile]) -> None:
-        """Attach a :class:`HotPathProfile`; subsequent selects record into it."""
-        self.profile = profile
-
-    def close(self) -> None:
-        """Shut down the scoring thread pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "ShardedAssignmentPolicy":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- state --------------------------------------------------------------
-
-    def session_state(self, answers: AnswerSet) -> ShardedSessionState:
-        """The sharded session state, synced to ``answers``."""
-        if self._state is None:
-            self._state = ShardedSessionState(
-                self.schema,
-                num_shards=self.num_shards,
-                max_answers_per_cell=self.max_answers_per_cell,
-            )
-        return self._state.sync(answers)
-
-    def candidate_cells(self, worker: str, answers: AnswerSet) -> List[Cell]:
-        """Global row-major candidate list (concatenation of the shards)."""
-        return self.session_state(answers).candidate_cells(worker)
-
-    # -- policy -------------------------------------------------------------
-
-    def _scoring_calculator(self, answers: AnswerSet):
-        """The gain calculator one select scores every shard with.
-
-        The seam the composed serving mode overrides:
-        :class:`~repro.engine.ShardedAsyncPolicy` substitutes a calculator
-        built over the latest async :class:`~repro.engine.ModelSnapshot`
-        instead of the wrapped assigner's synchronous refit.
-        """
-        with _stage(self.profile, "calculator_build"):
-            return self.inner.prepare_scoring(answers)
-
-    def _provenance_meta(self, answers: AnswerSet):
-        """``(answers_seen, result)`` of the state this select scored with.
-
-        Overridden by the composed serving mode alongside
-        :meth:`_scoring_calculator`, so the audit record always describes
-        the model state the gains actually came from.
-        """
-        return self.inner.answers_at_last_fit, self.inner.last_result
-
-    def _shard_lineage(self, state, shard_cells, assignment) -> Tuple[dict, ...]:
-        """Per-shard lineage annotations: pool sizes + contributed winners."""
-        winners: List[List[List[float]]] = [[] for _ in range(state.num_shards)]
-        for (row, col), gain in zip(assignment.cells, assignment.gains):
-            winners[state.shard_of_row(row)].append(
-                [int(row), int(col), float(gain)]
-            )
-        return tuple(
-            {
-                "shard": shard,
-                "candidates": len(shard_cells[shard]),
-                "winners": winners[shard],
-            }
-            for shard in range(state.num_shards)
-        )
-
-    def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
-        """Assign the top-``k`` cells by gain, scored over the shard partition.
-
-        Sequential scoring (no thread pool) takes the *stacked* fast path:
-        because the shards are contiguous row ranges, the concatenation of
-        the per-shard candidate lists is exactly the monolithic row-major
-        candidate list, so one ``gains_batch`` call over the concatenation
-        followed by :func:`~repro.core.assignment.top_k_stable` returns the
-        same winners as per-shard scoring plus the stable heap merge — with
-        one vectorised kernel dispatch instead of ``num_shards`` small ones
-        plus a Python-level merge.  The thread-pool path keeps per-shard
-        calls (that is the point of the pool) and heap-merges as before;
-        both paths are bit-identical to the unsharded assigner.
-        """
-        if k < 1:
-            raise AssignmentError(f"k must be >= 1, got {k}")
-        state = self.session_state(answers)
-        shard_cells = [
-            state.shard_candidate_cells(shard, worker)
-            for shard in range(state.num_shards)
-        ]
-        if not any(shard_cells):
-            raise AssignmentError(f"No candidate cells left for worker {worker!r}")
-        calculator = self._scoring_calculator(answers)
-        profile = self.profile
-
-        if self._executor is None:
-            stacked = [cell for cells in shard_cells for cell in cells]
-            with _stage(profile, "gains_batch"):
-                gains = calculator.gains_batch(worker, stacked)
-            with _stage(profile, "top_k_merge"):
-                order = top_k_stable(gains, k)
-            picks = order.tolist()
-            cells = tuple(stacked[index] for index in picks)
-            values = tuple(float(gains[index]) for index in picks)
-            assignment = BatchAssignment(worker, cells, values)
-        else:
-            def score(cells: List[Cell]) -> np.ndarray:
-                if not cells:
-                    return np.zeros(0, dtype=float)
-                return calculator.gains_batch(worker, cells)
-
-            calculator.prewarm()
-            with _stage(profile, "gains_batch"):
-                shard_gains = list(self._executor.map(score, shard_cells))
-            with _stage(profile, "top_k_merge"):
-                order = merge_top_k_stable(shard_gains, k)
-            # Map each merged global index back to its (shard, local) slot
-            # via the per-shard offsets — only the k winners are touched,
-            # the concatenated candidate list is never materialised.
-            offsets = np.cumsum([0] + [len(cells) for cells in shard_cells])
-            owners = np.searchsorted(offsets, order, side="right") - 1
-            cells = tuple(
-                shard_cells[shard][index - offsets[shard]]
-                for shard, index in zip(owners.tolist(), order.tolist())
-            )
-            values = tuple(
-                float(shard_gains[shard][index - offsets[shard]])
-                for shard, index in zip(owners.tolist(), order.tolist())
-            )
-            assignment = BatchAssignment(worker, cells, values)
-        if self._recorder is not None:
-            answers_seen, result = self._provenance_meta(answers)
-            self._record_decision(
-                assignment,
-                answers_seen=answers_seen,
-                answers_total=len(answers),
-                candidates=sum(len(cells) for cells in shard_cells),
-                result=result,
-                shards=self._shard_lineage(state, shard_cells, assignment),
-            )
-        return assignment
-
-    def observe(self, answers: AnswerSet) -> None:
-        """Forward the refit trigger to the wrapped assigner."""
-        self.inner.observe(answers)

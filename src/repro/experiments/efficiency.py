@@ -181,8 +181,6 @@ def measure_engine_speedup(
     refit_every: int = 1,
     model_kwargs: Optional[dict] = None,
     max_steps: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
     async_refit: bool = False,
     max_stale_answers: Optional[int] = None,
     async_refit_tol: Optional[float] = 1e-3,
@@ -213,18 +211,15 @@ def measure_engine_speedup(
       between the warm path's final fit and a cold EM fit on the same
       answers is reported alongside as ``warm_truth_agreement`` (see
       :func:`_truth_agreement`);
-    * **engine (sharded)** — only when ``shards`` is set: the exact engine
-      path served through a
-      :class:`~repro.engine.ShardedAssignmentPolicy` with ``shards``
-      contiguous row-range shards (and ``shard_workers`` scoring threads,
-      when given).  The partitioned top-K merge is a pure refactor, so its
-      sequence must also be identical (``identical_assignments_sharded``);
     * **engine (async)** — only when ``async_refit`` is set.  Two runs:
       the staleness-equivalence run serves the exact engine configuration
       through an :class:`~repro.engine.AsyncRefitPolicy` at
       ``max_stale_answers=0`` (every select blocks until the model has
       seen all answers), whose sequence must replay the seed path bit for
-      bit (``identical_assignments_async``); and the production run, which
+      bit (``identical_assignments_async``) and whose final truth
+      estimates must equal the seed path's exactly
+      (``identical_estimates_async`` — the check that catches a stale
+      scoring-cache hit); and the production run, which
       lets selects score against snapshots up to ``max_stale_answers``
       answers behind (default: two HITs' worth) while a background worker
       refits warm-started with objective-based early stopping
@@ -235,22 +230,23 @@ def measure_engine_speedup(
       engine path served through a
       :class:`~repro.engine.ProcessShardCoordinator` with ``processes``
       shard-group worker processes (effective shards =
-      ``max(shards, processes)``).  The compressed per-worker top-K merge
-      is bit-identical to the single-process stable top-K, so the
-      equivalence run's sequence must replay the seed path exactly
+      ``max(serving.shards, processes)``).  The compressed per-worker
+      top-K merge is bit-identical to the single-process stable top-K, so
+      the equivalence run's sequence must replay the seed path exactly
       (``identical_assignments_multiprocess``); the timed production run
       records ``seconds_engine_multiprocess_path`` /
-      ``speedup_multiprocess`` (seed-relative, like ``speedup_sharded``)
-      and the raw ``multiprocess_answers_per_sec`` throughput.
+      ``speedup_multiprocess`` (seed-relative, like ``speedup``) and the
+      raw ``multiprocess_answers_per_sec`` throughput.
 
     ``spec`` is the canonical way to configure the benchmark: a
     :class:`~repro.config.SessionSpec` supplies the policy options (every
     :class:`~repro.config.PolicySpec` field plus the model options; the
     ``warm_start`` / ``vectorized`` / ``incremental`` switches are the
     benchmark's own matrix axes and are overridden per timed path), the
-    serving matrix (``serving.shards`` > 1 enables the sharded paths,
-    ``serving.async_refit`` the async ones, ``serving.refit_tol`` the
-    production refit tolerance) and the simulation budget
+    serving matrix (``serving.async_refit`` enables the async paths,
+    ``serving.refit_tol`` sets the production refit tolerance,
+    ``serving.processes`` / ``serving.shards`` the multiprocess path and
+    its partition) and the simulation budget
     (``simulation.target_answers_per_task`` / ``seed`` / ``max_steps``);
     only the dataset size (``num_rows``) stays a benchmark argument.  The
     individual keyword arguments remain as a convenience and are folded
@@ -282,8 +278,6 @@ def measure_engine_speedup(
                 max_steps=max_steps,
             )
         )
-        if shards is not None and shards > 1:
-            builder.sharded(shards, shard_workers)
         if async_refit:
             builder.async_refit(
                 max_stale=(
@@ -300,8 +294,6 @@ def measure_engine_speedup(
         max_steps = spec.simulation.max_steps
         refit_every = spec.policy.refit_every
         model_kwargs = spec.policy.model.to_kwargs()
-        shards = spec.serving.shards if spec.serving.shards > 1 else None
-        shard_workers = spec.serving.shard_workers
         async_refit = spec.serving.async_refit
         # The spec is honoured exactly: refit_tol=None means no objective
         # early stopping in the timed runs, exactly as it would through
@@ -322,7 +314,6 @@ def measure_engine_speedup(
     def run_path(
         warm_start: bool,
         fast: bool,
-        num_shards: Optional[int] = None,
         async_stale: object = "off",
         refit_tol: Optional[float] = None,
         capture_estimates: bool = False,
@@ -356,12 +347,12 @@ def measure_engine_speedup(
             strategy=build_strategy(spec.policy.strategy),
         )
         # The serving wrapper comes from the same factory table every other
-        # entry point (platform session, HTTP service) uses.
+        # entry point (platform session, HTTP service) uses; serving.shards
+        # only partitions the multiprocess path.
         policy = wrap_policy(
             assigner,
             ServingSpec(
-                shards=num_shards if num_shards is not None else 1,
-                shard_workers=shard_workers,
+                shards=spec.serving.shards,
                 async_refit=async_stale != "off",
                 max_stale_answers=0 if async_stale == "off" else async_stale,
                 processes=num_processes or 0,
@@ -397,7 +388,7 @@ def measure_engine_speedup(
                 # Final truth estimates over the complete answer set, via the
                 # policy's own final_result (a cold fit on the warm_start=False
                 # paths) — the equivalence evidence for
-                # identical_estimates_sharded_async.
+                # identical_estimates_async.
                 estimates = policy.final_result(answers).estimates()
         finally:
             if policy is not assigner:
@@ -416,9 +407,8 @@ def measure_engine_speedup(
             best = min(best, run_path(**kwargs)[1])
         return (first[0], best) + first[2:]
 
-    capture_seed_estimates = async_refit and shards is not None and shards > 1
     seed_decisions, seed_seconds, seed_collected, _, _, seed_estimates = timed_path(
-        warm_start=False, fast=False, capture_estimates=capture_seed_estimates
+        warm_start=False, fast=False, capture_estimates=async_refit
     )
     exact_decisions, exact_seconds, _, _, _, _ = timed_path(
         warm_start=False, fast=True
@@ -471,28 +461,23 @@ def measure_engine_speedup(
         "model_kwargs": options,
         "timing_repeats": int(timing_repeats),
     }
-    if shards is not None and shards > 1:
-        sharded_decisions, sharded_seconds, _, _, _, _ = timed_path(
-            warm_start=False, fast=True, num_shards=shards
-        )
-        stats["shards"] = int(shards)
-        stats["shard_workers"] = shard_workers
-        stats["seconds_engine_sharded_path"] = sharded_seconds
-        stats["speedup_sharded"] = seed_seconds / max(sharded_seconds, 1e-12)
-        stats["identical_assignments_sharded"] = (
-            seed_decisions == sharded_decisions
-        )
     if async_refit:
         # Staleness-equivalence run: max_stale_answers=0 disables background
         # refits and blocks every select until the model has seen all
         # answers, so the async serving path must replay the seed sequence
         # bit for bit.
-        async_exact_decisions, _, _, _, _, _ = run_path(
-            warm_start=False, fast=True, async_stale=0
+        async_exact_decisions, _, _, _, _, async_estimates = run_path(
+            warm_start=False, fast=True, async_stale=0, capture_estimates=True
         )
         stats["identical_assignments_async"] = (
             seed_decisions == async_exact_decisions
         )
+        # The estimate-equality bit: both runs end with a cold fit over the
+        # same final answer set (the async snapshot chain replays the
+        # synchronous one at stale=0), so the decoded truths must match
+        # exactly — a strictly stronger check than the assignment sequence,
+        # and the one that would catch a stale scoring-cache hit.
+        stats["identical_estimates_async"] = seed_estimates == async_estimates
         # Production run: the spec's staleness bound, honoured exactly
         # (0 times the blocking mode, None the unbounded one), with
         # background warm-started refits and objective-based early
@@ -507,37 +492,6 @@ def measure_engine_speedup(
         stats["async_refit_tol"] = async_refit_tol
         stats["seconds_engine_async_path"] = async_seconds
         stats["speedup_async"] = exact_seconds / max(async_seconds, 1e-12)
-    if async_refit and shards is not None and shards > 1:
-        # Composed serving mode (ShardedAsyncPolicy).  Equivalence run at
-        # max_stale_answers=0: the sharded scorer reading blocking-refit
-        # snapshots must still replay the seed sequence bit for bit.
-        composed_exact, _, _, _, _, composed_estimates = run_path(
-            warm_start=False, fast=True, num_shards=shards, async_stale=0,
-            capture_estimates=True,
-        )
-        stats["identical_assignments_sharded_async"] = (
-            seed_decisions == composed_exact
-        )
-        # The estimate-equality bit: both runs end with a cold fit over the
-        # same final answer set (the composed path's snapshot chain replays
-        # the synchronous one at stale=0), so the decoded truths must match
-        # exactly — a strictly stronger check than the assignment sequences,
-        # and the one that would catch a stale scoring-cache hit.
-        stats["identical_estimates_sharded_async"] = (
-            seed_estimates == composed_estimates
-        )
-        # Production composed run: the spec's staleness bound + warm
-        # early-stopped refits, scored shard by shard.  Compared against
-        # the synchronous engine path, like speedup_async.
-        stale = spec.serving.max_stale_answers
-        _, composed_seconds, _, _, _, _ = timed_path(
-            warm_start=True, fast=True, num_shards=shards, async_stale=stale,
-            refit_tol=async_refit_tol,
-        )
-        stats["seconds_engine_sharded_async_path"] = composed_seconds
-        stats["speedup_sharded_async"] = exact_seconds / max(
-            composed_seconds, 1e-12
-        )
     if processes is not None and processes >= 1:
         # Process-level serving (ProcessShardCoordinator).  Equivalence
         # run: every worker replays the full answer stream through a
@@ -545,20 +499,18 @@ def measure_engine_speedup(
         # top-Ks must replay the seed sequence bit for bit across the
         # process boundary (floats round-trip the JSON pipe exactly).
         mp_decisions, _, _, _, _, _ = run_path(
-            warm_start=False, fast=True, num_shards=shards,
-            num_processes=processes,
+            warm_start=False, fast=True, num_processes=processes
         )
         stats["processes"] = int(processes)
         stats["identical_assignments_multiprocess"] = (
             seed_decisions == mp_decisions
         )
         # Timed production run: warm-started workers at the same cadence.
-        # Seed-relative like speedup_sharded; at smoke size the JSON IPC
-        # and per-worker refits price in, so the gate holds this to a
-        # relative floor only (see scripts/check_perf_regression.py).
+        # Seed-relative like speedup; at smoke size the JSON IPC and
+        # per-worker refits price in, so the gate holds this to a relative
+        # floor only (see scripts/check_perf_regression.py).
         _, mp_seconds, mp_collected, _, _, _ = timed_path(
-            warm_start=True, fast=True, num_shards=shards,
-            num_processes=processes,
+            warm_start=True, fast=True, num_processes=processes
         )
         stats["seconds_engine_multiprocess_path"] = mp_seconds
         stats["speedup_multiprocess"] = seed_seconds / max(mp_seconds, 1e-12)
@@ -580,17 +532,15 @@ def profile_hot_path(
     seed: int = 7,
     num_rows: int = 60,
     target_answers_per_task: float = 2.0,
-    shards: int = 4,
-    shard_workers: Optional[int] = None,
     max_stale_answers: Optional[int] = None,
     refit_tol: Optional[float] = 1e-3,
     model_kwargs: Optional[dict] = None,
     max_steps: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Run the composed production path once with per-stage timers attached.
+    """Run the async production path once with per-stage timers attached.
 
     Replays the same scripted session as :func:`measure_engine_speedup`'s
-    composed production run, but with a
+    async production run, but with a
     :class:`~repro.engine.HotPathProfile` wired into the policy stack, and
     returns the per-stage breakdown (``profile_stages``) plus the scoring
     cache hit counters.  Kept separate from the timed benchmark runs so the
@@ -624,12 +574,7 @@ def profile_hot_path(
     )
     policy = wrap_policy(
         assigner,
-        ServingSpec(
-            shards=shards,
-            shard_workers=shard_workers,
-            async_refit=True,
-            max_stale_answers=max_stale_answers,
-        ),
+        ServingSpec(async_refit=True, max_stale_answers=max_stale_answers),
     )
     profile = HotPathProfile()
     policy.set_profile(profile)
@@ -664,7 +609,6 @@ def profile_hot_path(
         "profile_steps": steps,
         "profile_seconds": elapsed,
         "profile_num_rows": num_rows,
-        "profile_shards": shards,
         "profile_max_stale_answers": max_stale_answers,
         "profile_scoring_cache_hits": policy.scoring_cache_hits,
         "profile_scoring_cache_misses": policy.scoring_cache_misses,
@@ -678,7 +622,6 @@ def measure_scale_benchmark(
     num_workers: int = 300,
     max_steps: int = 15,
     selects_per_step: int = 3,
-    shards: int = 8,
     max_stale_answers: Optional[int] = None,
     refit_tol: Optional[float] = 1e-3,
     model_kwargs: Optional[dict] = None,
@@ -693,14 +636,13 @@ def measure_scale_benchmark(
 
     * **engine (sync)** — the warm-started synchronous engine, paying one
       EM refit per select (Algorithm 2 cadence);
-    * **async** — bounded-staleness async refit serving;
-    * **sharded + async** — the composed mode (stacked scoring + scoring
-      cache over async snapshots).
+    * **async** — bounded-staleness async refit serving, with the scoring
+      cache over async snapshots.
 
     Each step has ``selects_per_step`` distinct workers poll for tasks
     before their answers are ingested in one batch — the serving pattern
     of a real crowd, where many workers request work between answer
-    arrivals.  That access pattern is exactly what the composed mode's
+    arrivals.  That access pattern is exactly what the async policy's
     scoring cache targets (repeat selects against an unchanged snapshot
     and answer prefix), so the recorded cache hit counts are meaningful
     rather than structurally zero.
@@ -708,9 +650,9 @@ def measure_scale_benchmark(
     The from-scratch seed path is omitted — a cold EM per select over
     ~``num_rows * num_columns`` answers is minutes *per step* and measures
     nothing the small tier doesn't already pin.  Speedups are therefore
-    relative to the synchronous engine path (``speedup_async_scale``,
-    ``speedup_sharded_async_scale``), matching the small tier's
-    ``speedup_async`` convention, with nearest-rank select p50/p99s
+    relative to the synchronous engine path (``speedup_async_scale``),
+    matching the small tier's ``speedup_async`` convention, with
+    nearest-rank select p50/p99s
     alongside.  A cold-fit ``lbfgs``-vs-``newton`` M-step comparison over
     the full seeded answer set rides along (``scale_m_step``), recording
     ``iterations_run`` / ``stopped_by`` / wall-clock for both.
@@ -811,14 +753,6 @@ def measure_scale_benchmark(
             refit_tol=refit_tol,
         )
     )
-    composed_run = run_serving(
-        ServingSpec(
-            shards=shards,
-            async_refit=True,
-            max_stale_answers=max_stale_answers,
-            refit_tol=refit_tol,
-        )
-    )
 
     # Cold-fit M-step comparison at scale: same answers, same budget, the
     # only difference is the optimiser behind Eq. 5.
@@ -847,25 +781,18 @@ def measure_scale_benchmark(
         "scale_num_answers_seeded": len(dataset.answers),
         "scale_steps": max_steps,
         "scale_selects_per_step": selects_per_step,
-        "scale_shards": shards,
         "scale_max_stale_answers": max_stale_answers,
         "seconds_engine_scale": sync_run["seconds"],
         "seconds_async_scale": async_run["seconds"],
-        "seconds_sharded_async_scale": composed_run["seconds"],
         "speedup_async_scale": (
             sync_run["seconds"] / max(async_run["seconds"], 1e-12)
         ),
-        "speedup_sharded_async_scale": (
-            sync_run["seconds"] / max(composed_run["seconds"], 1e-12)
-        ),
-        "scale_select_p50_ms": composed_run["select_p50_ms"],
-        "scale_select_p99_ms": composed_run["select_p99_ms"],
+        "scale_select_p50_ms": async_run["select_p50_ms"],
+        "scale_select_p99_ms": async_run["select_p99_ms"],
         "scale_select_p50_ms_engine": sync_run["select_p50_ms"],
         "scale_select_p99_ms_engine": sync_run["select_p99_ms"],
-        "scale_select_p50_ms_async": async_run["select_p50_ms"],
-        "scale_select_p99_ms_async": async_run["select_p99_ms"],
-        "scale_scoring_cache_hits": composed_run["cache"][0],
-        "scale_scoring_cache_misses": composed_run["cache"][1],
+        "scale_scoring_cache_hits": async_run["cache"][0],
+        "scale_scoring_cache_misses": async_run["cache"][1],
         "scale_m_step": m_step_stats,
     }
 
@@ -877,8 +804,6 @@ def run_engine_speedup(
     refit_every: int = 1,
     model_kwargs: Optional[dict] = None,
     max_steps: Optional[int] = None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
     async_refit: bool = False,
     max_stale_answers: Optional[int] = None,
     spec: Optional[SessionSpec] = None,
@@ -896,8 +821,6 @@ def run_engine_speedup(
         refit_every=refit_every,
         model_kwargs=model_kwargs,
         max_steps=max_steps,
-        shards=shards,
-        shard_workers=shard_workers,
         async_refit=async_refit,
         max_stale_answers=max_stale_answers,
         spec=spec,
@@ -925,14 +848,6 @@ def engine_speedup_report(stats: Dict[str, object]) -> ExperimentReport:
         (1, stats["seconds_engine_path"]),
         (2, stats["seconds_engine_warm_path"]),
     ]
-    if "speedup_sharded" in stats:
-        report.add_row(
-            f"engine, sharded x{stats['shards']} "
-            f"(workers={stats['shard_workers'] or 1})",
-            stats["seconds_engine_sharded_path"], stats["speedup_sharded"],
-            stats["identical_assignments_sharded"],
-        )
-        series.append((3, stats["seconds_engine_sharded_path"]))
     if "speedup_async" in stats:
         report.add_row(
             f"engine, async refit (max_stale={stats['async_max_stale_answers']}, "
@@ -941,16 +856,7 @@ def engine_speedup_report(stats: Dict[str, object]) -> ExperimentReport:
             stats["speedup_async"],
             f"exact@stale=0: {stats['identical_assignments_async']}",
         )
-        series.append((4, stats["seconds_engine_async_path"]))
-    if "speedup_sharded_async" in stats:
-        report.add_row(
-            f"engine, sharded x{stats['shards']} + async refit "
-            f"(max_stale={stats['async_max_stale_answers']})",
-            stats["seconds_engine_sharded_async_path"],
-            stats["speedup_sharded_async"],
-            f"exact@stale=0: {stats['identical_assignments_sharded_async']}",
-        )
-        series.append((5, stats["seconds_engine_sharded_async_path"]))
+        series.append((3, stats["seconds_engine_async_path"]))
     report.add_series("seconds", series)
     report.add_note(
         f"num_rows={stats['num_rows']}, refit_every={stats['refit_every']}, "

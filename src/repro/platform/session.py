@@ -9,11 +9,10 @@ and 5 of the paper.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.config import SessionSpec
+from repro.config import SessionSpec, SimulationSpec
 from repro.config.factory import build_assigner, build_model, wrap_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import AssignmentPolicy
@@ -26,7 +25,7 @@ from repro.utils.exceptions import AssignmentError, ConfigurationError
 from repro.utils.rng import as_generator
 
 #: Sentinel distinguishing "keyword not passed" from an explicit value, so
-#: the legacy-kwargs shim only warns when a deprecated knob is actually used.
+#: only the simulation aliases a caller actually passed override defaults.
 _UNSET = object()
 
 
@@ -86,8 +85,8 @@ class CrowdsourcingSession:
     :class:`~repro.config.SessionSpec` — either through
     :meth:`from_spec` (which also builds the policy and evaluation
     inference from the spec) or by passing ``spec=`` alongside an
-    explicit policy.  The serving mode (``spec.serving``: sharded /
-    async-refit / composed), the durability section and the simulation
+    explicit policy.  The serving mode (``spec.serving``: plain / async
+    refit / worker processes), the durability section and the simulation
     budget are all read from the spec; the wrapper-selection logic is the
     shared factory in :mod:`repro.config.factory`, the same one the HTTP
     service uses.
@@ -106,36 +105,16 @@ class CrowdsourcingSession:
         as in the paper).
     spec:
         The session's :class:`~repro.config.SessionSpec`.  Mutually
-        exclusive with the legacy keyword surface below.
+        exclusive with the simulation aliases below.
     target_answers_per_task / initial_answers_per_task / batch_size /
     eval_every_answers_per_task / seed / max_steps:
         The simulation budget (see
         :class:`~repro.config.SimulationSpec` for the field semantics).
-        Convenience aliases for ``spec.simulation``; accepted without a
-        deprecation warning because they configure the run, not the
-        serving architecture.
-    shards / shard_workers / async_refit / max_stale_answers /
-    durable_dir / snapshot_every_answers / wal_fsync:
-        **Deprecated** legacy serving/durability knobs, adapted through
-        :meth:`SessionSpec.from_legacy_kwargs` with a
-        ``DeprecationWarning``.  Use ``spec=`` (or :meth:`from_spec`)
-        instead; the field semantics — including the unified
-        ``max_stale_answers`` default of ``0`` (blocking) — are documented
-        once, on :class:`~repro.config.ServingSpec` and
-        :class:`~repro.config.DurabilitySpec`.
+        Convenience aliases for a spec with only a simulation section.
+        ``seed`` may be anything :func:`repro.utils.rng.as_generator`
+        accepts; the spec records it only when it is a plain non-negative
+        integer.
     """
-
-    #: Legacy serving/durability keywords routed through the deprecation
-    #: shim (everything the spec's serving + durability sections cover).
-    _LEGACY_KWARGS = (
-        "shards",
-        "shard_workers",
-        "async_refit",
-        "max_stale_answers",
-        "durable_dir",
-        "snapshot_every_answers",
-        "wal_fsync",
-    )
 
     def __init__(
         self,
@@ -148,13 +127,6 @@ class CrowdsourcingSession:
         eval_every_answers_per_task=_UNSET,
         seed=_UNSET,
         max_steps=_UNSET,
-        shards=_UNSET,
-        shard_workers=_UNSET,
-        async_refit=_UNSET,
-        max_stale_answers=_UNSET,
-        durable_dir=_UNSET,
-        snapshot_every_answers=_UNSET,
-        wal_fsync=_UNSET,
         spec: Optional[SessionSpec] = None,
     ) -> None:
         if dataset.oracle is None or dataset.worker_pool is None:
@@ -162,7 +134,7 @@ class CrowdsourcingSession:
                 "The dataset must carry an AnswerOracle and a WorkerPool to "
                 "simulate a live session"
             )
-        legacy = {
+        aliases = {
             name: value
             for name, value in (
                 ("target_answers_per_task", target_answers_per_task),
@@ -171,33 +143,23 @@ class CrowdsourcingSession:
                 ("eval_every_answers_per_task", eval_every_answers_per_task),
                 ("seed", seed),
                 ("max_steps", max_steps),
-                ("shards", shards),
-                ("shard_workers", shard_workers),
-                ("async_refit", async_refit),
-                ("max_stale_answers", max_stale_answers),
-                ("durable_dir", durable_dir),
-                ("snapshot_every_answers", snapshot_every_answers),
-                ("wal_fsync", wal_fsync),
             )
             if value is not _UNSET
         }
-        if spec is not None and legacy:
+        if spec is not None and aliases:
             raise ConfigurationError(
-                "Pass either spec= or the legacy keyword arguments, not "
-                f"both (got spec and {sorted(legacy)})"
+                "Pass either spec= or the simulation keyword arguments, not "
+                f"both (got spec and {sorted(aliases)})"
             )
         if spec is None:
-            deprecated = sorted(set(legacy) & set(self._LEGACY_KWARGS))
-            if deprecated:
-                warnings.warn(
-                    "The CrowdsourcingSession serving/durability keyword "
-                    f"arguments {deprecated} are deprecated; build a "
-                    "SessionSpec (repro.config) and pass spec= or use "
-                    "CrowdsourcingSession.from_spec instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            spec = SessionSpec.from_legacy_kwargs(**legacy)
+            recorded = aliases.get("seed")
+            if (
+                not isinstance(recorded, int)
+                or isinstance(recorded, bool)
+                or recorded < 0
+            ):
+                aliases.pop("seed", None)
+            spec = SessionSpec(simulation=SimulationSpec(**aliases))
         self.spec = spec
         self._raw_seed = seed if seed is not _UNSET else spec.simulation.seed
         self._owned_policy = None
@@ -208,15 +170,12 @@ class CrowdsourcingSession:
         self.policy = wrapped
         self.inference = inference
         simulation = spec.simulation
-        durability = spec.durability
         self.target_answers_per_task = simulation.target_answers_per_task
         self.initial_answers_per_task = simulation.initial_answers_per_task
         self.batch_size = simulation.batch_size or dataset.schema.num_columns
         self.eval_every = simulation.eval_every_answers_per_task
         self.max_steps = simulation.max_steps
-        self.durable_dir = durability.durable_dir
-        self.snapshot_every_answers = durability.snapshot_every_answers
-        self.wal_fsync = durability.wal_fsync
+        self.durable_dir = spec.durability.durable_dir
         self.durable = None
         self._rng = as_generator(self._raw_seed)
         # Scenario perturbations (spam / drift / churn) derive from
@@ -313,10 +272,8 @@ class CrowdsourcingSession:
         try:
             return self._run()
         finally:
-            # The session owns the wrapper it built (sharded scoring pool or
-            # async refit worker): release its threads.  Selects after
-            # close() still work — sharded scoring just runs sequentially,
-            # and the async engine only loses its background worker.
+            # The session owns the wrapper it built (async refit worker or
+            # shard-worker processes): release its threads and processes.
             if self.durable is not None:
                 self.durable.close()
             if self._owned_policy is not None:

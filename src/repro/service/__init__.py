@@ -1,8 +1,9 @@
-"""Crowd-serving service layer: HTTP API, durability, composed serving.
+"""Crowd-serving service layer: HTTP API, durability, session registry.
 
-The engine packages give the online loop three fast serving paths
-(incremental, sharded, async-refit); this package is the layer that serves
-them to live workers instead of in-process simulation loops:
+The engine packages give the online loop three serving paths (the
+incremental assigner, async refit, and process-level shard workers); this
+package is the layer that serves them to live workers instead of
+in-process simulation loops:
 
 * :mod:`repro.service.wal` — a durable session: an append-only
   write-ahead answer log plus periodic engine-state snapshots, replayable to
@@ -30,11 +31,13 @@ durability/replay model).
 from repro.service.registry import ServedSession, SessionRegistry
 from repro.service.storage import (
     JsonlBackend,
+    SnapshotStore,
     SqliteBackend,
     StorageBackend,
+    WriteAheadLog,
     create_backend,
 )
-from repro.service.wal import DurableSession, SnapshotStore, WriteAheadLog
+from repro.service.wal import DurableSession
 
 __all__ = [
     "DurableSession",

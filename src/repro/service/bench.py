@@ -45,6 +45,7 @@ Cell = Tuple[int, int]
 
 #: The golden-trace scenario (tests/fixtures/golden_trace.json) — small
 #: enough to replay in seconds, rich enough to hit every code path.
+#: ``num_shards`` is the row partition of the ``multiprocess`` mode.
 DEFAULT_SCENARIO = {
     "seed": 7,
     "num_rows": 12,
@@ -53,25 +54,18 @@ DEFAULT_SCENARIO = {
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
-#: Serving-mode keys accepted by the scripted drivers.  ``multiprocess``
+#: Serving-mode keys accepted by the scripted drivers, one per
+#: :func:`~repro.config.factory.wrap_policy` outcome.  ``multiprocess``
 #: serves the scenario's shards from two real worker subprocesses behind
 #: :class:`~repro.engine.ProcessShardCoordinator`.
-SERVING_MODES = ("plain", "sharded", "async", "sharded_async", "multiprocess")
+SERVING_MODES = ("plain", "async", "multiprocess")
 
 
 def _serving_config(mode: str, scenario: dict) -> dict:
     if mode == "plain":
         return {}
-    if mode == "sharded":
-        return {"shards": scenario["num_shards"]}
     if mode == "async":
         return {"async_refit": True, "max_stale_answers": 0}
-    if mode == "sharded_async":
-        return {
-            "shards": scenario["num_shards"],
-            "async_refit": True,
-            "max_stale_answers": 0,
-        }
     if mode == "multiprocess":
         return {"shards": scenario["num_shards"], "processes": 2}
     raise ValueError(f"Unknown serving mode {mode!r}; expected {SERVING_MODES}")

@@ -9,16 +9,14 @@ Concurrency discipline:
   session operation (select, ingest, estimates, worker lookup).  The
   engine policies are single-session objects and not thread-safe against
   concurrent mutation, so the per-session lock serialises requests *within*
-  a session while different sessions proceed fully in parallel — the same
-  partitioning the sharded engine applies one level down.
+  a session while different sessions proceed fully in parallel.
 
 Sessions are described by a **version-1 spec body** (see
 :mod:`repro.config`): the envelope names where the rows live (an inline
 ``schema`` or a named ``dataset``, plus ``session_id`` / ``durable``),
 the spec sections pick the policy, the serving mode and the durability
-settings.  The PR-4 config dialect is still accepted — bodies without a
-``version`` key upgrade through
-:func:`repro.config.upgrade_legacy_config`.  Durable sessions pin the
+settings.  The ``version`` key is required: a body without it is a 400
+with ``"path": "version"``.  Durable sessions pin the
 *canonical* spec to ``session.json`` inside the durable directory;
 :meth:`SessionRegistry.create` with such a directory *recovers* the
 session (write-ahead-log replay, see :mod:`repro.service.wal`) instead of
@@ -36,11 +34,7 @@ import threading
 import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import (
-    SessionSpec,
-    split_envelope,
-    upgrade_legacy_config,
-)
+from repro.config import SessionSpec, split_envelope
 from repro.config.factory import build_durable_session
 from repro.config.factory import build_policy as _build_spec_policy
 from repro.core.schema import Column, TableSchema
@@ -51,8 +45,8 @@ from repro.utils.exceptions import ConfigurationError, ReproError
 _log = logging.getLogger("repro.service.registry")
 
 #: Version of the durable ``session.json`` manifest.  Format 2 pins the
-#: canonical v1 spec under ``"spec"``; format-1 manifests (the PR-4 legacy
-#: config under ``"config"``) still recover through the upgrade shim.
+#: canonical v1 spec under ``"spec"``; a manifest without one (format 1)
+#: is unrecoverable.
 MANIFEST_FORMAT = 2
 
 #: Loaders a ``{"dataset": {"name": ...}}`` spec may reference.
@@ -152,17 +146,12 @@ def resolve_schema(config: dict) -> TableSchema:
 def parse_config(config: dict) -> Tuple[dict, SessionSpec]:
     """Parse a ``POST /sessions`` body into ``(envelope, spec)``.
 
-    A body carrying ``version`` is parsed as a v1 spec document (strict,
-    path-qualified errors); one without is treated as the legacy PR-4
-    dialect and upgraded first (see
-    :func:`repro.config.upgrade_legacy_config`).  The envelope holds the
-    service-side keys (``schema`` / ``dataset`` / ``session_id`` /
-    ``durable``).
+    The body is a v1 spec document (strict, path-qualified errors; a
+    missing ``version`` is one of them) plus the service-side envelope
+    keys (``schema`` / ``dataset`` / ``session_id`` / ``durable``).
     """
     if not isinstance(config, dict):
         raise ConfigurationError("The session config must be a JSON object")
-    if "version" not in config:
-        config = upgrade_legacy_config(config)
     envelope, payload = split_envelope(config)
     return envelope, SessionSpec.from_dict(payload)
 
@@ -170,11 +159,11 @@ def parse_config(config: dict) -> Tuple[dict, SessionSpec]:
 def build_policy(schema: TableSchema, config):
     """Build the serving policy a session config describes.
 
-    ``config`` may be a :class:`~repro.config.SessionSpec` or a JSON body
-    in either dialect (v1 spec, or the legacy PR-4 config, upgraded via
-    :func:`parse_config`).  The actual construction — assigner options,
-    model options, and the serving-mode table (plain / sharded / async /
-    composed) — is the shared factory in :mod:`repro.config.factory`.
+    ``config`` may be a :class:`~repro.config.SessionSpec` or a v1 JSON
+    body (parsed by :func:`parse_config`).  The actual construction —
+    assigner options, model options, and the serving-mode table (plain /
+    async / multiprocess) — is the shared factory in
+    :mod:`repro.config.factory`.
     """
     if not isinstance(config, SessionSpec):
         _envelope, config = parse_config(dict(config))
@@ -416,11 +405,7 @@ class SessionRegistry:
     # -- creation / recovery -------------------------------------------------
 
     def create(self, config: dict) -> ServedSession:
-        """Create (or recover) a session from its JSON config.
-
-        Accepts the v1 spec body and — via the upgrade shim — the legacy
-        PR-4 dialect (see :func:`parse_config`).
-        """
+        """Create (or recover) a session from its v1 JSON config."""
         envelope, spec = parse_config(config)
         durable_dir = self._resolve_durable_dir(envelope, spec)
         if durable_dir is not None and (durable_dir / "session.json").exists():
@@ -516,14 +501,8 @@ class SessionRegistry:
                 (durable_dir / "session.json").read_text(encoding="utf-8")
             )
             session_id = manifest["session_id"]
-            if "spec" in manifest:
-                envelope = {"schema": manifest["schema"]}
-                spec = SessionSpec.from_dict(manifest["spec"])
-            else:
-                # Format-1 manifest (PR-4 legacy config): upgrade in place.
-                config = dict(manifest.get("config") or {})
-                config["schema"] = manifest["schema"]
-                envelope, spec = parse_config(config)
+            envelope = {"schema": manifest["schema"]}
+            spec = SessionSpec.from_dict(manifest["spec"])
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigurationError(
                 f"Cannot recover session manifest in {durable_dir}: {exc}"

@@ -1,15 +1,15 @@
 """Pluggable durability storage backends: segmented JSONL and SQLite.
 
-:class:`~repro.service.wal.DurableSession` used to talk to one JSONL
-write-ahead log plus one snapshot directory, both unbounded.  This module
-extracts that contract into :class:`StorageBackend` — append / iterate /
+:class:`~repro.service.wal.DurableSession` stores its write-ahead log and
+snapshots through :class:`StorageBackend` — append / iterate /
 truncate-before for the log, save / list / load / delete for snapshots —
 with two implementations:
 
-* :class:`JsonlBackend` — the existing local JSONL layout, extended with
-  **segment rotation**: the log is a sequence of
-  ``wal-<first_record:08d>.jsonl`` files (the legacy single ``wal.jsonl``
-  is the segment starting at record 0), a new segment opens after
+* :class:`JsonlBackend` — local JSONL files with optional **segment
+  rotation**: without rotation the log is one ``wal.jsonl`` file; with it
+  the log is a sequence of ``wal-<first_record:08d>.jsonl`` files (a
+  ``wal.jsonl`` is the segment starting at record 0, see
+  :func:`wal_segment_files`), a new segment opens after
   ``rotate_every_records`` appends, and only the *newest* segment may
   carry a torn tail — an older segment that does not parse to EOF is a
   hard :class:`~repro.utils.exceptions.DurabilityError`, because the
@@ -184,8 +184,7 @@ class Snapshot:
 
         Requires both the serialized model state and the answer prefix in
         the payload — the precondition for pruning the WAL records it
-        covers (format-1 snapshots carried only the model, so they pin the
-        whole prefix).
+        covers.  Recovery skips a snapshot that is not standalone.
         """
         return (
             self.payload.get("model") is not None
@@ -484,6 +483,35 @@ class StorageBackend:
 # -- JSONL backend (segment rotation) -----------------------------------------
 
 
+def wal_segment_files(directory) -> List[Tuple[int, pathlib.Path]]:
+    """``(first_record, path)`` of every JSONL WAL segment, oldest first.
+
+    An unrotated log's ``wal.jsonl`` is the segment starting at record 0.
+    Read-only (a missing directory has no segments); two segments claiming
+    the same first record are a :class:`DurabilityError`.
+    """
+    directory = pathlib.Path(directory)
+    if not directory.exists():
+        return []
+    found: List[Tuple[int, pathlib.Path]] = []
+    single = directory / "wal.jsonl"
+    if single.exists():
+        found.append((0, single))
+    for path in directory.iterdir():
+        match = _SEGMENT_NAME.match(path.name)
+        if match:
+            found.append((int(match.group(1)), path))
+    found.sort(key=lambda item: item[0])
+    for (first, path), (other, other_path) in zip(found, found[1:]):
+        if first == other:
+            raise DurabilityError(
+                f"WAL segments {path.name} and {other_path.name} both "
+                f"start at record {first}; the durable directory is "
+                "inconsistent"
+            )
+    return found
+
+
 @dataclass
 class _Segment:
     """One sealed (read-only) WAL segment file."""
@@ -496,8 +524,8 @@ class _Segment:
 class JsonlBackend(StorageBackend):
     """Segmented JSONL files + one snapshot file per epoch.
 
-    Without ``rotate_every_records`` the layout is byte-compatible with
-    the historical single ``wal.jsonl``.  With rotation, the active
+    Without ``rotate_every_records`` the log is one ``wal.jsonl`` file.
+    With rotation, the active
     segment seals once it holds ``rotate_every_records`` records and a new
     ``wal-<first_record:08d>.jsonl`` opens; sealed segments are immutable,
     so only the active (newest) one can carry a torn tail — an older
@@ -525,27 +553,8 @@ class JsonlBackend(StorageBackend):
         self._sealed: List[_Segment] = []
         self._open_log()
 
-    def _segment_files(self) -> List[Tuple[int, pathlib.Path]]:
-        found: List[Tuple[int, pathlib.Path]] = []
-        legacy = self.directory / "wal.jsonl"
-        if legacy.exists():
-            found.append((0, legacy))
-        for path in self.directory.iterdir():
-            match = _SEGMENT_NAME.match(path.name)
-            if match:
-                found.append((int(match.group(1)), path))
-        found.sort(key=lambda item: item[0])
-        for (first, path), (other, other_path) in zip(found, found[1:]):
-            if first == other:
-                raise DurabilityError(
-                    f"WAL segments {path.name} and {other_path.name} both "
-                    f"start at record {first}; the durable directory is "
-                    "inconsistent"
-                )
-        return found
-
     def _open_log(self) -> None:
-        segments = self._segment_files()
+        segments = wal_segment_files(self.directory)
         if not segments:
             if self.rotate_every_records is None:
                 path = self.directory / "wal.jsonl"

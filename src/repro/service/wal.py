@@ -21,10 +21,11 @@ the classic pair:
   ``(epoch, answers_seen)``: the serialized
   :class:`~repro.core.inference.InferenceResult` of the latest refit, the
   answer prefix it was fitted on, and the WAL position they cover.
-  Snapshots are written atomically.  Because a format-2 snapshot carries
-  its whole answer prefix, it is *standalone* — the WAL records it covers
-  are no longer needed for recovery, which is what makes segment GC safe
-  (format-1 snapshots carried only the model and pin the full log).
+  Snapshots are written atomically.  Because a snapshot carries its whole
+  answer prefix, it is *standalone* — the WAL records it covers are no
+  longer needed for recovery, which is what makes segment GC safe.
+  Recovery skips a snapshot without its answer prefix (the model-only
+  format 1) and falls back to an older snapshot or a full WAL replay.
 
 **Bounded disk.**  With ``keep_snapshots`` set, every snapshot cut prunes
 the store down to the newest ``keep_snapshots`` snapshots and then asks
@@ -38,17 +39,17 @@ surviving global count, and a pruned timeline can never be resurrected.
 deterministic function of the event sequence: answers are append-only,
 refits are deterministic EM (warm-started from the previous result), and
 selection is a deterministic ranking.  Recovery therefore rebuilds the
-exact session: the :class:`~repro.engine.SessionState` /
-:class:`~repro.engine.ShardedSessionState` indexes (re-synced from the
-recovered answers), the answer set, and the model's warm-start chain —
+exact session: the :class:`~repro.engine.SessionState` indexes
+(re-synced from the recovered answers), the answer set, and the model's
+warm-start chain —
 either by re-seating a snapshot's serialized result
 (:func:`serialize_result` round-trips every float exactly) and replaying
 the WAL tail with full side effects, or by replaying the whole log.  The
 continued assignment sequence matches an uninterrupted run bit for bit —
 the property ``benchmarks/run_bench.py --serve`` records as
 ``recovery_identical`` and CI gates on.  (The guarantee assumes a
-deterministic serving mode: the synchronous/sharded policies, or the
-async ones at ``max_stale_answers=0``.  With a positive staleness bound,
+deterministic serving mode: the synchronous and multi-process policies,
+or the async one at ``max_stale_answers=0``.  With a positive staleness bound,
 background refit *timing* is nondeterministic, so replay reproduces a
 valid execution of the same session rather than the exact one observed.)
 
@@ -56,8 +57,7 @@ Snapshot-epoch protocol: epochs increase by one per snapshot and never
 reuse a number, so ``snapshot-<epoch>-<answers_seen>.json`` names are
 totally ordered and immutable once written — the same property that lets
 :class:`~repro.engine.ModelSnapshot` cross thread boundaries lets these
-files cross *process* boundaries, which is the staging ground for
-process-level sharding (one recovered engine per shard group).
+files cross *process* boundaries.
 """
 
 from __future__ import annotations
@@ -66,20 +66,17 @@ import pathlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.answers import AnswerSet
-from repro.core.codec import (  # noqa: F401  (re-exported compat surface)
-    deserialize_result,
-    serialize_result,
-)
+from repro.core.codec import deserialize_result, serialize_result
 from repro.core.inference import InferenceResult
 from repro.core.schema import TableSchema
-from repro.service.storage import (  # noqa: F401  (re-exported compat surface)
+from repro.service.storage import (
     Snapshot,
     SnapshotStore,
     SqliteBackend,
     StorageBackend,
-    WriteAheadLog,
     create_backend,
     read_wal,
+    wal_segment_files,
 )
 from repro.utils.exceptions import (
     AssignmentError,
@@ -91,13 +88,9 @@ Cell = Tuple[int, int]
 
 #: Bump when the WAL / snapshot record layout changes incompatibly.
 #: Format 2 adds the answer prefix to snapshot payloads (making them
-#: standalone, the precondition for WAL segment GC); format-1 snapshots
-#: are still recovered, but only while the full log prefix survives.
+#: standalone, the precondition for WAL segment GC); a format-1 snapshot
+#: is skipped by recovery.
 FORMAT_VERSION = 2
-
-
-# The model-state codec (serialize_result / deserialize_result) lives in
-# :mod:`repro.core.codec` now, re-exported above unchanged.
 
 
 # -- durable session ----------------------------------------------------------
@@ -141,7 +134,7 @@ class DurableSession:
         :mod:`repro.service.storage`).
     rotate_every_records:
         JSONL backend: seal the active WAL segment after this many
-        records and open a new one.  ``None`` keeps the historical single
+        records and open a new one.  ``None`` keeps the whole log in one
         ``wal.jsonl``.  Ignored by the SQLite backend.
     keep_snapshots:
         Retain only the newest N snapshots; after each prune, WAL storage
@@ -294,13 +287,13 @@ class DurableSession:
         latest = storage.latest_snapshot(max_wal_records=total)
         if latest is not None:
             self._answers_at_last_snapshot = latest.answers_seen
-        snapshot = self._usable_snapshot(total, first)
+        snapshot = self._usable_snapshot(total)
         start = first
         if self.recorder is not None:
             self.recorder.begin_replay()
         try:
             if snapshot is not None:
-                self._restore_snapshot(snapshot, records, first)
+                self._restore_snapshot(snapshot)
                 start = snapshot.wal_records
             elif first > 0:
                 raise DurabilityError(
@@ -315,46 +308,36 @@ class DurableSession:
                 self.recorder.end_replay()
         self.replayed_records = total - start
 
-    def _usable_snapshot(self, total: int, first: int) -> Optional[Snapshot]:
+    def _usable_snapshot(self, total: int) -> Optional[Snapshot]:
         """Newest snapshot the recovery fast path can actually start from.
 
-        Needs the serialized model (and a policy that can re-seat it) plus
-        a way to rebuild the answer prefix: either the payload carries the
-        answers (format 2) or the full log prefix survives on disk.
+        Needs a policy that can re-seat a model and a *standalone*
+        snapshot (serialized model plus answer prefix) within the
+        surviving log; any other snapshot is skipped, so recovery falls
+        back to an older one or to a full WAL replay.
         """
         if not hasattr(self.policy, "restore_state"):
             return None
         for epoch in reversed(self._storage.snapshot_epochs()):
             snapshot = self._storage.load_snapshot(epoch)
-            if snapshot is None:
-                continue
-            if snapshot.wal_records > total:
-                continue
-            if snapshot.payload.get("model") is None:
-                continue
-            if snapshot.payload.get("answers") is None and first > 0:
-                continue  # prefix-scan fallback impossible: records pruned
-            return snapshot
+            if (
+                snapshot is not None
+                and snapshot.wal_records <= total
+                and snapshot.standalone
+            ):
+                return snapshot
         return None
 
-    def _restore_snapshot(
-        self, snapshot: Snapshot, records: List[dict], first: int
-    ) -> None:
+    def _restore_snapshot(self, snapshot: Snapshot) -> None:
         """Re-seat one snapshot: answer prefix without side effects + model."""
-        answers = snapshot.payload.get("answers")
-        if answers is not None:
-            for worker, row, col, value in answers:
-                self.answers.add_answer(worker, int(row), int(col), value)
-        else:
-            for record in records[: snapshot.wal_records - first]:
-                if record.get("t") == "answers":
-                    self._add_answers(record)
+        for worker, row, col, value in snapshot.payload["answers"]:
+            self.answers.add_answer(worker, int(row), int(col), value)
         if len(self.answers) != snapshot.answers_seen:
             raise DurabilityError(
                 f"snapshot epoch {snapshot.epoch} covers "
-                f"{snapshot.answers_seen} answers but its recovered prefix "
-                f"({snapshot.wal_records} records) holds "
-                f"{len(self.answers)}; the durable directory is inconsistent"
+                f"{snapshot.answers_seen} answers but its answer prefix "
+                f"holds {len(self.answers)}; the durable directory is "
+                "inconsistent"
             )
         model = snapshot.payload["model"]
         result = deserialize_result(model["result"], self.schema)
@@ -471,7 +454,7 @@ class DurableSession:
         """Cut one engine-state snapshot now (no-op when in-memory).
 
         The payload carries the serialized model *and* the full answer
-        prefix (format 2), so the snapshot recovers standalone; with
+        prefix, so the snapshot recovers standalone; with
         ``keep_snapshots`` set, older snapshots are pruned afterwards and
         WAL storage below the oldest retained snapshot's cover is dropped.
         """
@@ -544,8 +527,9 @@ def durable_summary(directory) -> Dict[str, object]:
     """Cheap, read-only summary of a durable directory (tests/inspection).
 
     Works for both backends without mutating anything: JSONL segments are
-    scanned with :func:`read_wal` (no truncation), a SQLite database is
-    opened in place (opening never writes records).
+    found by :func:`~repro.service.storage.wal_segment_files` and scanned
+    with :func:`read_wal` (no truncation), a SQLite database is opened in
+    place (opening never writes records).
     """
     directory = pathlib.Path(directory)
     database = directory / SqliteBackend.FILENAME
@@ -561,18 +545,7 @@ def durable_summary(directory) -> Dict[str, object]:
         finally:
             backend.close()
     else:
-        segments = []
-        legacy = directory / "wal.jsonl"
-        if legacy.exists():
-            segments.append((0, legacy))
-        if directory.exists():
-            for path in directory.iterdir():
-                if path.name.startswith("wal-") and path.suffix == ".jsonl":
-                    try:
-                        segments.append((int(path.name[4:-6]), path))
-                    except ValueError:
-                        continue
-        segments.sort(key=lambda item: item[0])
+        segments = wal_segment_files(directory)
         records = []
         wal_bytes = 0
         for _first, path in segments:

@@ -3,13 +3,12 @@
 A strategy decides *what scores candidate cells* — it plugs into
 :meth:`repro.core.assignment.TCrowdAssigner._build_calculator`, the one
 point every serving mode funnels scoring through (the vectorized select,
-the scalar path, the sharded per-shard scorer, the composed
-snapshot-scoring path and the multi-process worker twins all build their
-calculator there).  Everything *around* the scores — candidate filtering,
-stable top-K and the cross-shard merge, refit cadence, WAL replay,
-decision provenance — is shared machinery the strategy never touches,
-which is what makes every strategy bit-identical across all five serving
-modes by construction.
+the scalar path, the async snapshot-scoring path and the multi-process
+worker twins all build their calculator there).  Everything *around* the
+scores — candidate filtering, stable top-K and the cross-shard merge,
+refit cadence, WAL replay, decision provenance — is shared machinery the
+strategy never touches, which is what makes every strategy bit-identical
+across all three serving modes by construction.
 
 The contract for the returned calculator mirrors the paper calculators
 (:class:`~repro.core.information_gain.InformationGainCalculator`):
@@ -17,11 +16,8 @@ The contract for the returned calculator mirrors the paper calculators
 ``gain(worker, row, col) -> float``
     Score one cell (the scalar / non-vectorized path).
 ``gains_batch(worker, cells) -> np.ndarray``
-    Score many cells in one pass (the vectorized and sharded paths).
-``prewarm() -> None``
-    Make subsequent ``gains_batch`` calls side-effect free (the threaded
-    sharded scorer calls it before fanning out; a no-op is fine for
-    calculators that never mutate).
+    Score many cells in one pass (the vectorized, async and multi-process
+    paths).
 
 Determinism rules every strategy must obey (and the provided helpers
 make easy):
@@ -81,9 +77,8 @@ def hash_unit(seed, *context) -> float:
 class StrategyCalculator(abc.ABC):
     """Base class for strategy-built gain calculators.
 
-    Provides the default ``gains_batch`` (a loop over :meth:`gain`) and a
-    no-op :meth:`prewarm`; strategies with a vectorisable score override
-    ``gains_batch``.
+    Provides the default ``gains_batch`` (a loop over :meth:`gain`);
+    strategies with a vectorisable score override it.
     """
 
     @abc.abstractmethod
@@ -95,9 +90,6 @@ class StrategyCalculator(abc.ABC):
         return np.array(
             [self.gain(worker, row, col) for row, col in cells], dtype=float
         )
-
-    def prewarm(self) -> None:
-        """Make ``gains_batch`` side-effect free (default: already is)."""
 
 
 class AssignmentStrategy(abc.ABC):

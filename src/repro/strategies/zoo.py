@@ -166,9 +166,6 @@ class _VoICalculator(StrategyCalculator):
                 gains[index] = RETIRED_GAIN
         return gains
 
-    def prewarm(self) -> None:
-        self._inner.prewarm()
-
 
 class BudgetVoIStrategy(AssignmentStrategy):
     """Value-of-information stopping over the paper's gain.
@@ -202,7 +199,7 @@ class EpsilonGreedyStrategy(AssignmentStrategy):
     WAL replay) takes the same branch at the same session state, which is
     what keeps the wrapper bit-identical across the serving matrix (the
     worker cannot enter the key: the calculator seam is per-state, and
-    the composed mode legitimately reuses one calculator across workers).
+    the async policy's scoring cache reuses one calculator across workers).
     """
 
     def __init__(self, spec, base: Optional[AssignmentStrategy]) -> None:

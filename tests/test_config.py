@@ -9,9 +9,8 @@ Three contracts are pinned here:
   :class:`~repro.config.SpecValidationError` whose ``path`` names the
   offending field (``serving.max_stale_answers``), and unknown fields are
   rejected rather than ignored.
-* **Legacy equivalence** — the pre-spec keyword surfaces (session kwargs,
-  the PR-4 service dialect) adapt to specs that drive byte-identical
-  sessions.
+* **Three serving outcomes** — the factory returns the bare assigner, the
+  async refit wrapper or the process coordinator, nothing else.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.config import (
     SessionSpec,
     SimulationSpec,
     SpecValidationError,
-    upgrade_legacy_config,
 )
 from repro.config.factory import (
     build_assigner,
@@ -76,7 +74,6 @@ policy_specs = st.builds(
 serving_specs = st.builds(
     ServingSpec,
     shards=st.integers(min_value=1, max_value=16),
-    shard_workers=st.none() | st.integers(min_value=1, max_value=8),
     async_refit=st.booleans(),
     max_stale_answers=st.none() | st.integers(min_value=0, max_value=10_000),
     refit_tol=st.none() | st.floats(min_value=1e-9, max_value=1.0, **_floats),
@@ -181,6 +178,7 @@ class TestValidation:
             ({"simulation": {"initial_answers_per_task": 0}},
              "simulation.initial_answers_per_task"),
             ({"unknown_section": {}}, "spec.unknown_section"),
+            ({"serving": {"shard_worker": 2}}, "serving.shard_worker"),
         ],
     )
     def test_path_qualified_errors(self, payload, path):
@@ -192,17 +190,6 @@ class TestValidation:
     def test_errors_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             ServingSpec(shards=0)
-
-    def test_sharding_rejects_monte_carlo_gains(self):
-        with pytest.raises(SpecValidationError) as excinfo:
-            SessionSpec.from_dict(
-                {
-                    "version": 1,
-                    "policy": {"continuous_samples": 4},
-                    "serving": {"shards": 2},
-                }
-            )
-        assert excinfo.value.path == "policy.continuous_samples"
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(SpecValidationError, match="serving.shards"):
@@ -227,16 +214,44 @@ class TestValidation:
             )
         assert excinfo.value.path == "policy.continuous_samples"
 
+    def test_async_refit_rejects_monte_carlo_gains(self):
+        """Background refits would reorder the Monte-Carlo sample stream,
+        with or without a ``shards`` value alongside."""
+        with pytest.raises(SpecValidationError) as excinfo:
+            SessionSpec.from_dict(
+                {
+                    "version": 1,
+                    "policy": {"continuous_samples": 4},
+                    "serving": {"shards": 2, "async_refit": True},
+                }
+            )
+        assert excinfo.value.path == "policy.continuous_samples"
+
+    def test_shards_without_processes_accept_monte_carlo_gains(self):
+        """In-process serving ignores ``serving.shards``, so the sample
+        stream is the plain assigner's and the spec is valid."""
+        spec = SessionSpec.from_dict(
+            {
+                "version": 1,
+                "policy": {"continuous_samples": 4},
+                "serving": {"shards": 2},
+            }
+        )
+        assert spec.policy.continuous_samples == 4
+        assert not spec.serving.wants_wrapper
+
     def test_processes_describe_and_wrapper(self):
         spec = ServingSpec(processes=2, shards=4)
         assert spec.wants_wrapper
         assert spec.describe() == "multiprocess x2 + sharded x4"
         assert not ServingSpec().wants_wrapper
+        # Without processes the partition selects nothing.
+        assert not ServingSpec(shards=4).wants_wrapper
 
     def test_max_stale_semantics_are_unified(self):
         """One default for every entry point: 0 = blocking (bit-exact)."""
         assert ServingSpec().max_stale_answers == 0
-        assert SessionSpec.from_legacy_kwargs().serving.max_stale_answers == 0
+        assert SessionSpec().serving.max_stale_answers == 0
         assert ServingSpec(max_stale_answers=None).max_stale_answers is None
         assert "max_stale=unbounded" in ServingSpec(
             async_refit=True, max_stale_answers=None
@@ -250,22 +265,19 @@ class TestBuilder:
     def test_issue_example_chain(self, tmp_path):
         spec = (
             SessionSpec.builder()
-            .sharded(4)
             .async_refit(max_stale=64)
             .durable(tmp_path)
             .build()
         )
-        assert spec.serving == ServingSpec(
-            shards=4, async_refit=True, max_stale_answers=64
-        )
+        assert spec.serving == ServingSpec(async_refit=True, max_stale_answers=64)
         assert spec.durability.durable_dir == str(tmp_path)
-        assert spec.describe() == "sharded x4 + async refit (max_stale=64) [durable]"
+        assert spec.describe() == "async refit (max_stale=64) [durable]"
 
     def test_empty_builder_is_default_spec(self):
         assert SessionSpec.builder().build() == SessionSpec()
 
     def test_builder_validates_at_build(self):
-        builder = SessionSpec.builder().sharded(0)
+        builder = SessionSpec.builder().serving(shards=0)
         with pytest.raises(SpecValidationError, match="serving.shards"):
             builder.build()
 
@@ -278,16 +290,15 @@ class TestBuilder:
         spec = (
             SessionSpec.builder()
             .durable(tmp_path, snapshot_every_answers=25, wal_fsync=True)
-            .serving(shard_workers=2, shards=3)
-            .sharded(4, workers=3)
+            .serving(processes=2, shards=3)
+            .serving(shards=4)
             .build()
         )
         assert spec.durability == DurabilitySpec(
             durable_dir=str(tmp_path), snapshot_every_answers=25, wal_fsync=True
         )
         # later builder calls win
-        assert spec.serving.shards == 4
-        assert spec.serving.shard_workers == 3
+        assert spec.serving == ServingSpec(processes=2, shards=4)
 
     def test_split_envelope_rejects_non_objects(self):
         from repro.config import split_envelope
@@ -299,108 +310,6 @@ class TestBuilder:
         )
         assert envelope == {"schema": {"a": 1}, "durable": True}
         assert payload == {"version": 1}
-
-
-# -- legacy adapters -----------------------------------------------------------
-
-
-class TestLegacyAdapters:
-    def test_from_legacy_kwargs_maps_every_field(self, tmp_path):
-        spec = SessionSpec.from_legacy_kwargs(
-            target_answers_per_task=3.0,
-            initial_answers_per_task=2,
-            batch_size=5,
-            eval_every_answers_per_task=0.25,
-            seed=11,
-            max_steps=40,
-            shards=3,
-            shard_workers=2,
-            async_refit=True,
-            max_stale_answers=None,
-            durable_dir=tmp_path,
-            snapshot_every_answers=50,
-            wal_fsync=True,
-        )
-        assert spec.serving == ServingSpec(
-            shards=3, shard_workers=2, async_refit=True, max_stale_answers=None
-        )
-        assert spec.durability == DurabilitySpec(
-            durable_dir=str(tmp_path), snapshot_every_answers=50, wal_fsync=True
-        )
-        assert spec.simulation == SimulationSpec(
-            target_answers_per_task=3.0,
-            initial_answers_per_task=2,
-            batch_size=5,
-            eval_every_answers_per_task=0.25,
-            seed=11,
-            max_steps=40,
-        )
-
-    @settings(max_examples=100)
-    @given(
-        shards=st.none() | st.integers(min_value=0, max_value=8),
-        shard_workers=st.none() | st.integers(min_value=1, max_value=4),
-        async_refit=st.booleans(),
-        max_stale=st.none() | st.integers(min_value=0, max_value=200),
-        target=st.floats(min_value=1.1, max_value=8.0, **_floats),
-        seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_legacy_kwargs_produce_round_trippable_specs(
-        self, shards, shard_workers, async_refit, max_stale, target, seed
-    ):
-        """legacy kwargs → spec → JSON → spec is lossless for any input."""
-        spec = SessionSpec.from_legacy_kwargs(
-            shards=shards,
-            shard_workers=shard_workers,
-            async_refit=async_refit,
-            max_stale_answers=max_stale,
-            target_answers_per_task=target,
-            seed=seed,
-        )
-        assert SessionSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-        assert spec.serving.shards == (shards if shards else 1)
-        assert spec.serving.max_stale_answers == max_stale
-
-    def test_from_legacy_kwargs_drops_non_integer_seeds(self):
-        import numpy as np
-
-        spec = SessionSpec.from_legacy_kwargs(seed=np.random.default_rng(0))
-        assert spec.simulation.seed is None
-
-    def test_upgrade_legacy_service_config(self):
-        upgraded = upgrade_legacy_config(
-            {
-                "schema": {"num_rows": 4},
-                "session_id": "abc",
-                "durable": True,
-                "policy": {"refit_every": 2, "refit_tol": 1e-3,
-                           "model": {"max_iterations": 7}},
-                "serving": {"shards": None, "async_refit": True,
-                            "max_stale_answers": 9},
-                "snapshot_every": 33,
-                "fsync": True,
-            }
-        )
-        assert upgraded["version"] == 1
-        assert upgraded["schema"] == {"num_rows": 4}
-        assert upgraded["session_id"] == "abc"
-        assert upgraded["durable"] is True
-        spec = SessionSpec.from_dict(
-            {k: v for k, v in upgraded.items()
-             if k in ("version", "policy", "serving", "durability", "simulation")}
-        )
-        assert spec.policy.refit_every == 2
-        assert spec.policy.model.max_iterations == 7
-        assert spec.serving == ServingSpec(
-            shards=1, async_refit=True, max_stale_answers=9, refit_tol=1e-3
-        )
-        assert spec.durability == DurabilitySpec(
-            snapshot_every_answers=33, wal_fsync=True
-        )
-
-    def test_upgrade_rejects_unknown_keys(self):
-        with pytest.raises(SpecValidationError, match="frobnicate"):
-            upgrade_legacy_config({"frobnicate": 1})
 
 
 # -- factory -------------------------------------------------------------------
@@ -423,17 +332,23 @@ class TestFactory:
         fast = {"max_iterations": 3, "m_step_iterations": 6}
         plain = build_policy(mixed_schema, SessionSpec.builder().model(**fast).build())
         assert type(plain).__name__ == "TCrowdAssigner"
+        sharded = build_policy(
+            mixed_schema,
+            SessionSpec.builder().model(**fast).serving(shards=2).build(),
+        )
+        assert type(sharded).__name__ == "TCrowdAssigner"
         for build, expected in [
-            (SessionSpec.builder().model(**fast).sharded(2), "[sharded x2]"),
-            (SessionSpec.builder().model(**fast).async_refit(), "[async refit]"),
+            (SessionSpec.builder().model(**fast).async_refit(), "AsyncRefitPolicy"),
             (
-                SessionSpec.builder().model(**fast).sharded(2).async_refit(),
-                "[sharded x2 + async refit]",
+                SessionSpec.builder().model(**fast).serving(shards=2)
+                .async_refit(),
+                "AsyncRefitPolicy",
             ),
         ]:
             policy = build_policy(mixed_schema, build.build())
             try:
-                assert policy.name.endswith(expected)
+                assert type(policy).__name__ == expected
+                assert policy.name.endswith("[async refit]")
             finally:
                 policy.close()
 
@@ -442,7 +357,8 @@ class TestFactory:
 
         with pytest.raises(ConfigurationError, match="TCrowdAssigner"):
             wrap_policy(
-                RandomAssigner(mixed_schema, seed=0), ServingSpec(shards=2)
+                RandomAssigner(mixed_schema, seed=0),
+                ServingSpec(async_refit=True),
             )
 
     def test_wrap_policy_passthrough_for_default_serving(self, mixed_schema):

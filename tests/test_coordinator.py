@@ -264,6 +264,23 @@ class TestCoordinatorValidation:
         with pytest.raises(ConfigurationError, match="TCrowdAssigner"):
             ProcessShardCoordinator(FakePolicy())
 
+    def test_platform_session_rejects_non_tcrowd_policy(self, dataset):
+        """The session refuses the spec before any worker process starts."""
+        from repro.baselines.assignment_simple import RandomAssigner
+        from repro.config import SessionSpec
+        from repro.platform import CrowdsourcingSession
+
+        spec = SessionSpec.builder().serving(processes=2, shards=2).simulation(
+            target_answers_per_task=2.0
+        ).build()
+        with pytest.raises(ConfigurationError, match="TCrowdAssigner"):
+            CrowdsourcingSession(
+                dataset,
+                RandomAssigner(dataset.schema, seed=1),
+                TCrowdModel(**FAST_MODEL),
+                spec=spec,
+            )
+
     def test_rejects_monte_carlo_gains(self, dataset):
         assigner = _make_assigner(dataset.schema, continuous_samples=16)
         with pytest.raises(ConfigurationError, match="continuous_samples"):

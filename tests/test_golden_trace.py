@@ -2,25 +2,24 @@
 
 One canonical seeded session (Celebrity, 12 rows, warm-started engine
 configuration at the Algorithm 2 cadence) is replayed through every serving
-configuration of the engine:
+policy the factory can return:
 
 * ``incremental`` — the plain :class:`~repro.core.assignment.TCrowdAssigner`
   (incremental indexes, vectorised gains, warm-started refits);
-* ``sharded`` — the same assigner served through a
-  :class:`~repro.engine.ShardedAssignmentPolicy` (partitioned top-K merge);
 * ``async_refit`` — the same assigner served through an
   :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` on a
-  :class:`~repro.engine.VirtualClock` (every refit blocking, deterministic);
-* ``sharded_async`` — the composed :class:`~repro.engine.ShardedAsyncPolicy`
-  (partitioned top-K scoring over async snapshots) at
-  ``max_stale_answers=0`` on a :class:`~repro.engine.VirtualClock`.
+  :class:`~repro.engine.VirtualClock` (every refit blocking, deterministic;
+  the scoring cache on);
+* ``multiprocess`` — the same assigner served by a
+  :class:`~repro.engine.ProcessShardCoordinator` with two worker processes
+  over the scenario's ``num_shards`` row shards.
 
 (The service layer's durability path replays the same scenario through a
 write-ahead log and is pinned against this fixture in ``tests/test_wal.py``.)
 
 All of them must produce *bit-identical* assignment sequences and final truth
-estimates — that is the contract the sharding merge and the bounded-
-staleness mode are built on — and the sequence must match the committed
+estimates — that is the contract the shard merge and the bounded-staleness
+mode are built on — and the sequence must match the committed
 fixture ``tests/fixtures/golden_trace.json``, which pins the engine's
 behaviour across refactors.
 
@@ -46,9 +45,9 @@ from repro.utils.exceptions import AssignmentError
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "golden_trace.json"
 
-#: Scenario pinned by the fixture.  Small enough that the three replays run
-#: in a couple of seconds, large enough that every code path (warm chain,
-#: shard merge, staleness blocking, candidate-pool exhaustion) is exercised.
+#: Scenario pinned by the fixture.  Small enough that the replays run in a
+#: few seconds, large enough that every code path (warm chain, shard merge,
+#: staleness blocking, candidate-pool exhaustion) is exercised.
 SCENARIO = {
     "dataset": "celebrity",
     "seed": 7,
@@ -58,7 +57,7 @@ SCENARIO = {
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
-CONFIGS = ("incremental", "sharded", "async_refit", "sharded_async")
+CONFIGS = ("incremental", "async_refit", "multiprocess")
 
 
 #: Serving section of each matrix configuration — every policy is built
@@ -67,13 +66,8 @@ CONFIGS = ("incremental", "sharded", "async_refit", "sharded_async")
 #: HTTP service use, so the fixture pins the spec-built policies too.
 _SERVING = {
     "incremental": {},
-    "sharded": {"shards": SCENARIO["num_shards"]},
     "async_refit": {"async_refit": True, "max_stale_answers": 0},
-    "sharded_async": {
-        "shards": SCENARIO["num_shards"],
-        "async_refit": True,
-        "max_stale_answers": 0,
-    },
+    "multiprocess": {"shards": SCENARIO["num_shards"], "processes": 2},
 }
 
 
@@ -141,7 +135,7 @@ def replay_session(config: str):
             collected += len(assignment.cells)
             policy.observe(answers)
 
-        if config in ("async_refit", "sharded_async"):
+        if config != "incremental":
             final = policy.final_result(answers)
         else:
             # observe() refitted at the final answer count already.
@@ -209,7 +203,7 @@ class TestGoldenTrace:
         )
 
     def test_all_configurations_bit_identical(self, replays):
-        """incremental / sharded / async(max_stale=0) replay one sequence."""
+        """incremental / async(max_stale=0) / multiprocess replay one sequence."""
         reference_decisions, reference_estimates = replays["incremental"]
         for config in CONFIGS[1:]:
             decisions, estimates = replays[config]

@@ -1,11 +1,12 @@
-"""Hot-path speed-pass tests: stacked scoring, scoring cache, Newton M-step.
+"""Hot-path tests: top-K merge, scoring cache, profile stages, Newton M-step.
 
-The composed-path speed pass (stacked ``gains_batch`` over the shard
-concatenation, the snapshot-keyed scoring-calculator cache, the ``k == 1``
-merge shortcut and the Newton M-step) must be behaviour-neutral where the
-equivalence bits say so and objective-equivalent where EM tolerance allows.
-These tests pin each claim in isolation; the end-to-end bit-identity stays
-with the golden-trace matrix and the benchmark gates.
+The async serving path's speed features (the snapshot-keyed
+scoring-calculator cache of :class:`~repro.engine.AsyncRefitPolicy`), the
+coordinator's stable top-K merge with its ``k == 1`` shortcut and the
+Newton M-step must be behaviour-neutral where the equivalence bits say so
+and objective-equivalent where EM tolerance allows.  These tests pin each
+claim in isolation; the end-to-end bit-identity stays with the golden-trace
+matrix and the benchmark gates.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import STRATEGY_NAMES, SessionSpec
+from repro.config.factory import build_assigner
 from repro.core.answers import AnswerSet
 from repro.core.assignment import (
     TCrowdAssigner,
@@ -22,23 +25,11 @@ from repro.core.assignment import (
     top_k_stable,
 )
 from repro.core.inference import TCrowdModel
-from repro.core.schema import Column, TableSchema
-from repro.engine import ShardedAsyncPolicy, VirtualClock
+from repro.engine import AsyncRefitPolicy, VirtualClock
 from repro.engine.profiling import BUCKET_BOUNDS, HotPathProfile, stage
-from repro.engine.sharding import ShardedAssignmentPolicy
 from repro.utils.exceptions import InferenceError
 
 FAST_MODEL = {"max_iterations": 3, "m_step_iterations": 6}
-
-
-def _schema(num_rows: int = 8) -> TableSchema:
-    columns = (
-        Column.categorical("color", ("red", "green", "blue")),
-        Column.categorical("size", ("small", "large")),
-        Column.continuous("weight", (0.0, 100.0)),
-        Column.continuous("price", (0.0, 1000.0)),
-    )
-    return TableSchema.build("item", columns, num_rows=num_rows)
 
 
 def _seeded_answers(schema, answers_per_cell=2, seed=0) -> AnswerSet:
@@ -100,73 +91,13 @@ class TestMergeTopKStable:
         assert merge_top_k_stable([np.zeros(0), np.zeros(0)], 1).tolist() == []
 
 
-# -- stacked gains_batch vs the per-shard scoring loop ------------------------
-
-
-class TestStackedScoring:
-    @given(k=st.sampled_from([1, 2, 4, 7]), num_shards=st.integers(1, 5))
-    @settings(deadline=None, max_examples=12)
-    def test_sequential_select_equals_per_shard_oracle(self, k, num_shards):
-        """One stacked ``gains_batch`` + global top-K must reproduce the
-        per-shard scoring loop + stable heap merge it replaced."""
-        schema = _schema()
-        answers = _seeded_answers(schema)
-        policy = ShardedAssignmentPolicy(_assigner(schema), num_shards=num_shards)
-        worker = "w0"
-        state = policy.session_state(answers)
-        shard_cells = [
-            state.shard_candidate_cells(shard, worker)
-            for shard in range(state.num_shards)
-        ]
-        calculator = policy.inner.prepare_scoring(answers)
-        # The oracle: the pre-speed-pass path, one gains_batch per shard
-        # followed by the stable heap merge over the per-shard arrays.
-        shard_gains = [
-            calculator.gains_batch(worker, cells)
-            if cells
-            else np.zeros(0, dtype=float)
-            for cells in shard_cells
-        ]
-        order = merge_top_k_stable(shard_gains, k)
-        offsets = np.cumsum([0] + [len(cells) for cells in shard_cells])
-        owners = np.searchsorted(offsets, order, side="right") - 1
-        oracle_cells = tuple(
-            shard_cells[shard][index - offsets[shard]]
-            for shard, index in zip(owners.tolist(), order.tolist())
-        )
-        oracle_gains = tuple(
-            float(shard_gains[shard][index - offsets[shard]])
-            for shard, index in zip(owners.tolist(), order.tolist())
-        )
-        result = policy.select(worker, answers, k=k)
-        assert result.cells == oracle_cells
-        assert result.gains == pytest.approx(oracle_gains)
-
-    def test_threaded_select_matches_sequential(self):
-        schema = _schema()
-        answers = _seeded_answers(schema)
-        sequential = ShardedAssignmentPolicy(_assigner(schema), num_shards=3)
-        with ShardedAssignmentPolicy(
-            _assigner(schema), num_shards=3, max_workers=3
-        ) as threaded:
-            for k in (1, 2, 5):
-                a = sequential.select("w1", answers, k=k)
-                b = threaded.select("w1", answers, k=k)
-                assert a.cells == b.cells
-                assert a.gains == pytest.approx(b.gains)
-
-
 # -- snapshot-keyed scoring-calculator cache ----------------------------------
 
 
 class TestScoringCache:
-    def _policy(self, schema, **kwargs):
-        return ShardedAsyncPolicy(
-            _assigner(schema),
-            num_shards=2,
-            max_stale_answers=0,
-            clock=VirtualClock(),
-            **kwargs,
+    def _policy(self, schema):
+        return AsyncRefitPolicy(
+            _assigner(schema), max_stale_answers=0, clock=VirtualClock()
         )
 
     def test_repeat_select_hits_cache(self, mixed_schema):
@@ -225,14 +156,49 @@ class TestScoringCache:
         finally:
             policy.close()
 
-    def test_cache_can_be_disabled(self, mixed_schema):
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_cache_hit_scores_like_a_rebuild(self, mixed_schema, strategy):
+        """Every strategy's calculator is a pure function of the snapshot
+        and the answer prefix, so a hit serves another worker exactly what
+        a policy without cache history computes."""
+        spec = (
+            SessionSpec.builder()
+            .model(**FAST_MODEL)
+            .strategy(strategy, seed=3, epsilon=0.5)
+            .build()
+        )
         answers = _seeded_answers(mixed_schema)
-        policy = self._policy(mixed_schema, scoring_cache=False)
+        cached = AsyncRefitPolicy(
+            build_assigner(mixed_schema, spec), clock=VirtualClock()
+        )
+        cold = AsyncRefitPolicy(
+            build_assigner(mixed_schema, spec), clock=VirtualClock()
+        )
+        try:
+            cached.select("w0", answers, k=3)
+            hit = cached.select("w3", answers, k=3)
+            assert cached.scoring_cache_hits == 1
+            rebuilt = cold.select("w3", answers, k=3)
+            assert hit.cells == rebuilt.cells
+            assert hit.gains == rebuilt.gains
+        finally:
+            cached.close()
+            cold.close()
+
+    def test_cache_keeps_one_calculator_alive(self, mixed_schema):
+        import gc
+        import weakref
+
+        answers = _seeded_answers(mixed_schema)
+        policy = self._policy(mixed_schema)
         try:
             policy.select("w0", answers, k=1)
+            first = weakref.ref(policy._cached_calculator)
+            answers.add_answer("w9", 0, 0, "red")
             policy.select("w0", answers, k=1)
-            assert policy.scoring_cache_hits == 0
-            assert policy.scoring_cache_misses == 0
+            gc.collect()
+            assert first() is None
+            assert policy._cached_calculator is not None
         finally:
             policy.close()
 
@@ -341,13 +307,10 @@ class TestHotPathProfile:
     def test_bucket_bounds_are_increasing(self):
         assert list(BUCKET_BOUNDS) == sorted(BUCKET_BOUNDS)
 
-    def test_profile_wired_through_composed_policy(self, mixed_schema):
+    def test_profile_wired_through_async_policy(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
-        policy = ShardedAsyncPolicy(
-            _assigner(mixed_schema),
-            num_shards=2,
-            max_stale_answers=0,
-            clock=VirtualClock(),
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
         )
         profile = HotPathProfile()
         policy.set_profile(profile)
@@ -359,3 +322,20 @@ class TestHotPathProfile:
         for name in ("snapshot_acquire", "calculator_build", "gains_batch",
                      "top_k_merge"):
             assert snapshot[name]["calls"] >= 1
+
+    def test_profile_counts_one_build_per_cache_miss(self, mixed_schema):
+        answers = _seeded_answers(mixed_schema)
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
+        )
+        profile = HotPathProfile()
+        policy.set_profile(profile)
+        try:
+            for worker in ("w0", "w1", "w2"):
+                policy.select(worker, answers, k=1)
+        finally:
+            policy.close()
+        stages = profile.to_dict()
+        assert policy.scoring_cache_misses == 1
+        assert stages["calculator_build"]["calls"] == 1
+        assert stages["gains_batch"]["calls"] == 3

@@ -374,21 +374,29 @@ class TestAsyncRefitSession:
     def test_composed_sharded_async_session_replays_synchronous_trace(
         self, async_dataset
     ):
-        """shards + async_refit compose (ShardedAsyncPolicy); at
-        max_stale_answers=0 the composed session must replay the
-        synchronous trace bit for bit."""
+        """shards + async_refit without processes: ``serving.shards``
+        selects nothing in-process, so the async wrapper serves the spec
+        alone and at max_stale_answers=0 replays the synchronous trace bit
+        for bit."""
         sync_trace = self._session(async_dataset).run()
         composed_trace = self._session(
             async_dataset,
-            spec=self._spec_builder().sharded(2).async_refit(max_stale=0).build(),
+            spec=self._spec_builder()
+            .serving(shards=2)
+            .async_refit(max_stale=0)
+            .build(),
         ).run()
         assert composed_trace.records == sync_trace.records
-        assert composed_trace.policy_name.endswith("[sharded x2 + async refit]")
+        assert composed_trace.policy_name.endswith("[async refit]")
+        assert "sharded" not in composed_trace.policy_name
 
     def test_composed_session_with_bounded_staleness_completes(self, async_dataset):
         trace = self._session(
             async_dataset,
-            spec=self._spec_builder().sharded(2).async_refit(max_stale=6).build(),
+            spec=self._spec_builder()
+            .serving(shards=2)
+            .async_refit(max_stale=6)
+            .build(),
         ).run()
         assert trace.final.answers_per_task > 1.0
 
@@ -407,7 +415,8 @@ class TestAsyncRefitSession:
 
 
 class TestLegacyKwargsShim:
-    """The pre-spec keyword surface keeps working, with a DeprecationWarning."""
+    """The simulation-budget keyword aliases (the rest of the pre-spec
+    keyword surface is gone)."""
 
     @pytest.fixture(scope="class")
     def shim_dataset(self):
@@ -423,34 +432,31 @@ class TestLegacyKwargsShim:
             refit_every=1,
         )
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_legacy_serving_kwargs_warn_and_match_spec_path(self, shim_dataset):
-        with pytest.warns(DeprecationWarning, match="async_refit.*shards"):
-            legacy = CrowdsourcingSession(
-                shim_dataset,
-                self._policy(shim_dataset),
-                TCrowdModel(max_iterations=3, m_step_iterations=6),
-                target_answers_per_task=1.5,
-                seed=13,
-                shards=2,
-                async_refit=True,
-                max_stale_answers=0,
-            )
-        spec = (
-            SessionSpec.builder()
-            .sharded(2)
-            .async_refit(max_stale=0)
-            .simulation(target_answers_per_task=1.5, seed=13)
-            .build()
-        )
-        assert legacy.spec == spec
-        via_spec = CrowdsourcingSession(
+    def test_simulation_kwargs_build_the_simulation_section(self, shim_dataset):
+        session = CrowdsourcingSession(
             shim_dataset,
             self._policy(shim_dataset),
             TCrowdModel(max_iterations=3, m_step_iterations=6),
-            spec=spec,
+            target_answers_per_task=1.5,
+            seed=13,
+            max_steps=4,
         )
-        assert legacy.run().records == via_spec.run().records
+        assert session.spec == SessionSpec.builder().simulation(
+            target_answers_per_task=1.5, seed=13, max_steps=4
+        ).build()
+
+    def test_non_integer_seed_is_used_but_not_recorded(self, shim_dataset):
+        import numpy as np
+
+        session = CrowdsourcingSession(
+            shim_dataset,
+            self._policy(shim_dataset),
+            TCrowdModel(max_iterations=3, m_step_iterations=6),
+            target_answers_per_task=1.5,
+            seed=np.random.default_rng(0),
+        )
+        assert session.spec.simulation.seed is None
+        assert session.spec.simulation.target_answers_per_task == 1.5
 
     def test_simulation_kwargs_do_not_warn(self, shim_dataset, recwarn):
         CrowdsourcingSession(

@@ -1,11 +1,11 @@
 """Decision provenance: ledger chaining, cross-mode identity, audit API.
 
 The golden-trace audit matrix is the load-bearing test here: the scripted
-scenario replayed through every serving mode — incremental, sharded, async
-at ``max_stale_answers=0``, the composed policy and the ``processes=2``
-coordinator — must produce *hash-identical* decision ledgers, because the
-hashed core of a record carries only mode-invariant facts (the shard
-lineage annotations ride outside the hash).  Crash recovery must re-derive
+scenario replayed through every serving mode — the plain assigner, async at
+``max_stale_answers=0`` and the ``processes=2`` coordinator — must produce
+*hash-identical* decision ledgers, because the hashed core of a record
+carries only mode-invariant facts (the shard lineage annotations ride
+outside the hash).  Crash recovery must re-derive
 the same ledger from the WAL on both storage backends, and the HTTP layer
 must serve it faithfully.
 """
@@ -190,9 +190,12 @@ class TestGoldenAuditMatrix:
             assert [record_core(r) for r in records] == reference, mode
 
     def test_lineage_annotations_reflect_the_topology(self, ledgers):
-        for record in ledgers["sharded"]:
-            assert {block["shard"] for block in record["shards"]} == {0, 1, 2}
+        for mode in ("plain", "async"):
+            for record in ledgers[mode]:
+                assert [block["shard"] for block in record["shards"]] == [0]
+                assert record["shards"][0]["candidates"] == record["candidates"]
         for record in ledgers["multiprocess"]:
+            assert {block["shard"] for block in record["shards"]} == {0, 1, 2}
             assert {block["process"] for block in record["shards"]} == {0, 1}
             assert sum(b["candidates"] for b in record["shards"]) == record[
                 "candidates"
@@ -208,7 +211,7 @@ class TestAuditCrashRecovery:
         assert summary["audit_replay_verified"] >= 1, summary
 
     def test_recovery_chain_continues_across_modes(self, tmp_path):
-        summary = verify_audit_replay(mode="sharded", directory=tmp_path)
+        summary = verify_audit_replay(mode="async", directory=tmp_path)
         assert summary["audit_replay_identical"], summary
 
 

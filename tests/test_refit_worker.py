@@ -1,11 +1,19 @@
-"""Tests for the async refit engine (repro.engine.refit_worker) and the
-objective-based EM early stopping it builds on (repro.core.inference)."""
+"""Tests for the async refit engine (repro.engine.refit_worker), the
+durable snapshot protocol its policy shares with the bare assigner, and the
+objective-based EM early stopping it builds on (repro.core.inference).
+
+The scoring cache of :class:`~repro.engine.AsyncRefitPolicy` is pinned in
+``tests/test_hotpath.py``; end-to-end bit-identity stays with the
+golden-trace matrix and the benchmark's ``identical_*_async`` bits.
+"""
 
 import threading
 
 import numpy as np
 import pytest
 
+from repro.config import SessionSpec
+from repro.config.factory import build_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
@@ -364,6 +372,16 @@ class TestAsyncRefitPolicy:
         kwargs.setdefault("model", TCrowdModel(max_iterations=4, m_step_iterations=8))
         return TCrowdAssigner(schema, **kwargs)
 
+    @staticmethod
+    def _shards_and_async_spec(shards):
+        return (
+            SessionSpec.builder()
+            .model(max_iterations=4, m_step_iterations=8)
+            .serving(shards=shards)
+            .async_refit(max_stale=0)
+            .build()
+        )
+
     def test_rejects_monte_carlo_gain_path(self, celebrity):
         inner = self._inner(celebrity.schema, continuous_samples=4)
         with pytest.raises(ConfigurationError):
@@ -381,8 +399,8 @@ class TestAsyncRefitPolicy:
 
     def test_select_matches_synchronous_assigner(self, celebrity):
         answers = _seeded_answers(celebrity)
-        worker = celebrity.worker_pool.worker_ids()[1]
         sync = self._inner(celebrity.schema)
+        worker = celebrity.worker_pool.worker_ids()[1]
         with AsyncRefitPolicy(
             self._inner(celebrity.schema), max_stale_answers=0,
             clock=VirtualClock(),
@@ -392,7 +410,41 @@ class TestAsyncRefitPolicy:
             assert fast.cells == slow.cells
             assert fast.gains == pytest.approx(slow.gains, rel=1e-12, abs=1e-15)
             assert policy.last_result is not None
-            assert policy.name.endswith("[async refit]")
+
+    def test_matches_plain_assigner_at_zero_staleness(self, celebrity):
+        """Two workers on one answer prefix: the second select is a scoring
+        cache hit and must still match the synchronous assigner exactly."""
+        answers = _seeded_answers(celebrity)
+        sync = self._inner(celebrity.schema)
+        with AsyncRefitPolicy(
+            self._inner(celebrity.schema), max_stale_answers=0,
+            clock=VirtualClock(),
+        ) as policy:
+            for worker in celebrity.worker_pool.worker_ids()[1:3]:
+                fast = policy.select(worker, answers, k=4)
+                slow = sync.select(worker, answers, k=4)
+                assert fast.cells == slow.cells
+                assert fast.gains == slow.gains
+            assert policy.scoring_cache_hits == 1
+
+    def test_name_reflects_the_serving_mode(self, celebrity):
+        """A spec with shards and async refit but no processes is served by
+        the async wrapper alone, and its name says so."""
+        spec = self._shards_and_async_spec(shards=3)
+        assert spec.serving.describe() == "async refit (max_stale=0)"
+        with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
+            assert isinstance(policy, AsyncRefitPolicy)
+            assert policy.name == f"{policy.inner.name} [async refit]"
+
+    def test_empty_answers_rejected(self, celebrity):
+        """The empty answer set is refused before any fit or scoring."""
+        spec = self._shards_and_async_spec(shards=2)
+        with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
+            with pytest.raises(AssignmentError):
+                policy.select("w0", AnswerSet(celebrity.schema), k=1)
+            assert policy.engine.epoch == -1
+            assert policy.engine.blocking_refits == 0
+            assert policy.scoring_cache_misses == 0
 
     def test_observe_schedules_and_final_result_catches_up(self, celebrity):
         clock = VirtualClock()
@@ -412,7 +464,20 @@ class TestAsyncRefitPolicy:
             assert clock.pending_jobs == 1
             final = policy.final_result(answers)
             assert policy.engine.snapshot.answers_seen == len(answers)
+            assert final is policy.last_result
             assert final.estimate(0, 0) is not None
+
+    def test_final_result_catches_up(self, celebrity):
+        """final_result on a policy that never served a select fits the
+        whole answer set and publishes that fit."""
+        answers = _seeded_answers(celebrity)
+        with AsyncRefitPolicy(
+            self._inner(celebrity.schema), max_stale_answers=100,
+            clock=VirtualClock(),
+        ) as policy:
+            result = policy.final_result(answers)
+            assert policy.engine.snapshot.answers_seen == len(answers)
+            assert result is policy.last_result
 
     def test_exhausted_pool_raises_assignment_error(self, celebrity):
         answers = _seeded_answers(celebrity)
@@ -421,6 +486,99 @@ class TestAsyncRefitPolicy:
             worker = celebrity.worker_pool.worker_ids()[3]
             with pytest.raises(AssignmentError):
                 policy.select(worker, answers, k=1)
+
+    def test_close_is_idempotent(self, celebrity):
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema))
+        policy.close()
+        policy.close()
+
+    def test_bounded_staleness_serves_stale_snapshot(self, celebrity):
+        answers = _seeded_answers(celebrity)
+        clock = VirtualClock()
+        with AsyncRefitPolicy(
+            self._inner(celebrity.schema), max_stale_answers=100, clock=clock,
+        ) as policy:
+            policy.select("w", answers, k=1)
+            epoch_before = policy.engine.epoch
+            _add_answers(answers, 1, worker="late")
+            policy.observe(answers)  # schedules a background refit
+            assert clock.pending_jobs == 1
+            policy.select("w", answers, k=1)  # lock-free on the stale snapshot
+            assert policy.engine.epoch == epoch_before
+            clock.run_pending()
+            assert policy.engine.epoch == epoch_before + 1
+
+
+# -- the durable snapshot protocol ---------------------------------------------
+
+
+class TestDurabilityProtocol:
+    def _inner(self, schema, **kwargs):
+        model = TCrowdModel(max_iterations=4, m_step_iterations=8)
+        return TCrowdAssigner(schema, model=model, **kwargs)
+
+    def test_snapshot_state_round_trip(self, celebrity):
+        answers = _seeded_answers(celebrity)
+        with AsyncRefitPolicy(
+            self._inner(celebrity.schema), clock=VirtualClock()
+        ) as policy, AsyncRefitPolicy(
+            self._inner(celebrity.schema), clock=VirtualClock()
+        ) as fresh:
+            assert policy.snapshot_state() is None
+            policy.select("w", answers, k=1)
+            result, answers_seen = policy.snapshot_state()
+            assert answers_seen == len(answers)
+            fresh.restore_state(result, answers_seen)
+            assert fresh.last_result is result
+            assert fresh.engine.snapshot.answers_seen == answers_seen
+
+    def test_engine_restore_advances_epoch(self, tiny_schema):
+        engine = AsyncRefitEngine(StubModel(), tiny_schema, clock=VirtualClock())
+        result = StubResult("persisted")
+        assert engine.restore(result, answers_seen=12).epoch == 0
+        assert engine.restore(result, answers_seen=20).epoch == 1
+        engine.restore(result, answers_seen=25, epoch=9)
+        assert engine.epoch == 9
+        engine.close()
+
+    def test_plain_assigner_snapshot_protocol(self, celebrity):
+        answers = _seeded_answers(celebrity)
+        assigner = self._inner(celebrity.schema)
+        assert assigner.snapshot_state() is None
+        assigner.observe(answers)
+        result, seen = assigner.snapshot_state()
+        assert seen == len(answers)
+        fresh = self._inner(celebrity.schema)
+        fresh.restore_state(result, seen)
+        assert fresh.last_result is result
+        assert fresh.answers_at_last_fit == seen
+
+    def test_final_result_records_the_fit(self, celebrity):
+        """final_result is a real chain event: bookkeeping must advance."""
+        answers = _seeded_answers(celebrity)
+        assigner = self._inner(celebrity.schema, refit_every=50)
+        first = assigner.final_result(answers)
+        assert assigner.answers_at_last_fit == len(answers)
+        # Up to date: a second call is a no-op returning the same object.
+        assert assigner.final_result(answers) is first
+
+
+@pytest.mark.slow
+class TestSpeedupHarnessAsyncPath:
+    def test_measure_engine_speedup_records_async_bits(self):
+        from repro.experiments.efficiency import measure_engine_speedup
+
+        stats = measure_engine_speedup(
+            seed=3,
+            num_rows=8,
+            target_answers_per_task=1.3,
+            model_kwargs={"max_iterations": 3, "m_step_iterations": 6},
+            async_refit=True,
+        )
+        assert stats["identical_assignments_async"] is True
+        assert stats["identical_estimates_async"] is True
+        assert stats["speedup_async"] > 0
+        assert "seconds_engine_async_path" in stats
 
 
 # -- objective-based EM early stopping ----------------------------------------

@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.config import SessionSpec
+from repro.config import SessionSpec, SpecValidationError
 from repro.service.app import ServiceServer
 from repro.service.bench import ServiceClient, measure_serving
 from repro.service.registry import (
@@ -42,6 +42,7 @@ FAST_MODEL = {"max_iterations": 3, "m_step_iterations": 6}
 
 def _config(**overrides):
     config = {
+        "version": 1,
         "schema": SCHEMA_SPEC,
         "policy": {"refit_every": 1, "model": dict(FAST_MODEL)},
     }
@@ -99,29 +100,34 @@ class TestSchemaCodec:
             resolve_schema({})
 
     def test_build_policy_modes(self, mixed_schema):
-        plain = build_policy(mixed_schema, {"policy": {"model": FAST_MODEL}})
-        assert type(plain).__name__ == "TCrowdAssigner"
-        sharded = build_policy(
-            mixed_schema,
-            {"policy": {"model": FAST_MODEL}, "serving": {"shards": 2}},
+        plain = build_policy(
+            mixed_schema, {"version": 1, "policy": {"model": FAST_MODEL}}
         )
-        assert "sharded" in sharded.name
-        sharded.close()
-        composed = build_policy(
+        assert type(plain).__name__ == "TCrowdAssigner"
+        unpartitioned = build_policy(
+            mixed_schema,
+            {"version": 1, "policy": {"model": FAST_MODEL},
+             "serving": {"shards": 2}},
+        )
+        assert type(unpartitioned).__name__ == "TCrowdAssigner"
+        async_policy = build_policy(
             mixed_schema,
             {
+                "version": 1,
                 "policy": {"model": FAST_MODEL},
                 "serving": {"shards": 2, "async_refit": True},
             },
         )
-        assert "sharded x2 + async refit" in composed.name
-        composed.close()
+        assert async_policy.name.endswith("[async refit]")
+        async_policy.close()
 
     def test_build_policy_rejects_bad_options(self, mixed_schema):
         with pytest.raises(ConfigurationError):
-            build_policy(mixed_schema, {"policy": {"bogus_knob": 1}})
+            build_policy(mixed_schema, {"version": 1, "policy": {"bogus_knob": 1}})
         with pytest.raises(ConfigurationError):
-            build_policy(mixed_schema, {"policy": {"model": {"bogus": 1}}})
+            build_policy(
+                mixed_schema, {"version": 1, "policy": {"model": {"bogus": 1}}}
+            )
 
 
 class TestSessionLifecycle:
@@ -166,13 +172,14 @@ class TestSessionLifecycle:
     def test_session_from_named_dataset(self, client):
         created = client.create_session(
             {
+                "version": 1,
                 "dataset": {"name": "celebrity", "seed": 3, "num_rows": 4},
                 "policy": {"model": dict(FAST_MODEL)},
-                "serving": {"shards": 2},
+                "serving": {"async_refit": True},
             }
         )
         assert created["num_rows"] == 4
-        assert "sharded" in created["policy"]
+        assert "async refit" in created["policy"]
         client.delete_session(created["session_id"])
 
     def test_v1_spec_body_and_config_endpoint(self, client):
@@ -181,13 +188,12 @@ class TestSessionLifecycle:
             SessionSpec.builder()
             .model(**FAST_MODEL)
             .policy(refit_every=1)
-            .sharded(2)
             .async_refit(max_stale=0)
             .build()
         )
         created = client.create_session({"schema": SCHEMA_SPEC, **spec.to_dict()})
         session_id = created["session_id"]
-        assert "sharded x2 + async refit" in created["policy"]
+        assert created["policy"].endswith("[async refit]")
 
         status, config = client.request(
             "GET", f"/sessions/{session_id}/config"
@@ -207,27 +213,23 @@ class TestSessionLifecycle:
         client.delete_session("twin-config")
         client.delete_session(session_id)
 
-    def test_legacy_config_upgrades_to_canonical_spec(self, client):
-        """The PR-4 dialect still creates; /config serves the v1 upgrade."""
-        created = client.create_session(
+    def test_versionless_body_is_a_strict_400(self, client):
+        """The pre-spec body dialect (no ``version``) is rejected, naming
+        the missing field, instead of being upgraded."""
+        status, body = client.request(
+            "POST",
+            "/sessions",
             {
                 "schema": SCHEMA_SPEC,
                 "policy": {"refit_every": 1, "refit_tol": 1e-3,
                            "model": dict(FAST_MODEL)},
-                "serving": {"shards": None, "async_refit": True,
-                            "max_stale_answers": 7},
+                "serving": {"async_refit": True, "max_stale_answers": 7},
                 "snapshot_every": 50,
-            }
+            },
         )
-        session_id = created["session_id"]
-        status, config = client.request("GET", f"/sessions/{session_id}/config")
-        assert status == 200
-        assert config["version"] == 1
-        assert config["serving"]["shards"] == 1
-        assert config["serving"]["max_stale_answers"] == 7
-        assert config["serving"]["refit_tol"] == 1e-3
-        assert config["durability"]["snapshot_every_answers"] == 50
-        client.delete_session(session_id)
+        assert status == 400, body
+        assert body["path"] == "version", body
+        assert body["error"].startswith("version is required"), body
 
     def test_config_endpoint_is_get_only_and_404s(self, client):
         assert client.request("GET", "/sessions/nope/config")[0] == 404
@@ -437,7 +439,8 @@ class TestDurableSessionsOverHTTP:
         with ServiceServer() as first:
             client = ServiceClient(first.address)
             created = client.create_session(
-                _config(durable_dir=str(durable_dir), snapshot_every=4)
+                _config(durability={"durable_dir": str(durable_dir),
+                                    "snapshot_every_answers": 4})
             )
             session_id = created["session_id"]
             _seed(client, session_id)
@@ -455,7 +458,9 @@ class TestDurableSessionsOverHTTP:
         # server gone; a brand-new process recovers the session from disk
         with ServiceServer() as second:
             client = ServiceClient(second.address)
-            recovered = client.create_session({"durable_dir": str(durable_dir)})
+            recovered = client.create_session(
+                {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
+            )
             assert recovered["session_id"] == session_id
             assert recovered["answers_collected"] == before["answers_collected"]
             after = client.get_estimates(session_id)
@@ -513,41 +518,52 @@ class TestDurableSessionsOverHTTP:
         registry.close_all()
         # Recovery rebuilds the identical spec from the manifest alone.
         fresh = SessionRegistry()
-        recovered = fresh.create({"durable_dir": str(durable_dir)})
+        recovered = fresh.create(
+            {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
+        )
         assert recovered.spec == spec
         fresh.close_all()
 
-    def test_format1_manifest_recovers_through_the_upgrade_shim(self, tmp_path):
+    def test_manifest_with_retired_serving_keys_recovers(self, tmp_path):
+        """Manifests written before ``shard_workers`` / ``scoring_cache``
+        were retired carry both keys; they must still recover."""
         import json as json_module
 
-        durable_dir = tmp_path / "old-format"
+        durable_dir = tmp_path / "retired-keys"
         registry = SessionRegistry()
         session = registry.create(
-            _config(durable_dir=str(durable_dir), snapshot_every=10)
+            _config(durability={"durable_dir": str(durable_dir),
+                                "snapshot_every_answers": 10})
         )
         session_id = session.session_id
+        spec = session.spec
         registry.close_all()
-        # Rewrite the manifest the way PR 4 wrote it: legacy config dialect.
         manifest_path = durable_dir / "session.json"
         manifest = json_module.loads(manifest_path.read_text(encoding="utf-8"))
-        legacy_manifest = {
-            "format": 1,
-            "session_id": session_id,
-            "schema": manifest["schema"],
-            "config": {
-                "policy": {"refit_every": 1, "model": dict(FAST_MODEL)},
-                "snapshot_every": 10,
-            },
-        }
-        manifest_path.write_text(
-            json_module.dumps(legacy_manifest), encoding="utf-8"
+        manifest["spec"]["serving"].update(
+            {"shard_workers": None, "scoring_cache": True}
         )
+        manifest_path.write_text(json_module.dumps(manifest), encoding="utf-8")
         fresh = SessionRegistry()
-        recovered = fresh.create({"durable_dir": str(durable_dir)})
+        recovered = fresh.create(
+            {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
+        )
         assert recovered.session_id == session_id
-        assert recovered.spec.durability.snapshot_every_answers == 10
-        assert recovered.spec.policy.refit_every == 1
+        assert recovered.spec == spec
+        assert "shard_workers" not in recovered.config_payload()["serving"]
         fresh.close_all()
+
+    def test_format1_manifest_is_unrecoverable(self, tmp_path):
+        import json as json_module
+
+        tmp_path.joinpath("session.json").write_text(json_module.dumps(
+            {"format": 1, "session_id": "old", "schema": SCHEMA_SPEC,
+             "config": {"policy": {"refit_every": 1}}}
+        ), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="Cannot recover"):
+            SessionRegistry().create(
+                {"version": 1, "durability": {"durable_dir": str(tmp_path)}}
+            )
 
     def test_parse_config_dialect_detection(self):
         envelope, spec = parse_config(
@@ -555,12 +571,10 @@ class TestDurableSessionsOverHTTP:
         )
         assert envelope == {"schema": SCHEMA_SPEC}
         assert spec.serving.shards == 3
-        envelope, spec = parse_config(
-            {"schema": SCHEMA_SPEC, "serving": {"shards": 3},
-             "snapshot_every": 9}
-        )
-        assert spec.serving.shards == 3
-        assert spec.durability.snapshot_every_answers == 9
+        # Only the v1 dialect exists: a body without a version is rejected.
+        with pytest.raises(SpecValidationError) as excinfo:
+            parse_config({"schema": SCHEMA_SPEC, "serving": {"shards": 3}})
+        assert excinfo.value.path == "version"
 
     def test_duplicate_session_id_rejected(self, tmp_path):
         registry = SessionRegistry()

@@ -1,33 +1,28 @@
-"""Tests for the sharded session state and the partitioned top-K policy.
+"""Tests for the row-range shard partition and the stable top-K merge.
 
-The contract under test: sharding is a pure storage/scoring refactor.  For
-any shard count the partitioned engine must replay the monolithic engine's
-assignment sequence bit for bit — same cells, same gains, same tie-breaks —
-and the per-shard indexes must agree with the monolithic ones at every step.
+:class:`~repro.engine.ShardedSessionState` is the process coordinator's
+partition: its per-shard indexes must agree with the monolithic ones at
+every step, and the concatenation of its per-shard candidate lists must be
+the monolithic row-major list, which is what makes the coordinator's
+merged top-K bit-identical to the single-process selection.  In-process
+serving ignores ``serving.shards`` altogether.
 """
 
 import numpy as np
 import pytest
 
+from repro.config import ServingSpec, SessionSpec
+from repro.config.factory import build_policy, wrap_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import (
     TCrowdAssigner,
     merge_top_k_stable,
     top_k_stable,
 )
-from repro.core.inference import TCrowdModel
 from repro.datasets import generate_synthetic
-from repro.engine import (
-    SessionState,
-    ShardedAssignmentPolicy,
-    ShardedSessionState,
-)
+from repro.engine import SessionState, ShardedSessionState
 from repro.platform import CrowdsourcingSession
 from repro.utils.exceptions import AssignmentError, ConfigurationError
-
-
-def _fast_model():
-    return TCrowdModel(max_iterations=6, m_step_iterations=10)
 
 
 def _random_answers(schema, steps=80, seed=2, workers=6):
@@ -179,7 +174,10 @@ class TestMergeTopK:
         assert list(merge_top_k_stable(parts, 2)) == [1, 2]
 
 
-class TestShardedAssignmentPolicy:
+class TestShardsWithoutProcesses:
+    """``serving.shards`` partitions rows only for the process coordinator;
+    an in-process session serves every row from one candidate pool."""
+
     @pytest.fixture(scope="class")
     def dataset(self):
         return generate_synthetic(
@@ -187,7 +185,16 @@ class TestShardedAssignmentPolicy:
             answers_per_task=2, num_workers=8, seed=3,
         )
 
-    def _replay(self, dataset, policy, steps=12, k=3, seed=9):
+    def _replay(self, dataset, shards, steps=12, k=3, seed=9):
+        """Decisions and ledger chain head of one spec-built replay."""
+        spec = (
+            SessionSpec.builder()
+            .model(max_iterations=6, m_step_iterations=10)
+            .policy(warm_start=False, max_answers_per_cell=4)
+            .serving(shards=shards)
+            .build()
+        )
+        policy = build_policy(dataset.schema, spec)
         rng = np.random.default_rng(seed)
         answers = dataset.answers.copy()
         ids = dataset.worker_pool.worker_ids()
@@ -203,112 +210,37 @@ class TestShardedAssignmentPolicy:
                 value = dataset.oracle.answer(worker, row, col, rng)
                 answers.add_answer(worker, row, col, value)
             policy.observe(answers)
-        return decisions
+        return policy, decisions, policy.recorder.chain_head
 
-    def _assigner(self, dataset, cap=4):
-        return TCrowdAssigner(
-            dataset.schema, model=_fast_model(),
-            warm_start=False, max_answers_per_cell=cap,
-        )
-
-    def test_identical_sequences_across_shard_counts(self, dataset):
-        baseline = self._replay(dataset, self._assigner(dataset))
+    def test_same_cells_and_chain_head_as_unpartitioned(self, dataset):
+        plain, baseline, head = self._replay(dataset, shards=1)
         assert baseline
-        for num_shards in (1, 2, 4):
-            policy = ShardedAssignmentPolicy(
-                self._assigner(dataset), num_shards=num_shards
-            )
-            assert self._replay(dataset, policy) == baseline
-
-    def test_uneven_shard_counts_stay_identical(self, dataset):
-        # 10 rows over 3 / 7 shards: unequal shard sizes must not change
-        # candidate order or tie-breaks.
-        baseline = self._replay(dataset, self._assigner(dataset))
-        assert baseline
-        for num_shards in (3, 7):
-            policy = ShardedAssignmentPolicy(
-                self._assigner(dataset), num_shards=num_shards
-            )
-            assert self._replay(dataset, policy) == baseline
-
-    def test_thread_pool_matches_sequential(self, dataset):
-        baseline = self._replay(dataset, self._assigner(dataset))
-        assert baseline
-        with ShardedAssignmentPolicy(
-            self._assigner(dataset), num_shards=4, max_workers=3
-        ) as policy:
-            assert self._replay(dataset, policy) == baseline
-
-    def test_tight_cap_drains_shards_identically(self, dataset):
-        # cap=3 on 2-answer-per-cell seeds leaves one open slot per cell:
-        # caps trip inside single shards within a few steps and the whole
-        # pool drains mid-replay; both engines must agree throughout.
-        baseline = self._replay(dataset, self._assigner(dataset, cap=3), steps=20)
-        assert baseline
-        policy = ShardedAssignmentPolicy(
-            self._assigner(dataset, cap=3), num_shards=4
-        )
-        replay = self._replay(dataset, policy, steps=20)
-        assert replay == baseline
-        # The cap bit: the replay really exhausted the pool (each cell had
-        # exactly one open slot), so caps tripped inside every shard.
-        assert sum(len(cells) for _w, cells, _g in baseline) == (
-            dataset.schema.num_cells
-        )
-
-    def test_session_state_is_sharded(self, dataset):
-        policy = ShardedAssignmentPolicy(self._assigner(dataset), num_shards=2)
-        state = policy.session_state(dataset.answers.copy())
-        assert isinstance(state, ShardedSessionState)
-        assert state.num_shards == 2
-
-    def test_monte_carlo_gains_rejected(self, dataset):
-        inner = TCrowdAssigner(
-            dataset.schema, model=_fast_model(), continuous_samples=4
-        )
-        with pytest.raises(ConfigurationError):
-            ShardedAssignmentPolicy(inner, num_shards=2)
+        for shards in (2, 4):
+            policy, decisions, sharded_head = self._replay(dataset, shards=shards)
+            assert type(policy) is type(plain) is TCrowdAssigner
+            assert decisions == baseline
+            assert sharded_head == head
 
     def test_platform_session_shards_knob(self, dataset):
-        from repro.config import SessionSpec
-
         def trace(shards):
-            builder = SessionSpec.builder().simulation(
-                target_answers_per_task=2.5, seed=11, max_steps=8
+            spec = (
+                SessionSpec.builder()
+                .model(max_iterations=6, m_step_iterations=10)
+                .policy(warm_start=False, max_answers_per_cell=4)
+                .serving(shards=shards)
+                .simulation(target_answers_per_task=2.5, seed=11, max_steps=8)
+                .build()
             )
-            if shards:
-                builder.sharded(shards)
-            return CrowdsourcingSession(
-                dataset,
-                self._assigner(dataset),
-                _fast_model(),
-                spec=builder.build(),
-            ).run()
+            return CrowdsourcingSession.from_spec(dataset, spec).run()
 
-        plain = trace(None)
+        plain = trace(1)
         sharded = trace(3)
-        assert "[sharded x3]" in sharded.policy_name
-        plain_series = [
-            (record.answers_collected, record.error_rate, record.mnad)
-            for record in plain.records
-        ]
-        sharded_series = [
-            (record.answers_collected, record.error_rate, record.mnad)
-            for record in sharded.records
-        ]
-        assert plain_series == sharded_series
+        assert sharded.policy_name == plain.policy_name
+        assert sharded.records == plain.records
 
-    def test_platform_session_rejects_non_tcrowd_policy(self, dataset):
+    def test_any_policy_is_served_unwrapped(self, dataset):
         from repro.baselines.assignment_simple import RandomAssigner
-        from repro.config import SessionSpec
 
-        spec = SessionSpec.builder().sharded(2).simulation(
-            target_answers_per_task=2.0
-        ).build()
-        with pytest.raises(ConfigurationError):
-            CrowdsourcingSession(
-                dataset,
-                RandomAssigner(dataset.schema, seed=1),
-                _fast_model(),
-                spec=spec,
-            )
+        policy = RandomAssigner(dataset.schema, seed=1)
+        assert wrap_policy(policy, ServingSpec(shards=2)) is policy
+        assert ServingSpec(shards=4).describe() == "incremental"

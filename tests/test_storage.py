@@ -33,6 +33,7 @@ from repro.service.storage import (
     SqliteBackend,
     create_backend,
     read_wal,
+    wal_segment_files,
 )
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
@@ -159,7 +160,7 @@ class TestBackendContract:
         backend = create_backend(tmp_path, backend=backend_name)
         backend.save_snapshot(_snapshot_payload(0, 4, standalone=False))
         backend.save_snapshot(_snapshot_payload(1, 9))
-        # A format-1 (model-only) snapshot pins the entire log prefix.
+        # A model-only snapshot is not standalone: it pins the whole prefix.
         assert backend.gc_cover() == 0
         backend.close()
 
@@ -199,7 +200,7 @@ class TestJsonlRotation:
         reopened.close()
 
     def test_legacy_single_file_upgrades_in_place(self, tmp_path):
-        plain = JsonlBackend(tmp_path)  # historical layout: one wal.jsonl
+        plain = JsonlBackend(tmp_path)  # unrotated layout: one wal.jsonl
         for i in range(4):
             plain.append(_record(i))
         plain.close()
@@ -247,6 +248,25 @@ class TestJsonlRotation:
         )
         with pytest.raises(DurabilityError, match="both"):
             JsonlBackend(tmp_path)
+
+    def test_segment_discovery_is_shared_with_the_summary(self, tmp_path):
+        assert wal_segment_files(tmp_path / "missing") == []
+        plain = JsonlBackend(tmp_path)
+        for i in range(3):
+            plain.append(_record(i))
+        plain.close()
+        rotated = JsonlBackend(tmp_path, rotate_every_records=3)
+        for i in range(3, 5):
+            rotated.append(_record(i))
+        rotated.close()
+        segments = wal_segment_files(tmp_path)
+        assert [(first, path.name) for first, path in segments] == [
+            (0, "wal.jsonl"),
+            (3, "wal-00000003.jsonl"),
+        ]
+        summary = durable_summary(tmp_path)
+        assert summary["wal_segments"] == len(segments)
+        assert summary["wal_records"] == 5
 
     def test_truncate_only_drops_sealed_covered_segments(self, tmp_path):
         backend = JsonlBackend(tmp_path, rotate_every_records=2)

@@ -325,7 +325,7 @@ class TestStrategySessions:
 class TestCrossModeStrategyIdentity:
     """A non-paper strategy is bit-identical across the serving matrix."""
 
-    IN_PROCESS_MODES = ("plain", "sharded", "async", "sharded_async")
+    IN_PROCESS_MODES = ("plain", "async")
 
     @pytest.fixture(scope="class")
     def outcomes(self):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import TCrowdAssigner
+from repro.core.codec import deserialize_result, serialize_result
 from repro.core.inference import TCrowdModel
 from repro.service.bench import (
     DEFAULT_SCENARIO,
@@ -23,15 +24,8 @@ from repro.service.bench import (
     run_scripted_session,
     verify_recovery_identical,
 )
-from repro.service.wal import (
-    DurableSession,
-    SnapshotStore,
-    WriteAheadLog,
-    deserialize_result,
-    durable_summary,
-    read_wal,
-    serialize_result,
-)
+from repro.service.storage import SnapshotStore, WriteAheadLog, read_wal
+from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 
 GOLDEN_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_trace.json"
@@ -231,7 +225,7 @@ class TestDurableSession:
 class TestCrashRecovery:
     """Kill / truncate / recover / continue — must match uninterrupted runs."""
 
-    @pytest.mark.parametrize("mode", ["plain", "sharded", "async", "sharded_async"])
+    @pytest.mark.parametrize("mode", ["plain", "async", "multiprocess"])
     def test_recovery_is_bit_identical(self, mode, tmp_path):
         summary = verify_recovery_identical(
             mode=mode,
@@ -338,6 +332,40 @@ class TestCrashRecovery:
         epochs = sorted(int(name.split("-")[1]) for name in remaining)
         assert len(set(epochs)) == len(epochs)  # unique forever
         assert max(epochs) >= next_epoch_before  # counter never rewound
+
+    @pytest.mark.parametrize("strip", ["newest", "all"])
+    def test_snapshot_without_answers_is_skipped(self, strip, tmp_path):
+        """A model-only snapshot (format 1) cannot recover standalone:
+        recovery falls back to an older standalone snapshot, or to a full
+        WAL replay when none is left, and still continues bit-identically."""
+        run_scripted_session(
+            "plain", directory=tmp_path, crash_after_steps=4, snapshot_every=7
+        )
+        paths = SnapshotStore(tmp_path / "snapshots").paths()
+        assert len(paths) >= 2
+        for path in paths if strip == "all" else paths[-1:]:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            del payload["answers"]
+            payload["format"] = 1
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        probe = DurableSession(
+            _scenario_schema(),
+            _scenario_policy(),
+            directory=tmp_path,
+            snapshot_every=7,
+        )
+        if strip == "all":
+            assert probe.recovered_epoch is None
+            assert probe.replayed_records == probe.wal_records
+        else:
+            assert probe.recovered_epoch == int(paths[-2].name.split("-")[1])
+        probe.close()
+        continued = continue_scripted_session(
+            "plain", directory=tmp_path, snapshot_every=7
+        )
+        baseline = run_scripted_session("plain")
+        assert continued["decisions"] == baseline["decisions"]
+        assert continued["estimates"] == baseline["estimates"]
 
     def test_recovered_session_logs_and_summarises(self, tmp_path):
         run_scripted_session(
