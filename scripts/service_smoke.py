@@ -35,7 +35,12 @@ reproducibility chain client-side** — plain ``hashlib`` over the
 sorted-keys compact JSON of each record's core fields, no repro imports —
 asserts it against the served ``record_hash``/``decision_chain_hash``,
 then restarts the server (SIGINT + fresh process) and asserts the
-recovered session serves the identical ledger record for record.
+recovered session serves the identical ledger record for record.  It then
+boots a server over a copy of the committed audit-format-1 fixture
+(``tests/fixtures/audit_format1/jsonl``, written before model hashes
+moved to raw buffers) and asserts the upgraded server replays that ledger
+with zero mismatches, that the chain recomputes client-side, and that one
+more select chains onto the fixture's head.
 
 Usage::
 
@@ -52,6 +57,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -488,12 +494,13 @@ def audit_main() -> int:
             )
 
             metrics = client.get_metrics()
-            assert f"repro_decisions_total {len(records)}" in metrics, (
-                "repro_decisions_total missing from /metrics"
+            assert "# TYPE repro_decisions_recorded gauge" in metrics, metrics
+            assert f"repro_decisions_recorded {len(records)}" in metrics, (
+                "repro_decisions_recorded missing from /metrics"
             )
-            assert f'chain_head="{head}"' in metrics, (
-                "repro_decision_chain_hash missing from /metrics"
-            )
+            # Chain heads stay out of /metrics (one series per head would
+            # grow without bound); the stats JSON above serves them.
+            assert head not in metrics, "a chain head leaked into /metrics"
             print("audit metrics scrape OK")
 
             stop_server(process)
@@ -558,8 +565,53 @@ def audit_main() -> int:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+    audit_format1_fixture_pass()
     print("decision-audit smoke OK")
     return 0
+
+
+#: A jsonl durable root written at audit format 1 (see the generator
+#: script next to it): one session, three decisions, the last three in the
+#: WAL tail past the snapshot.
+FORMAT1_FIXTURE = REPO_ROOT / "tests" / "fixtures" / "audit_format1" / "jsonl"
+
+
+def audit_format1_fixture_pass() -> None:
+    """Boot over a copy of the format-1 fixture and extend its ledger."""
+    expected = json.loads((FORMAT1_FIXTURE / "expected.json").read_text())
+    session_id = expected["session_id"]
+    with tempfile.TemporaryDirectory(prefix="repro-audit-format1-") as tmp:
+        root = pathlib.Path(tmp) / "root"
+        shutil.copytree(FORMAT1_FIXTURE / session_id, root / session_id)
+        process = start_server(
+            "--durable-root", str(root), "--log-json", "--log-level", "INFO"
+        )
+        try:
+            address, recovered = server_address_after_recovery(process)
+            assert recovered == [session_id], recovered
+            client = ServiceClient(address, timeout=60.0)
+            status, stats = client.request("GET", f"/sessions/{session_id}")
+            assert status == 200, (status, stats)
+            assert stats["audit_replay_mismatches"] == 0, stats
+            assert stats["audit_replay_verified"] > 0, stats
+            records = fetch_full_ledger(client, session_id)
+            assert len(records) == expected["decisions"], len(records)
+            head = recompute_chain_client_side(records)
+            assert head == expected["chain_head"] == stats["decision_chain_hash"]
+            status, body = client.get_tasks(session_id, "w002", k=2)
+            assert status == 200, (status, body)
+            grown = fetch_full_ledger(client, session_id)
+            assert grown[:-1] == records and grown[-1]["prev_hash"] == head
+            recompute_chain_client_side(grown)
+            print(
+                f"format-1 fixture recovered: {stats['audit_replay_verified']} "
+                "replay-verified, 0 mismatches, one more select chained"
+            )
+            stop_server(process)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
 
 
 def rotate_main() -> int:

@@ -106,6 +106,7 @@ def build_policy(
     schema: TableSchema,
     spec: SessionSpec,
     clock=None,
+    audit_format=None,
 ) -> AssignmentPolicy:
     """Assigner + serving wrapper, straight from a spec.
 
@@ -115,13 +116,19 @@ def build_policy(
     of how many inner policies the wrapper consults.  The recorder is
     bound to ``policy.strategy.name``, pinning the strategy under the
     decision-record hash chain (a non-default strategy derives the chain
-    genesis; ``"paper"`` keeps the historic all-zeros genesis).
+    genesis; ``"paper"`` keeps the historic all-zeros genesis), and chains
+    at ``audit_format`` — the format a recovered durable session's
+    manifest pins; ``None`` is the current
+    :data:`~repro.engine.provenance.AUDIT_FORMAT`.
     """
     policy = wrap_policy(build_assigner(schema, spec), spec.serving, clock=clock)
     if spec.serving.audit:
-        from repro.engine.provenance import DecisionRecorder
+        from repro.engine.provenance import AUDIT_FORMAT, DecisionRecorder
 
-        policy.set_recorder(DecisionRecorder(strategy=spec.policy.strategy.name))
+        policy.set_recorder(DecisionRecorder(
+            strategy=spec.policy.strategy.name,
+            audit_format=AUDIT_FORMAT if audit_format is None else audit_format,
+        ))
     return policy
 
 

@@ -36,7 +36,7 @@ from repro.core.answers import AnswerSet, IndexedAnswers
 from repro.core.posteriors import CategoricalPosterior, GaussianPosterior, Posterior
 from repro.core.schema import TableSchema
 from repro.core.worker_model import WorkerModel
-from repro.utils.exceptions import InferenceError
+from repro.utils.exceptions import ConfigurationError, InferenceError
 from repro.utils.numerics import normalize_log_probs, safe_erf
 from repro.utils.rng import as_generator
 from repro.utils.validation import require_positive
@@ -48,6 +48,34 @@ VARIANCE_FLOOR = 1e-8
 _VAR_FLOOR = VARIANCE_FLOOR
 
 
+def column_label_counts(schema: TableSchema) -> np.ndarray:
+    """Label count of every column (0 for continuous columns)."""
+    return np.array([len(column.labels) for column in schema.columns], dtype=np.int64)
+
+
+def label_row_totals(probs: np.ndarray, label_counts: np.ndarray) -> np.ndarray:
+    """Sum of each row's first ``label_counts[i]`` slots, bit for bit.
+
+    Equals ``probs[i, :label_counts[i]].sum()`` row by row: rows are summed
+    in groups of equal label count over exactly their own slots, because
+    summing the zero padding too changes numpy's pairwise summation order
+    once the padded width reaches 8.
+    """
+    totals = np.empty(len(probs))
+    for count in np.unique(label_counts):
+        rows = np.flatnonzero(label_counts == count)
+        totals[rows] = probs[rows, :count].sum(axis=1)
+    return totals
+
+
+def _object_array(values) -> np.ndarray:
+    """1-D object array holding ``values`` as-is (labels may be any type)."""
+    array = np.empty(len(values), dtype=object)
+    for index, value in enumerate(values):
+        array[index] = value
+    return array
+
+
 @dataclass
 class InferenceResult:
     """Output of :meth:`TCrowdModel.fit`.
@@ -55,6 +83,19 @@ class InferenceResult:
     Exposes the per-cell truth posteriors, the estimated worker qualities and
     cell difficulties, and the diagnostics (objective trace, iteration count)
     used by the efficiency experiments (Figure 12).
+
+    The posteriors of the answered cells are stored column-wise, in
+    original scale, keyed by the row-major cell key
+    ``row * num_columns + col`` in ascending order:
+
+    * ``cont_keys`` / ``cont_mean`` / ``cont_var`` — the Gaussian
+      posteriors of the answered continuous cells;
+    * ``cat_keys`` / ``cat_probs`` — the label probabilities of the
+      answered categorical cells, one row per cell, zero-padded past the
+      cell's label count (the padded width is an implementation detail:
+      nothing that reads the result depends on it).
+
+    :meth:`posterior` and :meth:`estimate` are views over these arrays.
     """
 
     schema: TableSchema
@@ -65,7 +106,11 @@ class InferenceResult:
     phi: np.ndarray
     column_scale: np.ndarray
     column_offset: np.ndarray
-    posteriors: Dict[Tuple[int, int], Posterior]
+    cont_keys: np.ndarray
+    cont_mean: np.ndarray
+    cont_var: np.ndarray
+    cat_keys: np.ndarray
+    cat_probs: np.ndarray
     objective_trace: List[float] = field(default_factory=list)
     n_iterations: int = 0
     converged: bool = False
@@ -73,6 +118,7 @@ class InferenceResult:
 
     def __post_init__(self) -> None:
         self._worker_index = {worker: u for u, worker in enumerate(self.worker_ids)}
+        self._point_estimates: Optional[list] = None
 
     @property
     def iterations_run(self) -> int:
@@ -81,28 +127,82 @@ class InferenceResult:
 
     # -- truth estimates ----------------------------------------------------
 
+    def answered_cells(self) -> List[Tuple[int, int]]:
+        """Cells with a fitted posterior: continuous cells, then categorical
+        cells, each in row-major order."""
+        num_cols = self.schema.num_columns
+        keys = np.concatenate([self.cont_keys, self.cat_keys]).tolist()
+        return [(key // num_cols, key % num_cols) for key in keys]
+
+    def _slot(self, keys: np.ndarray, row: int, col: int) -> int:
+        """Index of cell ``(row, col)`` in ``keys``, or -1 if absent."""
+        schema = self.schema
+        if not (0 <= row < schema.num_rows and 0 <= col < schema.num_columns):
+            return -1
+        key = row * schema.num_columns + col
+        slot = int(np.searchsorted(keys, key))
+        return slot if slot < len(keys) and keys[slot] == key else -1
+
     def posterior(self, row: int, col: int) -> Posterior:
         """Truth posterior of cell ``(row, col)``; prior-based if unanswered."""
-        key = (row, col)
-        if key in self.posteriors:
-            return self.posteriors[key]
         column = self.schema.columns[col]
         if column.is_categorical:
-            return CategoricalPosterior.uniform(column.labels)
-        prior_var = max(float(self.column_scale[col]) ** 2, _VAR_FLOOR)
-        return GaussianPosterior(float(self.column_offset[col]), prior_var)
+            slot = self._slot(self.cat_keys, row, col)
+            if slot < 0:
+                return CategoricalPosterior.uniform(column.labels)
+            return CategoricalPosterior.from_normalized(
+                column.labels, self.cat_probs[slot, : column.num_labels]
+            )
+        slot = self._slot(self.cont_keys, row, col)
+        if slot < 0:
+            prior_var = max(float(self.column_scale[col]) ** 2, _VAR_FLOOR)
+            return GaussianPosterior(float(self.column_offset[col]), prior_var)
+        return GaussianPosterior(
+            float(self.cont_mean[slot]), float(self.cont_var[slot])
+        )
 
     def estimate(self, row: int, col: int):
         """Estimated truth ``T^hat_ij`` of cell ``(row, col)``."""
+        schema = self.schema
+        if 0 <= row < schema.num_rows and 0 <= col < schema.num_columns:
+            return self._estimate_table()[row * schema.num_columns + col]
         return self.posterior(row, col).point_estimate()
 
     def estimates(self) -> Dict[Tuple[int, int], object]:
         """Estimated truths for every cell of the table."""
+        num_cols = self.schema.num_columns
         return {
-            (i, j): self.estimate(i, j)
-            for i in range(self.schema.num_rows)
-            for j in range(self.schema.num_columns)
+            divmod(key, num_cols): value
+            for key, value in enumerate(self._estimate_table())
         }
+
+    def _estimate_table(self) -> list:
+        """Point estimates of every cell in row-major order, built once.
+
+        The same values :meth:`posterior` ``.point_estimate()`` gives: the
+        first most probable label of a categorical cell (its first label
+        when unanswered), the posterior mean of a continuous cell (the
+        column offset when unanswered).
+        """
+        if self._point_estimates is None:
+            schema = self.schema
+            num_cols = schema.num_columns
+            priors = _object_array([
+                column.labels[0] if column.is_categorical
+                else float(self.column_offset[col])
+                for col, column in enumerate(schema.columns)
+            ])
+            table = np.tile(priors, schema.num_rows)
+            table[self.cont_keys] = self.cont_mean
+            if len(self.cat_keys):
+                best = np.argmax(self.cat_probs, axis=1)
+                cat_cols = self.cat_keys % num_cols
+                for col in np.unique(cat_cols).tolist():
+                    in_col = cat_cols == col
+                    labels = _object_array(schema.columns[col].labels)
+                    table[self.cat_keys[in_col]] = labels[best[in_col]]
+            self._point_estimates = table.tolist()
+        return self._point_estimates
 
     # -- worker quality -----------------------------------------------------
 
@@ -195,25 +295,23 @@ class _Workspace:
         self.cat_cols = indexed.cols[cat]
         self.cat_workers = indexed.workers[cat]
         self.cat_labels = indexed.label_indices[cat]
-        # Cell bookkeeping: continuous cells.
-        self.cont_cells, self.cont_cell_of_answer = self._group_cells(
+        # Cell bookkeeping: dense cell ids over the row-major cell keys.
+        self.cont_keys, self.cont_cell_of_answer = self._group_cells(
             self.cont_rows, self.cont_cols, num_cols
         )
-        self.cat_cells, self.cat_cell_of_answer = self._group_cells(
+        self.cat_keys, self.cat_cell_of_answer = self._group_cells(
             self.cat_rows, self.cat_cols, num_cols
         )
-        self.cat_label_counts = np.array(
-            [schema.columns[c].num_labels for (_r, c) in self.cat_cells], dtype=int
-        )
-        self.max_labels = int(self.cat_label_counts.max()) if len(self.cat_cells) else 0
+        self.cat_label_counts = column_label_counts(schema)[self.cat_keys % num_cols]
+        self.max_labels = int(self.cat_label_counts.max()) if len(self.cat_keys) else 0
         # Weak Gaussian prior for continuous cells (standardised space).
         self.prior_mean = 0.0
         self.prior_variance = 10.0
         # E-step outputs, filled in by TCrowdModel._e_step.
-        self.cont_post_mean = np.zeros(len(self.cont_cells))
-        self.cont_post_var = np.ones(len(self.cont_cells))
+        self.cont_post_mean = np.zeros(len(self.cont_keys))
+        self.cont_post_var = np.ones(len(self.cont_keys))
         self.cat_post = (
-            np.zeros((len(self.cat_cells), self.max_labels))
+            np.zeros((len(self.cat_keys), self.max_labels))
             if self.max_labels
             else np.zeros((0, 0))
         )
@@ -222,15 +320,13 @@ class _Workspace:
     def _group_cells(rows: np.ndarray, cols: np.ndarray, num_cols: int):
         """Assign a dense id to each distinct ``(row, col)`` pair.
 
-        Cell ids are dense in row-major order; grouping is a single
-        ``np.unique`` pass instead of a per-answer Python loop.
+        Returns the distinct row-major keys ``row * num_cols + col`` in
+        ascending order (cell id = position) and each answer's cell id;
+        grouping is a single ``np.unique`` pass.
         """
         keys = rows * np.int64(num_cols) + cols
         unique_keys, cell_of_answer = np.unique(keys, return_inverse=True)
-        cells: List[Tuple[int, int]] = [
-            (int(key // num_cols), int(key % num_cols)) for key in unique_keys
-        ]
-        return cells, cell_of_answer.astype(np.int64)
+        return unique_keys.astype(np.int64), cell_of_answer.astype(np.int64)
 
 
 class TCrowdModel:
@@ -392,7 +488,18 @@ class TCrowdModel:
                 stopped_by = "objective"
                 break
 
-        posteriors = self._build_posteriors(ws)
+        # E-step outputs back to the original scale, as posterior arrays.
+        # Each step is the elementwise IEEE operation the per-cell objects
+        # used to apply (scale squared with Python's float power), so the
+        # posteriors keep their bits.
+        cont_cols = ws.cont_keys % schema.num_columns
+        scale_sq = np.array([float(scale) ** 2 for scale in ws.scale])
+        cont_var = np.maximum(ws.cont_post_var * scale_sq[cont_cols], _VAR_FLOOR)
+        totals = label_row_totals(ws.cat_post, ws.cat_label_counts)
+        if not (np.all(cont_var > 0) and np.all(np.isfinite(totals) & (totals > 0))):
+            raise ConfigurationError(
+                "EM produced a non-positive posterior variance or label mass"
+            )
         return InferenceResult(
             schema=schema,
             worker_model=self.worker_model,
@@ -402,7 +509,11 @@ class TCrowdModel:
             phi=np.exp(log_phi),
             column_scale=ws.scale.copy(),
             column_offset=ws.offset.copy(),
-            posteriors=posteriors,
+            cont_keys=ws.cont_keys,
+            cont_mean=ws.cont_post_mean * ws.scale[cont_cols] + ws.offset[cont_cols],
+            cont_var=cont_var,
+            cat_keys=ws.cat_keys,
+            cat_probs=ws.cat_post / totals[:, None],
             objective_trace=objective_trace,
             n_iterations=iteration,
             converged=converged,
@@ -452,13 +563,13 @@ class TCrowdModel:
     def _e_step(self, ws: _Workspace, log_alpha, log_beta, log_phi) -> None:
         """Compute per-cell truth posteriors given the current parameters."""
         # Continuous cells: Gaussian posterior per Eq. 4.
-        if len(ws.cont_cells):
+        if len(ws.cont_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cont_rows, ws.cont_cols, ws.cont_workers,
             )
             weights = 1.0 / variances
-            num_cells = len(ws.cont_cells)
+            num_cells = len(ws.cont_keys)
             sum_w = np.bincount(
                 ws.cont_cell_of_answer, weights=weights, minlength=num_cells
             )
@@ -474,7 +585,7 @@ class TCrowdModel:
                 sum_wa + ws.prior_mean * prior_precision
             ) * ws.cont_post_var
         # Categorical cells: multinomial posterior per Eq. 4.
-        if len(ws.cat_cells):
+        if len(ws.cat_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cat_rows, ws.cat_cols, ws.cat_workers,
@@ -487,7 +598,7 @@ class TCrowdModel:
             label_counts = ws.cat_label_counts[ws.cat_cell_of_answer]
             log_correct = np.log(quality)
             log_wrong = np.log((1.0 - quality) / np.maximum(label_counts - 1, 1))
-            num_cells = len(ws.cat_cells)
+            num_cells = len(ws.cat_keys)
             base = np.bincount(
                 ws.cat_cell_of_answer, weights=log_wrong, minlength=num_cells
             )
@@ -534,7 +645,7 @@ class TCrowdModel:
         grad_phi = np.zeros(num_workers)
 
         # Continuous answers.
-        if len(ws.cont_cells):
+        if len(ws.cont_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cont_rows, ws.cont_cols, ws.cont_workers,
@@ -561,7 +672,7 @@ class TCrowdModel:
             )
 
         # Categorical answers.
-        if len(ws.cat_cells):
+        if len(ws.cat_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cat_rows, ws.cat_cols, ws.cat_workers,
@@ -650,7 +761,7 @@ class TCrowdModel:
         gradient history, computed here in closed form.
         """
         terms = []
-        if len(ws.cont_cells):
+        if len(ws.cont_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cont_rows, ws.cont_cols, ws.cont_workers,
@@ -665,7 +776,7 @@ class TCrowdModel:
             terms.append(
                 (ws.cont_rows, ws.cont_cols, ws.cont_workers, grad, curvature)
             )
-        if len(ws.cat_cells):
+        if len(ws.cat_keys):
             variances = self._answer_variances(
                 ws, log_alpha, log_beta, log_phi,
                 ws.cat_rows, ws.cat_cols, ws.cat_workers,
@@ -772,21 +883,3 @@ class TCrowdModel:
         theta = self._pack(log_alpha, log_beta, log_phi)
         negative, _grad = self._objective_and_grad(theta, ws, shapes)
         return -float(negative)
-
-    # -- result assembly -------------------------------------------------------
-
-    def _build_posteriors(self, ws: _Workspace) -> Dict[Tuple[int, int], Posterior]:
-        """Convert E-step outputs to posterior objects in the original scale."""
-        posteriors: Dict[Tuple[int, int], Posterior] = {}
-        for cell_id, (row, col) in enumerate(ws.cont_cells):
-            scale = float(ws.scale[col])
-            offset = float(ws.offset[col])
-            posteriors[(row, col)] = GaussianPosterior(
-                float(ws.cont_post_mean[cell_id]) * scale + offset,
-                max(float(ws.cont_post_var[cell_id]) * scale**2, _VAR_FLOOR),
-            )
-        for cell_id, (row, col) in enumerate(ws.cat_cells):
-            column = ws.schema.columns[col]
-            probs = ws.cat_post[cell_id, : column.num_labels]
-            posteriors[(row, col)] = CategoricalPosterior(column.labels, probs)
-        return posteriors

@@ -18,7 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.inference import VARIANCE_FLOOR, InferenceResult
+from repro.core.inference import (
+    VARIANCE_FLOOR,
+    InferenceResult,
+    column_label_counts,
+)
 from repro.core.posteriors import CategoricalPosterior, GaussianPosterior
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import as_generator
@@ -66,13 +70,7 @@ class InformationGainCalculator:
         self._column_is_categorical = np.array(
             [column.is_categorical for column in columns], dtype=bool
         )
-        self._num_labels_per_col = np.array(
-            [
-                column.num_labels if column.is_categorical else 0
-                for column in columns
-            ],
-            dtype=np.int64,
-        )
+        self._num_labels_per_col = column_label_counts(result.schema)
         self._max_labels = (
             int(self._num_labels_per_col.max()) if len(columns) else 0
         )
@@ -192,7 +190,8 @@ class InformationGainCalculator:
 
         Unanswered cells carry the prior variance used by
         :meth:`InferenceResult.posterior`; entries of categorical columns are
-        never read.
+        never read.  Built once per calculator, straight from the result's
+        posterior arrays.
         """
         if self._cont_variance_grid is None:
             result = self.result
@@ -201,9 +200,7 @@ class InformationGainCalculator:
                 np.asarray(result.column_scale, dtype=float) ** 2, VARIANCE_FLOOR
             )
             grid = np.tile(prior, (schema.num_rows, 1))
-            for (row, col), posterior in result.posteriors.items():
-                if isinstance(posterior, GaussianPosterior):
-                    grid[row, col] = posterior.variance
+            grid.reshape(-1)[result.cont_keys] = result.cont_var
             self._cont_variance_grid = grid
         return self._cont_variance_grid
 
@@ -213,9 +210,8 @@ class InformationGainCalculator:
         Unanswered categorical cells carry the uniform prior (matching
         :meth:`InferenceResult.posterior`); slots past a column's label-set
         size stay zero and entries of continuous columns are never read.
-        Built once per calculator — the per-call Python loop over candidate
-        posteriors this replaces was the last O(candidates) interpreter
-        cost on the categorical scoring path.
+        Built once per calculator, straight from the result's posterior
+        arrays.
         """
         if self._cat_prob_grid is None:
             result = self.result
@@ -226,9 +222,10 @@ class InformationGainCalculator:
             for col in np.flatnonzero(self._column_is_categorical):
                 count = self._num_labels_per_col[col]
                 grid[:, col, :count] = 1.0 / count
-            for (row, col), posterior in result.posteriors.items():
-                if isinstance(posterior, CategoricalPosterior):
-                    grid[row, col, : len(posterior.probs)] = posterior.probs
+            # Answered cells' padding past their label count is zero, as is
+            # the grid's, so whole padded rows copy over.
+            width = result.cat_probs.shape[1]
+            grid.reshape(-1, grid.shape[2])[result.cat_keys, :width] = result.cat_probs
             self._cat_prob_grid = grid
         return self._cat_prob_grid
 

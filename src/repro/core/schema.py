@@ -10,6 +10,7 @@ interval).  Cells are addressed by ``(row, column)`` integer indices.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -226,12 +227,17 @@ class TableSchema:
                 )
         else:
             try:
-                float(value)
+                number = float(value)
             except (TypeError, ValueError) as exc:
                 raise DataError(
                     f"Value {value!r} is not numeric for continuous column "
                     f"{column.name!r}"
                 ) from exc
+            if not math.isfinite(number):
+                raise DataError(
+                    f"Value {value!r} is not a finite number for continuous "
+                    f"column {column.name!r}"
+                )
 
     # -- constructors ------------------------------------------------------
 

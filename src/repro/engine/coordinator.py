@@ -44,6 +44,9 @@ op           request fields                                      reply fields
 ``shutdown``  —                                                  ``{"ok": true}`` then the process exits
 ===========  ==================================================  =========================================
 
+A select's ``audit`` names the session's audit format: the worker hashes
+its model state at that format for the ``prov`` block.
+
 Answers never ride the pipe: the coordinator appends them to an append-only
 JSONL WAL (the same torn-tail-safe format as :mod:`repro.service.wal`) and
 ``sync`` only names the record count to trail up to.  Each record is
@@ -91,7 +94,7 @@ import os
 import pathlib
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -264,9 +267,9 @@ class ShardGroupScorer:
         #: ``(epoch, answers_seen)`` protocol of ``AsyncRefitEngine``.
         self.epoch = 0
         self._fit_marker = self.assigner.answers_at_last_fit
-        # Model-state hash for audit provenance, cached per fit: the state
-        # only changes when answers_at_last_fit moves.
-        self._hash_marker: Optional[int] = None
+        # Model-state hash for audit provenance, cached per fit and audit
+        # format: the state only changes when answers_at_last_fit moves.
+        self._hash_marker: Optional[Tuple[int, int]] = None
         self._hash_value: Optional[str] = None
 
     # -- the (epoch, answers_seen) snapshot the worker publishes -----------
@@ -318,7 +321,7 @@ class ShardGroupScorer:
     # -- ops -----------------------------------------------------------------
 
     def select(
-        self, worker: str, k: int, audit: bool = False
+        self, worker: str, k: int, audit: int = 0
     ) -> Tuple[int, List[list], Optional[dict]]:
         """Local stable top-``k`` over this worker's candidate block.
 
@@ -329,9 +332,10 @@ class ShardGroupScorer:
         refit, so every worker's chain tracks it even on selects where its
         own block is empty.
 
-        With ``audit`` the reply also carries this worker's provenance
-        block: the ``answers_seen`` marker and model-state hash of the fit
-        that scored the select, plus per-shard candidate counts for the
+        With ``audit`` — the session's audit format, 0 for none — the
+        reply also carries this worker's provenance block: the
+        ``answers_seen`` marker and model-state hash (at that format) of the
+        fit that scored the select, plus per-shard candidate counts for the
         owned shard range.  Every worker holds the bit-identical fit chain,
         so the coordinator can let worker 0's hash speak for the fleet.
         """
@@ -344,7 +348,7 @@ class ShardGroupScorer:
             shard_cells = state.shard_candidate_cells(shard, worker)
             per_shard.append(len(shard_cells))
             cells.extend(shard_cells)
-        provenance = self._provenance(per_shard) if audit else None
+        provenance = self._provenance(per_shard, audit) if audit else None
         if not cells:
             return 0, [], provenance
         gains = calculator.gains_batch(worker, cells)
@@ -355,14 +359,16 @@ class ShardGroupScorer:
         ]
         return len(cells), top, provenance
 
-    def _provenance(self, per_shard: List[int]) -> dict:
+    def _provenance(self, per_shard: List[int], audit_format: int) -> dict:
         """Audit block for the fit that just scored (hash cached per fit)."""
         from repro.core.codec import model_state_hash
 
         marker = self.assigner.answers_at_last_fit
-        if marker != self._hash_marker or self._hash_value is None:
-            self._hash_marker = marker
-            self._hash_value = model_state_hash(self.assigner.last_result)
+        if (marker, audit_format) != self._hash_marker or self._hash_value is None:
+            self._hash_marker = (marker, audit_format)
+            self._hash_value = model_state_hash(
+                self.assigner.last_result, audit_format
+            )
         return {
             "answers_seen": int(marker),
             "model_hash": self._hash_value,
@@ -423,7 +429,7 @@ def handle_request(scorer: ShardGroupScorer, message: dict) -> dict:
     if op == "select":
         count, top, provenance = scorer.select(
             message["worker"], int(message["k"]),
-            audit=bool(message.get("audit")),
+            audit=int(message.get("audit") or 0),
         )
         if "decision" in message:
             _log.debug(
@@ -861,7 +867,7 @@ class ProcessShardCoordinator(AssignmentPolicy):
         self._ship(answers, observe=False)
         message = {"op": "select", "worker": worker, "k": int(k)}
         if self._recorder is not None:
-            message["audit"] = True
+            message["audit"] = self._recorder.audit_format
             message["decision"] = self._recorder.count
         replies = self._broadcast(message)
         part_gains: List[np.ndarray] = []

@@ -9,10 +9,10 @@ task *t*?" after the fact:
 
 * a monotonically numbered ``decision_id``;
 * the serving model state behind the decision — ``(epoch, answers_seen)``
-  plus a canonical exact-float hash of the full
-  :class:`~repro.core.inference.InferenceResult` (the WAL codec
-  discipline, see :mod:`repro.core.codec`), and the staleness at decision
-  time (``answers_total - answers_seen``);
+  plus an exact hash of the full
+  :class:`~repro.core.inference.InferenceResult`
+  (:func:`~repro.core.codec.model_state_hash`), and the staleness at
+  decision time (``answers_total - answers_seen``);
 * candidate-set provenance — the worker's open candidate-pool size and,
   as unhashed annotations, the per-shard candidate counts and each
   shard's contributed winners with their gains;
@@ -46,6 +46,14 @@ compared hash-for-hash (``replay_verified`` / ``replay_mismatches``)
 before being restored verbatim.  Every recovery therefore re-proves the
 audit chain over the replayed suffix — the property
 ``benchmarks/run_bench.py --serve`` records as ``audit_replay_identical``.
+
+**Audit formats.**  The format fixes how ``model_hash`` is computed:
+format 1 hashes the canonical JSON of the serialized result, format 2
+(the current :data:`AUDIT_FORMAT`) hashes its arrays as raw buffers
+(:func:`~repro.core.codec.model_state_hash`).  A recorder takes its
+format at construction and keeps it for the life of the session's chain:
+a durable session pins it in its manifest, so a ledger written at format
+1 keeps verifying — and extending — at format 1 after an upgrade.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.codec import model_state_hash, payload_hash
+from repro.utils.exceptions import ConfigurationError, DurabilityError
 
 Cell = Tuple[int, int]
 
@@ -62,8 +71,12 @@ Cell = Tuple[int, int]
 #: paper-strategy genesis; see :func:`strategy_genesis`).
 GENESIS_HASH = "0" * 64
 
-#: Bump when the audit record layout changes incompatibly.
-AUDIT_FORMAT = 1
+#: Audit format of new chains; bump when the record layout or the
+#: model-hash scheme changes.  Format 2 hashes model states as raw buffers.
+AUDIT_FORMAT = 2
+
+#: Formats a recorder can chain and verify.
+AUDIT_FORMATS = (1, 2)
 
 #: Default / maximum page size of the decisions API.
 DEFAULT_PAGE_LIMIT = 100
@@ -184,12 +197,22 @@ class DecisionRecorder:
     serving policy via ``set_recorder`` (inner wrappers never record, so
     each select yields exactly one record).  ``sink`` — when set by a
     durable session — receives every live record for WAL persistence.
+    ``audit_format`` picks the model-hash scheme (see the module docs).
     """
 
-    def __init__(self, strategy: Optional[str] = None) -> None:
+    def __init__(
+        self, strategy: Optional[str] = None, audit_format: int = AUDIT_FORMAT
+    ) -> None:
+        if audit_format not in AUDIT_FORMATS:
+            raise ConfigurationError(
+                f"Unknown audit format {audit_format!r}; expected one of "
+                f"{list(AUDIT_FORMATS)}"
+            )
         #: The assignment strategy this chain is bound to (``None`` and
         #: ``"paper"`` are the default selector; see :func:`strategy_genesis`).
         self.strategy = None if strategy in (None, "paper") else str(strategy)
+        #: The audit format of this chain (fixed for its lifetime).
+        self.audit_format = int(audit_format)
         self._genesis = strategy_genesis(strategy)
         self._lock = threading.Lock()
         self._records: List[DecisionRecord] = []
@@ -236,7 +259,7 @@ class DecisionRecorder:
     # -- recording ------------------------------------------------------------
 
     def model_hash_for(self, answers_seen: int, result) -> str:
-        """Canonical model-state hash, cached per ``answers_seen``.
+        """Model-state hash at this chain's format, cached per ``answers_seen``.
 
         Within one session a given ``answers_seen`` maps to exactly one
         model state (the warm-start chain is deterministic), so the hash
@@ -245,7 +268,7 @@ class DecisionRecorder:
         cached_seen, cached_hash = self._hash_cache
         if cached_seen == answers_seen and cached_hash is not None:
             return cached_hash
-        digest = model_state_hash(result)
+        digest = model_state_hash(result, self.audit_format)
         self._hash_cache = (answers_seen, digest)
         return digest
 
@@ -360,7 +383,7 @@ class DecisionRecorder:
         """JSON-safe audit state for snapshot embedding (full history)."""
         with self._lock:
             return {
-                "format": AUDIT_FORMAT,
+                "format": self.audit_format,
                 "strategy": self.strategy,
                 "chain_head": self._head,
                 "epoch": self._epoch,
@@ -374,8 +397,17 @@ class DecisionRecorder:
         The strategy binding (and with it the chain genesis) is a
         construction-time property — recovery rebuilds the recorder from
         the same pinned spec, so a restored empty chain re-heads at this
-        recorder's own genesis, never the persisted one.
+        recorder's own genesis, never the persisted one.  The audit format
+        is one too: a state persisted at another format raises
+        :class:`DurabilityError` instead of forking the chain's hash
+        scheme.
         """
+        persisted = int(state.get("format", self.audit_format))
+        if persisted != self.audit_format:
+            raise DurabilityError(
+                f"audit state was written at format {persisted} but this "
+                f"session chains at format {self.audit_format}"
+            )
         with self._lock:
             self._records = [
                 DecisionRecord.from_dict(payload)

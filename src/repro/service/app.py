@@ -32,7 +32,11 @@ malformed answers, invalid configs → 400; a worker with no assignable cell
 left → 409 (the session is simply exhausted for them); wrong method → 405.
 Every response body is JSON, errors as ``{"error": ...}`` — spec
 validation failures additionally carry the dotted field path as
-``{"error": ..., "path": "serving.max_stale_answers"}``.
+``{"error": ..., "path": "serving.max_stale_answers"}``, and a rejected
+answer value the entry's path, ``"answers[2].value"`` (a continuous answer
+must be a finite number).  Request bodies are strict JSON: ``NaN`` and
+``Infinity`` are refused, and responses are encoded with
+``allow_nan=False``.
 """
 
 from __future__ import annotations
@@ -95,12 +99,24 @@ _KNOWN_ENDPOINTS = frozenset({
 
 
 class _HTTPError(Exception):
-    """Internal control flow carrying an HTTP status + message."""
+    """Internal control flow carrying an HTTP status + message (+ field path)."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str, path: Optional[str] = None) -> None:
         super().__init__(message)
         self.status = status
         self.message = message
+        self.path = path
+
+
+def _refuse_constant(name: str):
+    """Decoder hook: ``NaN`` / ``Infinity`` are not JSON numbers."""
+    raise ValueError(f"{name} is not a valid JSON value")
+
+
+#: Strict JSON codecs, built once (``json.loads`` / ``json.dumps`` with
+#: keyword arguments would build a new codec per request).
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _quantile(sorted_values, q: float) -> float:
@@ -188,19 +204,13 @@ class ServiceMetrics:
             ]
         wal_segments = 0
         snapshots_retained = 0
-        decisions_total = 0
-        chain_lines = []
+        decisions_recorded = 0
         for session in registry.sessions():
             wal_segments += session.durable.wal_segments
             snapshots_retained += session.durable.snapshots_retained
             recorder = session.durable.recorder
             if recorder is not None:
-                decisions_total += recorder.count
-                chain_lines.append(
-                    f'repro_decision_chain_hash{{'
-                    f'session_id="{session.session_id}",'
-                    f'chain_head="{recorder.chain_head}"}} 1'
-                )
+                decisions_recorded += recorder.count
         lines += [
             "# HELP repro_service_wal_segments On-disk WAL segments across "
             "durable sessions.",
@@ -210,14 +220,13 @@ class ServiceMetrics:
             "durable sessions (after GC).",
             "# TYPE repro_service_snapshots_retained gauge",
             f"repro_service_snapshots_retained {snapshots_retained}",
-            "# HELP repro_decisions_total Audit decision records across "
+            # A gauge: deleting a session drops its records from the sum.
+            # Chain heads live in each session's stats JSON, not here: one
+            # series per head would mint a new series per decision.
+            "# HELP repro_decisions_recorded Audit decision records held by "
             "live sessions.",
-            "# TYPE repro_decisions_total counter",
-            f"repro_decisions_total {decisions_total}",
-            "# HELP repro_decision_chain_hash Decision-chain head per session "
-            "(info-style metric; the value is always 1).",
-            "# TYPE repro_decision_chain_hash gauge",
-            *chain_lines,
+            "# TYPE repro_decisions_recorded gauge",
+            f"repro_decisions_recorded {decisions_recorded}",
         ]
         # The hot-path profile carries its own lock; render it outside ours.
         lines.extend(self.hotpath.render_prometheus())
@@ -250,6 +259,8 @@ class ServiceApp:
             endpoint, status, body = self._route(method, path, environ)
         except _HTTPError as exc:
             status, body = exc.status, {"error": exc.message}
+            if exc.path:
+                body["path"] = exc.path
         except (ConfigurationError, DataError, ValueError) as exc:
             status, body = 400, {"error": str(exc)}
             # Spec validation failures carry the dotted field path (e.g.
@@ -271,7 +282,13 @@ class ServiceApp:
             payload = body.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            payload = (json.dumps(body) + "\n").encode("utf-8")
+            try:
+                text = _ENCODER.encode(body)
+            except ValueError as exc:
+                # A non-finite number must never ship as invalid JSON.
+                status = 500
+                text = json.dumps({"error": f"Response is not valid JSON: {exc}"})
+            payload = (text + "\n").encode("utf-8")
             content_type = "application/json"
         self.metrics.observe_request(endpoint, status)
         start_response(
@@ -420,7 +437,16 @@ class ServiceApp:
                         f"answers[{index}].{field} must be an integer, "
                         f"got {value!r}",
                     )
-            items.append((entry["row"], entry["col"], entry["value"]))
+            col = entry["col"]
+            if 0 <= col < session.schema.num_columns:
+                try:
+                    session.schema.validate_value(col, entry["value"])
+                except DataError as exc:
+                    raise _HTTPError(
+                        400, f"answers[{index}].value: {exc}",
+                        path=f"answers[{index}].value",
+                    )
+            items.append((entry["row"], col, entry["value"]))
         total = session.ingest(worker, items)
         self.metrics.observe_answers(len(items))
         return {
@@ -458,7 +484,7 @@ class ServiceApp:
         if not raw:
             raise _HTTPError(400, "A JSON request body is required")
         try:
-            return json.loads(raw.decode("utf-8"))
+            return _DECODER.decode(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HTTPError(400, f"Malformed JSON body: {exc}")
 

@@ -38,7 +38,7 @@ from repro.config import SessionSpec, split_envelope
 from repro.config.factory import build_durable_session
 from repro.config.factory import build_policy as _build_spec_policy
 from repro.core.schema import Column, TableSchema
-from repro.engine.provenance import DEFAULT_PAGE_LIMIT
+from repro.engine.provenance import AUDIT_FORMAT, DEFAULT_PAGE_LIMIT
 from repro.service.wal import DurableSession
 from repro.utils.exceptions import ConfigurationError, ReproError
 
@@ -46,7 +46,9 @@ _log = logging.getLogger("repro.service.registry")
 
 #: Version of the durable ``session.json`` manifest.  Format 2 pins the
 #: canonical v1 spec under ``"spec"``; a manifest without one (format 1)
-#: is unrecoverable.
+#: is unrecoverable.  The manifest also pins the session's audit format
+#: under ``"audit_format"``; a manifest without it predates audit format 2
+#: and chains at format 1 (see :mod:`repro.engine.provenance`).
 MANIFEST_FORMAT = 2
 
 #: Loaders a ``{"dataset": {"name": ...}}`` spec may reference.
@@ -426,6 +428,7 @@ class SessionRegistry:
         if durable_dir is not None:
             manifest = {
                 "format": MANIFEST_FORMAT,
+                "audit_format": AUDIT_FORMAT,
                 "session_id": session_id,
                 "schema": schema_to_dict(session.schema),
                 "spec": spec.to_dict(),
@@ -503,7 +506,8 @@ class SessionRegistry:
             session_id = manifest["session_id"]
             envelope = {"schema": manifest["schema"]}
             spec = SessionSpec.from_dict(manifest["spec"])
-        except (OSError, ValueError, KeyError) as exc:
+            audit_format = int(manifest.get("audit_format", 1))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"Cannot recover session manifest in {durable_dir}: {exc}"
             ) from exc
@@ -513,7 +517,9 @@ class SessionRegistry:
         with self._lock:
             if session_id in self._sessions:
                 return self._sessions[session_id]
-        return self._build(session_id, envelope, spec, durable_dir)
+        return self._build(
+            session_id, envelope, spec, durable_dir, audit_format=audit_format
+        )
 
     def _build(
         self,
@@ -521,9 +527,10 @@ class SessionRegistry:
         envelope: dict,
         spec: SessionSpec,
         durable_dir: Optional[pathlib.Path],
+        audit_format: int = AUDIT_FORMAT,
     ) -> ServedSession:
         schema = resolve_schema(envelope)
-        policy = _build_spec_policy(schema, spec)
+        policy = _build_spec_policy(schema, spec, audit_format=audit_format)
         if self.hotpath_profile is not None and hasattr(policy, "set_profile"):
             policy.set_profile(self.hotpath_profile)
         durable = build_durable_session(

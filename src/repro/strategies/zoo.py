@@ -37,7 +37,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.answers import AnswerSet
 from repro.core.inference import InferenceResult
 from repro.strategies.base import (
     RETIRED_GAIN,

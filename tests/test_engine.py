@@ -144,8 +144,8 @@ class TestWarmStart:
         assert set(cold_q) == set(warm_q)
         for worker, quality in cold_q.items():
             assert warm_q[worker] == pytest.approx(quality, abs=0.01)
-        for (i, j), posterior in cold.posteriors.items():
-            other = warm.posteriors[(i, j)]
+        for (i, j) in cold.answered_cells():
+            posterior, other = cold.posterior(i, j), warm.posterior(i, j)
             if posterior.is_categorical:
                 assert np.allclose(posterior.probs, other.probs, atol=0.05)
             else:
@@ -252,7 +252,8 @@ class TestPosteriorProtocol:
     def test_both_families_satisfy_protocol(self, mixed_schema, mixed_answers):
         model = TCrowdModel(max_iterations=5, m_step_iterations=8)
         result = model.fit(mixed_schema, mixed_answers)
-        for posterior in result.posteriors.values():
+        for cell in result.answered_cells():
+            posterior = result.posterior(*cell)
             assert isinstance(posterior, Posterior)
             assert np.isfinite(posterior.entropy())
             assert posterior.point_estimate() is not None

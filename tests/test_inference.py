@@ -15,10 +15,11 @@ from repro.utils.exceptions import ConfigurationError, InferenceError
 class TestFitBasics:
     def test_fit_returns_posteriors_for_answered_cells(self, mixed_schema, mixed_answers, fitted_result):
         answered = {(a.row, a.col) for a in mixed_answers}
-        assert set(fitted_result.posteriors) == answered
+        assert set(fitted_result.answered_cells()) == answered
 
     def test_posterior_types_match_column_types(self, mixed_schema, fitted_result):
-        for (row, col), posterior in fitted_result.posteriors.items():
+        for (row, col) in fitted_result.answered_cells():
+            posterior = fitted_result.posterior(row, col)
             if mixed_schema.columns[col].is_categorical:
                 assert isinstance(posterior, CategoricalPosterior)
             else:
@@ -41,7 +42,7 @@ class TestFitBasics:
         # valid cell should produce a prior-based posterior.
         missing = None
         for cell in mixed_schema.cells():
-            if cell not in fitted_result.posteriors:
+            if cell not in fitted_result.answered_cells():
                 missing = cell
                 break
         if missing is None:
@@ -172,12 +173,12 @@ class TestVariants:
     def test_categorical_only_variant(self, mixed_schema, mixed_answers):
         result = TCrowdCategoricalOnly(max_iterations=8).fit(mixed_schema, mixed_answers)
         cat_cols = set(mixed_schema.categorical_indices)
-        assert all(col in cat_cols for (_row, col) in result.posteriors)
+        assert all(col in cat_cols for (_row, col) in result.answered_cells())
 
     def test_continuous_only_variant(self, mixed_schema, mixed_answers):
         result = TCrowdContinuousOnly(max_iterations=8).fit(mixed_schema, mixed_answers)
         cont_cols = set(mixed_schema.continuous_indices)
-        assert all(col in cont_cols for (_row, col) in result.posteriors)
+        assert all(col in cont_cols for (_row, col) in result.answered_cells())
 
     def test_restricted_variant_requires_matching_columns(self, mixed_answers):
         schema = TableSchema.build(

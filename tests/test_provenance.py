@@ -17,6 +17,7 @@ import pytest
 from repro.config import SessionSpec
 from repro.core.assignment import BatchAssignment
 from repro.engine.provenance import (
+    AUDIT_FORMAT,
     DEFAULT_PAGE_LIMIT,
     GENESIS_HASH,
     MAX_PAGE_LIMIT,
@@ -167,13 +168,29 @@ class TestGoldenAuditMatrix:
     """Identical decision chains across every serving mode."""
 
     @pytest.fixture(scope="class")
-    def ledgers(self):
-        ledgers = {}
-        for mode in SERVING_MODES:
-            outcome = run_scripted_session(mode)
-            recorder = outcome["session"].recorder
-            ledgers[mode] = [r.to_dict() for r in recorder.page(0, MAX_PAGE_LIMIT)]
-        return ledgers
+    def recorders(self):
+        return {
+            mode: run_scripted_session(mode)["session"].recorder
+            for mode in SERVING_MODES
+        }
+
+    @pytest.fixture(scope="class")
+    def ledgers(self, recorders):
+        return {
+            mode: [r.to_dict() for r in recorder.page(0, MAX_PAGE_LIMIT)]
+            for mode, recorder in recorders.items()
+        }
+
+    def test_every_mode_chains_at_the_current_format(self, recorders, ledgers):
+        """Plain, async and the coordinator's workers hash at format 2, and
+        their model hashes agree record for record."""
+        assert {r.audit_format for r in recorders.values()} == {AUDIT_FORMAT}
+        assert AUDIT_FORMAT == 2
+        hashes = {
+            mode: [record["model_hash"] for record in records]
+            for mode, records in ledgers.items()
+        }
+        assert hashes["async"] == hashes["plain"] == hashes["multiprocess"]
 
     def test_chain_heads_identical_across_modes(self, ledgers):
         heads = {
@@ -333,16 +350,48 @@ class TestDecisionsAPI:
         spec = scripted_spec("plain", {"model_kwargs": FAST_MODEL}, audit=False)
         assert build_policy(schema, spec).recorder is None
 
-    def test_metrics_expose_chain_head_and_totals(self, client):
+    def test_metrics_expose_the_decision_count_as_a_gauge(self, client):
         session_id = _create(client)
         _seed_and_select(client, session_id, selects=1)
         page = client._expect("GET", f"/sessions/{session_id}/decisions")
         metrics = client.get_metrics()
-        assert "repro_decisions_total 1" in metrics
-        assert (
-            f'repro_decision_chain_hash{{session_id="{session_id}",'
-            f'chain_head="{page["chain_head"]}"}} 1' in metrics
-        )
+        # A gauge: deleting a session lowers it, which a counter may not do.
+        assert "# TYPE repro_decisions_recorded gauge" in metrics
+        assert "repro_decisions_recorded 1" in metrics
+        # The chain head lives in the stats JSON only: a series per head
+        # would mint a new series for every decision.
+        assert page["chain_head"] not in metrics
+        assert "repro_decision_chain_hash" not in metrics
+        client.delete_session(session_id)
+        assert "repro_decisions_recorded 0" in client.get_metrics()
+
+    def test_metrics_series_count_is_constant_across_decisions(self, client):
+        session_id = _create(client)
+        _seed_and_select(client, session_id, selects=1)
+
+        def series():
+            # Touch every endpoint this test uses first: an endpoint's
+            # request counter appears on its first request, and a scrape
+            # counts itself only on the next one.
+            client._expect("GET", f"/sessions/{session_id}")
+            client.get_metrics()
+            return sorted(
+                line.rsplit(" ", 1)[0]
+                for line in client.get_metrics().splitlines()
+                if line and not line.startswith("#")
+            )
+
+        before = series()
+        for n in range(4):
+            status, body = client.get_tasks(session_id, f"extra{n}", k=1)
+            assert status == 200, (status, body)
+            row, col = body["cells"][0]
+            client.post_answers(
+                session_id, f"extra{n}", [(row, col, "red" if col == 0 else 50.0)]
+            )
+        stats = client._expect("GET", f"/sessions/{session_id}")
+        assert stats["decisions_recorded"] == 5
+        assert series() == before
         client.delete_session(session_id)
 
 

@@ -134,6 +134,23 @@ class TestTableSchema:
         with pytest.raises(DataError):
             schema.validate_value(1, "not-a-number")
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 1e999, "nan", "inf", "-Infinity"]
+    )
+    def test_non_finite_continuous_values_are_rejected(self, value):
+        """A NaN answer once passed validation and turned a row's estimates
+        into NaN; every non-finite spelling must be a DataError, also on the
+        AnswerSet path the simulator uses."""
+        from repro.core.answers import AnswerSet
+
+        schema = self._schema()
+        with pytest.raises(DataError, match="finite"):
+            schema.validate_value(1, value)
+        answers = AnswerSet(schema)
+        with pytest.raises(DataError):
+            answers.add_answer("w", 0, 1, value)
+        assert len(answers) == 0
+
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(ConfigurationError):
             TableSchema.build(

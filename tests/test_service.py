@@ -11,6 +11,8 @@ CLI entry point.
 
 from __future__ import annotations
 
+import json
+import math
 import threading
 
 import pytest
@@ -652,6 +654,49 @@ class TestIngestionValidationAndLimits:
             )
             assert status == 400, (payload, status, body)
             assert needle in body["error"], (needle, body)
+        client.delete_session(session_id)
+
+    def test_non_finite_answers_are_typed_400s(self, client):
+        """``"value": NaN`` used to be accepted and turned estimates into
+        bare ``NaN`` tokens; every non-finite spelling is now refused."""
+        import urllib.error
+        import urllib.request
+
+        session_id = client.create_session(_config())["session_id"]
+        _seed(client, session_id)
+        path = f"/sessions/{session_id}/answers"
+        for value in ("nan", "inf", "-Infinity"):
+            status, body = client.request("POST", path, {"worker": "w", "answers": [
+                {"row": 0, "col": 0, "value": "red"},
+                {"row": 0, "col": 1, "value": value},
+            ]})
+            assert status == 400, (value, status, body)
+            assert body["path"] == "answers[1].value", body
+            assert "finite" in body["error"], body
+        raw_bodies = {
+            # 1e999 parses as inf without touching parse_constant.
+            b'{"worker": "w", "answers": [{"row": 0, "col": 1, "value": 1e999}]}':
+                "answers[0].value",
+            b'{"worker": "w", "answers": [{"row": 0, "col": 1, "value": NaN}]}': None,
+            b'{"worker": "w", "answers": [{"row": 0, "col": 1, "value": -Infinity}]}':
+                None,
+        }
+        for raw, field_path in raw_bodies.items():
+            req = urllib.request.Request(
+                client.base_url + path, data=raw,
+                headers={"Content-Type": "application/json"}, method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(req, timeout=10)
+            assert caught.value.code == 400, raw
+            error = json.loads(caught.value.read().decode("utf-8"))
+            assert error.get("path") == field_path, (raw, error)
+        estimates = client.get_estimates(session_id)
+        assert estimates["answers_collected"] == 8
+        assert all(
+            isinstance(value, str) or math.isfinite(value)
+            for value in estimates["estimates"].values()
+        )
         client.delete_session(session_id)
 
     def test_oversized_body_is_413(self):

@@ -45,9 +45,10 @@ class TestResultCodec:
             restored.column_offset, fitted_result.column_offset
         )
         assert restored.worker_ids == fitted_result.worker_ids
-        assert set(restored.posteriors) == set(fitted_result.posteriors)
-        for key, original in fitted_result.posteriors.items():
-            rebuilt = restored.posteriors[key]
+        assert restored.answered_cells() == fitted_result.answered_cells()
+        for key in fitted_result.answered_cells():
+            original = fitted_result.posterior(*key)
+            rebuilt = restored.posterior(*key)
             if original.is_categorical:
                 # from_normalized must reinstate the exact stored mass, not
                 # a renormalisation of it.
