@@ -9,7 +9,7 @@ vectorised (numpy) view used by the EM algorithm and the baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,15 +50,16 @@ class AnswerSet:
         self._by_worker: Dict[str, List[int]] = {}
         self._by_row: Dict[int, List[int]] = {}
         self._by_col: Dict[int, List[int]] = {}
-        # Append-only parallel buffers kept in sync by add(); they let
-        # IndexedAnswers (rebuilt on every online refit) vectorise without a
-        # per-answer Python loop.
+        # Append-only parallel buffers kept in sync by add(); IndexedAnswers
+        # (built once per answer count, see indexed()) turns them into
+        # arrays without a per-answer Python loop.
         self._worker_order: Dict[str, int] = {}
         self._buf_rows: List[int] = []
         self._buf_cols: List[int] = []
         self._buf_workers: List[int] = []
         self._buf_values: List[float] = []
         self._buf_labels: List[int] = []
+        self._indexed: Optional["IndexedAnswers"] = None
         for answer in answers:
             self.add(answer)
 
@@ -202,8 +203,15 @@ class AnswerSet:
         return subset
 
     def indexed(self) -> "IndexedAnswers":
-        """Return the vectorised view used by the numerical algorithms."""
-        return IndexedAnswers(self)
+        """Return the vectorised view used by the numerical algorithms.
+
+        Answers are append-only, so the view is kept until the next answer
+        arrives: the EM fit and the correlation fit over the same answers
+        share one.
+        """
+        if self._indexed is None or self._indexed.num_answers != len(self._answers):
+            self._indexed = IndexedAnswers(self)
+        return self._indexed
 
 
 class IndexedAnswers:
@@ -234,14 +242,11 @@ class IndexedAnswers:
         )
         self.is_categorical = column_is_categorical[self.cols]
         self.is_continuous = ~self.is_categorical
-        self._cell_groups: Dict[Tuple[int, int], np.ndarray] = {}
-        order = np.lexsort((self.cols, self.rows))
-        boundaries = np.flatnonzero(
-            (np.diff(self.rows[order]) != 0) | (np.diff(self.cols[order]) != 0)
-        )
-        for group in np.split(order, boundaries + 1):
-            key = (int(self.rows[group[0]]), int(self.cols[group[0]]))
-            self._cell_groups[key] = group
+        # The view is shared by every fit over the same answers.
+        for array in (self.rows, self.cols, self.workers, self.values,
+                      self.label_indices, self.is_categorical, self.is_continuous):
+            array.flags.writeable = False
+        self._groups: Optional[Dict[Tuple[int, int], np.ndarray]] = None
 
     @property
     def num_answers(self) -> int:
@@ -252,6 +257,23 @@ class IndexedAnswers:
     def num_workers(self) -> int:
         """Number of distinct workers."""
         return len(self.worker_ids)
+
+    @property
+    def _cell_groups(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Answer indices per answered cell, built on first use.
+
+        EM groups cells itself, so a fit never pays for this lexsort.
+        """
+        if self._groups is None:
+            self._groups = {}
+            order = np.lexsort((self.cols, self.rows))
+            boundaries = np.flatnonzero(
+                (np.diff(self.rows[order]) != 0) | (np.diff(self.cols[order]) != 0)
+            )
+            for group in np.split(order, boundaries + 1):
+                key = (int(self.rows[group[0]]), int(self.cols[group[0]]))
+                self._groups[key] = group
+        return self._groups
 
     def cell_indices(self, row: int, col: int) -> np.ndarray:
         """Indices (into the parallel arrays) of answers for cell (row, col)."""

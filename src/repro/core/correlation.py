@@ -16,12 +16,29 @@ combination of Eq. 7 weighted by the Pearson coefficients ``W_jk`` of Eq. 8.
 Errors are defined against the *estimated* truths of an
 :class:`~repro.core.inference.InferenceResult`: continuous errors are
 ``a - T^hat`` and categorical errors are 0 (correct) / 1 (wrong).
+
+The fit is one columnar pass with no per-answer Python loop, and it is
+bit-identical to the per-answer loop it replaced (a reference copy lives in
+``tests/test_correlation_columnar.py``):
+
+* every answer's error comes from the answer arrays of
+  :meth:`~repro.core.answers.AnswerSet.indexed` and the result's numeric
+  point estimates (:meth:`~repro.core.inference.InferenceResult.estimate_codes`);
+* the paired errors sit in a (worker, row) x column table whose rows follow
+  the first answer of each (worker, row) and whose cells keep the last
+  answer of a repeated (worker, row, col), so every pair's errors come out
+  in the order the loop appended them;
+* each column pair's moments are taken once, with ``np.add.reduce`` over the
+  pair's own compact arrays (the sums and divisions ``np.mean`` and
+  ``np.var`` perform), and shared by both orientations of the pair and the
+  Pearson weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -29,7 +46,9 @@ from repro.core.answers import Answer, AnswerSet
 from repro.core.inference import InferenceResult
 from repro.core.schema import TableSchema
 from repro.utils.exceptions import DataError
-from repro.utils.numerics import safe_var
+
+#: Floor of every fitted error variance (the default of ``safe_var``).
+_VAR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,24 +90,25 @@ class GaussianError:
         return self.variance + self.mean**2
 
 
-def answer_error(answer: Answer, result: InferenceResult, estimate=None) -> float:
+def answer_error(answer: Answer, result: InferenceResult) -> float:
     """Error of one answer against the estimated truth.
 
     Continuous columns: ``a - T^hat``.  Categorical columns: 0 if the answer
-    matches the estimated truth, 1 otherwise.  ``estimate`` short-circuits
-    the posterior lookup when the caller already resolved ``T^hat`` for the
-    cell (the correlation fit resolves it once per cell, not per answer).
+    matches the estimated truth, 1 otherwise.
     """
     column = result.schema.columns[answer.col]
-    if estimate is None:
-        estimate = result.estimate(answer.row, answer.col)
+    estimate = result.estimate(answer.row, answer.col)
     if column.is_categorical:
         return 0.0 if answer.value == estimate else 1.0
     return float(answer.value) - float(estimate)
 
 
 class _PairStats:
-    """Fitted conditional model for one ordered column pair (j | k)."""
+    """Fitted conditional model for one ordered column pair (j | k).
+
+    Built two at a time by :meth:`fit_pair`: ``(j | k)`` and ``(k | j)``
+    come from the same paired errors, so they share every moment.
+    """
 
     def __init__(
         self,
@@ -101,35 +121,69 @@ class _PairStats:
         self.given_categorical = given_categorical
         self.errors_j = errors_j
         self.errors_k = errors_k
-        self._fit()
 
-    def _fit(self) -> None:
-        ej, ek = self.errors_j, self.errors_k
-        if self.target_categorical and self.given_categorical:
+    @classmethod
+    def fit_pair(
+        cls,
+        a_categorical: bool,
+        b_categorical: bool,
+        errors_a: np.ndarray,
+        errors_b: np.ndarray,
+    ) -> Tuple["_PairStats", "_PairStats", float]:
+        """Fit ``(a | b)``, ``(b | a)`` and the pair's Eq. 8 weight.
+
+        ``errors_a`` / ``errors_b`` are the paired errors, compact and in
+        pairing order.  Each moment is taken once by :func:`_moments` and
+        shared by both orientations and :func:`_pearson`.
+        """
+        count = len(errors_a)
+        moments_a = _moments(errors_a)
+        moments_b = _moments(errors_b)
+        cross = float(np.add.reduce(errors_a * errors_b) / count)
+        a_given_b = cls(a_categorical, b_categorical, errors_a, errors_b)
+        b_given_a = cls(b_categorical, a_categorical, errors_b, errors_a)
+        if a_categorical and b_categorical:
             # Case (a): two Bernoulli conditionals.
-            self.p_wrong_given_right = _bernoulli_rate(ej[ek == 0.0])
-            self.p_wrong_given_wrong = _bernoulli_rate(ej[ek == 1.0])
-        elif not self.target_categorical and not self.given_categorical:
+            for stats in (a_given_b, b_given_a):
+                ej, ek = stats.errors_j, stats.errors_k
+                stats.p_wrong_given_right = _bernoulli_rate(ej[ek == 0.0])
+                stats.p_wrong_given_wrong = _bernoulli_rate(ej[ek == 1.0])
+        elif not a_categorical and not b_categorical:
             # Case (b): bivariate Gaussian.
-            self.mean_j = float(np.mean(ej))
-            self.mean_k = float(np.mean(ek))
-            self.var_j = safe_var(ej)
-            self.var_k = safe_var(ek)
-            if len(ej) > 1:
-                cov = float(np.mean(ej * ek)) - self.mean_j * self.mean_k
-            else:
-                cov = 0.0
-            limit = 0.999 * np.sqrt(self.var_j * self.var_k)
-            self.cov = float(np.clip(cov, -limit, limit))
-        elif not self.target_categorical and self.given_categorical:
-            # Case (c): Gaussian error of j conditioned on k right / wrong.
-            self.gauss_given_right = _gaussian_from(ej[ek == 0.0], fallback=ej)
-            self.gauss_given_wrong = _gaussian_from(ej[ek == 1.0], fallback=ej)
+            for stats, (mean_j, var_j), (mean_k, var_k) in (
+                (a_given_b, moments_a, moments_b),
+                (b_given_a, moments_b, moments_a),
+            ):
+                stats.mean_j, stats.mean_k = mean_j, mean_k
+                stats.var_j = max(var_j, _VAR_FLOOR)
+                stats.var_k = max(var_k, _VAR_FLOOR)
+                cov = cross - mean_j * mean_k if count > 1 else 0.0
+                limit = 0.999 * math.sqrt(stats.var_j * stats.var_k)
+                stats.cov = _clip(cov, -limit, limit)
         else:
-            # Case (d): Bayes with Gaussian likelihoods of e_k given e_j.
-            self.p_wrong_prior = _bernoulli_rate(ej)
-            self.gauss_k_given_right = _gaussian_from(ek[ej == 0.0], fallback=ek)
-            self.gauss_k_given_wrong = _gaussian_from(ek[ej == 1.0], fallback=ek)
+            # Cases (c) and (d) share the continuous errors split by whether
+            # the categorical answer was right; a side with fewer than two
+            # errors falls back to the pooled continuous errors.
+            if a_categorical:
+                cont_given_cat, cat_given_cont = b_given_a, a_given_b
+                values, flags, (mean, var) = errors_b, errors_a, moments_b
+            else:
+                cont_given_cat, cat_given_cont = a_given_b, b_given_a
+                values, flags, (mean, var) = errors_a, errors_b, moments_a
+            pooled = (mean, max(var, _VAR_FLOOR))
+            right, wrong = values[flags == 0.0], values[flags == 1.0]
+            right = _gaussian(right) if len(right) >= 2 else pooled
+            wrong = _gaussian(wrong) if len(wrong) >= 2 else pooled
+            # Case (c): Gaussian error of the continuous column given the
+            # categorical one right / wrong.
+            cont_given_cat.gauss_given_right = right
+            cont_given_cat.gauss_given_wrong = wrong
+            # Case (d): Bayes with those Gaussians as likelihoods.
+            cat_given_cont.p_wrong_prior = _bernoulli_rate(flags)
+            cat_given_cont.gauss_k_given_right = right
+            cat_given_cont.gauss_k_given_wrong = wrong
+        weight = _pearson(count, moments_a, moments_b, cross)
+        return a_given_b, b_given_a, weight
 
     def conditional(self, observed_error: float):
         """Distribution of the target error given the observed error on k."""
@@ -160,17 +214,35 @@ class _PairStats:
         return BernoulliError(numerator / denominator)
 
 
+def _moments(values: np.ndarray) -> Tuple[float, float]:
+    """Mean and population variance of a non-empty compact float array.
+
+    Bit for bit what ``np.mean`` and ``np.var`` return: the same
+    ``np.add.reduce`` sums and divisions by the count, without their
+    per-call overhead.
+    """
+    count = len(values)
+    mean = np.add.reduce(values) / count
+    deviation = values - mean
+    return float(mean), float(np.add.reduce(deviation * deviation) / count)
+
+
+def _clip(value: float, low: float, high: float) -> float:
+    """``np.clip`` of one float (NaN stays NaN), without its call overhead."""
+    return min(max(value, low), high)
+
+
 def _bernoulli_rate(values: np.ndarray) -> float:
     """Smoothed error rate (Laplace +1/+2) of a 0/1 error vector."""
-    return float((np.sum(values) + 1.0) / (len(values) + 2.0))
+    return float((np.count_nonzero(values) + 1.0) / (len(values) + 2.0))
 
 
-def _gaussian_from(values: np.ndarray, fallback: np.ndarray) -> Tuple[float, float]:
-    """Mean/variance of ``values``; falls back to the pooled vector if empty."""
-    source = values if len(values) >= 2 else fallback
-    if len(source) == 0:
+def _gaussian(values: np.ndarray) -> Tuple[float, float]:
+    """Mean and floored variance of ``values``; ``(0, 1)`` when empty."""
+    if len(values) == 0:
         return 0.0, 1.0
-    return float(np.mean(source)), safe_var(source)
+    mean, var = _moments(values)
+    return mean, max(var, _VAR_FLOOR)
 
 
 def _gaussian_pdf(x: float, mean: float, variance: float) -> float:
@@ -211,60 +283,55 @@ class AttributeCorrelationModel:
         pairs below the threshold fall back to the marginal model.
         """
         schema = answers.schema
-        errors_by_cell: Dict[Tuple[str, int, int], float] = {}
-        errors_by_col: Dict[int, List[float]] = {j: [] for j in range(schema.num_columns)}
-        # The estimated truth is shared by every answer of a cell: resolve it
-        # once per cell, not once per answer (the fit runs on every refit of
-        # the online loop).
-        estimates: Dict[Tuple[int, int], object] = {}
-        for answer in answers:
-            key = (answer.row, answer.col)
-            estimate = estimates.get(key)
-            if estimate is None:
-                estimate = result.estimate(answer.row, answer.col)
-                estimates[key] = estimate
-            error = answer_error(answer, result, estimate=estimate)
-            errors_by_cell[(answer.worker, answer.row, answer.col)] = error
-            errors_by_col[answer.col].append(error)
+        num_cols = schema.num_columns
+        rows, cols, workers, errors = _answer_errors(answers, result)
 
         marginals: Dict[int, object] = {}
         for j, column in enumerate(schema.columns):
-            values = np.asarray(errors_by_col[j], dtype=float)
+            values = errors[cols == j]
             if column.is_categorical:
                 marginals[j] = BernoulliError(_bernoulli_rate(values))
             else:
-                mean, var = _gaussian_from(values, values)
-                marginals[j] = GaussianError(mean, var)
+                marginals[j] = GaussianError(*_gaussian(values))
 
-        # Collect paired errors per ordered column pair: the same worker on
-        # the same row answered both columns.
-        paired: Dict[Tuple[int, int], Tuple[List[float], List[float]]] = {}
-        by_worker_row: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
-        for (worker, row, col), error in errors_by_cell.items():
-            by_worker_row.setdefault((worker, row), []).append((col, error))
-        for observations in by_worker_row.values():
-            for col_j, err_j in observations:
-                for col_k, err_k in observations:
-                    if col_j == col_k:
-                        continue
-                    bucket = paired.setdefault((col_j, col_k), ([], []))
-                    bucket[0].append(err_j)
-                    bucket[1].append(err_k)
+        # Paired errors: the same worker on the same row answered both
+        # columns.  One table row per (worker, row), in order of its first
+        # answer; a repeated (worker, row, col) keeps its last answer.
+        num_answers = len(errors)
+        worker_row = workers * schema.num_rows + rows
+        last_from_end = np.unique(
+            (worker_row * num_cols + cols)[::-1], return_index=True
+        )[1]
+        last = num_answers - 1 - last_from_end
+        first, group = np.unique(
+            worker_row, return_index=True, return_inverse=True
+        )[1:]
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        table_rows = rank[group[last]]
+        table = np.zeros((num_cols, len(first)))
+        present = np.zeros((num_cols, len(first)), dtype=bool)
+        table[cols[last], table_rows] = errors[last]
+        present[cols[last], table_rows] = True
 
         pair_models: Dict[Tuple[int, int], _PairStats] = {}
         weights: Dict[Tuple[int, int], float] = {}
-        for (col_j, col_k), (list_j, list_k) in paired.items():
-            if len(list_j) < min_pairs:
-                continue
-            ej = np.asarray(list_j, dtype=float)
-            ek = np.asarray(list_k, dtype=float)
-            pair_models[(col_j, col_k)] = _PairStats(
-                schema.columns[col_j].is_categorical,
-                schema.columns[col_k].is_categorical,
-                ej,
-                ek,
-            )
-            weights[(col_j, col_k)] = _pearson(ej, ek)
+        categorical = [column.is_categorical for column in schema.columns]
+        for col_j in range(num_cols):
+            for col_k in range(col_j + 1, num_cols):
+                both = present[col_j] & present[col_k]
+                count = int(np.count_nonzero(both))
+                if count == 0 or count < min_pairs:
+                    continue
+                j_given_k, k_given_j, weight = _PairStats.fit_pair(
+                    categorical[col_j],
+                    categorical[col_k],
+                    table[col_j][both],
+                    table[col_k][both],
+                )
+                pair_models[(col_j, col_k)] = j_given_k
+                pair_models[(col_k, col_j)] = k_given_j
+                weights[(col_j, col_k)] = weights[(col_k, col_j)] = weight
         return cls(schema, marginals, pair_models, weights)
 
     # -- queries -------------------------------------------------------------
@@ -329,15 +396,43 @@ class AttributeCorrelationModel:
         return GaussianError(mixture_mean, max(mixture_second - mixture_mean**2, 1e-9))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation coefficient (Eq. 8), 0 for degenerate vectors."""
-    if len(x) < 2:
+def _answer_errors(answers: AnswerSet, result: InferenceResult):
+    """Every answer's row, column, worker index and error, in answer order.
+
+    The error against :meth:`InferenceResult.estimate_codes`: the answer
+    minus the estimate on a continuous column, 0 (the estimated label) or
+    1 (another label) on a categorical one.
+    """
+    if len(answers) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, np.empty(0)
+    indexed = answers.indexed()
+    codes = result.estimate_codes()[
+        indexed.rows * result.schema.num_columns + indexed.cols
+    ]
+    errors = indexed.values - codes
+    categorical = indexed.is_categorical
+    errors[categorical] = indexed.label_indices[categorical] != codes[categorical]
+    return indexed.rows, indexed.cols, indexed.workers, errors
+
+
+def _pearson(
+    count: int,
+    moments_x: Tuple[float, float],
+    moments_y: Tuple[float, float],
+    cross: float,
+) -> float:
+    """Pearson correlation coefficient (Eq. 8), 0 for degenerate vectors.
+
+    From the pair's moments: each side's ``(mean, variance)`` and
+    ``cross``, the mean of their product.
+    """
+    if count < 2:
         return 0.0
-    mean_x = float(np.mean(x))
-    mean_y = float(np.mean(y))
-    std_x = float(np.std(x))
-    std_y = float(np.std(y))
+    (mean_x, var_x), (mean_y, var_y) = moments_x, moments_y
+    std_x = math.sqrt(var_x)
+    std_y = math.sqrt(var_y)
     if std_x < 1e-12 or std_y < 1e-12:
         return 0.0
-    cov = float(np.mean(x * y)) - mean_x * mean_y
-    return float(np.clip(cov / (std_x * std_y), -1.0, 1.0))
+    cov = cross - mean_x * mean_y
+    return _clip(cov / (std_x * std_y), -1.0, 1.0)

@@ -118,6 +118,7 @@ class InferenceResult:
 
     def __post_init__(self) -> None:
         self._worker_index = {worker: u for u, worker in enumerate(self.worker_ids)}
+        self._codes: Optional[np.ndarray] = None
         self._point_estimates: Optional[list] = None
 
     @property
@@ -176,31 +177,44 @@ class InferenceResult:
             for key, value in enumerate(self._estimate_table())
         }
 
+    def estimate_codes(self) -> np.ndarray:
+        """Numeric point estimate of every cell in row-major order, built once.
+
+        The posterior mean of a continuous cell (the column offset when
+        unanswered) and the index of the first most probable label of a
+        categorical cell (0, the first label, when unanswered).  The array
+        is read-only: :meth:`estimate` decodes it, and the correlation fit
+        compares answers with it directly.
+        """
+        if self._codes is None:
+            schema = self.schema
+            priors = np.array([
+                0.0 if column.is_categorical else float(self.column_offset[col])
+                for col, column in enumerate(schema.columns)
+            ])
+            codes = np.tile(priors, schema.num_rows)
+            codes[self.cont_keys] = self.cont_mean
+            if len(self.cat_keys):
+                codes[self.cat_keys] = np.argmax(self.cat_probs, axis=1)
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
+
     def _estimate_table(self) -> list:
         """Point estimates of every cell in row-major order, built once.
 
-        The same values :meth:`posterior` ``.point_estimate()`` gives: the
-        first most probable label of a categorical cell (its first label
-        when unanswered), the posterior mean of a continuous cell (the
-        column offset when unanswered).
+        :meth:`estimate_codes` decoded: the label a categorical cell's code
+        indexes, the float of a continuous cell's code.  These are the
+        values :meth:`posterior` ``.point_estimate()`` gives.
         """
         if self._point_estimates is None:
             schema = self.schema
             num_cols = schema.num_columns
-            priors = _object_array([
-                column.labels[0] if column.is_categorical
-                else float(self.column_offset[col])
-                for col, column in enumerate(schema.columns)
-            ])
-            table = np.tile(priors, schema.num_rows)
-            table[self.cont_keys] = self.cont_mean
-            if len(self.cat_keys):
-                best = np.argmax(self.cat_probs, axis=1)
-                cat_cols = self.cat_keys % num_cols
-                for col in np.unique(cat_cols).tolist():
-                    in_col = cat_cols == col
-                    labels = _object_array(schema.columns[col].labels)
-                    table[self.cat_keys[in_col]] = labels[best[in_col]]
+            codes = self.estimate_codes()
+            table = codes.astype(object)
+            for col in schema.categorical_indices:
+                labels = _object_array(schema.columns[col].labels)
+                table[col::num_cols] = labels[codes[col::num_cols].astype(np.int64)]
             self._point_estimates = table.tolist()
         return self._point_estimates
 
@@ -726,16 +740,16 @@ class TCrowdModel:
         """Maximise Eq. 5 over the (log) parameters by L-BFGS."""
         shapes = (len(log_alpha), len(log_beta), len(log_phi))
         theta0 = self._pack(log_alpha, log_beta, log_phi)
-        result = optimize.minimize(
+        # fmin_l_bfgs_b hands the box straight to the solver, which converts
+        # it once; minimize() would convert the list three times per call.
+        theta, _value, _info = optimize.fmin_l_bfgs_b(
             self._objective_and_grad,
             theta0,
             args=(ws, shapes),
-            jac=True,
-            method="L-BFGS-B",
             bounds=[(-10.0, 10.0)] * len(theta0),
-            options={"maxiter": self.m_step_iterations},
+            maxiter=self.m_step_iterations,
         )
-        log_alpha, log_beta, log_phi = self._unpack(result.x, *shapes)
+        log_alpha, log_beta, log_phi = self._unpack(theta, *shapes)
         return self._recenter(log_alpha, log_beta, log_phi)
 
     def _recenter(self, log_alpha, log_beta, log_phi):

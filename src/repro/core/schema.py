@@ -16,6 +16,13 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.utils.exceptions import ConfigurationError, DataError
 
+#: Largest magnitude a continuous answer may have.  EM squares deviations
+#: and sums them, and the structure-aware gain squares the covariance of two
+#: columns' errors (Table 5, both continuous): a fourth power of an answer.
+#: At 1e75 that stays near 1e301, below float64's ~1.8e308; at 1e80 a select
+#: overflowed, and at 3e154 EM's standardisation already did.
+MAX_ANSWER_MAGNITUDE = 1e75
+
 
 class AttributeType(enum.Enum):
     """Datatype of a column: categorical (nominal) or continuous (numeric)."""
@@ -233,10 +240,11 @@ class TableSchema:
                     f"Value {value!r} is not numeric for continuous column "
                     f"{column.name!r}"
                 ) from exc
-            if not math.isfinite(number):
+            if not (math.isfinite(number) and abs(number) <= MAX_ANSWER_MAGNITUDE):
                 raise DataError(
-                    f"Value {value!r} is not a finite number for continuous "
-                    f"column {column.name!r}"
+                    f"Value {value!r} is not a finite number of magnitude at "
+                    f"most {MAX_ANSWER_MAGNITUDE:g} for continuous column "
+                    f"{column.name!r}"
                 )
 
     # -- constructors ------------------------------------------------------

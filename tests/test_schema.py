@@ -1,9 +1,10 @@
 """Unit tests for the tabular data model (repro.core.schema)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.schema import AttributeType, Column, TableSchema
+from repro.core.schema import MAX_ANSWER_MAGNITUDE, AttributeType, Column, TableSchema
 from repro.utils.exceptions import ConfigurationError, DataError
 
 
@@ -129,17 +130,25 @@ class TestTableSchema:
         schema = self._schema()
         schema.validate_value(0, "a")
         schema.validate_value(1, 3.5)
+        schema.validate_value(1, MAX_ANSWER_MAGNITUDE)
+        schema.validate_value(1, -MAX_ANSWER_MAGNITUDE)
         with pytest.raises(DataError):
             schema.validate_value(0, "zzz")
         with pytest.raises(DataError):
             schema.validate_value(1, "not-a-number")
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), -float("inf"), 1e999, "nan", "inf", "-Infinity"]
+        "value",
+        [
+            float("nan"), float("inf"), -float("inf"), 1e999, "nan", "inf", "-Infinity",
+            1e160, -1e160, "3e154", 1e80, np.nextafter(MAX_ANSWER_MAGNITUDE, np.inf),
+        ],
     )
     def test_non_finite_continuous_values_are_rejected(self, value):
         """A NaN answer once passed validation and turned a row's estimates
-        into NaN; every non-finite spelling must be a DataError, also on the
+        into NaN; a finite 3e154 overflowed EM's standardisation, and 1e80
+        the structure-aware gain.  Every non-finite spelling and every
+        magnitude above MAX_ANSWER_MAGNITUDE must be a DataError, also on the
         AnswerSet path the simulator uses."""
         from repro.core.answers import AnswerSet
 

@@ -699,6 +699,37 @@ class TestIngestionValidationAndLimits:
         )
         client.delete_session(session_id)
 
+    def test_huge_finite_answers_are_typed_400s(self, client):
+        """A finite ``"value": 1e160`` used to be accepted; EM's
+        standardisation then overflowed and ``GET /estimates`` answered 500.
+        Magnitudes above MAX_ANSWER_MAGNITUDE are refused, and the largest
+        accepted one keeps every estimate and gain finite."""
+        from repro.core.schema import MAX_ANSWER_MAGNITUDE
+
+        session_id = client.create_session(_config())["session_id"]
+        _seed(client, session_id)
+        path = f"/sessions/{session_id}/answers"
+        for value in (1e160, -1e160, "3e154"):
+            status, body = client.request("POST", path, {"worker": "w", "answers": [
+                {"row": 0, "col": 0, "value": "red"},
+                {"row": 0, "col": 1, "value": value},
+            ]})
+            assert status == 400, (value, status, body)
+            assert body["path"] == "answers[1].value", body
+            assert "finite" in body["error"], body
+        client.post_answers(session_id, "w", [(1, 1, MAX_ANSWER_MAGNITUDE)])
+        status, estimates = client.request("GET", f"/sessions/{session_id}/estimates")
+        assert status == 200, estimates
+        assert estimates["answers_collected"] == 9
+        assert all(
+            isinstance(value, str) or math.isfinite(value)
+            for value in estimates["estimates"].values()
+        )
+        status, tasks = client.get_tasks(session_id, "w", k=4)
+        assert status == 200, tasks
+        assert tasks["gains"] and all(math.isfinite(gain) for gain in tasks["gains"])
+        client.delete_session(session_id)
+
     def test_oversized_body_is_413(self):
         with ServiceServer(max_body_bytes=512) as server:
             small = ServiceClient(server.address)
