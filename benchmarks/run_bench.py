@@ -3,7 +3,7 @@
 Runs the end-to-end online assignment loop of ``measure_engine_speedup`` at
 the Algorithm 2 cadence (``refit_every=1``) on the seed path (cold EM, scalar
 gains, full candidate rescans) and on the engine paths (incremental indexes +
-vectorised batch gains; warm-started EM; async refit; worker processes), then
+vectorised batch gains; warm-started EM; async refit), then
 writes the wall-clock numbers and the decision-equivalence checks as JSON.
 
 Run from the repo root::
@@ -31,12 +31,6 @@ Recorded fields (see also ``benchmarks/README.md``):
   engine path and the async path at ``max_stale_answers=0`` must replay
   the seed path's assignment sequence bit for bit; both are hard failures
   here and in CI.
-* ``identical_assignments_multiprocess`` / ``speedup_multiprocess`` /
-  ``multiprocess_answers_per_sec`` (with ``--processes N``) — the
-  process-level serving path (``ProcessShardCoordinator``, N shard-group
-  worker processes): its merged per-worker top-K sequence must also replay
-  the seed path bit for bit (hard failure), and the timed production run
-  records the multi-process throughput.
 * ``repeats`` — the effective best-of-N repeat count the timed paths used,
   recorded so the CI gate can verify baseline and candidate measured with
   the same estimator.
@@ -196,13 +190,6 @@ def main(argv=None) -> int:
         "max_stale_answers=0 staleness-equivalence bit",
     )
     parser.add_argument(
-        "--processes", type=int, default=0,
-        help="worker processes for the process-level serving path "
-        "(ProcessShardCoordinator; 0 disables it).  Records the "
-        "identical_assignments_multiprocess equivalence bit and the "
-        "multi-process throughput fields",
-    )
-    parser.add_argument(
         "--max-stale", type=int, default=None,
         help="staleness bound (answers) for the timed async path "
         "(default: two HITs' worth)",
@@ -256,10 +243,7 @@ def main(argv=None) -> int:
     target = 1.5 if args.smoke else args.target
     repeats = args.repeats if args.repeats is not None else (5 if args.smoke else 1)
     spec = spec_from_args(args, target)
-    stats = measure_engine_speedup(
-        spec=spec, num_rows=rows, timing_repeats=repeats,
-        processes=args.processes if args.processes >= 1 else None,
-    )
+    stats = measure_engine_speedup(spec=spec, num_rows=rows, timing_repeats=repeats)
     if args.profile:
         from repro.experiments.efficiency import profile_hot_path
 
@@ -404,13 +388,6 @@ def main(argv=None) -> int:
         print(
             "FAIL: async path at max_stale_answers=0 diverged from the "
             "seed path",
-            file=sys.stderr,
-        )
-        return 1
-    if not stats.get("identical_assignments_multiprocess", True):
-        print(
-            "FAIL: process-level serving path (--processes) diverged from "
-            "the seed path",
             file=sys.stderr,
         )
         return 1

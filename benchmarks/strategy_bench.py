@@ -3,14 +3,14 @@
 Two measurements feed ``BENCH_engine.json``:
 
 * :func:`verify_strategy_default_identical` — the **safety gate** for the
-  strategy seam.  For every serving mode (plain, async, multiprocess) the
-  scripted golden-trace session runs twice: once with the
-  default spec (no strategy section beyond the implicit ``"paper"``) and
-  once with ``strategy = "paper"`` pinned explicitly.  Assignment sequence
-  and decision-chain head must match **bit for bit** — proving the strategy
-  plumbing added to the factory, the assigner, the coordinator wire
-  protocol and the provenance genesis is invisible when the paper strategy
-  is selected.  Hard-failed by ``run_bench.py`` and the CI perf gate.
+  strategy seam.  For every serving mode (plain, async) the scripted
+  golden-trace session runs twice: once with the default spec (no
+  strategy section beyond the implicit ``"paper"``) and once with
+  ``strategy = "paper"`` pinned explicitly.  Assignment sequence and
+  decision-chain head must match **bit for bit** — proving the strategy
+  plumbing added to the factory, the assigner and the provenance genesis
+  is invisible when the paper strategy is selected.  Hard-failed by
+  ``run_bench.py`` and the CI perf gate.
 
 * :func:`measure_strategy_curves` — the answers-to-quality comparison.
   Every strategy runs the same seeded

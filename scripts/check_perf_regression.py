@@ -6,9 +6,7 @@ committed smoke-tier baseline (``BENCH_engine.json``, recorded with
 
 * an equivalence bit flipped — ``identical_assignments`` (exact engine path
   vs seed path), ``identical_assignments_async`` (async serving path at
-  ``max_stale_answers=0`` vs seed path),
-  ``identical_assignments_multiprocess`` (the process-level shard-worker
-  coordinator vs seed path), ``identical_estimates_async`` (the async
+  ``max_stale_answers=0`` vs seed path), ``identical_estimates_async`` (the async
   equivalence run's *final truth estimates* match the seed path's
   exactly — the check that would catch a stale scoring-cache hit),
   ``recovery_identical``
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
         failures.append(
             f"baseline {args.baseline} has no --scale tier entry of >= 10k "
             "rows; regenerate it with `run_bench.py --smoke --async-refit "
-            "--processes 2 --serve --profile --strategies --scale`"
+            "--serve --profile --strategies --scale`"
         )
     if "profile_stages" not in baseline:
         failures.append(
@@ -162,18 +160,6 @@ def main(argv=None) -> int:
             "identical_estimates_async is false: the async equivalence "
             "run's final truth estimates differ from the seed path's "
             "(stale snapshot or scoring-cache hit?)"
-        )
-    if "identical_assignments_multiprocess" not in candidate:
-        failures.append(
-            "candidate has no identical_assignments_multiprocess field: the "
-            "smoke run must include the process-level serving path "
-            "(run_bench.py --processes >= 1)"
-        )
-    elif not candidate["identical_assignments_multiprocess"]:
-        failures.append(
-            "identical_assignments_multiprocess is false: the process-level "
-            "shard-worker coordinator no longer replays the seed path's "
-            "assignment sequence"
         )
     if "recovery_identical" not in candidate:
         failures.append(
@@ -274,25 +260,17 @@ def main(argv=None) -> int:
         )
 
     floors = {}
-    for field in ("speedup", "speedup_async", "speedup_multiprocess"):
+    for field in ("speedup", "speedup_async"):
         if field not in baseline and field != "speedup":
-            continue  # older baselines predate the async/multiprocess paths
+            continue  # older baselines predate the async path
         baseline_speedup = float(baseline.get(field, 0.0))
         candidate_speedup = float(candidate.get(field, 0.0))
         # Seed-relative speedups are clamped at 1.0: an engine path that is
         # no faster than the seed path is a regression outright.  The async
         # path is this codebase's production serving mode; with its scoring
         # cache it clears 1.5x over the synchronous engine path even at
-        # smoke size, so it carries that absolute floor.  The multiprocess
-        # path pays IPC and WAL-replay overhead per request, so at smoke
-        # size it can legitimately land below 1.0x; its value is the
-        # equivalence bit plus the baseline-relative floor.
-        if field == "speedup_async":
-            minimum = 1.5
-        elif field == "speedup_multiprocess":
-            minimum = 0.0
-        else:
-            minimum = 1.0
+        # smoke size, so it carries that absolute floor.
+        minimum = 1.5 if field == "speedup_async" else 1.0
         floor = max(baseline_speedup * args.headroom, minimum)
         floors[field] = (baseline_speedup, candidate_speedup, floor)
         if candidate_speedup < floor:
@@ -310,8 +288,6 @@ def main(argv=None) -> int:
     print(
         f"identical={candidate.get('identical_assignments')}, "
         f"identical_async={candidate.get('identical_assignments_async')}, "
-        f"identical_multiprocess="
-        f"{candidate.get('identical_assignments_multiprocess')}, "
         f"identical_estimates_async="
         f"{candidate.get('identical_estimates_async')}, "
         f"recovery_identical={candidate.get('recovery_identical')}, "

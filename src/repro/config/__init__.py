@@ -1,9 +1,8 @@
 """One versioned, serializable configuration API for the whole system.
 
 :class:`SessionSpec` is the single way to describe a serving session —
-policy + model options, serving mode (plain / async refit / worker
-processes), durability, and simulation budget — consumed by every entry
-point:
+policy + model options, serving mode (plain / async refit), durability,
+and simulation budget — consumed by every entry point:
 
 * ``CrowdsourcingSession.from_spec(dataset, spec)`` (the platform
   simulator);

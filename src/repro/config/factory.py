@@ -2,20 +2,14 @@
 
 This is the **single** wrapper-selection point of the codebase: the
 platform simulator, ``service/registry.build_policy`` and the benchmark
-drivers all call :func:`wrap_policy`, which has three outcomes:
+drivers all call :func:`wrap_policy`, which has two outcomes:
 
 ========================  =============================================
 ``serving`` section       policy served
 ========================  =============================================
 defaults                  the plain incremental assigner, unwrapped
 ``async_refit``           :class:`~repro.engine.AsyncRefitPolicy`
-``processes`` >= 1        :class:`~repro.engine.ProcessShardCoordinator`
-                          over ``max(shards, processes)`` row shards
 ========================  =============================================
-
-``serving.shards`` partitions rows only for the process coordinator; an
-in-process session serves every row from one candidate pool, so a spec
-with ``shards`` but no ``processes`` gets the plain assigner.
 """
 
 from __future__ import annotations
@@ -62,15 +56,15 @@ def wrap_policy(
 ) -> AssignmentPolicy:
     """Wrap ``policy`` in the serving mode a :class:`ServingSpec` picks.
 
-    Returns ``policy`` itself for the default (synchronous, in-process)
-    spec.  Wrapped policies own background threads or worker processes —
-    callers that create them are responsible for ``close()``.
+    Returns ``policy`` itself for the default (synchronous) spec.  The
+    async wrapper owns a background refit thread — callers that create it
+    are responsible for ``close()``.
 
     Parameters
     ----------
     policy:
-        The base policy.  Serving wrappers require a
-        :class:`TCrowdAssigner` (they reuse its model, refit cadence and
+        The base policy.  The async wrapper requires a
+        :class:`TCrowdAssigner` (it reuses its model, refit cadence and
         gain configuration).
     serving:
         The serving section of a spec.
@@ -82,16 +76,8 @@ def wrap_policy(
         return policy
     if not isinstance(policy, TCrowdAssigner):
         raise ConfigurationError(
-            "serving.async_refit / serving.processes >= 1 require a "
+            "serving.async_refit requires a "
             f"TCrowdAssigner policy, got {type(policy).__name__}"
-        )
-    if serving.processes >= 1:
-        from repro.engine import ProcessShardCoordinator
-
-        return ProcessShardCoordinator(
-            policy,
-            processes=serving.processes,
-            num_shards=max(serving.shards, serving.processes),
         )
     from repro.engine import AsyncRefitPolicy
 

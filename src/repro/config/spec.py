@@ -14,13 +14,12 @@ The spec is the unit that crosses boundaries: it round-trips through
 the same ``repr``-based discipline as the WAL codec in
 :mod:`repro.service.wal`), it is pinned to ``session.json`` inside durable
 directories, it is the body of ``POST /sessions`` and the response of
-``GET /sessions/{id}/config`` — and, being plain data, it ships across
-the process boundary to the coordinator's shard workers.
+``GET /sessions/{id}/config``.
 
 Validation is strict and **path-qualified**: every violation raises a
 :class:`SpecValidationError` (a :class:`~repro.utils.exceptions.ConfigurationError`)
 whose message starts with the dotted field path, e.g.
-``serving.shards must be >= 1, got 0`` — the HTTP API surfaces the path in
+``serving.refit_tol must be > 0.0, got 0.0`` — the HTTP API surfaces the path in
 its 400 responses.  Unknown fields are rejected, never ignored, with one
 exception: the retired serving fields in :data:`RETIRED_SERVING_FIELDS`,
 which older manifests carry, are accepted and dropped.
@@ -44,11 +43,12 @@ from repro.utils.exceptions import ConfigurationError
 #: upgrade path from every older version.
 SPEC_VERSION = 1
 
-#: Serving fields removed from the spec without a version bump: neither
-#: ever changed a decision.  Manifests written while they existed carry
-#: both (``to_dict`` emits every field), so ``from_dict`` accepts and drops
-#: them; any other unknown key is still rejected.
-RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache")
+#: Serving fields removed from the spec without a version bump: none of
+#: them ever changed a decision.  Manifests written while they existed
+#: carry them (``to_dict`` emitted every field), so ``from_dict`` accepts
+#: and drops them; any other unknown key is still rejected.  A manifest
+#: that named ``processes`` or ``shards`` is served in-process.
+RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache", "processes", "shards")
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -392,11 +392,10 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ServingSpec:
-    """How the policy is served: async refits, staleness, worker processes.
+    """How the policy is served: async refits, staleness, audit.
 
     The serving table (see :mod:`repro.config.factory`): the default spec
-    serves the bare assigner, ``async_refit`` the async refit wrapper, and
-    ``processes >= 1`` the process coordinator.
+    serves the bare assigner, ``async_refit`` the async refit wrapper.
 
     ``max_stale_answers`` semantics (the **single** definition — the
     platform session and the benchmarks used to disagree on the default):
@@ -416,15 +415,6 @@ class ServingSpec:
     lives here rather than in :class:`PolicySpec` because it tunes the
     serving loop, not the paper's algorithm.
 
-    ``processes`` moves the scoring/refit workers out of process: ``0``
-    (the default) serves in-process; ``N >= 1`` spawns ``N`` shard-group
-    worker processes behind a coordinator
-    (:class:`repro.engine.coordinator.ProcessShardCoordinator`).
-    ``shards`` is that coordinator's row partition: the effective shard
-    count is ``max(shards, processes)`` so every worker owns at least one
-    contiguous shard range.  Without ``processes`` it selects nothing —
-    in-process serving is unpartitioned.
-
     ``audit`` (default on) records every select into the session's
     decision-provenance ledger
     (:class:`repro.engine.provenance.DecisionRecorder`): lineage, model
@@ -436,17 +426,14 @@ class ServingSpec:
 
     _SECTION: ClassVar[str] = "serving"
 
-    shards: int = 1
     async_refit: bool = False
     max_stale_answers: Optional[int] = 0
     refit_tol: Optional[float] = None
-    processes: int = 0
     audit: bool = True
 
     def __post_init__(self) -> None:
         s = self._SECTION
         set_ = object.__setattr__
-        set_(self, "shards", _check_int(f"{s}.shards", self.shards, 1))
         set_(self, "async_refit",
              _check_bool(f"{s}.async_refit", self.async_refit))
         set_(self, "max_stale_answers",
@@ -455,37 +442,23 @@ class ServingSpec:
         set_(self, "refit_tol",
              _check_float(f"{s}.refit_tol", self.refit_tol, 0.0,
                           exclusive=True, optional=True))
-        set_(self, "processes",
-             _check_int(f"{s}.processes", self.processes, 0))
         set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
-        if self.processes and self.async_refit:
-            raise SpecValidationError(
-                f"{s}.async_refit",
-                "must be false when serving.processes >= 1 (worker "
-                "processes own their refit schedule; the in-process async "
-                "engine would race it)",
-            )
 
     @property
     def wants_wrapper(self) -> bool:
-        """True when a serving wrapper (async or multiprocess) is needed."""
-        return self.async_refit or self.processes >= 1
+        """True when the async refit wrapper is needed."""
+        return self.async_refit
 
     def describe(self) -> str:
-        """Human-readable serving mode, e.g. ``multiprocess x2 + sharded x4``."""
-        parts = []
-        if self.processes >= 1:
-            parts.append(f"multiprocess x{self.processes}")
-            if self.shards > 1:
-                parts.append(f"sharded x{self.shards}")
-        if self.async_refit:
-            stale = (
-                "unbounded"
-                if self.max_stale_answers is None
-                else self.max_stale_answers
-            )
-            parts.append(f"async refit (max_stale={stale})")
-        return " + ".join(parts) if parts else "incremental"
+        """Human-readable serving mode, e.g. ``async refit (max_stale=0)``."""
+        if not self.async_refit:
+            return "incremental"
+        stale = (
+            "unbounded"
+            if self.max_stale_answers is None
+            else self.max_stale_answers
+        )
+        return f"async refit (max_stale={stale})"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -693,13 +666,6 @@ class SessionSpec:
                 "policy.continuous_samples",
                 "must be 0 when serving.async_refit is true (background "
                 "refits would reorder the Monte-Carlo sample stream)",
-            )
-        if self.serving.processes >= 1 and self.policy.continuous_samples:
-            raise SpecValidationError(
-                "policy.continuous_samples",
-                "must be 0 when serving.processes >= 1 (each worker "
-                "process draws its own Monte-Carlo sample stream, which "
-                "would diverge from the single-process stream)",
             )
 
     # -- codecs ---------------------------------------------------------------

@@ -29,10 +29,8 @@ the only path the equivalence benchmark exercises) is unaffected.
 from __future__ import annotations
 
 import abc
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -94,66 +92,6 @@ def top_k_stable(gains: np.ndarray, k: int) -> np.ndarray:
     threshold = gains[partition[k - 1]]
     head = np.flatnonzero(gains >= threshold)
     return head[np.argsort(-gains[head], kind="stable")][:k]
-
-
-def merge_top_k_stable(parts: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Global stable top-``k`` over the virtual concatenation of ``parts``.
-
-    Each part is a gains array over a contiguous block of the global
-    candidate list (the process coordinator's workers score one block each).  The
-    global winners are found without materialising the concatenation: every
-    global top-``k`` element must sit in its own part's stable top-``k``
-    (anything a part drops is tied-or-worse *and* later in index order than
-    ``k`` elements of that same part), so a heap merge of the per-part heads
-    by ``(-gain, global index)`` reproduces :func:`top_k_stable` over
-    ``np.concatenate(parts)`` bit for bit.
-
-    ``k == 1`` short-circuits the heap entirely: the global winner is the
-    best of the per-part winners, compared by the same ``(-gain, global
-    index)`` key, so one :func:`min` over at most ``len(parts)`` candidates
-    replaces the merge.
-    """
-    if k == 1:
-        best: Optional[Tuple[float, int]] = None
-        offset = 0
-        for gains in parts:
-            if len(gains):
-                local = int(top_k_stable(np.asarray(gains), 1)[0])
-                key = (-float(gains[local]), offset + local)
-                if best is None or key < best:
-                    best = key
-            offset += len(gains)
-        if best is None:
-            return np.zeros(0, dtype=np.int64)
-        return np.array([best[1]], dtype=np.int64)
-    heads = []
-    offset = 0
-    for gains in parts:
-        if len(gains):
-            local = top_k_stable(np.asarray(gains), k)
-            heads.append(
-                [(-float(gains[i]), offset + int(i)) for i in local]
-            )
-        offset += len(gains)
-    merged = heapq.merge(*heads)
-    return np.fromiter(
-        (index for _neg_gain, index in itertools.islice(merged, k)),
-        dtype=np.int64,
-    )
-
-
-def _single_shard_lineage(candidates: int, assignment) -> Tuple[dict, ...]:
-    """The one-shard lineage annotation of an unsharded select."""
-    return (
-        {
-            "shard": 0,
-            "candidates": int(candidates),
-            "winners": [
-                [int(row), int(col), float(gain)]
-                for (row, col), gain in zip(assignment.cells, assignment.gains)
-            ],
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -221,8 +159,6 @@ class AssignmentPolicy(abc.ABC):
         answers_total: int,
         candidates: int,
         result=None,
-        model_hash=None,
-        shards: Sequence[dict] = (),
     ) -> None:
         """Chain one audit record if a recorder is attached (else no-op)."""
         if self._recorder is not None:
@@ -232,8 +168,6 @@ class AssignmentPolicy(abc.ABC):
                 answers_total=answers_total,
                 candidates=candidates,
                 result=result,
-                model_hash=model_hash,
-                shards=shards,
             )
 
     @property
@@ -326,8 +260,8 @@ class TCrowdAssigner(AssignmentPolicy):
         paper's gain — byte-for-byte the pre-strategy behaviour).  The
         strategy only replaces the calculator built by
         :meth:`_build_calculator`; candidate filtering, refit cadence,
-        stable top-K / shard merge and provenance stay shared, which is
-        why any strategy serves identically through every serving mode.
+        stable top-K and provenance stay shared, which is why any strategy
+        serves identically through every serving mode.
         This module never imports the strategies package — the factory
         (:func:`repro.config.factory.build_assigner`) builds the object
         from ``PolicySpec.strategy`` and injects it here.
@@ -395,22 +329,6 @@ class TCrowdAssigner(AssignmentPolicy):
 
     # -- policy ---------------------------------------------------------------
 
-    def prepare_scoring(self, answers: AnswerSet):
-        """Refit if stale and return the gain calculator for ``answers``.
-
-        Convenience composition of the two real seams —
-        :meth:`_ensure_result` (the refit cadence) and
-        :meth:`_build_calculator` (what scores are computed with).  Every
-        serving mode goes through those two: :meth:`select` and the
-        process coordinator's worker twins call this method, and the async
-        policy builds its calculator over a snapshot result through
-        :meth:`calculator_for`.  None of the paths can diverge on *when*
-        they refit or *what* they score with — the precondition for their
-        bit-identical decisions.
-        """
-        result = self._ensure_result(answers)
-        return self._build_calculator(result, answers)
-
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
         """Assign the top-``k`` candidate cells by information gain."""
         if k < 1:
@@ -418,7 +336,7 @@ class TCrowdAssigner(AssignmentPolicy):
         candidates = self.candidate_cells(worker, answers)
         if not candidates:
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
-        calculator = self.prepare_scoring(answers)
+        calculator = self._build_calculator(self._ensure_result(answers), answers)
         if self.vectorized:
             gains = calculator.gains_batch(worker, candidates)
             order = top_k_stable(gains, k)
@@ -441,7 +359,6 @@ class TCrowdAssigner(AssignmentPolicy):
             answers_total=len(answers),
             candidates=len(candidates),
             result=self._result,
-            shards=_single_shard_lineage(len(candidates), assignment),
         )
         return assignment
 
@@ -523,10 +440,10 @@ class TCrowdAssigner(AssignmentPolicy):
         """The calculator scoring this state — strategy-aware dispatcher.
 
         Every serving mode funnels scoring through here (via
-        :meth:`prepare_scoring` or :meth:`calculator_for`), so swapping
-        the strategy swaps scoring for *all* of them at once while
-        everything around the scores — candidate filtering, stable top-K,
-        shard merge, provenance — stays shared.
+        :meth:`select` or :meth:`calculator_for`), so swapping the strategy
+        swaps scoring for *all* of them at once while everything around the
+        scores — candidate filtering, stable top-K, provenance — stays
+        shared.
         """
         if self.strategy is not None:
             return self.strategy.build_calculator(self, result, answers)

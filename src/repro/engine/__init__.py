@@ -9,29 +9,23 @@ loop is driven by the (warm-started) EM refit and one vectorised gain pass.
 
 Layering: ``core`` holds the paper's algorithms, ``engine`` holds the
 incremental session state those algorithms consult in the online loop, and
-``platform`` / ``experiments`` drive both.  In-process sessions are served by
-the bare assigner or :class:`AsyncRefitPolicy`; process-level serving
-(:class:`ProcessShardCoordinator` over a :class:`ShardedSessionState` row
-partition) plugs in here too.
+``platform`` / ``experiments`` drive both.  Sessions are served by the bare
+assigner or :class:`AsyncRefitPolicy`.
 """
 
 from repro.engine.state import SessionState
 
 __all__ = [
     "SessionState",
-    "ShardedSessionState",
     "AsyncRefitEngine",
     "AsyncRefitPolicy",
     "DecisionRecord",
     "DecisionRecorder",
     "HotPathProfile",
     "ModelSnapshot",
-    "ProcessShardCoordinator",
-    "ShardGroupScorer",
     "VirtualClock",
 ]
 
-_SHARDING_EXPORTS = ("ShardedSessionState",)
 _PROFILING_EXPORTS = ("HotPathProfile",)
 _PROVENANCE_EXPORTS = ("DecisionRecord", "DecisionRecorder")
 _REFIT_EXPORTS = (
@@ -40,26 +34,16 @@ _REFIT_EXPORTS = (
     "ModelSnapshot",
     "VirtualClock",
 )
-_COORDINATOR_EXPORTS = ("ProcessShardCoordinator", "ShardGroupScorer")
 
 
 def __getattr__(name):
     # Lazy so that ``core.assignment → engine.state → engine.__init__`` does
-    # not re-enter ``core.assignment`` (the async refit worker and the
-    # coordinator build on the policy base classes) while it is still
-    # half-initialised.
-    if name in _SHARDING_EXPORTS:
-        from repro.engine import sharding
-
-        return getattr(sharding, name)
+    # not re-enter ``core.assignment`` (the async refit worker builds on the
+    # policy base classes) while it is still half-initialised.
     if name in _REFIT_EXPORTS:
         from repro.engine import refit_worker
 
         return getattr(refit_worker, name)
-    if name in _COORDINATOR_EXPORTS:
-        from repro.engine import coordinator
-
-        return getattr(coordinator, name)
     if name in _PROFILING_EXPORTS:
         from repro.engine import profiling
 

@@ -31,11 +31,13 @@ The canonical stage names (``STAGES``) cover the async select pipeline
 Aggregates per stage: call count, total seconds, max seconds, and a
 fixed-bound latency histogram — the same cumulative-bucket shape Prometheus
 expects, so the service layer can surface the profile on ``/metrics``
-verbatim.
+verbatim.  :func:`histogram_lines` renders one such histogram; the service
+layer renders its select latency with it too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -92,6 +94,9 @@ class StageStats:
                 return
         self.buckets[-1] += 1
 
+    def copy(self) -> "StageStats":
+        return dataclasses.replace(self, buckets=list(self.buckets))
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "calls": self.calls,
@@ -100,6 +105,26 @@ class StageStats:
             "mean_ms": (self.seconds / self.calls * 1000.0) if self.calls else 0.0,
             "buckets": list(self.buckets),
         }
+
+
+def histogram_lines(metric: str, stats: StageStats, labels: str = "") -> List[str]:
+    """Prometheus text-format lines of one histogram series.
+
+    Cumulative ``<metric>_bucket`` lines with an ``le`` label (ending at
+    ``+Inf``, which equals ``_count``), then ``<metric>_sum`` and
+    ``<metric>_count``.  ``labels`` is the series' own label list, e.g.
+    ``stage="gains_batch"``; empty for an unlabelled series.
+    """
+    prefix = f"{labels}," if labels else ""
+    suffix = f"{{{labels}}}" if labels else ""
+    lines = []
+    cumulative = 0
+    for bound, count in zip(BUCKET_BOUNDS + ("+Inf",), stats.buckets):
+        cumulative += count
+        lines.append(f'{metric}_bucket{{{prefix}le="{bound}"}} {cumulative}')
+    lines.append(f"{metric}_sum{suffix} {stats.seconds}")
+    lines.append(f"{metric}_count{suffix} {stats.calls}")
+    return lines
 
 
 def stage(profile: Optional["HotPathProfile"], name: str):
@@ -147,55 +172,34 @@ class HotPathProfile:
         """A copy of one stage's aggregates (zeros if never observed)."""
         with self._lock:
             stats = self._stages.get(stage)
-            if stats is None:
-                return StageStats()
-            return StageStats(
-                calls=stats.calls,
-                seconds=stats.seconds,
-                max_seconds=stats.max_seconds,
-                buckets=list(stats.buckets),
-            )
+            return StageStats() if stats is None else stats.copy()
+
+    def _ordered(self) -> List[Tuple[str, StageStats]]:
+        """``(stage, copy of its aggregates)`` in canonical stage order
+        (extra stages sort last)."""
+        with self._lock:
+            items = {name: stats.copy() for name, stats in self._stages.items()}
+        ordered = [name for name in STAGES if name in items]
+        ordered += sorted(name for name in items if name not in STAGES)
+        return [(name, items[name]) for name in ordered]
 
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """JSON-ready ``{stage: {calls, seconds, max_seconds, mean_ms,
         buckets}}`` in canonical stage order (extra stages sort last)."""
-        with self._lock:
-            items = dict(self._stages)
-        ordered = [name for name in STAGES if name in items]
-        ordered += sorted(name for name in items if name not in STAGES)
-        return {name: items[name].to_dict() for name in ordered}
+        return {name: stats.to_dict() for name, stats in self._ordered()}
 
     def render_prometheus(self, prefix: str = "repro_hotpath") -> List[str]:
-        """Prometheus text-format histogram lines for every observed stage.
-
-        Buckets are emitted cumulatively with an ``le`` label, one
-        ``<prefix>_stage_seconds`` histogram per stage, matching the
-        exposition format the rest of ``/metrics`` uses.
-        """
-        snapshot = self.to_dict()
-        if not snapshot:
+        """Prometheus text-format histogram lines for every observed stage:
+        one ``<prefix>_stage_seconds`` series per stage, labelled
+        ``stage="<name>"`` (see :func:`histogram_lines`)."""
+        stages = self._ordered()
+        if not stages:
             return []
+        metric = f"{prefix}_stage_seconds"
         lines = [
-            f"# HELP {prefix}_stage_seconds Hot-path stage latency histogram.",
-            f"# TYPE {prefix}_stage_seconds histogram",
+            f"# HELP {metric} Hot-path stage latency histogram.",
+            f"# TYPE {metric} histogram",
         ]
-        for name, stats in snapshot.items():
-            cumulative = 0
-            for bound, count in zip(BUCKET_BOUNDS, stats["buckets"]):
-                cumulative += count
-                lines.append(
-                    f'{prefix}_stage_seconds_bucket{{stage="{name}",le="{bound}"}} '
-                    f"{cumulative}"
-                )
-            cumulative += stats["buckets"][-1]
-            lines.append(
-                f'{prefix}_stage_seconds_bucket{{stage="{name}",le="+Inf"}} '
-                f"{cumulative}"
-            )
-            lines.append(
-                f'{prefix}_stage_seconds_sum{{stage="{name}"}} {stats["seconds"]}'
-            )
-            lines.append(
-                f'{prefix}_stage_seconds_count{{stage="{name}"}} {stats["calls"]}'
-            )
+        for name, stats in stages:
+            lines += histogram_lines(metric, stats, f'stage="{name}"')
         return lines

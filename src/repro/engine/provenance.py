@@ -13,25 +13,18 @@ task *t*?" after the fact:
   :class:`~repro.core.inference.InferenceResult`
   (:func:`~repro.core.codec.model_state_hash`), and the staleness at
   decision time (``answers_total - answers_seen``);
-* candidate-set provenance — the worker's open candidate-pool size and,
-  as unhashed annotations, the per-shard candidate counts and each
-  shard's contributed winners with their gains;
+* candidate-set provenance — the worker's open candidate-pool size;
 * a session-level **chained reproducibility hash**: each record's
   ``record_hash`` covers the previous record's hash ledger-style, so the
   chain head alone pins the whole decision history of a session.
 
-Two hashing scopes, deliberately:
-
-* ``record_hash`` covers the *core* payload — the decision and the model
-  state that produced it.  Those fields are identical across every
-  serving mode (plain / async at ``max_stale_answers=0`` /
-  multi-process), which is exactly the equivalence guarantee;
-  the golden-trace audit matrix asserts the chain head matches across
-  all of them.
-* The ``shards`` annotations describe *how* the candidates were merged —
-  deployment topology, which legitimately varies between a single-shard
-  and an 8-shard serving of the same session — so they ride the record
-  but stay outside the hash.
+``record_hash`` covers the decision and the model state that produced
+it.  Those fields are identical across serving modes (plain, and async at
+``max_stale_answers=0``), which is exactly the equivalence guarantee; the
+audit matrix asserts the chain head matches across them.  Ledgers written
+while process-level serving existed also carry a per-record ``shards``
+lineage outside the hash; :meth:`DecisionRecord.from_dict` accepts and
+drops it, so those ledgers keep replaying.
 
 ``epoch`` here is the audit epoch: the index of the distinct model state
 serving the decision stream (it increments whenever ``answers_seen``
@@ -59,8 +52,8 @@ a durable session pins it in its manifest, so a ledger written at format
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.codec import model_state_hash, payload_hash
 from repro.utils.exceptions import ConfigurationError, DurabilityError
@@ -83,7 +76,7 @@ DEFAULT_PAGE_LIMIT = 100
 MAX_PAGE_LIMIT = 1000
 
 #: The core-payload fields covered by ``record_hash`` (sorted-key
-#: canonical JSON over exactly these; ``shards`` annotations excluded).
+#: canonical JSON over exactly these).
 CORE_FIELDS = (
     "decision_id",
     "worker",
@@ -117,7 +110,7 @@ def strategy_genesis(strategy: Optional[str]) -> str:
 
 
 def record_core(payload: dict) -> dict:
-    """The hash-covered core of a record dict (drops ``record_hash``/``shards``).
+    """The hash-covered core of a record dict (drops ``record_hash``).
 
     Also the client-side recompute helper: an external auditor rebuilds
     ``record_hash`` as ``payload_hash(record_core(fetched_record))`` with
@@ -143,7 +136,6 @@ class DecisionRecord:
     model_hash: str
     prev_hash: str
     record_hash: str
-    shards: Tuple[dict, ...] = field(default=(), compare=False)
 
     def core_payload(self) -> dict:
         """The JSON-safe payload ``record_hash`` is computed over."""
@@ -165,11 +157,12 @@ class DecisionRecord:
     def to_dict(self) -> dict:
         payload = self.core_payload()
         payload["record_hash"] = self.record_hash
-        payload["shards"] = [dict(block) for block in self.shards]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionRecord":
+        """Parse :meth:`to_dict`'s form; any other key (the ``shards``
+        lineage of older ledgers) is ignored."""
         return cls(
             decision_id=int(payload["decision_id"]),
             worker=str(payload["worker"]),
@@ -186,7 +179,6 @@ class DecisionRecord:
             model_hash=str(payload["model_hash"]),
             prev_hash=str(payload["prev_hash"]),
             record_hash=str(payload["record_hash"]),
-            shards=tuple(dict(block) for block in payload.get("shards", [])),
         )
 
 
@@ -280,20 +272,16 @@ class DecisionRecorder:
         answers_total: int,
         candidates: int,
         result=None,
-        model_hash: Optional[str] = None,
-        shards: Sequence[dict] = (),
     ) -> Optional[DecisionRecord]:
         """Chain one select's record (``assignment`` is a BatchAssignment).
 
-        Pass either the serving ``result`` (hashed here, cached per
-        ``answers_seen``) or a precomputed ``model_hash`` (the
-        multi-process coordinator, whose workers hash their own state).
-        In replay mode the record is computed but *not* committed — it is
-        held for comparison against the logged record that follows.
+        ``result`` is the serving model state, hashed here (cached per
+        ``answers_seen``).  In replay mode the record is computed but *not*
+        committed — it is held for comparison against the logged record
+        that follows.
         """
         with self._lock:
-            if model_hash is None:
-                model_hash = self.model_hash_for(int(answers_seen), result)
+            model_hash = self.model_hash_for(int(answers_seen), result)
             epoch = self._epoch
             if self._last_answers_seen != int(answers_seen):
                 epoch += 1
@@ -312,11 +300,7 @@ class DecisionRecorder:
                 "prev_hash": self._head,
             }
             record = DecisionRecord.from_dict(
-                {
-                    **core,
-                    "record_hash": payload_hash(core),
-                    "shards": list(shards),
-                }
+                {**core, "record_hash": payload_hash(core)}
             )
             if self._replaying:
                 self._pending = record

@@ -52,7 +52,6 @@ from repro.core.assignment import (
     AssignmentPolicy,
     BatchAssignment,
     TCrowdAssigner,
-    _single_shard_lineage,
     refit_model,
     top_k_stable,
 )
@@ -602,7 +601,6 @@ class AsyncRefitPolicy(AssignmentPolicy):
                 answers_total=len(answers),
                 candidates=len(candidates),
                 result=snapshot.result,
-                shards=_single_shard_lineage(len(candidates), assignment),
             )
         return assignment
 

@@ -186,7 +186,6 @@ def measure_engine_speedup(
     async_refit_tol: Optional[float] = 1e-3,
     spec: Optional[SessionSpec] = None,
     timing_repeats: int = 1,
-    processes: Optional[int] = None,
 ) -> Dict[str, object]:
     """Time the online assignment loop on the seed path vs the engine paths.
 
@@ -225,18 +224,7 @@ def measure_engine_speedup(
       refits warm-started with objective-based early stopping
       (``async_refit_tol``).  Its wall-clock is compared against the
       *synchronous engine path*: ``speedup_async = seconds_engine_path /
-      seconds_engine_async_path``;
-    * **engine (multiprocess)** — only when ``processes`` is set: the
-      engine path served through a
-      :class:`~repro.engine.ProcessShardCoordinator` with ``processes``
-      shard-group worker processes (effective shards =
-      ``max(serving.shards, processes)``).  The compressed per-worker
-      top-K merge is bit-identical to the single-process stable top-K, so
-      the equivalence run's sequence must replay the seed path exactly
-      (``identical_assignments_multiprocess``); the timed production run
-      records ``seconds_engine_multiprocess_path`` /
-      ``speedup_multiprocess`` (seed-relative, like ``speedup``) and the
-      raw ``multiprocess_answers_per_sec`` throughput.
+      seconds_engine_async_path``.
 
     ``spec`` is the canonical way to configure the benchmark: a
     :class:`~repro.config.SessionSpec` supplies the policy options (every
@@ -244,9 +232,8 @@ def measure_engine_speedup(
     ``warm_start`` / ``vectorized`` / ``incremental`` switches are the
     benchmark's own matrix axes and are overridden per timed path), the
     serving matrix (``serving.async_refit`` enables the async paths,
-    ``serving.refit_tol`` sets the production refit tolerance,
-    ``serving.processes`` / ``serving.shards`` the multiprocess path and
-    its partition) and the simulation budget
+    ``serving.refit_tol`` sets the production refit tolerance) and the
+    simulation budget
     (``simulation.target_answers_per_task`` / ``seed`` / ``max_steps``);
     only the dataset size (``num_rows``) stays a benchmark argument.  The
     individual keyword arguments remain as a convenience and are folded
@@ -299,8 +286,6 @@ def measure_engine_speedup(
         # early stopping in the timed runs, exactly as it would through
         # from_spec or the HTTP service.
         async_refit_tol = spec.serving.refit_tol
-        if processes is None and spec.serving.processes:
-            processes = spec.serving.processes
         dataset = load_celebrity(seed=seed, num_rows=num_rows)
     schema = dataset.schema
     pool = dataset.worker_pool
@@ -317,7 +302,6 @@ def measure_engine_speedup(
         async_stale: object = "off",
         refit_tol: Optional[float] = None,
         capture_estimates: bool = False,
-        num_processes: Optional[int] = None,
     ) -> Tuple[List[tuple], float, int, object, AnswerSet, Optional[dict]]:
         rng = np.random.default_rng(seed)
         answers = AnswerSet(schema)
@@ -347,15 +331,12 @@ def measure_engine_speedup(
             strategy=build_strategy(spec.policy.strategy),
         )
         # The serving wrapper comes from the same factory table every other
-        # entry point (platform session, HTTP service) uses; serving.shards
-        # only partitions the multiprocess path.
+        # entry point (platform session, HTTP service) uses.
         policy = wrap_policy(
             assigner,
             ServingSpec(
-                shards=spec.serving.shards,
                 async_refit=async_stale != "off",
                 max_stale_answers=0 if async_stale == "off" else async_stale,
-                processes=num_processes or 0,
             ),
         )
         decisions: List[tuple] = []
@@ -492,31 +473,6 @@ def measure_engine_speedup(
         stats["async_refit_tol"] = async_refit_tol
         stats["seconds_engine_async_path"] = async_seconds
         stats["speedup_async"] = exact_seconds / max(async_seconds, 1e-12)
-    if processes is not None and processes >= 1:
-        # Process-level serving (ProcessShardCoordinator).  Equivalence
-        # run: every worker replays the full answer stream through a
-        # deterministic twin of the assigner, so the merged per-worker
-        # top-Ks must replay the seed sequence bit for bit across the
-        # process boundary (floats round-trip the JSON pipe exactly).
-        mp_decisions, _, _, _, _, _ = run_path(
-            warm_start=False, fast=True, num_processes=processes
-        )
-        stats["processes"] = int(processes)
-        stats["identical_assignments_multiprocess"] = (
-            seed_decisions == mp_decisions
-        )
-        # Timed production run: warm-started workers at the same cadence.
-        # Seed-relative like speedup; at smoke size the JSON IPC and
-        # per-worker refits price in, so the gate holds this to a relative
-        # floor only (see scripts/check_perf_regression.py).
-        _, mp_seconds, mp_collected, _, _, _ = timed_path(
-            warm_start=True, fast=True, num_processes=processes
-        )
-        stats["seconds_engine_multiprocess_path"] = mp_seconds
-        stats["speedup_multiprocess"] = seed_seconds / max(mp_seconds, 1e-12)
-        stats["multiprocess_answers_per_sec"] = mp_collected / max(
-            mp_seconds, 1e-12
-        )
     return stats
 
 

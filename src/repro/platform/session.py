@@ -86,7 +86,7 @@ class CrowdsourcingSession:
     :meth:`from_spec` (which also builds the policy and evaluation
     inference from the spec) or by passing ``spec=`` alongside an
     explicit policy.  The serving mode (``spec.serving``: plain / async
-    refit / worker processes), the durability section and the simulation
+    refit), the durability section and the simulation
     budget are all read from the spec; the wrapper-selection logic is the
     shared factory in :mod:`repro.config.factory`, the same one the HTTP
     service uses.
@@ -272,8 +272,8 @@ class CrowdsourcingSession:
         try:
             return self._run()
         finally:
-            # The session owns the wrapper it built (async refit worker or
-            # shard-worker processes): release its threads and processes.
+            # The session owns the wrapper it built (the async refit
+            # worker): release its thread.
             if self.durable is not None:
                 self.durable.close()
             if self._owned_policy is not None:

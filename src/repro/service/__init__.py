@@ -1,9 +1,8 @@
 """Crowd-serving service layer: HTTP API, durability, session registry.
 
-The engine packages give the online loop three serving paths (the
-incremental assigner, async refit, and process-level shard workers); this
-package is the layer that serves them to live workers instead of
-in-process simulation loops:
+The engine packages give the online loop two serving paths (the
+incremental assigner and async refit); this package is the layer that
+serves them to live workers instead of in-process simulation loops:
 
 * :mod:`repro.service.wal` — a durable session: an append-only
   write-ahead answer log plus periodic engine-state snapshots, replayable to

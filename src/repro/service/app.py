@@ -45,14 +45,14 @@ import json
 import re
 import threading
 import time
-from collections import Counter, deque
+from collections import Counter
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from socketserver import ThreadingMixIn
 
-from repro.engine.profiling import HotPathProfile
+from repro.engine.profiling import HotPathProfile, StageStats, histogram_lines
 from repro.service.registry import SessionRegistry
 from repro.utils.exceptions import (
     AssignmentError,
@@ -60,7 +60,6 @@ from repro.utils.exceptions import (
     DataError,
     DurabilityError,
     InferenceError,
-    ServiceUnavailableError,
 )
 
 _STATUS = {
@@ -72,7 +71,6 @@ _STATUS = {
     409: "409 Conflict",
     413: "413 Payload Too Large",
     500: "500 Internal Server Error",
-    503: "503 Service Unavailable",
 }
 
 #: Default request-body cap — far above any real config or answer batch,
@@ -84,9 +82,6 @@ _SESSION_PATH = re.compile(
     r"(?:/(?P<verb>tasks|answers|estimates|workers|config|decisions))?"
     r"(?:/(?P<arg>[^/]+))?$"
 )
-
-#: Window of recent select latencies the metrics endpoint summarises.
-_LATENCY_WINDOW = 1024
 
 #: The closed set of endpoint labels ``/metrics`` may emit.  Anything else
 #: — unknown paths, fuzzed URLs, bad session verbs — buckets under
@@ -119,14 +114,6 @@ _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
-def _quantile(sorted_values, q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
-    return float(sorted_values[rank])
-
-
 class ServiceMetrics:
     """Thread-safe counters behind the Prometheus ``/metrics`` endpoint."""
 
@@ -135,9 +122,9 @@ class ServiceMetrics:
         self.requests: Counter = Counter()
         self.errors: Counter = Counter()
         self.answers_ingested = 0
-        self.selects_served = 0
-        self.select_seconds_sum = 0.0
-        self.select_latencies: deque = deque(maxlen=_LATENCY_WINDOW)
+        #: Every served select's latency, rendered as a histogram, whose
+        #: buckets add up across servers and over time.
+        self.select_latency = StageStats()
         #: Per-stage hot-path timers (snapshot acquire, lock wait, EM refit,
         #: calculator build, batch scoring, top-K merge), aggregated across
         #: every session whose policy supports ``set_profile`` — rendered as
@@ -154,9 +141,7 @@ class ServiceMetrics:
 
     def observe_select(self, seconds: float) -> None:
         with self._lock:
-            self.selects_served += 1
-            self.select_seconds_sum += seconds
-            self.select_latencies.append(seconds)
+            self.select_latency.observe(seconds)
 
     def observe_answers(self, count: int) -> None:
         with self._lock:
@@ -165,7 +150,7 @@ class ServiceMetrics:
     def render(self, registry: SessionRegistry) -> str:
         """Prometheus text exposition format (0.0.4)."""
         with self._lock:
-            latencies = sorted(self.select_latencies)
+            select_latency = self.select_latency.copy()
             lines = [
                 "# HELP repro_service_sessions_active Live sessions in the registry.",
                 "# TYPE repro_service_sessions_active gauge",
@@ -191,17 +176,13 @@ class ServiceMetrics:
                 f"repro_service_answers_ingested_total {self.answers_ingested}",
                 "# HELP repro_service_selects_served_total Task batches assigned.",
                 "# TYPE repro_service_selects_served_total counter",
-                f"repro_service_selects_served_total {self.selects_served}",
-                "# HELP repro_service_select_latency_seconds Select latency over "
-                f"the last {_LATENCY_WINDOW} requests.",
-                "# TYPE repro_service_select_latency_seconds summary",
-                'repro_service_select_latency_seconds{quantile="0.5"} '
-                f"{_quantile(latencies, 0.5):.6f}",
-                'repro_service_select_latency_seconds{quantile="0.99"} '
-                f"{_quantile(latencies, 0.99):.6f}",
-                f"repro_service_select_latency_seconds_sum {self.select_seconds_sum:.6f}",
-                f"repro_service_select_latency_seconds_count {self.selects_served}",
+                f"repro_service_selects_served_total {select_latency.calls}",
             ]
+        lines += [
+            "# HELP repro_service_select_latency_seconds Select latency histogram.",
+            "# TYPE repro_service_select_latency_seconds histogram",
+        ]
+        lines += histogram_lines("repro_service_select_latency_seconds", select_latency)
         wal_segments = 0
         snapshots_retained = 0
         decisions_recorded = 0
@@ -273,9 +254,6 @@ class ServiceApp:
             status, body = 404, {"error": f"Unknown resource: {exc.args[0]!r}"}
         except AssignmentError as exc:
             status, body = 409, {"error": str(exc)}
-        except ServiceUnavailableError as exc:
-            # A dead shard worker process: explicit 503, never a hang.
-            status, body = 503, {"error": str(exc)}
         except (InferenceError, DurabilityError) as exc:
             status, body = 500, {"error": str(exc)}
         if isinstance(body, str):

@@ -36,7 +36,7 @@ import numpy as np
 from repro.config import SessionSpec
 from repro.config.factory import build_policy
 from repro.datasets import load_celebrity
-from repro.service.app import ServiceServer, _quantile
+from repro.service.app import ServiceServer
 from repro.service.registry import schema_to_dict
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import AssignmentError, DurabilityError
@@ -45,30 +45,32 @@ Cell = Tuple[int, int]
 
 #: The golden-trace scenario (tests/fixtures/golden_trace.json) — small
 #: enough to replay in seconds, rich enough to hit every code path.
-#: ``num_shards`` is the row partition of the ``multiprocess`` mode.
 DEFAULT_SCENARIO = {
     "seed": 7,
     "num_rows": 12,
     "target_answers_per_task": 1.5,
-    "num_shards": 3,
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
 #: Serving-mode keys accepted by the scripted drivers, one per
-#: :func:`~repro.config.factory.wrap_policy` outcome.  ``multiprocess``
-#: serves the scenario's shards from two real worker subprocesses behind
-#: :class:`~repro.engine.ProcessShardCoordinator`.
-SERVING_MODES = ("plain", "async", "multiprocess")
+#: :func:`~repro.config.factory.wrap_policy` outcome.
+SERVING_MODES = ("plain", "async")
 
 
-def _serving_config(mode: str, scenario: dict) -> dict:
+def _serving_config(mode: str) -> dict:
     if mode == "plain":
         return {}
     if mode == "async":
         return {"async_refit": True, "max_stale_answers": 0}
-    if mode == "multiprocess":
-        return {"shards": scenario["num_shards"], "processes": 2}
     raise ValueError(f"Unknown serving mode {mode!r}; expected {SERVING_MODES}")
+
+
+def _quantile(sorted_values, q: float) -> float:
+    """Nearest-rank quantile of an already-sorted sequence."""
+    if not sorted_values:
+        return 0.0
+    rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
+    return float(sorted_values[rank])
 
 
 def scripted_spec(mode: str, scenario: dict, audit: bool = True) -> SessionSpec:
@@ -91,7 +93,7 @@ def scripted_spec(mode: str, scenario: dict, audit: bool = True) -> SessionSpec:
                 DEFAULT_SCENARIO["target_answers_per_task"],
             ),
         )
-        .serving(audit=audit, **_serving_config(mode, scenario))
+        .serving(audit=audit, **_serving_config(mode))
     )
     strategy = scenario.get("strategy")
     if strategy is not None:

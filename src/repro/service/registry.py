@@ -164,7 +164,7 @@ def build_policy(schema: TableSchema, config):
     ``config`` may be a :class:`~repro.config.SessionSpec` or a v1 JSON
     body (parsed by :func:`parse_config`).  The actual construction —
     assigner options, model options, and the serving-mode table (plain /
-    async / multiprocess) — is the shared factory in
+    async) — is the shared factory in
     :mod:`repro.config.factory`.
     """
     if not isinstance(config, SessionSpec):

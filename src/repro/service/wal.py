@@ -48,8 +48,8 @@ the WAL tail with full side effects, or by replaying the whole log.  The
 continued assignment sequence matches an uninterrupted run bit for bit —
 the property ``benchmarks/run_bench.py --serve`` records as
 ``recovery_identical`` and CI gates on.  (The guarantee assumes a
-deterministic serving mode: the synchronous and multi-process policies,
-or the async one at ``max_stale_answers=0``.  With a positive staleness bound,
+deterministic serving mode: the synchronous policy, or the async one at
+``max_stale_answers=0``.  With a positive staleness bound,
 background refit *timing* is nondeterministic, so replay reproduces a
 valid execution of the same session rather than the exact one observed.)
 

@@ -5,8 +5,8 @@ composition semantics of ``epsilon_greedy`` and the scenario knobs the
 strategy benchmark pairs them with.  The public surface:
 
 * :class:`AssignmentStrategy` / :class:`StrategyCalculator` — the plug-in
-  protocol (scoring only; selection, sharding, provenance and durability
-  are shared machinery);
+  protocol (scoring only; selection, provenance and durability are shared
+  machinery);
 * :func:`build_strategy` — :class:`~repro.config.StrategySpec` to live
   strategy (``None`` for ``"paper"``, keeping the default byte-for-byte);
 * the built-ins: :class:`RandomStrategy`, :class:`RoundRobinStrategy`,

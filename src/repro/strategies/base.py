@@ -3,12 +3,11 @@
 A strategy decides *what scores candidate cells* — it plugs into
 :meth:`repro.core.assignment.TCrowdAssigner._build_calculator`, the one
 point every serving mode funnels scoring through (the vectorized select,
-the scalar path, the async snapshot-scoring path and the multi-process
-worker twins all build their calculator there).  Everything *around* the
-scores — candidate filtering, stable top-K and the cross-shard merge,
-refit cadence, WAL replay, decision provenance — is shared machinery the
-strategy never touches, which is what makes every strategy bit-identical
-across all three serving modes by construction.
+the scalar path and the async snapshot-scoring path all build their
+calculator there).  Everything *around* the scores — candidate filtering,
+stable top-K, refit cadence, WAL replay, decision provenance — is shared
+machinery the strategy never touches, which is what makes every strategy
+bit-identical across both serving modes by construction.
 
 The contract for the returned calculator mirrors the paper calculators
 (:class:`~repro.core.information_gain.InformationGainCalculator`):
@@ -16,8 +15,7 @@ The contract for the returned calculator mirrors the paper calculators
 ``gain(worker, row, col) -> float``
     Score one cell (the scalar / non-vectorized path).
 ``gains_batch(worker, cells) -> np.ndarray``
-    Score many cells in one pass (the vectorized, async and multi-process
-    paths).
+    Score many cells in one pass (the vectorized and async paths).
 
 Determinism rules every strategy must obey (and the provided helpers
 make easy):
@@ -28,11 +26,11 @@ make easy):
   strategies draw from :func:`hash_unit` — a pure function of
   ``(seed, context)`` — instead.
 * **Scores are a pure function of ``(result, answers, worker, cell)``.**
-  Two processes holding the same session state must produce the same
-  score for the same cell, or the multi-process merge breaks.
-* **Finite floats only.**  Scores ride the JSON wire protocol of the
-  process coordinator and the audit ledger; ``inf``/``nan`` do not
-  survive it.  Use :data:`RETIRED_GAIN` as the "never pick this" value.
+  A recovered session must re-derive the same score for the same cell,
+  or WAL replay no longer verifies the logged decisions.
+* **Finite floats only.**  Scores are recorded in the audit ledger, whose
+  canonical JSON refuses ``inf``/``nan``.  Use :data:`RETIRED_GAIN` as the
+  "never pick this" value.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ from repro.core.inference import InferenceResult
 Cell = Tuple[int, int]
 
 #: Finite sentinel for cells a strategy has retired: small enough that any
-#: live cell outranks it, finite so it survives JSON (the coordinator wire
-#: protocol and the audit ledger both refuse ``-inf``).
+#: live cell outranks it, finite so it survives the audit ledger's JSON,
+#: which refuses ``-inf``.
 RETIRED_GAIN = -1e18
 
 _DOMAIN = b"repro.strategies"
@@ -96,10 +94,8 @@ class AssignmentStrategy(abc.ABC):
     """One pluggable scoring policy (see the module docs for the contract).
 
     ``spec`` is the :class:`~repro.config.StrategySpec` the strategy was
-    built from — the serializable identity that ships across the process
-    boundary (:func:`repro.engine.coordinator.worker_spec_from_assigner`)
-    and is pinned, by name, into durable manifests and the decision-chain
-    genesis.
+    built from — the serializable identity pinned, by name, into durable
+    manifests and the decision-chain genesis.
     """
 
     def __init__(self, spec) -> None:

@@ -28,11 +28,3 @@ class AssignmentError(ReproError):
 
 class DurabilityError(ReproError):
     """Raised when a write-ahead log or snapshot store is inconsistent."""
-
-
-class ServiceUnavailableError(ReproError):
-    """Raised when a serving backend (e.g. a shard worker process) is down.
-
-    The HTTP layer maps this to ``503 Service Unavailable`` — a dead shard
-    worker surfaces as a fast, explicit error instead of a hang.
-    """

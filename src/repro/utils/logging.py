@@ -1,15 +1,13 @@
 """Structured logging: one JSON object per line, correlation fields attached.
 
-The service layer and the multiprocess shard workers used to write free-form
-text to stderr / per-worker log files, which CI could only grep.  This module
-gives every component the same stdlib :mod:`logging` setup with an optional
-JSON line formatter that carries the three correlation fields the audit layer
-introduced — ``session_id``, ``worker_id`` and ``decision_id`` — whenever a
-log site supplies them (via ``extra=`` or defaults bound at configure time).
+This module gives every component the same stdlib :mod:`logging` setup
+with an optional JSON line formatter that carries the three correlation
+fields the audit layer introduced — ``session_id``, ``worker_id`` and
+``decision_id`` — whenever a log site supplies them via ``extra=``, so log
+output is machine-parseable rather than free-form text.
 
 ``python -m repro.service`` exposes this through ``--log-level`` and
-``--log-json``; worker processes configure themselves with JSON lines
-unconditionally so their ``worker-<i>.log`` files are machine-parseable.
+``--log-json``.
 """
 
 from __future__ import annotations
@@ -42,33 +40,15 @@ class JsonLineFormatter(logging.Formatter):
         return json.dumps(payload, sort_keys=True)
 
 
-class _ContextFilter(logging.Filter):
-    """Attach bound default fields to every record passing through."""
-
-    def __init__(self, fields: dict) -> None:
-        super().__init__()
-        self.fields = fields
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        for key, value in self.fields.items():
-            if getattr(record, key, None) is None:
-                setattr(record, key, value)
-        return True
-
-
 def configure_logging(
     level: str = "INFO",
     json_lines: bool = False,
     stream=None,
-    **fields,
 ) -> logging.Logger:
     """(Re)configure the ``repro`` logger tree and return its root.
 
-    Idempotent: replaces any handler a previous call installed, so the
-    service's ``--log-level``/``--log-json`` flags and the worker entry
-    point can both call it without duplicating output.  ``fields`` are
-    bound onto every record (e.g. ``worker_id=3``) unless the log site
-    already set them via ``extra=``.
+    Idempotent: replaces any handler a previous call installed, so calling
+    it again never duplicates output.
     """
     numeric = getattr(logging, str(level).upper(), None)
     if not isinstance(numeric, int):
@@ -80,8 +60,6 @@ def configure_logging(
         handler.setFormatter(
             logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s")
         )
-    if fields:
-        handler.addFilter(_ContextFilter(fields))
     logger = logging.getLogger("repro")
     for old in list(logger.handlers):
         logger.removeHandler(old)

@@ -9,8 +9,8 @@ Three contracts are pinned here:
   :class:`~repro.config.SpecValidationError` whose ``path`` names the
   offending field (``serving.max_stale_answers``), and unknown fields are
   rejected rather than ignored.
-* **Three serving outcomes** — the factory returns the bare assigner, the
-  async refit wrapper or the process coordinator, nothing else.
+* **Two serving outcomes** — the factory returns the bare assigner or the
+  async refit wrapper, nothing else.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ policy_specs = st.builds(
 
 serving_specs = st.builds(
     ServingSpec,
-    shards=st.integers(min_value=1, max_value=16),
     async_refit=st.booleans(),
     max_stale_answers=st.none() | st.integers(min_value=0, max_value=10_000),
     refit_tol=st.none() | st.floats(min_value=1e-9, max_value=1.0, **_floats),
@@ -139,7 +138,7 @@ class TestRoundTrip:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.version = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.serving.shards = 99
+            spec.serving.audit = False
 
     def test_sections_may_be_omitted(self):
         assert SessionSpec.from_dict({"version": 1}) == SessionSpec()
@@ -158,8 +157,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "payload, path",
         [
-            ({"serving": {"shards": 0}}, "serving.shards"),
-            ({"serving": {"shards": "four"}}, "serving.shards"),
+            ({"serving": {"max_stale_answers": "four"}}, "serving.max_stale_answers"),
+            ({"serving": {"audit": 1}}, "serving.audit"),
             ({"serving": {"max_stale_answers": -1}}, "serving.max_stale_answers"),
             ({"serving": {"async_refit": 1}}, "serving.async_refit"),
             ({"serving": {"refit_tol": 0.0}}, "serving.refit_tol"),
@@ -189,64 +188,40 @@ class TestValidation:
 
     def test_errors_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
-            ServingSpec(shards=0)
+            ServingSpec(max_stale_answers=-1)
 
     def test_booleans_are_not_integers(self):
-        with pytest.raises(SpecValidationError, match="serving.shards"):
-            ServingSpec(shards=True)
-
-    def test_processes_rejects_async_refit(self):
-        """Worker processes own their refit schedule: the in-process async
-        engine would race it, so the combination is a spec error."""
-        with pytest.raises(SpecValidationError, match="serving.async_refit"):
-            ServingSpec(processes=2, async_refit=True)
-        with pytest.raises(SpecValidationError, match="serving.processes"):
-            ServingSpec(processes=-1)
-
-    def test_processes_rejects_monte_carlo_gains(self):
-        with pytest.raises(SpecValidationError) as excinfo:
-            SessionSpec.from_dict(
-                {
-                    "version": 1,
-                    "policy": {"continuous_samples": 4},
-                    "serving": {"processes": 2},
-                }
-            )
-        assert excinfo.value.path == "policy.continuous_samples"
+        with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
+            ServingSpec(max_stale_answers=True)
 
     def test_async_refit_rejects_monte_carlo_gains(self):
-        """Background refits would reorder the Monte-Carlo sample stream,
-        with or without a ``shards`` value alongside."""
+        """Background refits would reorder the Monte-Carlo sample stream."""
         with pytest.raises(SpecValidationError) as excinfo:
             SessionSpec.from_dict(
                 {
                     "version": 1,
                     "policy": {"continuous_samples": 4},
-                    "serving": {"shards": 2, "async_refit": True},
+                    "serving": {"async_refit": True},
                 }
             )
         assert excinfo.value.path == "policy.continuous_samples"
 
     def test_shards_without_processes_accept_monte_carlo_gains(self):
-        """In-process serving ignores ``serving.shards``, so the sample
-        stream is the plain assigner's and the spec is valid."""
+        """The retired ``serving.processes`` / ``serving.shards`` are
+        dropped, so the spec serves the plain assigner, whose sample stream
+        is the single one Monte-Carlo gains need."""
         spec = SessionSpec.from_dict(
             {
                 "version": 1,
                 "policy": {"continuous_samples": 4},
-                "serving": {"shards": 2},
+                "serving": {"shards": 2, "processes": 2},
             }
         )
         assert spec.policy.continuous_samples == 4
         assert not spec.serving.wants_wrapper
-
-    def test_processes_describe_and_wrapper(self):
-        spec = ServingSpec(processes=2, shards=4)
-        assert spec.wants_wrapper
-        assert spec.describe() == "multiprocess x2 + sharded x4"
-        assert not ServingSpec().wants_wrapper
-        # Without processes the partition selects nothing.
-        assert not ServingSpec(shards=4).wants_wrapper
+        assert spec.serving == ServingSpec()
+        assert "processes" not in spec.to_dict()["serving"]
+        assert "shards" not in spec.to_dict()["serving"]
 
     def test_max_stale_semantics_are_unified(self):
         """One default for every entry point: 0 = blocking (bit-exact)."""
@@ -277,8 +252,8 @@ class TestBuilder:
         assert SessionSpec.builder().build() == SessionSpec()
 
     def test_builder_validates_at_build(self):
-        builder = SessionSpec.builder().serving(shards=0)
-        with pytest.raises(SpecValidationError, match="serving.shards"):
+        builder = SessionSpec.builder().serving(refit_tol=0.0)
+        with pytest.raises(SpecValidationError, match="serving.refit_tol"):
             builder.build()
 
     def test_with_durable_dir(self, tmp_path):
@@ -290,15 +265,15 @@ class TestBuilder:
         spec = (
             SessionSpec.builder()
             .durable(tmp_path, snapshot_every_answers=25, wal_fsync=True)
-            .serving(processes=2, shards=3)
-            .serving(shards=4)
+            .serving(max_stale_answers=3, refit_tol=1e-3)
+            .serving(max_stale_answers=4)
             .build()
         )
         assert spec.durability == DurabilitySpec(
             durable_dir=str(tmp_path), snapshot_every_answers=25, wal_fsync=True
         )
         # later builder calls win
-        assert spec.serving == ServingSpec(processes=2, shards=4)
+        assert spec.serving == ServingSpec(max_stale_answers=4, refit_tol=1e-3)
 
     def test_split_envelope_rejects_non_objects(self):
         from repro.config import split_envelope
@@ -332,25 +307,19 @@ class TestFactory:
         fast = {"max_iterations": 3, "m_step_iterations": 6}
         plain = build_policy(mixed_schema, SessionSpec.builder().model(**fast).build())
         assert type(plain).__name__ == "TCrowdAssigner"
-        sharded = build_policy(
+        tolerant = build_policy(
             mixed_schema,
-            SessionSpec.builder().model(**fast).serving(shards=2).build(),
+            SessionSpec.builder().model(**fast).serving(refit_tol=1e-3).build(),
         )
-        assert type(sharded).__name__ == "TCrowdAssigner"
-        for build, expected in [
-            (SessionSpec.builder().model(**fast).async_refit(), "AsyncRefitPolicy"),
-            (
-                SessionSpec.builder().model(**fast).serving(shards=2)
-                .async_refit(),
-                "AsyncRefitPolicy",
-            ),
-        ]:
-            policy = build_policy(mixed_schema, build.build())
-            try:
-                assert type(policy).__name__ == expected
-                assert policy.name.endswith("[async refit]")
-            finally:
-                policy.close()
+        assert type(tolerant).__name__ == "TCrowdAssigner"
+        policy = build_policy(
+            mixed_schema, SessionSpec.builder().model(**fast).async_refit().build()
+        )
+        try:
+            assert type(policy).__name__ == "AsyncRefitPolicy"
+            assert policy.name.endswith("[async refit]")
+        finally:
+            policy.close()
 
     def test_wrap_policy_requires_tcrowd_assigner(self, mixed_schema):
         from repro.baselines.assignment_simple import RandomAssigner
@@ -407,7 +376,7 @@ class TestValidateCLI:
                     "version": 1,
                     "dataset": {"name": "celebrity", "num_rows": 8},
                     "durable": True,
-                    "serving": {"shards": 2},
+                    "serving": {"max_stale_answers": 2},
                 }
             ),
             encoding="utf-8",

@@ -9,17 +9,14 @@ policy the factory can return:
 * ``async_refit`` — the same assigner served through an
   :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` on a
   :class:`~repro.engine.VirtualClock` (every refit blocking, deterministic;
-  the scoring cache on);
-* ``multiprocess`` — the same assigner served by a
-  :class:`~repro.engine.ProcessShardCoordinator` with two worker processes
-  over the scenario's ``num_shards`` row shards.
+  the scoring cache on).
 
 (The service layer's durability path replays the same scenario through a
 write-ahead log and is pinned against this fixture in ``tests/test_wal.py``.)
 
-All of them must produce *bit-identical* assignment sequences and final truth
-estimates — that is the contract the shard merge and the bounded-staleness
-mode are built on — and the sequence must match the committed
+Both must produce *bit-identical* assignment sequences and final truth
+estimates — that is the contract the bounded-staleness mode is built
+on — and the sequence must match the committed
 fixture ``tests/fixtures/golden_trace.json``, which pins the engine's
 behaviour across refactors.
 
@@ -46,18 +43,20 @@ from repro.utils.exceptions import AssignmentError
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "golden_trace.json"
 
 #: Scenario pinned by the fixture.  Small enough that the replays run in a
-#: few seconds, large enough that every code path (warm chain, shard merge,
-#: staleness blocking, candidate-pool exhaustion) is exercised.
+#: few seconds, large enough that every code path (warm chain, staleness
+#: blocking, candidate-pool exhaustion) is exercised.
 SCENARIO = {
     "dataset": "celebrity",
     "seed": 7,
     "num_rows": 12,
     "target_answers_per_task": 1.5,
+    # Selects nothing; kept because the committed fixture's scenario
+    # carries it and must equal this dict.
     "num_shards": 3,
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
-CONFIGS = ("incremental", "async_refit", "multiprocess")
+CONFIGS = ("incremental", "async_refit")
 
 
 #: Serving section of each matrix configuration — every policy is built
@@ -67,7 +66,6 @@ CONFIGS = ("incremental", "async_refit", "multiprocess")
 _SERVING = {
     "incremental": {},
     "async_refit": {"async_refit": True, "max_stale_answers": 0},
-    "multiprocess": {"shards": SCENARIO["num_shards"], "processes": 2},
 }
 
 
@@ -203,7 +201,7 @@ class TestGoldenTrace:
         )
 
     def test_all_configurations_bit_identical(self, replays):
-        """incremental / async(max_stale=0) / multiprocess replay one sequence."""
+        """incremental and async(max_stale=0) replay one sequence."""
         reference_decisions, reference_estimates = replays["incremental"]
         for config in CONFIGS[1:]:
             decisions, estimates = replays[config]

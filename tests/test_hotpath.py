@@ -1,8 +1,7 @@
-"""Hot-path tests: top-K merge, scoring cache, profile stages, Newton M-step.
+"""Hot-path tests: scoring cache, profile stages, Newton M-step.
 
 The async serving path's speed features (the snapshot-keyed
-scoring-calculator cache of :class:`~repro.engine.AsyncRefitPolicy`), the
-coordinator's stable top-K merge with its ``k == 1`` shortcut and the
+scoring-calculator cache of :class:`~repro.engine.AsyncRefitPolicy`) and the
 Newton M-step must be behaviour-neutral where the equivalence bits say so
 and objective-equivalent where EM tolerance allows.  These tests pin each
 claim in isolation; the end-to-end bit-identity stays with the golden-trace
@@ -13,17 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import STRATEGY_NAMES, SessionSpec
 from repro.config.factory import build_assigner
 from repro.core.answers import AnswerSet
-from repro.core.assignment import (
-    TCrowdAssigner,
-    merge_top_k_stable,
-    top_k_stable,
-)
+from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.engine import AsyncRefitPolicy, VirtualClock
 from repro.engine.profiling import BUCKET_BOUNDS, HotPathProfile, stage
@@ -52,43 +45,6 @@ def _assigner(schema, **kwargs) -> TCrowdAssigner:
     options = dict(refit_every=1, warm_start=True)
     options.update(kwargs)
     return TCrowdAssigner(schema, model=TCrowdModel(**FAST_MODEL), **options)
-
-
-# -- stable top-K merge vs the monolithic selection ---------------------------
-
-
-_gain_parts = st.lists(
-    st.lists(
-        st.floats(
-            min_value=-1e6, max_value=1e6,
-            allow_nan=False, allow_infinity=False,
-        ),
-        max_size=8,
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-class TestMergeTopKStable:
-    @given(parts=_gain_parts, k=st.sampled_from([1, 2, 4, 7]))
-    @settings(deadline=None, max_examples=200)
-    def test_merge_matches_monolithic_top_k(self, parts, k):
-        """The heap merge (and its k==1 shortcut) equals top-K over concat."""
-        arrays = [np.asarray(part, dtype=float) for part in parts]
-        flat = (
-            np.concatenate(arrays) if arrays else np.zeros(0, dtype=float)
-        )
-        merged = merge_top_k_stable(arrays, k)
-        expected = top_k_stable(flat, k)[: len(merged)]
-        assert merged.tolist() == expected.tolist()
-
-    def test_k1_shortcut_prefers_earlier_index_on_ties(self):
-        parts = [np.array([1.0, 5.0]), np.array([5.0, 2.0])]
-        assert merge_top_k_stable(parts, 1).tolist() == [1]
-
-    def test_k1_all_empty_parts(self):
-        assert merge_top_k_stable([np.zeros(0), np.zeros(0)], 1).tolist() == []
 
 
 # -- snapshot-keyed scoring-calculator cache ----------------------------------

@@ -4,8 +4,8 @@
   as arrays; ``posterior()`` / ``estimate()`` must equal, bit for bit, the
   per-cell objects fits built before (the reference loop below).
 * Scheme 2 (:func:`~repro.core.codec.buffer_hash`) depends on the bits
-  alone: equal across a fit, a snapshot round trip, the async snapshot and
-  the coordinator's workers; moved by one ulp in any buffer or any header
+  alone: equal across a fit, a snapshot round trip and the async snapshot;
+  moved by one ulp in any buffer or any header
   field; blind to the padded label width.
 * Durable directories written at audit format 1 (committed fixtures)
   recover, re-verify and keep chaining at format 1.

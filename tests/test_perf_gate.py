@@ -33,11 +33,9 @@ def _run(overrides: dict) -> dict:
         "repeats": 5,
         "speedup": 1.7,
         "speedup_async": 1.9,
-        "speedup_multiprocess": 0.4,
         "identical_assignments": True,
         "identical_assignments_async": True,
         "identical_estimates_async": True,
-        "identical_assignments_multiprocess": True,
         "recovery_identical": True,
         "audit_replay_identical": True,
         "strategy_default_identical": True,
@@ -79,7 +77,6 @@ def test_consistent_runs_pass(gate):
 EQUIVALENCE_BITS = (
     "identical_assignments_async",
     "identical_estimates_async",
-    "identical_assignments_multiprocess",
 )
 
 

@@ -371,35 +371,6 @@ class TestAsyncRefitSession:
         assert trace.final.answers_per_task > 1.0
         assert trace.final.error_rate is not None
 
-    def test_composed_sharded_async_session_replays_synchronous_trace(
-        self, async_dataset
-    ):
-        """shards + async_refit without processes: ``serving.shards``
-        selects nothing in-process, so the async wrapper serves the spec
-        alone and at max_stale_answers=0 replays the synchronous trace bit
-        for bit."""
-        sync_trace = self._session(async_dataset).run()
-        composed_trace = self._session(
-            async_dataset,
-            spec=self._spec_builder()
-            .serving(shards=2)
-            .async_refit(max_stale=0)
-            .build(),
-        ).run()
-        assert composed_trace.records == sync_trace.records
-        assert composed_trace.policy_name.endswith("[async refit]")
-        assert "sharded" not in composed_trace.policy_name
-
-    def test_composed_session_with_bounded_staleness_completes(self, async_dataset):
-        trace = self._session(
-            async_dataset,
-            spec=self._spec_builder()
-            .serving(shards=2)
-            .async_refit(max_stale=6)
-            .build(),
-        ).run()
-        assert trace.final.answers_per_task > 1.0
-
     def test_async_requires_tcrowd_policy(self, async_dataset):
         model = TCrowdModel(max_iterations=4, m_step_iterations=8)
         spec = SessionSpec.builder().async_refit().simulation(

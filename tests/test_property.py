@@ -2,10 +2,9 @@
 
 Two families of properties:
 
-* ``merge_top_k_stable`` / ``top_k_stable`` against the naive sorted-merge
-  oracle the seed implementation used — over arbitrary shard partitions,
-  including empty shards, heavy ties and negative gains.
-* ``SessionState`` / ``ShardedSessionState`` incremental indexes against a
+* ``top_k_stable`` against the naive sorted oracle the seed implementation
+  used — including heavy ties and negative gains.
+* ``SessionState`` incremental indexes against a
   recompute-from-scratch oracle, over randomized answer streams with
   interleaved syncs — the O(1)-per-answer bookkeeping must never drift from
   what a full rescan of the answer set reports.
@@ -18,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answers import AnswerSet
-from repro.core.assignment import merge_top_k_stable, top_k_stable
+from repro.core.assignment import top_k_stable
 from repro.core.schema import Column, TableSchema
-from repro.engine import SessionState, ShardedSessionState
+from repro.engine import SessionState
 
 # -- top-K selection vs the seed implementation's sort ------------------------
 
@@ -29,7 +28,6 @@ from repro.engine import SessionState, ShardedSessionState
 #: under test.
 _gain_values = st.sampled_from([-1.5, -0.25, 0.0, 0.25, 0.25, 1.0, 1.0, 3.5])
 _gain_arrays = st.lists(_gain_values, min_size=0, max_size=12)
-_partitions = st.lists(_gain_arrays, min_size=1, max_size=5)
 
 
 def _oracle_top_k(gains: np.ndarray, k: int) -> list:
@@ -41,34 +39,11 @@ def _oracle_top_k(gains: np.ndarray, k: int) -> list:
 
 
 class TestTopKProperties:
-    @given(parts=_partitions, k=st.integers(min_value=1, max_value=15))
-    @settings(max_examples=120, deadline=None)
-    def test_merge_top_k_stable_matches_sorted_merge_oracle(self, parts, k):
-        arrays = [np.asarray(part, dtype=float) for part in parts]
-        concatenated = (
-            np.concatenate(arrays) if arrays else np.zeros(0, dtype=float)
-        )
-        expected = _oracle_top_k(concatenated, k)
-        merged = merge_top_k_stable(arrays, k)
-        assert list(merged) == expected
-
     @given(gains=_gain_arrays.filter(len), k=st.integers(min_value=1, max_value=15))
     @settings(max_examples=120, deadline=None)
     def test_top_k_stable_matches_oracle(self, gains, k):
         array = np.asarray(gains, dtype=float)
         assert list(top_k_stable(array, k)) == _oracle_top_k(array, k)
-
-    @given(parts=_partitions, k=st.integers(min_value=1, max_value=15))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_is_partition_invariant(self, parts, k):
-        """Any shard partition of the same gains yields the same winners."""
-        arrays = [np.asarray(part, dtype=float) for part in parts]
-        concatenated = (
-            np.concatenate(arrays) if arrays else np.zeros(0, dtype=float)
-        )
-        assert list(merge_top_k_stable(arrays, k)) == list(
-            merge_top_k_stable([concatenated], k)
-        )
 
 
 # -- incremental session state vs recompute-from-scratch ----------------------
@@ -160,38 +135,3 @@ class TestSessionStateProperties:
                     assert state.has_answered(worker, row, col) == (
                         answers.has_answered(worker, row, col)
                     )
-
-    @given(events=_events, cap=st.sampled_from([None, 1, 3]),
-           num_shards=st.integers(min_value=1, max_value=_NUM_ROWS))
-    @settings(max_examples=60, deadline=None)
-    def test_sharded_state_matches_monolithic_state(self, events, cap, num_shards):
-        schema = _schema()
-        answers = AnswerSet(schema)
-        sharded = ShardedSessionState(
-            schema, num_shards=num_shards, max_answers_per_cell=cap
-        )
-        for worker, row, col in events:
-            answers.add_answer(worker, row, col, _value_for(schema, col))
-        sharded.sync(answers)
-
-        scratch = _scratch_counts(schema, answers)
-        assert np.array_equal(sharded.counts, scratch)
-        # Per-shard open accounting sums to the global pool, and the
-        # concatenated per-shard candidate lists are exactly the monolithic
-        # row-major candidate list (the partitioned top-K precondition).
-        assert (
-            sum(sharded.shard_open_count(s) for s in range(sharded.num_shards))
-            == sharded.open_cell_count()
-        )
-        for row in range(schema.num_rows):
-            shard = sharded.shard_of_row(row)
-            start, stop = sharded.shard_bounds(shard)
-            assert start <= row < stop
-        for worker in (*_WORKERS, "never-seen"):
-            concatenated = [
-                cell
-                for shard in range(sharded.num_shards)
-                for cell in sharded.shard_candidate_cells(shard, worker)
-            ]
-            assert concatenated == sharded.candidate_cells(worker)
-            assert concatenated == _scratch_candidates(schema, answers, worker, cap)

@@ -373,11 +373,10 @@ class TestAsyncRefitPolicy:
         return TCrowdAssigner(schema, **kwargs)
 
     @staticmethod
-    def _shards_and_async_spec(shards):
+    def _async_spec():
         return (
             SessionSpec.builder()
             .model(max_iterations=4, m_step_iterations=8)
-            .serving(shards=shards)
             .async_refit(max_stale=0)
             .build()
         )
@@ -428,9 +427,9 @@ class TestAsyncRefitPolicy:
             assert policy.scoring_cache_hits == 1
 
     def test_name_reflects_the_serving_mode(self, celebrity):
-        """A spec with shards and async refit but no processes is served by
-        the async wrapper alone, and its name says so."""
-        spec = self._shards_and_async_spec(shards=3)
+        """An async-refit spec is served by the async wrapper, and its name
+        says so."""
+        spec = self._async_spec()
         assert spec.serving.describe() == "async refit (max_stale=0)"
         with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
             assert isinstance(policy, AsyncRefitPolicy)
@@ -438,7 +437,7 @@ class TestAsyncRefitPolicy:
 
     def test_empty_answers_rejected(self, celebrity):
         """The empty answer set is refused before any fit or scoring."""
-        spec = self._shards_and_async_spec(shards=2)
+        spec = self._async_spec()
         with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
             with pytest.raises(AssignmentError):
                 policy.select("w0", AnswerSet(celebrity.schema), k=1)

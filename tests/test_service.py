@@ -106,18 +106,12 @@ class TestSchemaCodec:
             mixed_schema, {"version": 1, "policy": {"model": FAST_MODEL}}
         )
         assert type(plain).__name__ == "TCrowdAssigner"
-        unpartitioned = build_policy(
-            mixed_schema,
-            {"version": 1, "policy": {"model": FAST_MODEL},
-             "serving": {"shards": 2}},
-        )
-        assert type(unpartitioned).__name__ == "TCrowdAssigner"
         async_policy = build_policy(
             mixed_schema,
             {
                 "version": 1,
                 "policy": {"model": FAST_MODEL},
-                "serving": {"shards": 2, "async_refit": True},
+                "serving": {"async_refit": True},
             },
         )
         assert async_policy.name.endswith("[async refit]")
@@ -352,8 +346,8 @@ class TestErrorContract:
             ({"version": 1, "schema": SCHEMA_SPEC,
               "serving": {"max_stale_answers": -1}},
              "serving.max_stale_answers"),
-            ({"version": 1, "schema": SCHEMA_SPEC, "serving": {"shards": 0}},
-             "serving.shards"),
+            ({"version": 1, "schema": SCHEMA_SPEC, "serving": {"refit_tol": 0}},
+             "serving.refit_tol"),
             ({"version": 1, "schema": SCHEMA_SPEC,
               "policy": {"bogus_knob": 1}},
              "policy.bogus_knob"),
@@ -387,12 +381,51 @@ class TestObservability:
         assert "repro_service_sessions_active" in text
         assert 'repro_service_requests_total{endpoint="tasks"}' in text
         assert "repro_service_answers_ingested_total" in text
-        assert 'repro_service_select_latency_seconds{quantile="0.5"}' in text
+        assert "# TYPE repro_service_select_latency_seconds histogram" in text
+        assert 'repro_service_select_latency_seconds_bucket{le="+Inf"}' in text
+        assert "repro_service_select_latency_seconds_sum" in text
         assert "repro_service_select_latency_seconds_count" in text
         client.delete_session(session_id)
         # 404s show up as error counters
         client.request("GET", "/sessions/nope")
         assert 'repro_service_http_errors_total{status="404"}' in client.get_metrics()
+
+    def test_every_histogram_is_cumulative_and_ends_at_its_count(self, client):
+        """Select latency and every hot-path stage (an async session
+        records those) are histograms whose ``le`` buckets never decrease
+        and whose ``+Inf`` bucket equals ``_count``."""
+        session_id = client.create_session(
+            _config(serving={"async_refit": True})
+        )["session_id"]
+        _seed(client, session_id)
+        for n in range(3):
+            assert client.get_tasks(session_id, f"hist{n}", k=1)[0] == 200
+        text = client.get_metrics()
+        client.delete_session(session_id)
+
+        families = [
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ") and line.endswith(" histogram")
+        ]
+        assert "repro_service_select_latency_seconds" in families
+        assert "repro_hotpath_stage_seconds" in families
+        for family in families:
+            buckets, counts = {}, {}
+            for line in text.splitlines():
+                series, _, value = line.rpartition(" ")
+                name, _, labels = series.partition("{")
+                labels = labels.rstrip("}")
+                if name == f"{family}_bucket":
+                    rest, _, le = labels.rpartition("le=")
+                    buckets.setdefault(rest, []).append((le.strip('"'), float(value)))
+                elif name == f"{family}_count":
+                    counts[f"{labels}," if labels else ""] = float(value)
+            assert buckets and set(buckets) == set(counts), family
+            for series, values in buckets.items():
+                cumulative = [count for _le, count in values]
+                assert cumulative == sorted(cumulative), (family, series)
+                assert values[-1][0] == "+Inf", (family, series)
+                assert values[-1][1] == counts[series], (family, series)
 
 
 class TestConcurrency:
@@ -504,7 +537,7 @@ class TestDurableSessionsOverHTTP:
                 "version": 1,
                 "schema": SCHEMA_SPEC,
                 "policy": {"model": dict(FAST_MODEL)},
-                "serving": {"shards": 2},
+                "serving": {"max_stale_answers": 2},
                 "durability": {"durable_dir": str(durable_dir),
                                "snapshot_every_answers": 10},
             }
@@ -514,9 +547,9 @@ class TestDurableSessionsOverHTTP:
         )
         assert manifest["format"] == 2
         spec = SessionSpec.from_dict(manifest["spec"])
-        assert spec.serving.shards == 2
+        assert spec.serving.max_stale_answers == 2
         assert spec.durability.durable_dir == str(durable_dir)
-        assert session.config_payload()["serving"]["shards"] == 2
+        assert session.config_payload()["serving"]["max_stale_answers"] == 2
         registry.close_all()
         # Recovery rebuilds the identical spec from the manifest alone.
         fresh = SessionRegistry()
@@ -527,33 +560,99 @@ class TestDurableSessionsOverHTTP:
         fresh.close_all()
 
     def test_manifest_with_retired_serving_keys_recovers(self, tmp_path):
-        """Manifests written before ``shard_workers`` / ``scoring_cache``
-        were retired carry both keys; they must still recover."""
+        """Manifests written before a serving field was retired carry it,
+        and they must still recover, in-process.
+
+        Two inputs: ``shard_workers`` / ``scoring_cache``, and a session
+        served with ``processes = 2`` over ``shards = 4``, whose decision
+        records (WAL events and one snapshot's audit history) carry the
+        two-block ``shards`` lineage its coordinator wrote.
+        """
         import json as json_module
 
-        durable_dir = tmp_path / "retired-keys"
-        registry = SessionRegistry()
-        session = registry.create(
-            _config(durability={"durable_dir": str(durable_dir),
-                                "snapshot_every_answers": 10})
-        )
-        session_id = session.session_id
-        spec = session.spec
-        registry.close_all()
-        manifest_path = durable_dir / "session.json"
-        manifest = json_module.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["spec"]["serving"].update(
-            {"shard_workers": None, "scoring_cache": True}
-        )
-        manifest_path.write_text(json_module.dumps(manifest), encoding="utf-8")
-        fresh = SessionRegistry()
-        recovered = fresh.create(
-            {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
-        )
-        assert recovered.session_id == session_id
-        assert recovered.spec == spec
-        assert "shard_workers" not in recovered.config_payload()["serving"]
-        fresh.close_all()
+        def two_block_lineage(record):
+            winners = [
+                [row, col, gain]
+                for (row, col), gain in zip(record["cells"], record["gains"])
+            ]
+            return dict(record, shards=[
+                {"shard": 0, "candidates": record["candidates"] - 1,
+                 "winners": winners, "process": 0},
+                {"shard": 1, "candidates": 1, "winners": [], "process": 1},
+            ])
+
+        inputs = [
+            ({"shard_workers": None, "scoring_cache": True}, None),
+            ({"processes": 2, "shards": 4}, two_block_lineage),
+        ]
+        for n, (retired, annotate) in enumerate(inputs):
+            durable_dir = tmp_path / f"retired-{n}"
+            registry = SessionRegistry()
+            session = registry.create(
+                _config(durability={"durable_dir": str(durable_dir),
+                                    "snapshot_every_answers": 10_000})
+            )
+            for row in range(4):
+                session.ingest(f"seed-{row % 2}", [(row, 0, "red"), (row, 1, 10.0 + row)])
+            for step in range(4):
+                worker = f"w{step}"
+                cells = session.select(worker, k=1).cells
+                session.ingest(worker, [(row, col, "blue" if col == 0 else 40.0)
+                                        for row, col in cells])
+                if step == 1:
+                    session.durable.snapshot()
+            session.select("w9", k=2)
+            estimates = session.estimates()["estimates"]
+            recorder = session.durable.recorder
+            head = recorder.chain_head
+            decisions = [record.cells for record in recorder.page(0, 100)]
+            session_id, spec = session.session_id, session.spec
+            session.durable._storage.close()  # crash: no closing snapshot
+
+            manifest_path = durable_dir / "session.json"
+            manifest = json_module.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest["spec"]["serving"].update(retired)
+            manifest_path.write_text(json_module.dumps(manifest), encoding="utf-8")
+            if annotate is not None:
+                annotated = 0
+                for segment in durable_dir.glob("wal*.jsonl"):
+                    events = [json_module.loads(line)
+                              for line in segment.read_text(encoding="utf-8").splitlines()]
+                    for event in events:
+                        if event["t"] == "decision":
+                            event["d"] = annotate(event["d"])
+                            annotated += 1
+                    segment.write_text(
+                        "".join(json_module.dumps(event) + "\n" for event in events),
+                        encoding="utf-8",
+                    )
+                assert annotated == len(decisions)
+                (snapshot_path,) = (durable_dir / "snapshots").glob("snapshot-*.json")
+                snapshot = json_module.loads(snapshot_path.read_text(encoding="utf-8"))
+                assert snapshot["audit"]["records"]
+                snapshot["audit"]["records"] = [
+                    annotate(record) for record in snapshot["audit"]["records"]
+                ]
+                snapshot_path.write_text(json_module.dumps(snapshot), encoding="utf-8")
+
+            fresh = SessionRegistry()
+            recovered = fresh.create(
+                {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
+            )
+            try:
+                assert recovered.session_id == session_id
+                assert recovered.spec == spec
+                stats = recovered.stats()
+                assert stats["audit_replay_verified"] > 0
+                assert stats["audit_replay_mismatches"] == 0
+                assert stats["decision_chain_hash"] == head
+                records = recovered.durable.recorder.page(0, 100)
+                assert [record.cells for record in records] == decisions
+                assert recovered.estimates()["estimates"] == estimates
+                serving = recovered.config_payload()["serving"]
+                assert not set(retired) & set(serving), serving
+            finally:
+                fresh.close_all()
 
     def test_format1_manifest_is_unrecoverable(self, tmp_path):
         import json as json_module
@@ -569,13 +668,13 @@ class TestDurableSessionsOverHTTP:
 
     def test_parse_config_dialect_detection(self):
         envelope, spec = parse_config(
-            {"version": 1, "schema": SCHEMA_SPEC, "serving": {"shards": 3}}
+            {"version": 1, "schema": SCHEMA_SPEC, "serving": {"refit_tol": 0.5}}
         )
         assert envelope == {"schema": SCHEMA_SPEC}
-        assert spec.serving.shards == 3
+        assert spec.serving.refit_tol == 0.5
         # Only the v1 dialect exists: a body without a version is rejected.
         with pytest.raises(SpecValidationError) as excinfo:
-            parse_config({"schema": SCHEMA_SPEC, "serving": {"shards": 3}})
+            parse_config({"schema": SCHEMA_SPEC, "serving": {"refit_tol": 0.5}})
         assert excinfo.value.path == "version"
 
     def test_duplicate_session_id_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ from repro.engine.provenance import (
     DecisionRecorder,
     strategy_genesis,
 )
-from repro.service.bench import run_scripted_session, verify_audit_replay
+from repro.service.bench import SERVING_MODES, run_scripted_session, verify_audit_replay
 from repro.strategies import (
     RETIRED_GAIN,
     BudgetVoIStrategy,
@@ -325,14 +325,12 @@ class TestStrategySessions:
 class TestCrossModeStrategyIdentity:
     """A non-paper strategy is bit-identical across the serving matrix."""
 
-    IN_PROCESS_MODES = ("plain", "async")
-
     @pytest.fixture(scope="class")
     def outcomes(self):
         scenario = {"model_kwargs": FAST_MODEL, "strategy": "uncertainty"}
         return {
             mode: run_scripted_session(mode, scenario=dict(scenario))
-            for mode in self.IN_PROCESS_MODES
+            for mode in SERVING_MODES
         }
 
     def test_decisions_identical_across_modes(self, outcomes):
@@ -352,15 +350,3 @@ class TestCrossModeStrategyIdentity:
     def test_recorders_pin_the_strategy(self, outcomes):
         for outcome in outcomes.values():
             assert outcome["session"].recorder.state()["strategy"] == "uncertainty"
-
-    @pytest.mark.slow
-    def test_multiprocess_serves_the_same_chain(self, outcomes):
-        outcome = run_scripted_session(
-            "multiprocess",
-            scenario={"model_kwargs": FAST_MODEL, "strategy": "uncertainty"},
-        )
-        assert outcome["decisions"] == outcomes["plain"]["decisions"]
-        assert (
-            outcome["session"].recorder.chain_head
-            == outcomes["plain"]["session"].recorder.chain_head
-        )

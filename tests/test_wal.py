@@ -226,7 +226,7 @@ class TestDurableSession:
 class TestCrashRecovery:
     """Kill / truncate / recover / continue — must match uninterrupted runs."""
 
-    @pytest.mark.parametrize("mode", ["plain", "async", "multiprocess"])
+    @pytest.mark.parametrize("mode", ["plain", "async"])
     def test_recovery_is_bit_identical(self, mode, tmp_path):
         summary = verify_recovery_identical(
             mode=mode,
