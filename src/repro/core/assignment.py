@@ -39,6 +39,7 @@ from repro.core.inference import InferenceResult, TCrowdModel
 from repro.core.information_gain import InformationGainCalculator
 from repro.core.schema import TableSchema
 from repro.core.structure_gain import StructureAwareGainCalculator
+from repro.engine.profiling import stage as _stage
 from repro.engine.state import SessionState
 from repro.utils.exceptions import AssignmentError
 from repro.utils.rng import as_generator
@@ -305,6 +306,15 @@ class TCrowdAssigner(AssignmentPolicy):
         )
         self._result: Optional[InferenceResult] = None
         self._answers_at_last_fit = -1
+        self.profile = None
+
+    def set_profile(self, profile) -> None:
+        """Attach a :class:`~repro.engine.HotPathProfile` (``None`` detaches).
+
+        Times ``em_refit`` around every fit, and ``calculator_build``,
+        ``gains_batch`` and ``top_k_merge`` in :meth:`select`.
+        """
+        self.profile = profile
 
     @property
     def name(self) -> str:
@@ -336,20 +346,26 @@ class TCrowdAssigner(AssignmentPolicy):
         candidates = self.candidate_cells(worker, answers)
         if not candidates:
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
-        calculator = self._build_calculator(self._ensure_result(answers), answers)
+        result = self._ensure_result(answers)
+        with _stage(self.profile, "calculator_build"):
+            calculator = self._build_calculator(result, answers)
         if self.vectorized:
-            gains = calculator.gains_batch(worker, candidates)
-            order = top_k_stable(gains, k)
+            with _stage(self.profile, "gains_batch"):
+                gains = calculator.gains_batch(worker, candidates)
+            with _stage(self.profile, "top_k_merge"):
+                order = top_k_stable(gains, k)
             cells = tuple(candidates[index] for index in order)
             values = tuple(float(gains[index]) for index in order)
         else:
-            gains = {
-                cell: calculator.gain(worker, cell[0], cell[1])
-                for cell in candidates
-            }
-            ranked = sorted(
-                gains.items(), key=lambda item: item[1], reverse=True
-            )[:k]
+            with _stage(self.profile, "gains_batch"):
+                gains = {
+                    cell: calculator.gain(worker, cell[0], cell[1])
+                    for cell in candidates
+                }
+            with _stage(self.profile, "top_k_merge"):
+                ranked = sorted(
+                    gains.items(), key=lambda item: item[1], reverse=True
+                )[:k]
             cells = tuple(cell for cell, _gain in ranked)
             values = tuple(gain for _cell, gain in ranked)
         assignment = BatchAssignment(worker, cells, values)
@@ -387,12 +403,7 @@ class TCrowdAssigner(AssignmentPolicy):
         reproduce estimate requests deterministically.
         """
         if self._result is None or self._answers_at_last_fit < len(answers):
-            tol = self.refit_tol if self.warm_start and self._result else None
-            self._result = refit_model(
-                self.model, self.schema, answers,
-                previous=self._result, warm_start=self.warm_start, tol=tol,
-            )
-            self._answers_at_last_fit = len(answers)
+            self._refit(answers)
         return self._result
 
     # -- durability ------------------------------------------------------------
@@ -426,15 +437,20 @@ class TCrowdAssigner(AssignmentPolicy):
             or len(answers) - self._answers_at_last_fit >= self.refit_every
         )
         if stale:
-            # The tolerance only makes sense once there is a previous result
-            # to warm-start from; the first (cold) fit keeps the full budget.
-            tol = self.refit_tol if self.warm_start and self._result else None
+            self._refit(answers)
+        return self._result
+
+    def _refit(self, answers: AnswerSet) -> None:
+        """Fit over all of ``answers`` and record it as the latest result."""
+        # The tolerance only makes sense once there is a previous result to
+        # warm-start from; the first (cold) fit keeps the full budget.
+        tol = self.refit_tol if self.warm_start and self._result else None
+        with _stage(self.profile, "em_refit"):
             self._result = refit_model(
                 self.model, self.schema, answers,
                 previous=self._result, warm_start=self.warm_start, tol=tol,
             )
-            self._answers_at_last_fit = len(answers)
-        return self._result
+        self._answers_at_last_fit = len(answers)
 
     def _build_calculator(self, result: InferenceResult, answers: AnswerSet):
         """The calculator scoring this state — strategy-aware dispatcher.

@@ -16,6 +16,17 @@ EM loop:
   geometric mean of ``alpha`` and ``beta`` to one after each step because the
   likelihood only depends on the products ``alpha_i beta_j phi_u``.
 
+The default M-step is bounded L-BFGS-B over the box ``[-10, 10]`` of every
+log-parameter.  :func:`_lbfgsb_box` drives SciPy's reverse-communication
+routine ``setulb`` directly, with the box and workspaces built as whole
+arrays; it runs only when ``setulb`` has the exact signature it was written
+against (:func:`_setulb_matches`), and any other SciPy build fits through
+the public ``optimize.fmin_l_bfgs_b`` with the same settings, which gives
+the same bits.  The per-answer terms of Eq. 5 that change only at an E-step
+(expected squared residuals, the posterior probability that a categorical
+answer is right) are computed once per E-step on the workspace, not once per
+objective evaluation.
+
 Continuous columns are internally standardised (z-scored using the collected
 answers) so that a single window parameter ``epsilon`` is meaningful across
 columns of very different scales; all reported posteriors and estimates are
@@ -41,11 +52,80 @@ from repro.utils.numerics import normalize_log_probs, safe_erf
 from repro.utils.rng import as_generator
 from repro.utils.validation import require_positive
 
+try:  # SciPy's private L-BFGS-B extension; see _setulb_matches.
+    from scipy.optimize import _lbfgsb
+except ImportError:  # pragma: no cover - depends on the SciPy build
+    _lbfgsb = None
+
 #: Clip range for worker qualities inside likelihood evaluations.
 _Q_FLOOR = 1e-9
 #: Lower bound of any variance handled by the optimiser.
 VARIANCE_FLOOR = 1e-8
 _VAR_FLOOR = VARIANCE_FLOOR
+#: Signature of the reverse-communication L-BFGS-B routine that
+#: :func:`_lbfgsb_box` was written against (SciPy 1.17).
+_SETULB_SIGNATURE = (
+    "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+)
+
+
+def _setulb_matches() -> bool:
+    """True if this SciPy's ``setulb`` has the signature the driver expects.
+
+    A platform check: any other build fits through the public
+    ``optimize.fmin_l_bfgs_b`` instead.
+    """
+    return getattr(getattr(_lbfgsb, "setulb", None), "__doc__", None) == (
+        _SETULB_SIGNATURE
+    )
+
+
+def _lbfgsb_box(func, x0: np.ndarray, args: tuple, maxiter: int) -> np.ndarray:
+    """Minimise ``func`` over the box ``[-10, 10]^n`` by L-BFGS-B; return x.
+
+    ``func(x, *args)`` returns ``(f, gradient)``.  This is the loop of
+    SciPy's ``_minimize_lbfgsb`` run over the reverse-communication routine
+    ``setulb`` (Zhu, Byrd, Lu & Nocedal, ACM TOMS 23(4), 1997, Algorithm
+    778) with the settings of ``optimize.fmin_l_bfgs_b(func, x0, args=args,
+    bounds=[(-10.0, 10.0)] * n, maxiter=maxiter)``: ``m = 10``,
+    ``factr = 1e7``, ``pgtol = 1e-5``, ``maxls = 20``, at most 15000
+    evaluations.  The box, ``nbd`` and the workspaces are built as whole
+    arrays, where the public call converts the box in O(n) Python on every
+    call, so the solver receives byte-identical inputs and returns the same
+    ``x``.  Only valid when :func:`_setulb_matches`.
+    """
+    n = len(x0)
+    m = 10
+    x = np.clip(np.asarray(x0, dtype=np.float64), -10.0, 10.0)
+    lower = np.full(n, -10.0)
+    upper = np.full(n, 10.0)
+    nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    iterations = evaluations = 0
+    while True:
+        _lbfgsb.setulb(
+            m, x, lower, upper, nbd, f, g, 1e7, 1e-5, wa, iwa, task,
+            lsave, isave, dsave, 20, ln_task,
+        )
+        if task[0] == 3:  # FG: the solver wants f and g at x
+            f, g = func(x, *args)
+            evaluations += 1
+        elif task[0] == 1:  # NEW_X: an iteration finished
+            iterations += 1
+            if iterations >= maxiter:
+                task[0], task[1] = 5, 504  # STOP: iteration limit
+            elif evaluations > 15000:
+                task[0], task[1] = 5, 502  # STOP: evaluation limit
+        else:  # converged, stopped or failed: x is the answer
+            return x
 
 
 def column_label_counts(schema: TableSchema) -> np.ndarray:
@@ -318,6 +398,12 @@ class _Workspace:
         )
         self.cat_label_counts = column_label_counts(schema)[self.cat_keys % num_cols]
         self.max_labels = int(self.cat_label_counts.max()) if len(self.cat_keys) else 0
+        # Each categorical answer's number of wrong labels K - 1 (at least
+        # one) and its log, constant for the workspace.
+        self.cat_wrong_labels = np.maximum(
+            self.cat_label_counts[self.cat_cell_of_answer] - 1, 1
+        )
+        self.cat_log_wrong_labels = np.log(self.cat_wrong_labels)
         # Weak Gaussian prior for continuous cells (standardised space).
         self.prior_mean = 0.0
         self.prior_variance = 10.0
@@ -329,6 +415,22 @@ class _Workspace:
             if self.max_labels
             else np.zeros((0, 0))
         )
+        self.refresh_answer_terms()
+
+    def refresh_answer_terms(self) -> None:
+        """Per-answer terms of Eq. 5 that change only at an E-step.
+
+        ``residual_sq`` is each continuous answer's expected squared error
+        ``(a - mu)^2 + sigma^2`` under its cell's posterior; ``p_correct``
+        and ``p_wrong`` are each categorical answer's posterior probability
+        of being right and ``1 - p_correct``.  Every M-step objective
+        evaluation reads them instead of gathering them again.
+        """
+        self.residual_sq = (
+            self.cont_values - self.cont_post_mean[self.cont_cell_of_answer]
+        ) ** 2 + self.cont_post_var[self.cont_cell_of_answer]
+        self.p_correct = self.cat_post[self.cat_cell_of_answer, self.cat_labels]
+        self.p_wrong = 1.0 - self.p_correct
 
     @staticmethod
     def _group_cells(rows: np.ndarray, cols: np.ndarray, num_cols: int):
@@ -609,9 +711,8 @@ class TCrowdModel:
                 _Q_FLOOR,
                 1.0 - _Q_FLOOR,
             )
-            label_counts = ws.cat_label_counts[ws.cat_cell_of_answer]
             log_correct = np.log(quality)
-            log_wrong = np.log((1.0 - quality) / np.maximum(label_counts - 1, 1))
+            log_wrong = np.log((1.0 - quality) / ws.cat_wrong_labels)
             num_cells = len(ws.cat_keys)
             base = np.bincount(
                 ws.cat_cell_of_answer, weights=log_wrong, minlength=num_cells
@@ -628,6 +729,7 @@ class TCrowdModel:
             log_post[invalid] = -np.inf
             ws.cat_post = normalize_log_probs(log_post, axis=1)
             ws.cat_post[invalid] = 0.0
+        ws.refresh_answer_terms()
 
     # -- M-step ---------------------------------------------------------------
 
@@ -649,14 +751,30 @@ class TCrowdModel:
 
     def _objective_and_grad(self, theta, ws: _Workspace, shapes):
         """Return ``(-Q, -dQ/dtheta)`` for the L-BFGS maximisation of Eq. 5."""
-        num_rows, num_cols, num_workers = shapes
-        log_alpha, log_beta, log_phi = self._unpack(
-            theta, num_rows, num_cols, num_workers
+        objective, (grad_alpha, grad_beta, grad_phi) = self._expected_loglik(
+            ws, *self._unpack(theta, *shapes), gradient=True
         )
+        if self.use_difficulty:
+            grad = np.concatenate([grad_alpha, grad_beta, grad_phi])
+        else:
+            grad = grad_phi
+        return -objective, -grad
+
+    def _expected_loglik(
+        self, ws: _Workspace, log_alpha, log_beta, log_phi, gradient: bool
+    ):
+        """Eq. 5 and, if ``gradient``, its gradient in the log-parameters.
+
+        Returns ``(Q, (dQ/dlog_alpha, dQ/dlog_beta, dQ/dlog_phi))``, the
+        gradient ``None`` when not asked for.  The per-answer terms that
+        change only at an E-step come from the workspace.
+        """
+        num_rows, num_cols, num_workers = len(log_alpha), len(log_beta), len(log_phi)
         objective = 0.0
-        grad_alpha = np.zeros(num_rows)
-        grad_beta = np.zeros(num_cols)
-        grad_phi = np.zeros(num_workers)
+        if gradient:
+            grad_alpha = np.zeros(num_rows)
+            grad_beta = np.zeros(num_cols)
+            grad_phi = np.zeros(num_workers)
 
         # Continuous answers.
         if len(ws.cont_keys):
@@ -664,26 +782,25 @@ class TCrowdModel:
                 ws, log_alpha, log_beta, log_phi,
                 ws.cont_rows, ws.cont_cols, ws.cont_workers,
             )
-            residual_sq = (
-                ws.cont_values - ws.cont_post_mean[ws.cont_cell_of_answer]
-            ) ** 2 + ws.cont_post_var[ws.cont_cell_of_answer]
+            residual_sq = ws.residual_sq
             objective += float(
                 np.sum(
                     -0.5 * np.log(2.0 * np.pi * variances)
                     - residual_sq / (2.0 * variances)
                 )
             )
-            dq_dv = -0.5 / variances + residual_sq / (2.0 * variances**2)
-            contribution = dq_dv * variances  # d/d(log-parameter)
-            grad_alpha += np.bincount(
-                ws.cont_rows, weights=contribution, minlength=num_rows
-            )
-            grad_beta += np.bincount(
-                ws.cont_cols, weights=contribution, minlength=num_cols
-            )
-            grad_phi += np.bincount(
-                ws.cont_workers, weights=contribution, minlength=num_workers
-            )
+            if gradient:
+                dq_dv = -0.5 / variances + residual_sq / (2.0 * variances**2)
+                contribution = dq_dv * variances  # d/d(log-parameter)
+                grad_alpha += np.bincount(
+                    ws.cont_rows, weights=contribution, minlength=num_rows
+                )
+                grad_beta += np.bincount(
+                    ws.cont_cols, weights=contribution, minlength=num_cols
+                )
+                grad_phi += np.bincount(
+                    ws.cont_workers, weights=contribution, minlength=num_workers
+                )
 
         # Categorical answers.
         if len(ws.cat_keys):
@@ -693,42 +810,39 @@ class TCrowdModel:
             )
             u_arg = self.epsilon / np.sqrt(2.0 * variances)
             quality = np.clip(safe_erf(u_arg), _Q_FLOOR, 1.0 - _Q_FLOOR)
-            label_counts = ws.cat_label_counts[ws.cat_cell_of_answer]
-            p_correct = ws.cat_post[ws.cat_cell_of_answer, ws.cat_labels]
+            wrong = 1.0 - quality
+            p_correct, p_wrong = ws.p_correct, ws.p_wrong
             objective += float(
                 np.sum(
                     p_correct * np.log(quality)
-                    + (1.0 - p_correct)
-                    * (np.log(1.0 - quality) - np.log(np.maximum(label_counts - 1, 1)))
+                    + p_wrong * (np.log(wrong) - ws.cat_log_wrong_labels)
                 )
             )
-            dq_dv = -(u_arg / (variances * np.sqrt(np.pi))) * np.exp(-u_arg**2)
-            dobj_dq = p_correct / quality - (1.0 - p_correct) / (1.0 - quality)
-            contribution = dobj_dq * dq_dv * variances
-            grad_alpha += np.bincount(
-                ws.cat_rows, weights=contribution, minlength=num_rows
-            )
-            grad_beta += np.bincount(
-                ws.cat_cols, weights=contribution, minlength=num_cols
-            )
-            grad_phi += np.bincount(
-                ws.cat_workers, weights=contribution, minlength=num_workers
-            )
+            if gradient:
+                dq_dv = -(u_arg / (variances * np.sqrt(np.pi))) * np.exp(-u_arg**2)
+                dobj_dq = p_correct / quality - p_wrong / wrong
+                contribution = dobj_dq * dq_dv * variances
+                grad_alpha += np.bincount(
+                    ws.cat_rows, weights=contribution, minlength=num_rows
+                )
+                grad_beta += np.bincount(
+                    ws.cat_cols, weights=contribution, minlength=num_cols
+                )
+                grad_phi += np.bincount(
+                    ws.cat_workers, weights=contribution, minlength=num_workers
+                )
 
         # Quadratic priors on the log-parameters (keep them anchored).
         reg_ab = self.difficulty_regularization
         reg_phi = self.phi_regularization
         objective -= 0.5 * reg_ab * float(np.sum(log_alpha**2) + np.sum(log_beta**2))
         objective -= 0.5 * reg_phi * float(np.sum(log_phi**2))
+        if not gradient:
+            return objective, None
         grad_alpha -= reg_ab * log_alpha
         grad_beta -= reg_ab * log_beta
         grad_phi -= reg_phi * log_phi
-
-        if self.use_difficulty:
-            grad = np.concatenate([grad_alpha, grad_beta, grad_phi])
-        else:
-            grad = grad_phi
-        return -objective, -grad
+        return objective, (grad_alpha, grad_beta, grad_phi)
 
     def _m_step(self, ws: _Workspace, log_alpha, log_beta, log_phi):
         """One M-step, dispatched on the ``m_step`` knob."""
@@ -740,15 +854,19 @@ class TCrowdModel:
         """Maximise Eq. 5 over the (log) parameters by L-BFGS."""
         shapes = (len(log_alpha), len(log_beta), len(log_phi))
         theta0 = self._pack(log_alpha, log_beta, log_phi)
-        # fmin_l_bfgs_b hands the box straight to the solver, which converts
-        # it once; minimize() would convert the list three times per call.
-        theta, _value, _info = optimize.fmin_l_bfgs_b(
-            self._objective_and_grad,
-            theta0,
-            args=(ws, shapes),
-            bounds=[(-10.0, 10.0)] * len(theta0),
-            maxiter=self.m_step_iterations,
-        )
+        if _setulb_matches():
+            theta = _lbfgsb_box(
+                self._objective_and_grad, theta0, (ws, shapes),
+                self.m_step_iterations,
+            )
+        else:
+            theta, _value, _info = optimize.fmin_l_bfgs_b(
+                self._objective_and_grad,
+                theta0,
+                args=(ws, shapes),
+                bounds=[(-10.0, 10.0)] * len(theta0),
+                maxiter=self.m_step_iterations,
+            )
         log_alpha, log_beta, log_phi = self._unpack(theta, *shapes)
         return self._recenter(log_alpha, log_beta, log_phi)
 
@@ -780,10 +898,7 @@ class TCrowdModel:
                 ws, log_alpha, log_beta, log_phi,
                 ws.cont_rows, ws.cont_cols, ws.cont_workers,
             )
-            residual_sq = (
-                ws.cont_values - ws.cont_post_mean[ws.cont_cell_of_answer]
-            ) ** 2 + ws.cont_post_var[ws.cont_cell_of_answer]
-            half_ratio = residual_sq / (2.0 * variances)
+            half_ratio = ws.residual_sq / (2.0 * variances)
             # Q = -0.5 lv - r^2 / (2 e^lv) + const per answer.
             grad = -0.5 + half_ratio
             curvature = -half_ratio
@@ -797,15 +912,15 @@ class TCrowdModel:
             )
             u_arg = self.epsilon / np.sqrt(2.0 * variances)
             quality = np.clip(safe_erf(u_arg), _Q_FLOOR, 1.0 - _Q_FLOOR)
-            p_correct = ws.cat_post[ws.cat_cell_of_answer, ws.cat_labels]
+            p_correct, p_wrong = ws.p_correct, ws.p_wrong
             gauss = np.exp(-u_arg**2) / np.sqrt(np.pi)
             # q = erf(u), u = eps / sqrt(2 e^lv)  =>  du/dlv = -u/2.
             dq = -u_arg * gauss
             d2q = 0.5 * u_arg * gauss * (1.0 - 2.0 * u_arg**2)
-            dobj_dq = p_correct / quality - (1.0 - p_correct) / (1.0 - quality)
+            dobj_dq = p_correct / quality - p_wrong / (1.0 - quality)
             d2obj_dq2 = (
                 -p_correct / quality**2
-                - (1.0 - p_correct) / (1.0 - quality) ** 2
+                - p_wrong / (1.0 - quality) ** 2
             )
             grad = dobj_dq * dq
             curvature = d2obj_dq2 * dq**2 + dobj_dq * d2q
@@ -892,8 +1007,14 @@ class TCrowdModel:
         return log_alpha, log_beta, log_phi
 
     def _objective(self, ws: _Workspace, log_alpha, log_beta, log_phi) -> float:
-        """Expected complete-data log-likelihood at the current parameters."""
+        """Expected complete-data log-likelihood at the current parameters.
+
+        The value of :meth:`_objective_and_grad` (negated back), without
+        computing the gradient.
+        """
         shapes = (len(log_alpha), len(log_beta), len(log_phi))
         theta = self._pack(log_alpha, log_beta, log_phi)
-        negative, _grad = self._objective_and_grad(theta, ws, shapes)
-        return -float(negative)
+        objective, _grad = self._expected_loglik(
+            ws, *self._unpack(theta, *shapes), gradient=False
+        )
+        return objective

@@ -9,8 +9,10 @@ layer feeds through :meth:`HotPathProfile.stage` context managers.  Profiles
 are strictly opt-in — no policy carries one until :meth:`set_profile` wires
 it — so the default hot path pays nothing beyond an attribute check.
 
-The canonical stage names (``STAGES``) cover the async select pipeline
-(:class:`~repro.engine.AsyncRefitPolicy` and its refit engine):
+The canonical stage names (``STAGES``) cover the select pipeline of both
+serving policies: :class:`~repro.engine.AsyncRefitPolicy` and its refit
+engine time all six, the bare :class:`~repro.core.assignment.TCrowdAssigner`
+times ``em_refit`` (on whichever path fits) and the last three:
 
 ``snapshot_acquire``
     Getting the inference result to score with (lock-free snapshot read, or
@@ -19,10 +21,10 @@ The canonical stage names (``STAGES``) cover the async select pipeline
     Time spent waiting on the refit lock inside a blocking catch-up (a
     subset of ``snapshot_acquire`` when contention exists).
 ``em_refit``
-    The EM fit itself, background or blocking.
+    The EM fit itself: background or blocking, or the sync policy's refit.
 ``calculator_build``
-    Building the per-select gain calculator over the snapshot (includes the
-    structure-model fit; the scoring cache exists to amortise this).
+    Building the per-select gain calculator over the served model (includes
+    the structure-model fit; the async scoring cache amortises this).
 ``gains_batch``
     Vectorised candidate scoring.
 ``top_k_merge``

@@ -426,7 +426,13 @@ class DurableSession:
         return len(self.answers)
 
     def estimates(self) -> InferenceResult:
-        """Log and run a full catch-up fit; return its result."""
+        """Run a full catch-up fit, logged if it fits; return its result.
+
+        The request is logged only when the served model does not cover
+        every answer yet, which is exactly when ``final_result`` fits: a
+        read of a caught-up model changes no state, so replay needs no
+        record of it.
+        """
         if len(self.answers) == 0:
             raise ConfigurationError(
                 "Cannot estimate truths before any answer was collected"
@@ -436,9 +442,16 @@ class DurableSession:
                 f"policy {type(self.policy).__name__} does not support "
                 "estimate requests (no final_result method)"
             )
-        if self._storage is not None:
+        if self._storage is not None and not self._model_covers_answers():
             self._storage.append({"t": "estimates"})
         return self.policy.final_result(self.answers)
+
+    def _model_covers_answers(self) -> bool:
+        """True if the served model was fitted over every collected answer."""
+        state = None
+        if hasattr(self.policy, "snapshot_state"):
+            state = self.policy.snapshot_state()
+        return state is not None and state[1] >= len(self.answers)
 
     # -- snapshots ------------------------------------------------------------
 

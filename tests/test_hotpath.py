@@ -295,3 +295,83 @@ class TestHotPathProfile:
         assert policy.scoring_cache_misses == 1
         assert stages["calculator_build"]["calls"] == 1
         assert stages["gains_batch"]["calls"] == 3
+
+    @staticmethod
+    def _drive(policy, answers, schema):
+        """Three selects, each followed by its observed answers, then one
+        unobserved answer and two reads (the first catches the model up)."""
+        rng = np.random.default_rng(5)
+
+        def answer(worker, row, col):
+            column = schema.columns[col]
+            value = (
+                column.labels[int(rng.integers(column.num_labels))]
+                if column.is_categorical
+                else float(rng.uniform(*column.domain))
+            )
+            answers.add_answer(worker, row, col, value)
+
+        selects = 0
+        for worker in ("w0", "w1", "w2"):
+            assignment = policy.select(worker, answers, k=2)
+            selects += 1
+            for row, col in assignment.cells:
+                answer(worker, row, col)
+            policy.observe(answers)
+        answer("w9", 0, 0)
+        policy.final_result(answers)
+        policy.final_result(answers)
+        return selects
+
+    def test_profile_wired_through_sync_assigner(self, mixed_schema, monkeypatch):
+        fits = []
+        original = TCrowdModel.fit
+
+        def fit(model, *args, **kwargs):
+            fits.append(1)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(TCrowdModel, "fit", fit)
+        answers = _seeded_answers(mixed_schema)
+        policy = _assigner(mixed_schema)
+        profile = HotPathProfile()
+        policy.set_profile(profile)
+        selects = self._drive(policy, answers, mixed_schema)
+        stages = profile.to_dict()
+        # The first select's, one per observe, the first read's.
+        assert len(fits) == 5
+        assert stages["em_refit"]["calls"] == len(fits)
+        for name in ("calculator_build", "gains_batch", "top_k_merge"):
+            assert stages[name]["calls"] == selects
+        assert "snapshot_acquire" not in stages
+        policy.set_profile(None)
+        policy.select("w3", answers, k=1)
+        assert profile.to_dict() == stages
+
+    def test_async_policy_counts_each_stage_once(self, mixed_schema, monkeypatch):
+        """The wrapped assigner carries no profile, so nothing it does is
+        timed a second time."""
+        fits = []
+        original = TCrowdModel.fit
+
+        def fit(model, *args, **kwargs):
+            fits.append(1)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(TCrowdModel, "fit", fit)
+        answers = _seeded_answers(mixed_schema)
+        policy = AsyncRefitPolicy(
+            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
+        )
+        profile = HotPathProfile()
+        policy.set_profile(profile)
+        try:
+            selects = self._drive(policy, answers, mixed_schema)
+        finally:
+            policy.close()
+        assert policy.inner.profile is None
+        stages = profile.to_dict()
+        assert stages["em_refit"]["calls"] == len(fits) == 4
+        assert stages["calculator_build"]["calls"] == policy.scoring_cache_misses
+        for name in ("snapshot_acquire", "gains_batch", "top_k_merge"):
+            assert stages[name]["calls"] == selects

@@ -105,3 +105,27 @@ def test_baseline_must_meet_the_async_floor(gate):
     status, err = gate(baseline={"speedup_async": 1.2})
     assert status == 1
     assert "baseline speedup_async" in err
+
+
+def test_slow_recorder_fails_the_audit_gate(gate, monkeypatch):
+    """``audit_overhead_ratio`` is the time spent inside the recorder: a
+    recorder slowed by a delay pushes it over 10 % and the gate fails."""
+    import time
+
+    from repro.engine.provenance import DecisionRecorder
+    from repro.service.bench import measure_audit_overhead
+
+    healthy = measure_audit_overhead(repeats=1)
+    record = DecisionRecorder.record
+
+    def slow(recorder, *args, **kwargs):
+        time.sleep(0.02)
+        return record(recorder, *args, **kwargs)
+
+    monkeypatch.setattr(DecisionRecorder, "record", slow)
+    slowed = measure_audit_overhead(repeats=1)
+    assert healthy["audit_overhead_ratio"] < 0.10 < slowed["audit_overhead_ratio"]
+    assert gate(candidate=healthy)[0] == 0
+    status, err = gate(candidate=slowed)
+    assert status == 1
+    assert "audit_overhead_ratio" in err and "10% ceiling" in err

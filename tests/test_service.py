@@ -390,6 +390,40 @@ class TestObservability:
         client.request("GET", "/sessions/nope")
         assert 'repro_service_http_errors_total{status="404"}' in client.get_metrics()
 
+    def test_sync_session_reports_hot_path_stages(self, monkeypatch):
+        """The default sync policy's EM refits and selects reach
+        ``repro_hotpath_stage_seconds``, one observation each."""
+        from repro.core.inference import TCrowdModel
+
+        fits = []
+        original = TCrowdModel.fit
+
+        def fit(model, *args, **kwargs):
+            fits.append(1)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(TCrowdModel, "fit", fit)
+        with ServiceServer() as running:
+            own = ServiceClient(running.address)
+            session_id = own.create_session(_config())["session_id"]
+            _seed(own, session_id)
+            selects = 0
+            for n in range(3):
+                assert own.get_tasks(session_id, f"sync{n}", k=1)[0] == 200
+                selects += 1
+            assert own.request("GET", f"/sessions/{session_id}/estimates")[0] == 200
+            text = own.get_metrics()
+
+        def count(stage):
+            prefix = f'repro_hotpath_stage_seconds_count{{stage="{stage}"}} '
+            (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+            return int(line[len(prefix):])
+
+        assert len(fits) == 4  # one per seed batch; selects and the read reuse it
+        assert count("em_refit") == len(fits)
+        for stage in ("calculator_build", "gains_batch", "top_k_merge"):
+            assert count(stage) == selects
+
     def test_every_histogram_is_cumulative_and_ends_at_its_count(self, client):
         """Select latency and every hot-path stage (an async session
         records those) are histograms whose ``le`` buckets never decrease

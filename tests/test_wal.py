@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import TCrowdAssigner
-from repro.core.codec import deserialize_result, serialize_result
+from repro.config.factory import build_policy
+from repro.core.codec import buffer_hash, deserialize_result, serialize_result
 from repro.core.inference import TCrowdModel
 from repro.service.bench import (
     DEFAULT_SCENARIO,
     continue_scripted_session,
     run_scripted_session,
+    scripted_spec,
     verify_recovery_identical,
 )
 from repro.service.storage import SnapshotStore, WriteAheadLog, read_wal
@@ -393,3 +395,133 @@ def _scenario_policy():
         refit_every=1,
         warm_start=True,
     )
+
+
+class TestEstimatesLogging:
+    """``GET /estimates`` is logged only when it fits.
+
+    A read of a model that already covers every answer changes no state,
+    so it leaves the log alone; a read that catches the model up is a real
+    event in the warm-start chain and is logged, so replay reproduces it.
+    """
+
+    @staticmethod
+    def _policy(mode="plain"):
+        return build_policy(
+            _scenario_schema(), scripted_spec(mode, DEFAULT_SCENARIO, audit=True)
+        )
+
+    @staticmethod
+    def _value(schema, row, col):
+        column = schema.columns[col]
+        if column.is_categorical:
+            return column.labels[(row + col) % column.num_labels]
+        low, high = column.domain
+        return low + (high - low) * ((3 * row + col) % 7) / 7.0
+
+    def _batch(self, schema, cells):
+        return [(row, col, self._value(schema, row, col)) for row, col in cells]
+
+    def _drive(self, session):
+        """A read before any fit, one after each select's answers, one after
+        an unobserved answer, and a select whose refit warm-starts from the
+        last read's fit."""
+        schema = session.schema
+        for row in range(4):
+            cells = [(row, col) for col in range(schema.num_columns)]
+            session.append_answers(
+                f"seed{row % 2}", self._batch(schema, cells), observe=False
+            )
+        session.estimates()  # no model yet: fits
+        for step in range(3):
+            worker = f"crowd{step}"
+            assignment = session.select(worker, k=2)
+            session.append_answers(worker, self._batch(schema, assignment.cells))
+            # The sync policy's observe() caught the model up; the strict
+            # async policy refits only when asked, so this read fits.
+            session.estimates()
+        row = schema.num_rows - 1
+        session.append_answers("late", self._batch(schema, [(row, 0)]), observe=False)
+        session.estimates()  # one unobserved answer behind: fits
+        session.append_answers("late", self._batch(schema, [(row, 1)]), observe=False)
+        assignment = session.select("crowd9", k=1)
+        session.append_answers("crowd9", self._batch(schema, assignment.cells))
+
+    @staticmethod
+    def _state(session):
+        result = session.estimates()
+        return (
+            buffer_hash(result),
+            result.estimates(),
+            session.loop_decisions(),
+            session.recorder.chain_head,
+            session.recorder.count,
+        )
+
+    @staticmethod
+    def _estimates_records(session):
+        return sum(1 for record in session.events if record.get("t") == "estimates")
+
+    @pytest.mark.parametrize("mode, fitting_reads", [("plain", 2), ("async", 5)])
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_caught_up_reads_leave_the_log_alone(
+        self, backend, mode, fitting_reads, tmp_path
+    ):
+        session = DurableSession(
+            _scenario_schema(), self._policy(mode), directory=tmp_path,
+            backend=backend,
+        )
+        self._drive(session)
+        assert self._estimates_records(session) == fitting_reads
+        session.estimates()  # catches the strict async policy up
+        before = session.wal_records
+        for _ in range(3):
+            session.estimates()
+        assert session.wal_records == before
+        session.close()
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_fitting_reads_replay_after_a_crash(self, backend, tmp_path):
+        live = DurableSession(
+            _scenario_schema(), self._policy(), directory=tmp_path,
+            backend=backend,
+        )
+        self._drive(live)
+        records = live.wal_records
+        # Crash: the live session is never closed.
+        recovered = DurableSession(
+            _scenario_schema(), self._policy(), directory=tmp_path,
+            backend=backend,
+        )
+        assert recovered.recorder.replay_mismatches == 0
+        assert self._state(recovered) == self._state(live)
+        assert recovered.wal_records == live.wal_records == records
+        recovered.close()
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_logs_with_no_op_estimates_records_replay_identically(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """Logs written when every read was logged still recover the same."""
+        current = DurableSession(
+            _scenario_schema(), self._policy(), directory=tmp_path / "now",
+            backend=backend,
+        )
+        self._drive(current)
+        with monkeypatch.context() as patch:
+            patch.setattr(DurableSession, "_model_covers_answers", lambda self: False)
+            old = DurableSession(
+                _scenario_schema(), self._policy(), directory=tmp_path / "old",
+                backend=backend,
+            )
+            self._drive(old)
+        assert self._estimates_records(old) == 5
+        assert self._estimates_records(current) == 2
+        recovered = DurableSession(
+            _scenario_schema(), self._policy(), directory=tmp_path / "old",
+            backend=backend,
+        )
+        assert recovered.recorder.replay_mismatches == 0
+        assert self._state(recovered) == self._state(old) == self._state(current)
+        for session in (current, old, recovered):
+            session.close()
