@@ -1,32 +1,22 @@
-"""Answers-to-quality benchmark of the strategy zoo (``--strategies``).
+"""Answers-to-quality benchmark of the strategy zoo.
 
-Two measurements feed ``BENCH_engine.json``:
+:func:`measure_strategy_curves` is the answers-to-quality comparison.
+Every strategy runs the same seeded
+:class:`~repro.platform.CrowdsourcingSession` on every scenario (clean
+crowd, worker churn, spam contamination, difficulty drift — see
+:mod:`repro.platform.scenario`), averaged over a fixed seed panel, and the
+per-checkpoint error-rate curve is recorded.  The paper's gain-based
+strategy must dominate the ``random`` and ``round_robin`` baselines on the
+*clean* scenario (mean error over checkpoints): the
+``strategy_paper_dominates_clean`` bit, asserted by
+``tests/test_strategies.py``.
 
-* :func:`verify_strategy_default_identical` — the **safety gate** for the
-  strategy seam.  For every serving mode (plain, async) the scripted
-  golden-trace session runs twice: once with the default spec (no
-  strategy section beyond the implicit ``"paper"``) and once with
-  ``strategy = "paper"`` pinned explicitly.  Assignment sequence and
-  decision-chain head must match **bit for bit** — proving the strategy
-  plumbing added to the factory, the assigner and the provenance genesis
-  is invisible when the paper strategy is selected.  Hard-failed by
-  ``run_bench.py`` and the CI perf gate.
+The benchmark parameters are **fixed**: the dominance comparison needs the
+seed panel and the 24-row table to be statistically meaningful, and every
+session is fully seeded so the recorded numbers are deterministic.  Run it
+from the repository root to print every curve as JSON::
 
-* :func:`measure_strategy_curves` — the answers-to-quality comparison.
-  Every strategy runs the same seeded
-  :class:`~repro.platform.CrowdsourcingSession` on every scenario (clean
-  crowd, worker churn, spam contamination, difficulty drift — see
-  :mod:`repro.platform.scenario`), averaged over a fixed seed panel, and
-  the per-checkpoint error-rate curve is recorded.  The paper's gain-based
-  strategy must dominate the ``random`` and ``round_robin`` baselines on
-  the *clean* scenario (mean error over checkpoints) — the
-  ``strategy_paper_dominates_clean`` bit asserted by
-  ``check_perf_regression.py``.
-
-The benchmark parameters are **fixed** (not shrunk by ``--smoke``): the
-dominance comparison needs the seed panel and the 24-row table to be
-statistically meaningful, and every session is fully seeded so the
-recorded numbers are deterministic.
+    python benchmarks/strategy_bench.py
 """
 
 from __future__ import annotations
@@ -169,45 +159,7 @@ def measure_strategy_curves(
     }
 
 
-def verify_strategy_default_identical(
-    scenario: Optional[dict] = None,
-) -> Dict[str, object]:
-    """Default spec vs pinned ``strategy="paper"``, across every serving mode.
-
-    Compares the full assignment sequence and the decision-chain head of
-    the scripted golden-trace session.  Any divergence means the strategy
-    seam is not byte-neutral for the default — the regression the
-    ``strategy_default_identical`` bit hard-fails on.
-    """
-    from repro.service.bench import SERVING_MODES, run_scripted_session
-
-    results: Dict[str, object] = {}
-    identical = True
-    for mode in SERVING_MODES:
-        base = run_scripted_session(mode, scenario=scenario)
-        pinned = run_scripted_session(
-            mode, scenario={**(scenario or {}), "strategy": "paper"}
-        )
-        same = (
-            base["decisions"] == pinned["decisions"]
-            and base["estimates"] == pinned["estimates"]
-            and base["session"].recorder.chain_head
-            == pinned["session"].recorder.chain_head
-        )
-        results[f"strategy_default_identical_{mode}"] = bool(same)
-        identical &= same
-    results["strategy_default_identical"] = bool(identical)
-    return results
-
-
-def measure_strategy_bench(scenario: Optional[dict] = None) -> Dict[str, object]:
-    """Everything ``run_bench.py --strategies`` records."""
-    stats = verify_strategy_default_identical(scenario=scenario)
-    stats.update(measure_strategy_curves())
-    return stats
-
-
 if __name__ == "__main__":
     import json
 
-    print(json.dumps(measure_strategy_bench(), indent=2))
+    print(json.dumps(measure_strategy_curves(), indent=2))

@@ -60,7 +60,7 @@ import numpy as np  # noqa: E402
 
 from repro.config import SessionSpec  # noqa: E402
 from repro.datasets import load_celebrity  # noqa: E402
-from repro.service.bench import ServiceClient  # noqa: E402
+from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.registry import schema_to_dict  # noqa: E402
 
 

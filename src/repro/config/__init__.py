@@ -6,7 +6,8 @@ and simulation budget — consumed by every entry point:
 
 * ``CrowdsourcingSession.from_spec(dataset, spec)`` (the platform
   simulator);
-* ``measure_engine_speedup(spec=...)`` and ``benchmarks/run_bench.py``;
+* the scripted durable sessions of the equivalence tests
+  (``tests/scripted_sessions.py``);
 * the HTTP service: ``POST /sessions`` takes a version-1 spec body, the
   canonical spec is pinned to durable ``session.json`` manifests and served
   back on ``GET /sessions/{id}/config``.

@@ -37,8 +37,9 @@ replay mode: each replayed ``select`` *recomputes* its record (without
 committing it), and the logged ``decision`` record that follows is
 compared hash-for-hash (``replay_verified`` / ``replay_mismatches``)
 before being restored verbatim.  Every recovery therefore re-proves the
-audit chain over the replayed suffix — the property
-``benchmarks/run_bench.py --serve`` records as ``audit_replay_identical``.
+audit chain over the replayed suffix — the ``audit_replay_identical``
+property that ``tests/test_provenance.py`` checks in both serving modes
+on both storage backends.
 
 **Audit formats.**  The format fixes how ``model_hash`` is computed:
 format 1 hashes the canonical JSON of the serialized result, format 2

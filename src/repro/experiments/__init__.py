@@ -13,8 +13,6 @@ from repro.experiments.case_studies import (
     run_figure6_attribute_correlation,
 )
 from repro.experiments.efficiency import (
-    measure_engine_speedup,
-    run_engine_speedup,
     run_figure11_assignment_time,
     run_figure12_convergence,
     run_figure12_runtime,
@@ -29,8 +27,6 @@ from repro.experiments.truth_inference import run_table7
 __all__ = [
     "ExperimentReport",
     "format_table",
-    "measure_engine_speedup",
-    "run_engine_speedup",
     "run_figure2",
     "run_figure3_worker_consistency",
     "run_figure4_quality_calibration",

@@ -14,7 +14,6 @@ import sys
 from typing import Callable, Dict, List
 
 from repro.experiments import (
-    run_engine_speedup,
     run_figure2,
     run_figure3_worker_consistency,
     run_figure4_quality_calibration,
@@ -86,16 +85,6 @@ def _efficiency(args) -> List:
     ]
 
 
-def _engine(args) -> List:
-    num_rows = 20 if args.quick else 60
-    target = 1.6 if args.quick else 2.0
-    return [
-        run_engine_speedup(
-            seed=args.seed, num_rows=num_rows, target_answers_per_task=target
-        )
-    ]
-
-
 #: experiment name -> callable(args) -> list of reports
 EXPERIMENTS: Dict[str, Callable] = {
     "table7": _table7,
@@ -116,7 +105,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "case-studies": _case_studies,
     "synthetic": _synthetic,
     "efficiency": _efficiency,
-    "engine": _engine,
 }
 
 

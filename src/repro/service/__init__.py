@@ -18,9 +18,13 @@ serves them to live workers instead of in-process simulation loops:
   dependencies beyond the scientific stack the engine already uses)
   exposing session creation, task routing, answer ingestion, estimates, a
   health probe and Prometheus-text metrics.
-* :mod:`repro.service.bench` — the scripted drivers behind
-  ``benchmarks/run_bench.py --serve``: HTTP serving throughput/latency and
-  the crash-recovery equivalence check (``recovery_identical``).
+* :mod:`repro.service.client` — a stdlib HTTP client for the API, used
+  by the tests and ``scripts/service_smoke.py``.
+
+Crash recovery is checked bit for bit against an uninterrupted run by
+``tests/test_wal.py`` and ``tests/test_storage.py`` (``recovery_identical``
+and its rotation variant) and the recovered audit ledger by
+``tests/test_provenance.py`` (``audit_replay_identical``).
 
 Run a server with ``python -m repro.service --port 8080`` (see
 ``src/repro/service/README.md`` for the endpoint reference and the

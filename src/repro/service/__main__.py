@@ -2,8 +2,9 @@
 
 Starts the stdlib WSGI server over a fresh :class:`SessionRegistry`.
 ``POST /sessions`` takes a version-1 :class:`~repro.config.SessionSpec`
-body (validate one offline with ``python -m repro.config.validate``; the
-PR-4 legacy dialect still upgrades transparently).  With
+body (validate one offline with ``python -m repro.config.validate``); a
+body without ``version`` is refused with a 400 whose ``path`` is
+``"version"``.  With
 ``--durable-root DIR``, sessions created with ``{"durable": true}`` persist
 their write-ahead log under ``DIR/<session_id>/`` and every durable session
 already found there is recovered before the server starts accepting

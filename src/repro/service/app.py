@@ -23,13 +23,15 @@ GET       ``/sessions/{id}/decisions/{n}``     one decision's audit record
 ========  ===================================  =================================
 
 ``POST /sessions`` takes a version-1 :class:`~repro.config.SessionSpec`
-body (legacy PR-4 configs upgrade transparently, see
-:mod:`repro.service.registry`); ``GET /sessions/{id}/config`` returns the
+body; one without ``version`` is a 400 with ``"path": "version"`` (see
+:mod:`repro.service.registry`).  ``GET /sessions/{id}/config`` returns the
 canonical spec the session actually runs with.
 
 Error mapping: unknown session / unknown worker → 404; malformed JSON,
 malformed answers, invalid configs → 400; a worker with no assignable cell
-left → 409 (the session is simply exhausted for them); wrong method → 405.
+left → 409 (the session is simply exhausted for them); wrong method → 405;
+a request body over ``--max-body-bytes`` → 413; a failed fit, a durability
+fault or a response that cannot be encoded as strict JSON → 500.
 Every response body is JSON, errors as ``{"error": ...}`` — spec
 validation failures additionally carry the dotted field path as
 ``{"error": ..., "path": "serving.max_stale_answers"}``, and a rejected

@@ -46,8 +46,8 @@ either by re-seating a snapshot's serialized result
 (:func:`serialize_result` round-trips every float exactly) and replaying
 the WAL tail with full side effects, or by replaying the whole log.  The
 continued assignment sequence matches an uninterrupted run bit for bit —
-the property ``benchmarks/run_bench.py --serve`` records as
-``recovery_identical`` and CI gates on.  (The guarantee assumes a
+the ``recovery_identical`` property that ``tests/test_wal.py`` checks.
+(The guarantee assumes a
 deterministic serving mode: the synchronous policy, or the async one at
 ``max_stale_answers=0``.  With a positive staleness bound,
 background refit *timing* is nondeterministic, so replay reproduces a

@@ -1,20 +1,19 @@
-"""Scripted drivers behind ``benchmarks/run_bench.py --serve`` and the tests.
+"""Scripted durable sessions: the drivers behind the equivalence tests.
 
-Two measurements live here:
+One scripted crowd (the golden-trace scenario by default) is driven
+through a :class:`~repro.service.wal.DurableSession`.  The ``run_*`` and
+``continue_*`` drivers run it whole, crash it mid-run or restart it in
+place; the ``verify_*`` checks compare a crashed-and-recovered run with an
+uninterrupted one **bit for bit**:
 
-* :func:`verify_recovery_identical` — the crash-recovery equivalence check.
-  One scripted session (the golden-trace scenario) runs uninterrupted; a
-  second runs durably, is killed mid-run (its write-ahead log optionally
-  loses a torn tail), is recovered into a fresh process-equivalent policy,
-  and is driven to completion.  The full assignment sequence and the final
-  truth estimates must match the uninterrupted run **bit for bit** — the
-  ``recovery_identical`` bit in ``BENCH_engine.json`` that CI gates on.
-
-* :func:`measure_serving` — HTTP serving throughput.  A live
-  :class:`~repro.service.app.ServiceServer` on an ephemeral port is driven
-  through a full scripted session over real HTTP (create session, seed
-  answers, select/ingest loop, estimates, metrics scrape) and the select
-  round-trip latencies are summarised as p50/p99 alongside requests/sec.
+* :func:`verify_recovery_identical` — crash, tear the write-ahead log's
+  tail, recover into a fresh policy and continue: the full assignment
+  sequence and the final truth estimates must match the uninterrupted run
+  (``recovery_identical``);
+* :func:`verify_recovery_rotation` — the same with WAL rotation and
+  snapshot GC on, plus a bound on the files left on disk;
+* :func:`verify_audit_replay` — the recovered decision ledger must equal
+  the pre-crash one (``audit_replay_identical``).
 
 The drivers share one deterministic replay trick: the scripted crowd is a
 seeded RNG, so the continuation of a recovered session *fast-forwards* the
@@ -25,11 +24,6 @@ redraws match what was logged).
 
 from __future__ import annotations
 
-import json
-import time
-import urllib.error
-import urllib.request
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,9 +31,6 @@ import numpy as np
 from repro.config import SessionSpec
 from repro.config.factory import build_policy
 from repro.datasets import load_celebrity
-from repro.engine.provenance import DecisionRecorder
-from repro.service.app import ServiceServer
-from repro.service.registry import schema_to_dict
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import AssignmentError, DurabilityError
 
@@ -67,19 +58,11 @@ def _serving_config(mode: str) -> dict:
     raise ValueError(f"Unknown serving mode {mode!r}; expected {SERVING_MODES}")
 
 
-def _quantile(sorted_values, q: float) -> float:
-    """Nearest-rank quantile of an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
-    return float(sorted_values[rank])
-
-
 def scripted_spec(mode: str, scenario: dict, audit: bool = True) -> SessionSpec:
     """The :class:`~repro.config.SessionSpec` of one scripted serving mode.
 
     The scenario's ``seed`` is recorded in the spec's simulation section so
-    the spec document the bench JSON carries pins the exact replayable run.
+    the spec document pins the exact replayable run.
     An optional ``scenario["strategy"]`` (a name or a
     :class:`~repro.config.StrategySpec`-shaped dict) selects the assignment
     strategy every serving mode then serves.
@@ -636,9 +619,8 @@ def verify_audit_replay(
     ``decision`` record's hash must match bit for bit (the recorder counts
     ``replay_verified`` / ``replay_mismatches``).  On top of the per-record
     hash check, the recovered audit ledger — ids, chained hashes, lineage —
-    must equal the pre-crash recorder state exactly.  The verdict lands in
-    ``BENCH_engine.json`` as ``audit_replay_identical`` and is hard-failed
-    by both the benchmark driver and the CI perf gate.
+    must equal the pre-crash recorder state exactly: the
+    ``audit_replay_identical`` verdict.
     """
     import pathlib
     import shutil
@@ -690,237 +672,3 @@ def verify_audit_replay(
     if owns_dir:
         shutil.rmtree(directory, ignore_errors=True)
     return summary
-
-
-def measure_audit_overhead(
-    mode: str = "plain",
-    repeats: int = 5,
-    scenario: Optional[dict] = None,
-) -> Dict[str, object]:
-    """Cost of decision recording on the scripted scenario.
-
-    Runs the in-memory scripted session with ``serving.audit`` on and off,
-    ``repeats`` interleaved passes each.  ``audit_overhead_ratio`` is the
-    time the audited passes spent inside ``DecisionRecorder.record``, as a
-    share of the rest of those passes.  Timing the recorder itself, not
-    the difference of two whole-session wall clocks, keeps the ratio out
-    of their run-to-run noise.  ``audit_seconds`` and
-    ``audit_baseline_seconds`` are the fastest audited and unaudited
-    passes.  The CI perf gate floors the ratio at < 10 %;
-    ``serving.audit = false`` is the operator escape hatch if a deployment
-    cannot afford even that.
-    """
-    timings = {True: [], False: []}
-    recording = 0.0
-    for _ in range(max(1, int(repeats))):
-        for audit in (True, False):
-            with _recorder_timer() as spent:
-                start = time.perf_counter()
-                run_scripted_session(mode, scenario=scenario, audit=audit)
-                timings[audit].append(time.perf_counter() - start)
-            recording += spent[0]
-    rest = sum(timings[True]) - recording
-    return {
-        "audit_overhead_mode": mode,
-        "audit_seconds": float(min(timings[True])),
-        "audit_baseline_seconds": float(min(timings[False])),
-        "audit_overhead_ratio": float(recording / rest) if rest > 0 else 0.0,
-    }
-
-
-@contextmanager
-def _recorder_timer():
-    """Sum the wall time spent inside ``DecisionRecorder.record`` meanwhile.
-
-    Yields a one-element list holding the running total in seconds; the
-    method is wrapped for the ``with`` block and restored after it.
-    """
-    spent = [0.0]
-    record = DecisionRecorder.record
-
-    def timed(recorder, *args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return record(recorder, *args, **kwargs)
-        finally:
-            spent[0] += time.perf_counter() - start
-
-    DecisionRecorder.record = timed
-    try:
-        yield spent
-    finally:
-        DecisionRecorder.record = record
-
-
-# -- HTTP client ---------------------------------------------------------------
-
-
-class ServiceClient:
-    """Minimal stdlib HTTP client for the service API.
-
-    :meth:`request` never raises on HTTP errors — it returns
-    ``(status, body)`` so tests can assert on 4xx responses; the
-    convenience wrappers raise :class:`RuntimeError` on any non-2xx.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def request(self, method: str, path: str, payload=None):
-        data = None
-        headers = {}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                status, raw = resp.status, resp.read()
-                content_type = resp.headers.get("Content-Type", "")
-        except urllib.error.HTTPError as exc:
-            status, raw = exc.code, exc.read()
-            content_type = exc.headers.get("Content-Type", "")
-        if content_type.startswith("application/json"):
-            return status, json.loads(raw.decode("utf-8"))
-        return status, raw.decode("utf-8")
-
-    def _expect(self, method: str, path: str, payload=None):
-        status, body = self.request(method, path, payload)
-        if status >= 300:
-            raise RuntimeError(f"{method} {path} failed with {status}: {body}")
-        return body
-
-    def create_session(self, config: dict) -> dict:
-        return self._expect("POST", "/sessions", config)
-
-    def get_tasks(self, session_id: str, worker: str, k: int = 1):
-        return self.request(
-            "GET", f"/sessions/{session_id}/tasks?worker={worker}&k={k}"
-        )
-
-    def post_answers(self, session_id: str, worker: str, items) -> dict:
-        payload = {
-            "worker": worker,
-            "answers": [
-                {"row": int(row), "col": int(col), "value": value}
-                for row, col, value in items
-            ],
-        }
-        return self._expect("POST", f"/sessions/{session_id}/answers", payload)
-
-    def get_estimates(self, session_id: str) -> dict:
-        return self._expect("GET", f"/sessions/{session_id}/estimates")
-
-    def get_metrics(self) -> str:
-        return self._expect("GET", "/metrics")
-
-    def healthz(self) -> dict:
-        return self._expect("GET", "/healthz")
-
-    def delete_session(self, session_id: str) -> dict:
-        return self._expect("DELETE", f"/sessions/{session_id}")
-
-
-# -- HTTP serving benchmark ----------------------------------------------------
-
-
-def measure_serving(
-    seed: int = 7,
-    num_rows: int = 24,
-    target_answers_per_task: float = 1.6,
-    model_kwargs: Optional[dict] = None,
-    serving: Optional[dict] = None,
-    durable_dir=None,
-    snapshot_every: int = 200,
-) -> Dict[str, object]:
-    """Drive one scripted session over live HTTP; record throughput/latency.
-
-    Starts an in-process :class:`ServiceServer` on an ephemeral port, runs
-    the scripted crowd against it (every select and every answer batch is a
-    real HTTP round trip) and summarises requests/sec plus the p50/p99
-    select latency.  The numbers land in ``BENCH_engine.json`` as
-    ``serve_requests_per_sec`` / ``serve_select_p50_ms`` /
-    ``serve_select_p99_ms`` and feed the CI serve-throughput floor.
-    """
-    dataset = load_celebrity(seed=seed, num_rows=num_rows)
-    schema = dataset.schema
-    pool = dataset.worker_pool
-    worker_ids, activities = pool.worker_ids(), pool.activities()
-    rng = np.random.default_rng(seed)
-    builder = (
-        SessionSpec.builder()
-        .model(**dict(model_kwargs or {"max_iterations": 6, "m_step_iterations": 10}))
-        .policy(refit_every=1, warm_start=True)
-        .serving(**dict(serving or {}))
-        .durable(durable_dir, snapshot_every_answers=snapshot_every)
-    )
-    # The benchmark posts the canonical v1 spec body, exactly what any
-    # operator client should send to POST /sessions.
-    config = {"schema": schema_to_dict(schema), **builder.build().to_dict()}
-
-    extra = int(round((target_answers_per_task - 1.0) * schema.num_cells))
-    select_seconds: List[float] = []
-    requests_total = 0
-    with ServiceServer() as server:
-        client = ServiceClient(server.address)
-        session_id = client.create_session(config)["session_id"]
-        requests_total += 1
-        start = time.perf_counter()
-        for row in range(schema.num_rows):
-            worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
-            items = [
-                (row, col, dataset.oracle.answer(worker, row, col, rng))
-                for col in range(schema.num_columns)
-            ]
-            client.post_answers(session_id, worker, items)
-            requests_total += 1
-        collected = failures = 0
-        while collected < extra and failures < 10 * len(worker_ids):
-            worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
-            batch = min(schema.num_columns, extra - collected)
-            before = time.perf_counter()
-            status, body = client.get_tasks(session_id, worker, k=batch)
-            select_seconds.append(time.perf_counter() - before)
-            requests_total += 1
-            if status == 409:
-                failures += 1
-                continue
-            if status != 200:
-                raise RuntimeError(f"tasks request failed with {status}: {body}")
-            failures = 0
-            items = [
-                (row, col, dataset.oracle.answer(worker, row, col, rng))
-                for row, col in body["cells"]
-            ]
-            client.post_answers(session_id, worker, items)
-            requests_total += 1
-            collected += len(items)
-        estimates = client.get_estimates(session_id)
-        requests_total += 1
-        elapsed = time.perf_counter() - start
-        metrics_text = client.get_metrics()
-        client.delete_session(session_id)
-
-    latencies = sorted(select_seconds)
-    return {
-        "serve_seed": int(seed),
-        "serve_num_rows": num_rows,
-        "serve_target_answers_per_task": target_answers_per_task,
-        "serve_requests_total": requests_total,
-        "serve_seconds": elapsed,
-        "serve_requests_per_sec": requests_total / max(elapsed, 1e-12),
-        "serve_select_p50_ms": _quantile(latencies, 0.50) * 1000.0,
-        "serve_select_p99_ms": _quantile(latencies, 0.99) * 1000.0,
-        "serve_answers_collected": estimates["answers_collected"],
-        "serve_metrics_scraped": "repro_service_selects_served_total"
-        in metrics_text,
-        # Present only when the session ran a serving mode that reports
-        # per-stage hot-path timings (the engine wrappers); the plain
-        # assigner records no stages, so the histogram is legitimately
-        # absent there.
-        "serve_hotpath_metrics_scraped": "repro_hotpath_stage_seconds"
-        in metrics_text,
-    }

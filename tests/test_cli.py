@@ -95,16 +95,9 @@ class TestMainDispatch:
     def test_single_experiment_runs_only_itself(self, stubbed, capsys):
         from repro.experiments.cli import main
 
-        assert main(["engine", "--seed", "11", "--quick"]) == 0
-        assert stubbed == [("engine", 11, True)]
-        assert "[report:engine]" in capsys.readouterr().out
-
-    def test_engine_experiment_registered(self):
-        from repro.experiments.cli import EXPERIMENTS, build_parser
-
-        assert "engine" in EXPERIMENTS
-        args = build_parser().parse_args(["engine", "--quick"])
-        assert args.experiment == "engine"
+        assert main(["efficiency", "--seed", "11", "--quick"]) == 0
+        assert stubbed == [("efficiency", 11, True)]
+        assert "[report:efficiency]" in capsys.readouterr().out
 
     def test_output_file_not_written_on_parse_error(self, tmp_path):
         from repro.experiments.cli import main

@@ -20,6 +20,21 @@ on — and the sequence must match the committed
 fixture ``tests/fixtures/golden_trace.json``, which pins the engine's
 behaviour across refactors.
 
+Three cold-EM configurations (every refit from scratch) replay the same
+scenario without the fixture, whose decisions are warm-started:
+
+* ``seed`` — ``warm_start``, ``vectorized`` and ``incremental`` all off:
+  the seed implementation's scalar gains and full candidate rescans;
+* ``exact`` — the engine's incremental indexes and vectorised gains;
+* ``exact_async`` — the exact path through an
+  :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` on a
+  :class:`~repro.engine.VirtualClock`.
+
+The engine paths are pure refactors of the seed path's arithmetic, so all
+three must take the same decisions and end on the same estimates
+(``identical_assignments``, ``identical_assignments_async`` and
+``identical_estimates_async``).
+
 Regenerate the fixture (after an *intentional* behaviour change only)::
 
     PYTHONPATH=src python tests/test_golden_trace.py --write
@@ -58,6 +73,9 @@ SCENARIO = {
 
 CONFIGS = ("incremental", "async_refit")
 
+#: Cold-EM configurations, compared with each other rather than the fixture.
+COLD_CONFIGS = ("seed", "exact", "exact_async")
+
 
 #: Serving section of each matrix configuration — every policy is built
 #: through the shared spec factory (`repro.config.factory.wrap_policy`),
@@ -66,6 +84,9 @@ CONFIGS = ("incremental", "async_refit")
 _SERVING = {
     "incremental": {},
     "async_refit": {"async_refit": True, "max_stale_answers": 0},
+    "seed": {},
+    "exact": {},
+    "exact_async": {"async_refit": True, "max_stale_answers": 0},
 }
 
 
@@ -76,13 +97,14 @@ def _build_policy(config: str, schema):
 
     if config not in _SERVING:
         raise ValueError(f"unknown config {config!r}")
+    engine = config != "seed"
     inner = TCrowdAssigner(
         schema,
         model=TCrowdModel(**SCENARIO["model_kwargs"]),
         refit_every=1,
-        warm_start=True,
-        vectorized=True,
-        incremental=True,
+        warm_start=config in CONFIGS,
+        vectorized=engine,
+        incremental=engine,
     )
     serving = ServingSpec(**_SERVING[config])
     clock = VirtualClock() if serving.async_refit else None
@@ -185,6 +207,11 @@ def replays():
     return {config: replay_session(config) for config in CONFIGS}
 
 
+@pytest.fixture(scope="module")
+def cold_replays():
+    return {config: replay_session(config) for config in COLD_CONFIGS}
+
+
 class TestGoldenTrace:
     def test_fixture_scenario_matches_harness(self, golden):
         """A fixture generated for a different scenario must not pass silently."""
@@ -225,6 +252,17 @@ class TestGoldenTrace:
                 assert float(value) == pytest.approx(
                     float(recorded[key]), rel=1e-6, abs=1e-9
                 ), key
+
+
+class TestColdPaths:
+    def test_seed_and_engine_paths_bit_identical(self, cold_replays):
+        """seed, exact and exact_async(max_stale=0) replay one sequence."""
+        reference_decisions, reference_estimates = cold_replays["seed"]
+        assert reference_decisions
+        for config in COLD_CONFIGS[1:]:
+            decisions, estimates = cold_replays[config]
+            assert decisions == reference_decisions, config
+            assert estimates == reference_estimates, config
 
 
 def _write_fixture() -> int:

@@ -30,12 +30,9 @@ from repro.engine.provenance import (
 )
 from repro.core.codec import payload_hash
 from repro.service.app import ServiceServer
-from repro.service.bench import (
-    SERVING_MODES,
-    ServiceClient,
-    run_scripted_session,
-    verify_audit_replay,
-)
+from repro.service.client import ServiceClient
+from scripted_sessions import SERVING_MODES, run_scripted_session, verify_audit_replay
+
 SCHEMA_SPEC = {
     "entity_attribute": "item",
     "num_rows": 4,
@@ -229,15 +226,12 @@ class TestGoldenAuditMatrix:
 
 class TestAuditCrashRecovery:
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_recovered_ledger_is_identical(self, backend, tmp_path):
-        summary = verify_audit_replay(backend=backend, directory=tmp_path)
+    @pytest.mark.parametrize("mode", SERVING_MODES)
+    def test_recovered_ledger_is_identical(self, mode, backend, tmp_path):
+        summary = verify_audit_replay(mode=mode, backend=backend, directory=tmp_path)
         assert summary["audit_replay_identical"], summary
         assert summary["audit_replay_mismatches"] == 0, summary
         assert summary["audit_replay_verified"] >= 1, summary
-
-    def test_recovery_chain_continues_across_modes(self, tmp_path):
-        summary = verify_audit_replay(mode="async", directory=tmp_path)
-        assert summary["audit_replay_identical"], summary
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +344,7 @@ class TestDecisionsAPI:
         client.delete_session(session_id)
 
     def test_audit_off_policy_has_no_recorder(self):
-        from repro.service.bench import scripted_spec
+        from scripted_sessions import scripted_spec
         from repro.config.factory import build_policy
         from repro.service.registry import schema_from_dict
 

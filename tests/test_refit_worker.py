@@ -562,24 +562,6 @@ class TestDurabilityProtocol:
         assert assigner.final_result(answers) is first
 
 
-@pytest.mark.slow
-class TestSpeedupHarnessAsyncPath:
-    def test_measure_engine_speedup_records_async_bits(self):
-        from repro.experiments.efficiency import measure_engine_speedup
-
-        stats = measure_engine_speedup(
-            seed=3,
-            num_rows=8,
-            target_answers_per_task=1.3,
-            model_kwargs={"max_iterations": 3, "m_step_iterations": 6},
-            async_refit=True,
-        )
-        assert stats["identical_assignments_async"] is True
-        assert stats["identical_estimates_async"] is True
-        assert stats["speedup_async"] > 0
-        assert "seconds_engine_async_path" in stats
-
-
 # -- objective-based EM early stopping ----------------------------------------
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import SessionSpec, SpecValidationError
 from repro.service.app import ServiceServer
-from repro.service.bench import ServiceClient, measure_serving
+from repro.service.client import ServiceClient
 from repro.service.registry import (
     SessionRegistry,
     build_policy,
@@ -721,12 +721,6 @@ class TestDurableSessionsOverHTTP:
 
 
 class TestServingBenchmarkAndCLI:
-    def test_measure_serving_smoke(self):
-        stats = measure_serving(num_rows=6, target_answers_per_task=1.2)
-        assert stats["serve_requests_per_sec"] > 0
-        assert stats["serve_select_p99_ms"] >= stats["serve_select_p50_ms"] >= 0
-        assert stats["serve_metrics_scraped"]
-
     def test_cli_build_server(self, tmp_path):
         from repro.service.__main__ import build_server
 

@@ -21,11 +21,6 @@ from repro.config.spec import (
 )
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
-from repro.service.bench import (
-    run_scripted_session,
-    verify_recovery_identical,
-    verify_recovery_rotation,
-)
 from repro.service.storage import (
     BACKEND_NAMES,
     JsonlBackend,
@@ -37,6 +32,11 @@ from repro.service.storage import (
 )
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
+from scripted_sessions import (
+    run_scripted_session,
+    verify_recovery_identical,
+    verify_recovery_rotation,
+)
 
 
 def _record(index):

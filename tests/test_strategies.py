@@ -1,5 +1,8 @@
 """Tests for the pluggable assignment-strategy zoo (repro.strategies)."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from repro.engine.provenance import (
     DecisionRecorder,
     strategy_genesis,
 )
-from repro.service.bench import SERVING_MODES, run_scripted_session, verify_audit_replay
 from repro.strategies import (
     RETIRED_GAIN,
     BudgetVoIStrategy,
@@ -23,8 +25,11 @@ from repro.strategies import (
     posterior_confidence,
 )
 from repro.strategies.zoo import _RandomCalculator, _VoICalculator
+from scripted_sessions import SERVING_MODES, run_scripted_session, verify_audit_replay
 
 FAST_MODEL = {"max_iterations": 3, "m_step_iterations": 6}
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestStrategySpec:
@@ -291,15 +296,17 @@ class TestStrategySessions:
     def default_outcome(self):
         return run_scripted_session("plain", scenario=dict(self.SCENARIO))
 
-    def test_default_identical_to_pinned_paper(self, default_outcome):
+    @pytest.mark.parametrize("mode", SERVING_MODES)
+    def test_default_identical_to_pinned_paper(self, mode):
+        default = run_scripted_session(mode, scenario=dict(self.SCENARIO))
         pinned = run_scripted_session(
-            "plain", scenario={**self.SCENARIO, "strategy": "paper"}
+            mode, scenario={**self.SCENARIO, "strategy": "paper"}
         )
-        assert pinned["decisions"] == default_outcome["decisions"]
-        assert pinned["estimates"] == default_outcome["estimates"]
+        assert pinned["decisions"] == default["decisions"]
+        assert pinned["estimates"] == default["estimates"]
         assert (
             pinned["session"].recorder.chain_head
-            == default_outcome["session"].recorder.chain_head
+            == default["session"].recorder.chain_head
         )
 
     @pytest.mark.parametrize("name", ["random", "round_robin", "uncertainty"])
@@ -350,3 +357,22 @@ class TestCrossModeStrategyIdentity:
     def test_recorders_pin_the_strategy(self, outcomes):
         for outcome in outcomes.values():
             assert outcome["session"].recorder.state()["strategy"] == "uncertainty"
+
+
+def _load_strategy_bench():
+    spec = importlib.util.spec_from_file_location(
+        "strategy_bench", ROOT / "benchmarks" / "strategy_bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestStrategyBench:
+    def test_paper_dominates_the_baselines_on_the_clean_crowd(self):
+        """``strategy_paper_dominates_clean``: the paper's gain-based strategy
+        reaches a lower mean error than random and round-robin assignment."""
+        stats = _load_strategy_bench().measure_strategy_curves(
+            strategies=("paper", "random", "round_robin"), scenarios={"clean": {}}
+        )
+        assert stats["strategy_paper_dominates_clean"], stats["strategy_curves"]

@@ -19,16 +19,16 @@ from repro.core.assignment import TCrowdAssigner
 from repro.config.factory import build_policy
 from repro.core.codec import buffer_hash, deserialize_result, serialize_result
 from repro.core.inference import TCrowdModel
-from repro.service.bench import (
+from repro.service.storage import SnapshotStore, WriteAheadLog, read_wal
+from repro.service.wal import DurableSession, durable_summary
+from repro.utils.exceptions import ConfigurationError, DurabilityError
+from scripted_sessions import (
     DEFAULT_SCENARIO,
     continue_scripted_session,
     run_scripted_session,
     scripted_spec,
     verify_recovery_identical,
 )
-from repro.service.storage import SnapshotStore, WriteAheadLog, read_wal
-from repro.service.wal import DurableSession, durable_summary
-from repro.utils.exceptions import ConfigurationError, DurabilityError
 
 GOLDEN_FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_trace.json"
 
