@@ -49,16 +49,10 @@ def build_assigner(schema: TableSchema, spec: SessionSpec) -> TCrowdAssigner:
     )
 
 
-def wrap_policy(
-    policy: AssignmentPolicy,
-    serving: ServingSpec,
-    clock=None,
-) -> AssignmentPolicy:
+def wrap_policy(policy: AssignmentPolicy, serving: ServingSpec) -> AssignmentPolicy:
     """Wrap ``policy`` in the serving mode a :class:`ServingSpec` picks.
 
-    Returns ``policy`` itself for the default (synchronous) spec.  The
-    async wrapper owns a background refit thread — callers that create it
-    are responsible for ``close()``.
+    Returns ``policy`` itself for the default (synchronous) spec.
 
     Parameters
     ----------
@@ -68,9 +62,6 @@ def wrap_policy(
         gain configuration).
     serving:
         The serving section of a spec.
-    clock:
-        Optional :class:`~repro.engine.VirtualClock` for the async mode —
-        deterministic synchronous refits for tests and replay harnesses.
     """
     if not serving.wants_wrapper:
         return policy
@@ -81,17 +72,12 @@ def wrap_policy(
         )
     from repro.engine import AsyncRefitPolicy
 
-    return AsyncRefitPolicy(
-        policy,
-        max_stale_answers=serving.max_stale_answers,
-        clock=clock,
-    )
+    return AsyncRefitPolicy(policy, max_stale_answers=serving.max_stale_answers)
 
 
 def build_policy(
     schema: TableSchema,
     spec: SessionSpec,
-    clock=None,
     audit_format=None,
 ) -> AssignmentPolicy:
     """Assigner + serving wrapper, straight from a spec.
@@ -107,7 +93,7 @@ def build_policy(
     manifest pins; ``None`` is the current
     :data:`~repro.engine.provenance.AUDIT_FORMAT`.
     """
-    policy = wrap_policy(build_assigner(schema, spec), spec.serving, clock=clock)
+    policy = wrap_policy(build_assigner(schema, spec), spec.serving)
     if spec.serving.audit:
         from repro.engine.provenance import AUDIT_FORMAT, DecisionRecorder
 

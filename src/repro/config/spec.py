@@ -392,23 +392,28 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ServingSpec:
-    """How the policy is served: async refits, staleness, audit.
+    """How the policy is served: bounded-staleness refits, audit.
 
     The serving table (see :mod:`repro.config.factory`): the default spec
-    serves the bare assigner, ``async_refit`` the async refit wrapper.
+    serves the bare assigner, ``async_refit`` the bounded-staleness wrapper
+    (:class:`~repro.engine.AsyncRefitPolicy`).  The field keeps its name
+    for the clients that post it and the durable manifests that store it;
+    EM runs inline on the select path, not on a thread.
 
     ``max_stale_answers`` semantics (the **single** definition — the
     platform session and the benchmarks used to disagree on the default):
 
-    * ``0`` (the default) — *blocking*: every select waits until the model
-      has seen every collected answer, which replays the synchronous
-      session bit for bit.  This is the mode the recorded equivalence bits
-      (``identical_assignments_async`` / ``identical_estimates_async``) pin.
+    * ``0`` (the default) — every select refits until the model has seen
+      every collected answer, which replays the synchronous session bit
+      for bit (the golden-trace tests pin this).
     * a positive bound — *bounded staleness*: selects score against the
-      latest published snapshot as long as it trails the collected answers
-      by at most this many; only a staler snapshot blocks.  The production
-      mode.
-    * ``null`` — *unbounded*: selects never block on the refit worker.
+      latest snapshot as long as it trails the collected answers by at
+      most this many; a staler snapshot is refitted inline first.  Fewer
+      refits per answer than ``0``, and still deterministic, so a durable
+      session replays it exactly.
+    * ``null`` — *unbounded*: once a first model exists, selects never
+      refit; the served model advances only on a catch-up fit
+      (``GET /estimates``).
 
     ``refit_tol`` is the objective-based early-stopping tolerance of the
     warm-started serving refits (``TCrowdAssigner(refit_tol=...)``); it
@@ -661,12 +666,6 @@ class SessionSpec:
                 raise SpecValidationError(
                     name, f"must be a {name} object, got {getattr(self, name)!r}"
                 )
-        if self.serving.async_refit and self.policy.continuous_samples:
-            raise SpecValidationError(
-                "policy.continuous_samples",
-                "must be 0 when serving.async_refit is true (background "
-                "refits would reorder the Monte-Carlo sample stream)",
-            )
 
     # -- codecs ---------------------------------------------------------------
 
@@ -770,7 +769,7 @@ class SessionSpecBuilder:
         max_stale: Optional[int] = 0,
         refit_tol: Optional[float] = None,
     ) -> "SessionSpecBuilder":
-        """Run EM refits in a background worker (see :class:`ServingSpec`)."""
+        """Serve selects from bounded-stale snapshots (see :class:`ServingSpec`)."""
         self._serving["async_refit"] = True
         self._serving["max_stale_answers"] = max_stale
         if refit_tol is not None:

@@ -23,7 +23,6 @@ __all__ = [
     "DecisionRecorder",
     "HotPathProfile",
     "ModelSnapshot",
-    "VirtualClock",
 ]
 
 _PROFILING_EXPORTS = ("HotPathProfile",)
@@ -32,13 +31,12 @@ _REFIT_EXPORTS = (
     "AsyncRefitEngine",
     "AsyncRefitPolicy",
     "ModelSnapshot",
-    "VirtualClock",
 )
 
 
 def __getattr__(name):
     # Lazy so that ``core.assignment → engine.state → engine.__init__`` does
-    # not re-enter ``core.assignment`` (the async refit worker builds on the
+    # not re-enter ``core.assignment`` (the async refit policy builds on the
     # policy base classes) while it is still half-initialised.
     if name in _REFIT_EXPORTS:
         from repro.engine import refit_worker

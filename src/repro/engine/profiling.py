@@ -15,13 +15,14 @@ engine time all six, the bare :class:`~repro.core.assignment.TCrowdAssigner`
 times ``em_refit`` (on whichever path fits) and the last three:
 
 ``snapshot_acquire``
-    Getting the inference result to score with (lock-free snapshot read, or
-    a blocking catch-up refit when the staleness bound trips).
+    Getting the inference result to score with (the served snapshot, or an
+    inline catch-up refit when the staleness bound trips).
 ``lock_wait``
-    Time spent waiting on the refit lock inside a blocking catch-up (a
+    Time spent waiting on the refit lock inside a catch-up refit (a
     subset of ``snapshot_acquire`` when contention exists).
 ``em_refit``
-    The EM fit itself: background or blocking, or the sync policy's refit.
+    The EM fit itself: a bounded-staleness catch-up, or the sync policy's
+    refit.
 ``calculator_build``
     Building the per-select gain calculator over the served model (includes
     the structure-model fit; the async scoring cache amortises this).

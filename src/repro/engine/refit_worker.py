@@ -1,51 +1,46 @@
-"""Asynchronous truth-inference refits for the online assignment loop.
+"""Bounded-staleness truth-inference refits for the online assignment loop.
 
-The synchronous engine refits :class:`~repro.core.inference.TCrowdModel` on
-the select path: every worker arrival pays for an EM refit before any cell
-can be scored.  Production task-assignment servers instead run inference in
-a background worker and serve assignments from the latest completed model,
-accepting bounded staleness in exchange for a select path that never blocks
-on EM.  This module is that worker:
+The synchronous engine refits :class:`~repro.core.inference.TCrowdModel`
+whenever new answers arrive, so every answer batch pays for an EM refit.
+This module serves assignments from the latest fitted model instead and
+refits it only once it has fallen too far behind the collected answers:
 
 * :class:`ModelSnapshot` — an immutable, epoch-numbered
   :class:`~repro.core.inference.InferenceResult` plus the number of answers
-  it has seen.  Snapshots are published by a single atomic reference swap,
-  so the serving path reads them lock-free (CPython guarantees the
-  reference read is atomic; immutability guarantees what it points at never
-  changes underneath the reader).
-* :class:`AsyncRefitEngine` — owns the refit schedule.  ``notify`` requests
-  a background refit (requests coalesce: only the newest answer count is
-  fitted), ``result_for`` returns the model the select path should score
-  with, blocking for a catch-up refit only when the snapshot has fallen
-  more than ``max_stale_answers`` answers behind.
-* :class:`VirtualClock` — a deterministic, synchronous drop-in for the
-  background thread: submitted refits run inline, exactly when a test calls
-  :meth:`VirtualClock.run_pending`, so async tests are reproducible without
-  sleeps or races.
+  it has seen.
+* :class:`AsyncRefitEngine` — owns the refit schedule.
+  :meth:`~AsyncRefitEngine.snapshot_for` returns the snapshot the select
+  path should score with, refitting inline first when the snapshot is
+  missing or too stale.
 * :class:`AsyncRefitPolicy` — the policy wrapper plugging the engine behind
   the same :class:`~repro.core.assignment.AssignmentPolicy` seam the
   platform loop already drives, with a scoring cache that reuses one gain
   calculator across selects served from the same snapshot and answer
   prefix.
 
-The bounded-staleness contract: with ``max_stale_answers=0`` no background
-refit is ever scheduled and every select blocks until the model is within
-the refit cadence of the collected answers — reproducing the synchronous
-engine's fit chain, and therefore its assignment sequence, bit for bit at
-any ``refit_every`` (the golden-trace tests and the benchmark's
-``identical_assignments_async`` bit pin this).  With a positive bound the
-select path serves stale snapshots lock-free while the worker catches up,
-and only a snapshot more than ``max_stale_answers`` answers behind forces a
-blocking refit.  ``None`` means unbounded staleness.
+The ``async`` names (this module's classes and ``serving.async_refit``) are
+kept for clients and benchmark tooling; no thread is involved.  EM simply
+runs on the select path instead of the answer path.
+
+The bounded-staleness contract: a select refits inline when the snapshot
+trails the collected answers by more than ``max(max_stale_answers,
+refit_every - 1)`` and otherwise scores the snapshot it has.  With
+``max_stale_answers=0`` that reproduces the synchronous engine's fit chain,
+and therefore its assignment sequence, bit for bit at any ``refit_every``
+(the golden-trace tests pin this).  With a positive bound a select serves
+a stale snapshot until the bound trips, then one catch-up refit runs.
+``None`` means unbounded staleness: once a snapshot exists, only
+:meth:`AsyncRefitPolicy.final_result` advances the model.  Which selects
+refit is a deterministic function of the request sequence at every bound,
+so a durable session replays exactly at any bound (with closed-form gains;
+see :mod:`repro.service.wal`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.answers import AnswerSet
 from repro.core.assignment import (
@@ -71,7 +66,8 @@ class ModelSnapshot:
     ``epoch`` increases by one per published refit; ``answers_seen`` is the
     size of the answer set the fit ran over, which is what staleness is
     measured against (answers are append-only, so the count identifies the
-    exact prefix the model has seen).
+    exact prefix the model has seen).  Immutability lets a durable session
+    persist a snapshot and re-seat it after a restart unchanged.
     """
 
     epoch: int
@@ -83,109 +79,8 @@ class ModelSnapshot:
         return len(answers) - self.answers_seen
 
 
-class VirtualClock:
-    """Deterministic synchronous scheduler used by async tests.
-
-    Jobs submitted by the engine queue up instead of running on a thread;
-    :meth:`run_pending` executes them inline, in submission order, at the
-    exact point the test chooses.  This makes every async scenario —
-    snapshot published late, staleness bound tripping, requests coalescing —
-    a plain sequential program.
-    """
-
-    def __init__(self) -> None:
-        self._pending: deque = deque()
-        self._closed = False
-
-    @property
-    def pending_jobs(self) -> int:
-        """Number of submitted jobs not yet run."""
-        return len(self._pending)
-
-    def submit(self, job: Callable[[], None]) -> None:
-        """Queue ``job`` to run at the next :meth:`run_pending`."""
-        if self._closed:
-            raise ConfigurationError("Cannot submit to a closed VirtualClock")
-        self._pending.append(job)
-
-    def run_pending(self) -> int:
-        """Run every queued job inline; return how many ran."""
-        ran = 0
-        while self._pending:
-            job = self._pending.popleft()
-            job()
-            ran += 1
-        return ran
-
-    # The engine drives real and virtual schedulers through one protocol.
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Synchronous alias of :meth:`run_pending`; always 'drains'."""
-        self.run_pending()
-        return True
-
-    def close(self) -> None:
-        """Drop queued jobs and refuse further submissions."""
-        self._pending.clear()
-        self._closed = True
-
-
-class _RefitWorker:
-    """One daemon thread executing submitted jobs in submission order."""
-
-    def __init__(self, name: str = "refit-worker") -> None:
-        self._cond = threading.Condition()
-        self._jobs: deque = deque()
-        self._busy = False
-        self._closed = False
-        self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
-        self._thread.start()
-
-    def submit(self, job: Callable[[], None]) -> None:
-        with self._cond:
-            if self._closed:
-                raise ConfigurationError("Cannot submit to a closed refit worker")
-            self._jobs.append(job)
-            self._cond.notify_all()
-
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._jobs and not self._closed:
-                    self._cond.wait()
-                if not self._jobs and self._closed:
-                    return
-                job = self._jobs.popleft()
-                self._busy = True
-            try:
-                job()
-            finally:
-                with self._cond:
-                    self._busy = False
-                    self._cond.notify_all()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until the queue is empty and no job is running."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._jobs or self._busy:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(timeout=remaining)
-            return True
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        if self._thread.is_alive():
-            self._thread.join(timeout=10.0)
-
-
 class AsyncRefitEngine:
-    """Run truth-inference refits off the select path, behind snapshots.
+    """Serve truth-inference results as snapshots, refitting when too stale.
 
     Parameters
     ----------
@@ -195,17 +90,16 @@ class AsyncRefitEngine:
     schema:
         Table schema the answers refer to.
     refit_every:
-        A background refit is requested once the snapshot is at least this
-        many answers behind (mirrors
-        :class:`~repro.core.assignment.TCrowdAssigner`'s cadence).
+        The refit cadence (mirrors
+        :class:`~repro.core.assignment.TCrowdAssigner`'s): a snapshot up to
+        ``refit_every - 1`` answers behind is always fresh enough.
     max_stale_answers:
-        The bounded-staleness knob.  ``0`` — background refits are disabled
-        and every select blocks until the model is within the refit
-        cadence of the collected answers (the synchronous-equivalent
-        mode).  A positive bound — selects serve the
-        latest snapshot lock-free until it falls more than this many
-        answers behind, then one blocking catch-up refit runs.  ``None`` —
-        unbounded; selects never block once a first snapshot exists.
+        The bounded-staleness knob.  ``0`` — every select refits until the
+        model is within the refit cadence of the collected answers (the
+        synchronous-equivalent mode).  A positive bound — selects serve
+        the latest snapshot until it falls more than this many answers
+        behind, then one inline catch-up refit runs.  ``None`` —
+        unbounded; selects never refit once a first snapshot exists.
     warm_start:
         Warm-start every refit from the previous snapshot's result.
     tol:
@@ -213,12 +107,6 @@ class AsyncRefitEngine:
         (see :meth:`~repro.core.inference.TCrowdModel.fit`); applied only
         when a previous snapshot exists, so the first (cold) fit keeps the
         full iteration budget.
-    clock:
-        ``None`` starts a private background worker thread.  Pass a
-        :class:`VirtualClock` to make every background refit run
-        synchronously at :meth:`VirtualClock.run_pending` time (the
-        deterministic test mode).  The engine closes a clock it created;
-        an injected clock stays open.
     """
 
     def __init__(
@@ -229,7 +117,6 @@ class AsyncRefitEngine:
         max_stale_answers: Optional[int] = 0,
         warm_start: bool = True,
         tol: Optional[float] = None,
-        clock=None,
     ) -> None:
         if refit_every < 1:
             raise ConfigurationError(f"refit_every must be >= 1, got {refit_every}")
@@ -245,31 +132,23 @@ class AsyncRefitEngine:
         )
         self.warm_start = bool(warm_start)
         self.tol = None if tol is None else float(tol)
-        self._owns_clock = clock is None
-        self._clock = _RefitWorker() if clock is None else clock
-        # The snapshot reference is the one piece of shared state the serving
-        # path touches: published by assignment under _fit_lock, read without
-        # any lock (atomic reference load of an immutable object).
         self._snapshot: Optional[ModelSnapshot] = None
+        # Refits and restores publish under this lock; its wait is the
+        # ``lock_wait`` stage.
         self._fit_lock = threading.Lock()
-        self._request_lock = threading.Lock()
-        self._pending: Optional[Tuple[AnswerSet, int]] = None
-        self._background_error: Optional[BaseException] = None
         self.blocking_refits = 0
-        self.background_refits = 0
         self.profile: Optional[HotPathProfile] = None
-        self._closed = False
 
     def set_profile(self, profile: Optional[HotPathProfile]) -> None:
         """Attach a :class:`HotPathProfile` recording ``lock_wait`` /
         ``em_refit`` stage timings for every refit this engine runs."""
         self.profile = profile
 
-    # -- lock-free reads -----------------------------------------------------
+    # -- reads ---------------------------------------------------------------
 
     @property
     def snapshot(self) -> Optional[ModelSnapshot]:
-        """Latest published snapshot (lock-free; ``None`` before any fit)."""
+        """Latest published snapshot (``None`` before any fit)."""
         return self._snapshot
 
     @property
@@ -285,81 +164,25 @@ class AsyncRefitEngine:
             return len(answers)
         return snapshot.staleness(answers)
 
-    # -- scheduling ----------------------------------------------------------
-
-    def notify(self, answers: AnswerSet) -> None:
-        """Request a background refit if the snapshot is ``refit_every`` behind.
-
-        Requests coalesce: however many arrive while a fit is running, the
-        worker fits the newest answer count once.  In the
-        ``max_stale_answers=0`` mode this is a no-op — every refit happens
-        blocking on the select path, preserving the synchronous fit chain.
-        """
-        self._raise_background_error()
-        if self._closed or self.max_stale_answers == 0:
-            return
-        snapshot = self._snapshot
-        if snapshot is not None and snapshot.staleness(answers) < self.refit_every:
-            return
-        with self._request_lock:
-            first = self._pending is None
-            # Keep a reference to the live answer set plus the count to fit;
-            # the worker freezes that prefix itself, off the serving path
-            # (answers are append-only, so indexes < count are stable).
-            self._pending = (answers, len(answers))
-        if first:
-            self._clock.submit(self._run_pending)
-
-    def _run_pending(self) -> None:
-        """Worker-side job: freeze the newest requested prefix and fit it."""
-        with self._request_lock:
-            request, self._pending = self._pending, None
-        if request is None:
-            return
-        answers, count = request
-        snapshot = self._snapshot
-        if snapshot is not None and count <= snapshot.answers_seen:
-            return
-        try:
-            frozen = AnswerSet(answers.schema, [answers[i] for i in range(count)])
-            with self._fit_lock:
-                snapshot = self._snapshot
-                if snapshot is not None and count <= snapshot.answers_seen:
-                    return
-                with _stage(self.profile, "em_refit"):
-                    result = self._fit(frozen, snapshot)
-                self.background_refits += 1
-                self._publish(result, count)
-        except BaseException as exc:  # surfaced on the next serving call
-            self._background_error = exc
-
     # -- serving -------------------------------------------------------------
-
-    def result_for(self, answers: AnswerSet) -> InferenceResult:
-        """The model the select path should score ``answers`` with.
-
-        See :meth:`snapshot_for` for the staleness contract.
-        """
-        return self.snapshot_for(answers).result
 
     def snapshot_for(self, answers: AnswerSet) -> ModelSnapshot:
         """The snapshot the select path should score ``answers`` with.
 
-        Lock-free unless the snapshot is missing or too stale, in which
-        case one blocking catch-up refit runs before returning.  "Too
-        stale" honours both knobs: the staleness bound *and* the refit
-        cadence — the synchronous assigner itself serves a model up to
+        Returns the latest snapshot unless it is missing or too stale, in
+        which case one inline catch-up refit runs first.  "Too stale"
+        honours both knobs: the staleness bound *and* the refit cadence —
+        the synchronous assigner itself serves a model up to
         ``refit_every - 1`` answers old between cadence refits, so the
-        blocking threshold is ``max(max_stale_answers, refit_every - 1)``.
+        refit threshold is ``max(max_stale_answers, refit_every - 1)``.
         That is what makes ``max_stale_answers=0`` reproduce the
         synchronous fit chain at any ``refit_every``, not just 1.
 
         Returning the whole :class:`ModelSnapshot` (rather than just its
         result) gives callers a consistent ``(epoch, result,
-        answers_seen)`` read off one atomic reference — the key
-        :class:`AsyncRefitPolicy`'s scoring cache is indexed by.
+        answers_seen)`` triple — the key :class:`AsyncRefitPolicy`'s
+        scoring cache is indexed by.
         """
-        self._raise_background_error()
         snapshot = self._snapshot
         if snapshot is not None:
             if self.max_stale_answers is None:
@@ -391,15 +214,13 @@ class AsyncRefitEngine:
             return self._snapshot
 
     def refit_now(self, answers: AnswerSet) -> ModelSnapshot:
-        """Blocking refit bringing the snapshot fully up to date."""
-        self._raise_background_error()
+        """Refit now, bringing the snapshot fully up to date."""
         count = len(answers)
         with _stage(self.profile, "lock_wait"):
             self._fit_lock.acquire()
         try:
             snapshot = self._snapshot
             if snapshot is not None and snapshot.answers_seen >= count:
-                # A background fit caught us up while we waited for the lock.
                 return snapshot
             with _stage(self.profile, "em_refit"):
                 result = self._fit(answers, snapshot)
@@ -433,41 +254,18 @@ class AsyncRefitEngine:
             epoch=epoch, result=result, answers_seen=answers_seen
         )
 
-    def _raise_background_error(self) -> None:
-        error, self._background_error = self._background_error, None
-        if error is not None:
-            raise error
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for (or, with a :class:`VirtualClock`, run) pending refits."""
-        done = self._clock.drain(timeout=timeout)
-        self._raise_background_error()
-        return done
-
-    def close(self) -> None:
-        """Shut down an engine-owned worker thread (idempotent)."""
-        self._closed = True
-        if self._owns_clock:
-            self._clock.close()
-
-    def __enter__(self) -> "AsyncRefitEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class AsyncRefitPolicy(AssignmentPolicy):
-    """Serve a :class:`TCrowdAssigner`'s policy from async refit snapshots.
+    """Serve a :class:`TCrowdAssigner`'s policy from bounded-stale snapshots.
 
     Candidate filtering uses the same incremental
     :class:`~repro.engine.SessionState` as the wrapped assigner; scoring
     uses the wrapped assigner's gain calculators, built over whatever
     :class:`ModelSnapshot` the engine serves — the only behavioural
     difference to the synchronous policy is *which* inference result scores
-    a select, exactly as bounded by ``max_stale_answers``.
+    a select, exactly as bounded by ``max_stale_answers``.  Answers arriving
+    fit nothing: :meth:`observe` is the inherited no-op, and EM runs on the
+    select path when the bound trips or in :meth:`final_result`.
 
     **Scoring cache.**  A gain calculator is a pure function of the
     snapshot's result and the answer prefix it scores over; with answers
@@ -484,33 +282,21 @@ class AsyncRefitPolicy(AssignmentPolicy):
     ----------
     inner:
         The assigner whose model, gain configuration and refit cadence are
-        reused.  Monte-Carlo gain estimation (``continuous_samples > 0``)
-        consumes an ordered sample stream whose draws would interleave
-        nondeterministically with background refits and is rejected.
+        reused.
     max_stale_answers:
         See :class:`AsyncRefitEngine`.
-    clock:
-        See :class:`AsyncRefitEngine`; pass a :class:`VirtualClock` for
-        deterministic tests.
     """
 
     def __init__(
         self,
         inner: TCrowdAssigner,
         max_stale_answers: Optional[int] = 0,
-        clock=None,
     ) -> None:
         super().__init__(
             inner.schema,
             max_answers_per_cell=inner.max_answers_per_cell,
             incremental=True,
         )
-        if inner.continuous_samples:
-            raise ConfigurationError(
-                "AsyncRefitPolicy requires the closed-form gain path "
-                "(continuous_samples=0); the Monte-Carlo estimator consumes "
-                "an ordered sample stream that async refits would reorder"
-            )
         self.inner = inner
         self.profile: Optional[HotPathProfile] = None
         self._cached_key: Optional[Tuple[int, int]] = None
@@ -524,7 +310,6 @@ class AsyncRefitPolicy(AssignmentPolicy):
             max_stale_answers=max_stale_answers,
             warm_start=inner.warm_start,
             tol=inner.refit_tol,
-            clock=clock,
         )
 
     def set_profile(self, profile: Optional[HotPathProfile]) -> None:
@@ -541,16 +326,6 @@ class AsyncRefitPolicy(AssignmentPolicy):
         """The latest snapshot's inference result (None before any fit)."""
         snapshot = self.engine.snapshot
         return None if snapshot is None else snapshot.result
-
-    def close(self) -> None:
-        """Shut down the engine's background worker (idempotent)."""
-        self.engine.close()
-
-    def __enter__(self) -> "AsyncRefitPolicy":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- policy --------------------------------------------------------------
 
@@ -604,12 +379,8 @@ class AsyncRefitPolicy(AssignmentPolicy):
             )
         return assignment
 
-    def observe(self, answers: AnswerSet) -> None:
-        """Request a background refit for the newly arrived answers."""
-        self.engine.notify(answers)
-
     def final_result(self, answers: AnswerSet) -> InferenceResult:
-        """Blocking catch-up fit over all answers (end-of-session estimates)."""
+        """Catch-up fit over all answers (end-of-session estimates)."""
         return self.engine.refit_now(answers).result
 
     # -- durability ----------------------------------------------------------

@@ -162,12 +162,8 @@ class CrowdsourcingSession:
             spec = SessionSpec(simulation=SimulationSpec(**aliases))
         self.spec = spec
         self._raw_seed = seed if seed is not _UNSET else spec.simulation.seed
-        self._owned_policy = None
-        wrapped = wrap_policy(policy, spec.serving)
-        if wrapped is not policy:
-            self._owned_policy = wrapped
         self.dataset = dataset
-        self.policy = wrapped
+        self.policy = wrap_policy(policy, spec.serving)
         self.inference = inference
         simulation = spec.simulation
         self.target_answers_per_task = simulation.target_answers_per_task
@@ -272,12 +268,8 @@ class CrowdsourcingSession:
         try:
             return self._run()
         finally:
-            # The session owns the wrapper it built (the async refit
-            # worker): release its thread.
             if self.durable is not None:
                 self.durable.close()
-            if self._owned_policy is not None:
-                self._owned_policy.close()
 
     def _run(self) -> SessionTrace:
         schema = self.dataset.schema

@@ -345,7 +345,7 @@ class ServedSession:
             }
 
     def close(self) -> None:
-        """Snapshot, close the log, release the policy's threads."""
+        """Cut a final snapshot and close the log."""
         with self.lock:
             self.durable.close()
 

@@ -47,17 +47,17 @@ either by re-seating a snapshot's serialized result
 the WAL tail with full side effects, or by replaying the whole log.  The
 continued assignment sequence matches an uninterrupted run bit for bit —
 the ``recovery_identical`` property that ``tests/test_wal.py`` checks.
-(The guarantee assumes a
-deterministic serving mode: the synchronous policy, or the async one at
-``max_stale_answers=0``.  With a positive staleness bound,
-background refit *timing* is nondeterministic, so replay reproduces a
-valid execution of the same session rather than the exact one observed.)
+This holds in every serving mode and at every staleness bound: a
+bounded-stale policy refits inline on the select path when its bound
+trips, so which selects refit is itself a function of the logged events.
+(Monte-Carlo gains, ``continuous_samples > 0``, are excluded: snapshots
+do not store the sample generator's state.)
 
 Snapshot-epoch protocol: epochs increase by one per snapshot and never
 reuse a number, so ``snapshot-<epoch>-<answers_seen>.json`` names are
-totally ordered and immutable once written — the same property that lets
-:class:`~repro.engine.ModelSnapshot` cross thread boundaries lets these
-files cross *process* boundaries.
+totally ordered and immutable once written, like
+:class:`~repro.engine.ModelSnapshot` itself, which lets these files cross
+*process* boundaries.
 """
 
 from __future__ import annotations
@@ -517,14 +517,11 @@ class DurableSession:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Cut a final snapshot, close the log, release policy threads."""
+        """Cut a final snapshot and close the log."""
         if self._storage is not None and not self._storage.closed:
             if len(self.answers) > self._answers_at_last_snapshot:
                 self.snapshot()
             self._storage.close()
-        close = getattr(self.policy, "close", None)
-        if close is not None:
-            close()
 
     def __enter__(self) -> "DurableSession":
         return self

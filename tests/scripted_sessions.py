@@ -31,6 +31,7 @@ import numpy as np
 from repro.config import SessionSpec
 from repro.config.factory import build_policy
 from repro.datasets import load_celebrity
+from repro.engine.provenance import MAX_PAGE_LIMIT
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import AssignmentError, DurabilityError
 
@@ -45,9 +46,14 @@ DEFAULT_SCENARIO = {
     "model_kwargs": {"max_iterations": 6, "m_step_iterations": 10},
 }
 
-#: Serving-mode keys accepted by the scripted drivers, one per
+#: Serving-mode keys whose decisions are identical, one per
 #: :func:`~repro.config.factory.wrap_policy` outcome.
 SERVING_MODES = ("plain", "async")
+
+#: Staleness bound of the ``"bounded"`` mode.  It serves stale snapshots,
+#: so it takes other decisions than :data:`SERVING_MODES` and is kept out
+#: of that tuple; it must still replay exactly.
+BOUNDED_STALENESS = 12
 
 
 def _serving_config(mode: str) -> dict:
@@ -55,7 +61,27 @@ def _serving_config(mode: str) -> dict:
         return {}
     if mode == "async":
         return {"async_refit": True, "max_stale_answers": 0}
-    raise ValueError(f"Unknown serving mode {mode!r}; expected {SERVING_MODES}")
+    if mode == "bounded":
+        return {"async_refit": True, "max_stale_answers": BOUNDED_STALENESS}
+    raise ValueError(
+        f"Unknown serving mode {mode!r}; expected {SERVING_MODES} or 'bounded'"
+    )
+
+
+def staleness_profile(recorder) -> Dict[str, int]:
+    """How stale the served models were, read off a decision ledger.
+
+    ``max_staleness`` is the largest number of answers a decision's model
+    had not seen; ``refits_after_first`` counts the later model states
+    (the ledger's audit epoch advances whenever ``answers_seen`` changes).
+    A bounded-staleness run must show both above 0, or it silently
+    degenerated into bound 0 (or never refitted).
+    """
+    records = recorder.page(0, MAX_PAGE_LIMIT)
+    return {
+        "max_staleness": max((r.staleness for r in records), default=0),
+        "refits_after_first": max((r.epoch for r in records), default=0),
+    }
 
 
 def scripted_spec(mode: str, scenario: dict, audit: bool = True) -> SessionSpec:
@@ -303,10 +329,7 @@ def continue_scripted_session(
 
 
 def _abandon_session(session: DurableSession) -> None:
-    """Simulate a process kill: release threads/handles, never snapshot."""
-    close = getattr(session.policy, "close", None)
-    if close is not None:
-        close()
+    """Simulate a process kill: release file handles, never snapshot."""
     if session._storage is not None:
         session._storage.close()
 
@@ -375,8 +398,8 @@ def verify_recovery_identical(
         backend=backend,
         rotate_every_records=rotate_every_records,
     )
-    # Simulate the kill: drop the in-memory engine (its threads at most),
-    # then tear a few bytes off the log tail — a write cut mid-record.
+    # Simulate the kill: drop the in-memory engine, then tear a few bytes
+    # off the log tail — a write cut mid-record.
     _abandon_session(crashed["session"])
     torn = _tear_wal_tail(directory, backend, truncate_bytes)
     continued = continue_scripted_session(
@@ -397,6 +420,10 @@ def verify_recovery_identical(
         "recovery_replayed_records": continued["replayed_records"],
         "recovery_snapshot_epoch": continued["recovered_epoch"],
         "recovery_total_steps": len(baseline["decisions"]),
+        **{
+            f"recovery_{key}": value
+            for key, value in staleness_profile(baseline["session"].recorder).items()
+        },
     }
     if owns_dir:
         import shutil
@@ -667,6 +694,7 @@ def verify_audit_replay(
         "audit_replay_mismatches": int(recorder.replay_mismatches),
         "audit_chain_head": recorder.chain_head,
         "audit_replay_identical": bool(identical),
+        **{f"audit_{key}": value for key, value in staleness_profile(before).items()},
     }
     _abandon_session(recovered)
     if owns_dir:

@@ -62,7 +62,7 @@ policy_specs = st.builds(
     model=model_specs,
     use_structure=st.booleans(),
     refit_every=st.integers(min_value=1, max_value=20),
-    continuous_samples=st.just(0),
+    continuous_samples=st.integers(min_value=0, max_value=8),
     max_answers_per_cell=st.none() | st.integers(min_value=1, max_value=50),
     min_pairs=st.integers(min_value=0, max_value=20),
     seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
@@ -194,17 +194,19 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
             ServingSpec(max_stale_answers=True)
 
-    def test_async_refit_rejects_monte_carlo_gains(self):
-        """Background refits would reorder the Monte-Carlo sample stream."""
-        with pytest.raises(SpecValidationError) as excinfo:
-            SessionSpec.from_dict(
-                {
-                    "version": 1,
-                    "policy": {"continuous_samples": 4},
-                    "serving": {"async_refit": True},
-                }
-            )
-        assert excinfo.value.path == "policy.continuous_samples"
+    def test_async_refit_accepts_monte_carlo_gains(self, mixed_schema):
+        """Bounded-staleness serving draws Monte-Carlo samples on the select
+        path only, like the plain assigner, so the spec builds."""
+        spec = SessionSpec.from_dict(
+            {
+                "version": 1,
+                "policy": {"continuous_samples": 4},
+                "serving": {"async_refit": True, "max_stale_answers": 12},
+            }
+        )
+        policy = build_policy(mixed_schema, spec)
+        assert type(policy).__name__ == "AsyncRefitPolicy"
+        assert policy.inner.continuous_samples == 4
 
     def test_shards_without_processes_accept_monte_carlo_gains(self):
         """The retired ``serving.processes`` / ``serving.shards`` are
@@ -315,11 +317,8 @@ class TestFactory:
         policy = build_policy(
             mixed_schema, SessionSpec.builder().model(**fast).async_refit().build()
         )
-        try:
-            assert type(policy).__name__ == "AsyncRefitPolicy"
-            assert policy.name.endswith("[async refit]")
-        finally:
-            policy.close()
+        assert type(policy).__name__ == "AsyncRefitPolicy"
+        assert policy.name.endswith("[async refit]")
 
     def test_wrap_policy_requires_tcrowd_assigner(self, mixed_schema):
         from repro.baselines.assignment_simple import RandomAssigner

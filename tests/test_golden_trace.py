@@ -7,9 +7,8 @@ policy the factory can return:
 * ``incremental`` — the plain :class:`~repro.core.assignment.TCrowdAssigner`
   (incremental indexes, vectorised gains, warm-started refits);
 * ``async_refit`` — the same assigner served through an
-  :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` on a
-  :class:`~repro.engine.VirtualClock` (every refit blocking, deterministic;
-  the scoring cache on).
+  :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` (every
+  select refits inline; the scoring cache on).
 
 (The service layer's durability path replays the same scenario through a
 write-ahead log and is pinned against this fixture in ``tests/test_wal.py``.)
@@ -27,8 +26,7 @@ scenario without the fixture, whose decisions are warm-started:
   the seed implementation's scalar gains and full candidate rescans;
 * ``exact`` — the engine's incremental indexes and vectorised gains;
 * ``exact_async`` — the exact path through an
-  :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` on a
-  :class:`~repro.engine.VirtualClock`.
+  :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0``.
 
 The engine paths are pure refactors of the seed path's arithmetic, so all
 three must take the same decisions and end on the same estimates
@@ -93,7 +91,6 @@ _SERVING = {
 def _build_policy(config: str, schema):
     from repro.config import ServingSpec
     from repro.config.factory import wrap_policy
-    from repro.engine import VirtualClock
 
     if config not in _SERVING:
         raise ValueError(f"unknown config {config!r}")
@@ -106,9 +103,7 @@ def _build_policy(config: str, schema):
         vectorized=engine,
         incremental=engine,
     )
-    serving = ServingSpec(**_SERVING[config])
-    clock = VirtualClock() if serving.async_refit else None
-    return wrap_policy(inner, serving, clock=clock), inner
+    return wrap_policy(inner, ServingSpec(**_SERVING[config])), inner
 
 
 def replay_session(config: str):
@@ -138,36 +133,32 @@ def replay_session(config: str):
     decisions = []
     collected = 0
     failures = 0
-    try:
-        while collected < extra and failures < 10 * len(worker_ids):
-            worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
-            batch = min(schema.num_columns, extra - collected)
-            try:
-                assignment = policy.select(worker, answers, k=batch)
-            except AssignmentError:
-                failures += 1
-                continue
-            failures = 0
-            decisions.append((worker, assignment.cells))
-            for row, col in assignment.cells:
-                value = dataset.oracle.answer(worker, row, col, rng)
-                answers.add_answer(worker, row, col, value)
-            collected += len(assignment.cells)
-            policy.observe(answers)
+    while collected < extra and failures < 10 * len(worker_ids):
+        worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
+        batch = min(schema.num_columns, extra - collected)
+        try:
+            assignment = policy.select(worker, answers, k=batch)
+        except AssignmentError:
+            failures += 1
+            continue
+        failures = 0
+        decisions.append((worker, assignment.cells))
+        for row, col in assignment.cells:
+            value = dataset.oracle.answer(worker, row, col, rng)
+            answers.add_answer(worker, row, col, value)
+        collected += len(assignment.cells)
+        policy.observe(answers)
 
-        if config != "incremental":
-            final = policy.final_result(answers)
-        else:
-            # observe() refitted at the final answer count already.
-            final = inner.last_result
-        estimates = {
-            f"{row},{col}": final.estimate(row, col)
-            for row in range(schema.num_rows)
-            for col in range(schema.num_columns)
-        }
-    finally:
-        if policy is not inner:
-            policy.close()
+    if config != "incremental":
+        final = policy.final_result(answers)
+    else:
+        # observe() refitted at the final answer count already.
+        final = inner.last_result
+    estimates = {
+        f"{row},{col}": final.estimate(row, col)
+        for row in range(schema.num_rows)
+        for col in range(schema.num_columns)
+    }
     return decisions, estimates
 
 

@@ -18,7 +18,7 @@ from repro.config.factory import build_assigner
 from repro.core.answers import AnswerSet
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
-from repro.engine import AsyncRefitPolicy, VirtualClock
+from repro.engine import AsyncRefitPolicy
 from repro.engine.profiling import BUCKET_BOUNDS, HotPathProfile, stage
 from repro.utils.exceptions import InferenceError
 
@@ -52,65 +52,51 @@ def _assigner(schema, **kwargs) -> TCrowdAssigner:
 
 class TestScoringCache:
     def _policy(self, schema):
-        return AsyncRefitPolicy(
-            _assigner(schema), max_stale_answers=0, clock=VirtualClock()
-        )
+        return AsyncRefitPolicy(_assigner(schema), max_stale_answers=0)
 
     def test_repeat_select_hits_cache(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
         policy = self._policy(mixed_schema)
-        try:
-            first = policy.select("w0", answers, k=2)
-            assert policy.scoring_cache_misses == 1
-            second = policy.select("w0", answers, k=2)
-            assert policy.scoring_cache_hits == 1
-            assert first.cells == second.cells
-        finally:
-            policy.close()
+        first = policy.select("w0", answers, k=2)
+        assert policy.scoring_cache_misses == 1
+        second = policy.select("w0", answers, k=2)
+        assert policy.scoring_cache_hits == 1
+        assert first.cells == second.cells
 
     def test_new_answers_invalidate(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
         policy = self._policy(mixed_schema)
-        try:
-            policy.select("w0", answers, k=1)
-            answers.add_answer("w9", 0, 0, "red")
-            policy.observe(answers)
-            policy.select("w0", answers, k=1)
-            assert policy.scoring_cache_hits == 0
-            assert policy.scoring_cache_misses == 2
-        finally:
-            policy.close()
+        policy.select("w0", answers, k=1)
+        answers.add_answer("w9", 0, 0, "red")
+        policy.observe(answers)
+        policy.select("w0", answers, k=1)
+        assert policy.scoring_cache_hits == 0
+        assert policy.scoring_cache_misses == 2
 
     def test_epoch_change_invalidates_same_answer_count(self, mixed_schema):
         """A refit that publishes a new epoch must drop the cache even when
         the answer count is unchanged."""
         answers = _seeded_answers(mixed_schema)
         policy = self._policy(mixed_schema)
-        try:
-            policy.select("w0", answers, k=1)
-            snapshot = policy.engine.snapshot
-            # Re-publish the same result under a new epoch directly on the
-            # engine (the policy's own restore_state clears the cache, which
-            # would make this test vacuous): only the key's epoch changes.
-            policy.engine.restore(snapshot.result, snapshot.answers_seen)
-            assert policy.engine.snapshot.epoch > snapshot.epoch
-            policy.select("w0", answers, k=1)
-            assert policy.scoring_cache_hits == 0
-            assert policy.scoring_cache_misses == 2
-        finally:
-            policy.close()
+        policy.select("w0", answers, k=1)
+        snapshot = policy.engine.snapshot
+        # Re-publish the same result under a new epoch directly on the
+        # engine (the policy's own restore_state clears the cache, which
+        # would make this test vacuous): only the key's epoch changes.
+        policy.engine.restore(snapshot.result, snapshot.answers_seen)
+        assert policy.engine.snapshot.epoch > snapshot.epoch
+        policy.select("w0", answers, k=1)
+        assert policy.scoring_cache_hits == 0
+        assert policy.scoring_cache_misses == 2
 
     def test_restore_clears_cache(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
         policy = self._policy(mixed_schema)
-        try:
-            policy.select("w0", answers, k=1)
-            result, seen = policy.snapshot_state()
-            policy.restore_state(result, seen)
-            policy.select("w0", answers, k=1)
-            assert policy.scoring_cache_misses == 2
-        finally:
-            policy.close()
+        policy.select("w0", answers, k=1)
+        result, seen = policy.snapshot_state()
+        policy.restore_state(result, seen)
+        policy.select("w0", answers, k=1)
+        assert policy.scoring_cache_misses == 2
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_cache_hit_scores_like_a_rebuild(self, mixed_schema, strategy):
@@ -124,22 +110,14 @@ class TestScoringCache:
             .build()
         )
         answers = _seeded_answers(mixed_schema)
-        cached = AsyncRefitPolicy(
-            build_assigner(mixed_schema, spec), clock=VirtualClock()
-        )
-        cold = AsyncRefitPolicy(
-            build_assigner(mixed_schema, spec), clock=VirtualClock()
-        )
-        try:
-            cached.select("w0", answers, k=3)
-            hit = cached.select("w3", answers, k=3)
-            assert cached.scoring_cache_hits == 1
-            rebuilt = cold.select("w3", answers, k=3)
-            assert hit.cells == rebuilt.cells
-            assert hit.gains == rebuilt.gains
-        finally:
-            cached.close()
-            cold.close()
+        cached = AsyncRefitPolicy(build_assigner(mixed_schema, spec))
+        cold = AsyncRefitPolicy(build_assigner(mixed_schema, spec))
+        cached.select("w0", answers, k=3)
+        hit = cached.select("w3", answers, k=3)
+        assert cached.scoring_cache_hits == 1
+        rebuilt = cold.select("w3", answers, k=3)
+        assert hit.cells == rebuilt.cells
+        assert hit.gains == rebuilt.gains
 
     def test_cache_keeps_one_calculator_alive(self, mixed_schema):
         import gc
@@ -147,16 +125,13 @@ class TestScoringCache:
 
         answers = _seeded_answers(mixed_schema)
         policy = self._policy(mixed_schema)
-        try:
-            policy.select("w0", answers, k=1)
-            first = weakref.ref(policy._cached_calculator)
-            answers.add_answer("w9", 0, 0, "red")
-            policy.select("w0", answers, k=1)
-            gc.collect()
-            assert first() is None
-            assert policy._cached_calculator is not None
-        finally:
-            policy.close()
+        policy.select("w0", answers, k=1)
+        first = weakref.ref(policy._cached_calculator)
+        answers.add_answer("w9", 0, 0, "red")
+        policy.select("w0", answers, k=1)
+        gc.collect()
+        assert first() is None
+        assert policy._cached_calculator is not None
 
 
 # -- Newton M-step ------------------------------------------------------------
@@ -265,15 +240,10 @@ class TestHotPathProfile:
 
     def test_profile_wired_through_async_policy(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
-        policy = AsyncRefitPolicy(
-            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
-        )
+        policy = AsyncRefitPolicy(_assigner(mixed_schema), max_stale_answers=0)
         profile = HotPathProfile()
         policy.set_profile(profile)
-        try:
-            policy.select("w0", answers, k=2)
-        finally:
-            policy.close()
+        policy.select("w0", answers, k=2)
         snapshot = profile.to_dict()
         for name in ("snapshot_acquire", "calculator_build", "gains_batch",
                      "top_k_merge"):
@@ -281,16 +251,11 @@ class TestHotPathProfile:
 
     def test_profile_counts_one_build_per_cache_miss(self, mixed_schema):
         answers = _seeded_answers(mixed_schema)
-        policy = AsyncRefitPolicy(
-            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
-        )
+        policy = AsyncRefitPolicy(_assigner(mixed_schema), max_stale_answers=0)
         profile = HotPathProfile()
         policy.set_profile(profile)
-        try:
-            for worker in ("w0", "w1", "w2"):
-                policy.select(worker, answers, k=1)
-        finally:
-            policy.close()
+        for worker in ("w0", "w1", "w2"):
+            policy.select(worker, answers, k=1)
         stages = profile.to_dict()
         assert policy.scoring_cache_misses == 1
         assert stages["calculator_build"]["calls"] == 1
@@ -360,15 +325,10 @@ class TestHotPathProfile:
 
         monkeypatch.setattr(TCrowdModel, "fit", fit)
         answers = _seeded_answers(mixed_schema)
-        policy = AsyncRefitPolicy(
-            _assigner(mixed_schema), max_stale_answers=0, clock=VirtualClock()
-        )
+        policy = AsyncRefitPolicy(_assigner(mixed_schema), max_stale_answers=0)
         profile = HotPathProfile()
         policy.set_profile(profile)
-        try:
-            selects = self._drive(policy, answers, mixed_schema)
-        finally:
-            policy.close()
+        selects = self._drive(policy, answers, mixed_schema)
         assert policy.inner.profile is None
         stages = profile.to_dict()
         assert stages["em_refit"]["calls"] == len(fits) == 4

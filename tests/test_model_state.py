@@ -170,16 +170,13 @@ class TestBufferHash:
         restored = deserialize_result(json.loads(text), dataset.schema)
         assert model_state_hash(restored, 2) == digest
 
-        from repro.engine import AsyncRefitPolicy, VirtualClock
+        from repro.engine import AsyncRefitPolicy
 
         inner = TCrowdAssigner(dataset.schema, model=TCrowdModel(**FAST_MODEL))
-        policy = AsyncRefitPolicy(inner, max_stale_answers=0, clock=VirtualClock())
-        try:
-            policy.observe(dataset.answers)
-            snapshot = policy.engine.snapshot_for(dataset.answers)
-            assert model_state_hash(snapshot.result, 2) == digest
-        finally:
-            policy.close()
+        policy = AsyncRefitPolicy(inner, max_stale_answers=0)
+        policy.observe(dataset.answers)
+        snapshot = policy.engine.snapshot_for(dataset.answers)
+        assert model_state_hash(snapshot.result, 2) == digest
 
     def test_one_ulp_in_any_buffer_moves_the_digest(self, fitted):
         digest = buffer_hash(fitted)

@@ -364,12 +364,12 @@ class TestAsyncRefitSession:
         assert trace.records == reference.records
 
     def test_bounded_staleness_session_completes(self, async_dataset):
-        trace = self._session(
-            async_dataset,
-            spec=self._spec_builder().async_refit(max_stale=6).build(),
-        ).run()
+        """A seeded bound-6 session finishes and reproduces its trace."""
+        spec = self._spec_builder().async_refit(max_stale=6).build()
+        trace = self._session(async_dataset, spec=spec).run()
         assert trace.final.answers_per_task > 1.0
         assert trace.final.error_rate is not None
+        assert self._session(async_dataset, spec=spec).run().records == trace.records
 
     def test_async_requires_tcrowd_policy(self, async_dataset):
         model = TCrowdModel(max_iterations=4, m_step_iterations=8)

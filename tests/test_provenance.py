@@ -226,12 +226,16 @@ class TestGoldenAuditMatrix:
 
 class TestAuditCrashRecovery:
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    @pytest.mark.parametrize("mode", SERVING_MODES)
+    @pytest.mark.parametrize("mode", SERVING_MODES + ("bounded",))
     def test_recovered_ledger_is_identical(self, mode, backend, tmp_path):
         summary = verify_audit_replay(mode=mode, backend=backend, directory=tmp_path)
         assert summary["audit_replay_identical"], summary
         assert summary["audit_replay_mismatches"] == 0, summary
         assert summary["audit_replay_verified"] >= 1, summary
+        if mode == "bounded":
+            # A stale snapshot was served and caught up at least once.
+            assert summary["audit_max_staleness"] > 0, summary
+            assert summary["audit_refits_after_first"] > 0, summary
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
-"""Tests for the async refit engine (repro.engine.refit_worker), the
-durable snapshot protocol its policy shares with the bare assigner, and the
-objective-based EM early stopping it builds on (repro.core.inference).
+"""Tests for the bounded-staleness refit engine
+(repro.engine.refit_worker), the durable snapshot protocol its policy
+shares with the bare assigner, and the objective-based EM early stopping it
+builds on (repro.core.inference).
 
 The scoring cache of :class:`~repro.engine.AsyncRefitPolicy` is pinned in
 ``tests/test_hotpath.py``; end-to-end bit-identity stays with the
-golden-trace matrix and the benchmark's ``identical_*_async`` bits.
+golden-trace matrix and the scripted recovery tests.
 """
 
 import threading
@@ -19,12 +20,7 @@ from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.core.schema import Column, TableSchema
 from repro.datasets import load_celebrity
-from repro.engine import (
-    AsyncRefitEngine,
-    AsyncRefitPolicy,
-    ModelSnapshot,
-    VirtualClock,
-)
+from repro.engine import AsyncRefitEngine, AsyncRefitPolicy, ModelSnapshot
 from repro.utils.exceptions import AssignmentError, ConfigurationError
 
 
@@ -44,20 +40,13 @@ class StubModel:
     supports_warm_start = True
     supports_objective_tol = True
 
-    def __init__(self, fail_at=None):
+    def __init__(self):
         self.calls = []
-        self.fail_at = fail_at
-        self.lock = threading.Lock()
 
     def fit(self, schema, answers, init=None, tol=None):
-        with self.lock:
-            order = len(self.calls)
-            self.calls.append(
-                {"n": len(answers), "init": init, "tol": tol, "order": order}
-            )
-            if self.fail_at is not None and order == self.fail_at:
-                raise RuntimeError(f"stub fit #{order} failed")
-            return StubResult(order)
+        order = len(self.calls)
+        self.calls.append({"n": len(answers), "init": init, "tol": tol, "order": order})
+        return StubResult(order)
 
 
 @pytest.fixture()
@@ -102,44 +91,11 @@ class TestModelSnapshot:
             snapshot.epoch = 2
 
 
-# -- VirtualClock --------------------------------------------------------------
-
-
-class TestVirtualClock:
-    def test_jobs_run_only_on_run_pending_in_order(self):
-        clock = VirtualClock()
-        ran = []
-        clock.submit(lambda: ran.append("a"))
-        clock.submit(lambda: ran.append("b"))
-        assert ran == []
-        assert clock.pending_jobs == 2
-        assert clock.run_pending() == 2
-        assert ran == ["a", "b"]
-        assert clock.pending_jobs == 0
-        assert clock.run_pending() == 0
-
-    def test_drain_is_a_synchronous_alias(self):
-        clock = VirtualClock()
-        ran = []
-        clock.submit(lambda: ran.append(1))
-        assert clock.drain(timeout=0.0) is True
-        assert ran == [1]
-
-    def test_closed_clock_rejects_submissions(self):
-        clock = VirtualClock()
-        clock.submit(lambda: None)
-        clock.close()
-        assert clock.pending_jobs == 0  # close drops queued jobs
-        with pytest.raises(ConfigurationError):
-            clock.submit(lambda: None)
-
-
 # -- AsyncRefitEngine scheduling ----------------------------------------------
 
 
 class TestAsyncRefitEngine:
     def _engine(self, tiny_schema, model=None, **kwargs):
-        kwargs.setdefault("clock", VirtualClock())
         return AsyncRefitEngine(model or StubModel(), tiny_schema, **kwargs)
 
     def test_parameter_validation(self, tiny_schema):
@@ -156,7 +112,7 @@ class TestAsyncRefitEngine:
         assert engine.snapshot is None
         assert engine.epoch == -1
         assert engine.staleness(answers) == 3
-        result = engine.result_for(answers)
+        result = engine.snapshot_for(answers).result
         assert isinstance(result, StubResult)
         assert engine.epoch == 0
         assert engine.blocking_refits == 1
@@ -169,14 +125,14 @@ class TestAsyncRefitEngine:
         engine = self._engine(tiny_schema, max_stale_answers=2)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
-        first = engine.result_for(answers)
-        # Two more answers: staleness 2 <= bound, snapshot served lock-free.
+        first = engine.snapshot_for(answers).result
+        # Two more answers: staleness 2 <= bound, the stale snapshot serves.
         _add_answers(answers, 2, worker="x")
-        assert engine.result_for(answers) is first
+        assert engine.snapshot_for(answers).result is first
         assert engine.blocking_refits == 1
-        # One more: staleness 3 > bound, the select path must catch up.
+        # One more: staleness 3 > bound, one inline refit catches up.
         _add_answers(answers, 1, worker="y")
-        second = engine.result_for(answers)
+        second = engine.snapshot_for(answers).result
         assert second is not first
         assert engine.blocking_refits == 2
         assert engine.snapshot.epoch == 1
@@ -186,70 +142,24 @@ class TestAsyncRefitEngine:
         engine = self._engine(tiny_schema, max_stale_answers=None)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 1)
-        first = engine.result_for(answers)
+        first = engine.snapshot_for(answers).result
         _add_answers(answers, 8, worker="x")
-        assert engine.result_for(answers) is first
+        assert engine.snapshot_for(answers).result is first
         assert engine.blocking_refits == 1
 
     def test_max_stale_zero_disables_background_refits(self, tiny_schema):
-        clock = VirtualClock()
-        engine = self._engine(tiny_schema, max_stale_answers=0, clock=clock)
+        """At bound 0 nothing fits between selects: every select whose
+        answers grew refits inline, up to every collected answer."""
+        engine = self._engine(tiny_schema, max_stale_answers=0)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
-        engine.notify(answers)
-        assert clock.pending_jobs == 0
-        engine.result_for(answers)
+        engine.snapshot_for(answers)
         _add_answers(answers, 1, worker="x")
-        engine.notify(answers)
-        assert clock.pending_jobs == 0
-        engine.result_for(answers)
-        assert engine.blocking_refits == 2
-        assert engine.background_refits == 0
-
-    def test_notify_coalesces_requests_to_newest_count(self, tiny_schema):
-        model = StubModel()
-        clock = VirtualClock()
-        engine = self._engine(
-            tiny_schema, model, max_stale_answers=100, clock=clock
-        )
-        answers = AnswerSet(tiny_schema)
-        _add_answers(answers, 2)
-        engine.notify(answers)
-        _add_answers(answers, 3, worker="x")
-        engine.notify(answers)
-        assert clock.pending_jobs == 1  # second request coalesced
-        assert clock.run_pending() == 1
-        assert engine.background_refits == 1
-        assert engine.snapshot.answers_seen == 5  # newest count won
-        assert model.calls[-1]["n"] == 5
-
-    def test_notify_skips_when_snapshot_fresh_enough(self, tiny_schema):
-        clock = VirtualClock()
-        engine = self._engine(
-            tiny_schema, refit_every=3, max_stale_answers=100, clock=clock
-        )
-        answers = AnswerSet(tiny_schema)
-        _add_answers(answers, 2)
-        engine.refit_now(answers)
-        _add_answers(answers, 2, worker="x")
-        engine.notify(answers)  # staleness 2 < refit_every 3
-        assert clock.pending_jobs == 0
-        _add_answers(answers, 1, worker="y")
-        engine.notify(answers)  # staleness 3 -> request
-        assert clock.pending_jobs == 1
-
-    def test_background_fit_skipped_if_blocking_refit_overtook(self, tiny_schema):
-        clock = VirtualClock()
-        engine = self._engine(tiny_schema, max_stale_answers=100, clock=clock)
-        answers = AnswerSet(tiny_schema)
-        _add_answers(answers, 2)
-        engine.notify(answers)
-        assert clock.pending_jobs == 1
-        engine.refit_now(answers)  # blocking refit lands first
-        clock.run_pending()
-        assert engine.background_refits == 0  # stale request dropped
         assert engine.blocking_refits == 1
-        assert engine.epoch == 0
+        assert engine.staleness(answers) == 1
+        engine.snapshot_for(answers)
+        assert engine.blocking_refits == 2
+        assert engine.staleness(answers) == 0
 
     def test_refit_now_returns_existing_snapshot_when_caught_up(self, tiny_schema):
         engine = self._engine(tiny_schema, max_stale_answers=100)
@@ -261,16 +171,12 @@ class TestAsyncRefitEngine:
 
     def test_warm_chain_and_tolerance_plumbing(self, tiny_schema):
         model = StubModel()
-        clock = VirtualClock()
-        engine = AsyncRefitEngine(
-            model, tiny_schema, max_stale_answers=100, tol=1e-3, clock=clock
-        )
+        engine = AsyncRefitEngine(model, tiny_schema, max_stale_answers=1, tol=1e-3)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
-        engine.refit_now(answers)
+        engine.snapshot_for(answers)
         _add_answers(answers, 2, worker="x")
-        engine.notify(answers)
-        clock.run_pending()
+        engine.snapshot_for(answers)  # staleness 2 > bound: inline warm refit
         cold, warm = model.calls
         assert cold["init"] is None and cold["tol"] is None
         assert isinstance(warm["init"], StubResult)
@@ -281,7 +187,7 @@ class TestAsyncRefitEngine:
         model = StubModel()
         engine = AsyncRefitEngine(
             model, tiny_schema, warm_start=False, tol=1e-3,
-            max_stale_answers=100, clock=VirtualClock(),
+            max_stale_answers=100,
         )
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
@@ -291,58 +197,28 @@ class TestAsyncRefitEngine:
         assert all(call["init"] is None for call in model.calls)
         assert all(call["tol"] is None for call in model.calls)
 
-    def test_background_error_surfaces_on_next_serving_call(self, tiny_schema):
-        model = StubModel(fail_at=1)
-        clock = VirtualClock()
-        engine = self._engine(tiny_schema, model, max_stale_answers=100, clock=clock)
-        answers = AnswerSet(tiny_schema)
-        _add_answers(answers, 2)
-        engine.result_for(answers)
-        _add_answers(answers, 2, worker="x")
-        engine.notify(answers)
-        clock.run_pending()  # the background fit raises, error is stored
-        with pytest.raises(RuntimeError, match="stub fit #1 failed"):
-            engine.result_for(answers)
-        # The error is raised once, then cleared.
-        assert engine.result_for(answers) is not None
-
     def test_epochs_increase_monotonically(self, tiny_schema):
-        clock = VirtualClock()
-        engine = self._engine(tiny_schema, max_stale_answers=1, clock=clock)
+        engine = self._engine(tiny_schema, max_stale_answers=1)
         answers = AnswerSet(tiny_schema)
         epochs = []
         for batch in range(3):
             _add_answers(answers, 2, worker=f"b{batch}")
-            engine.result_for(answers)
-            engine.notify(answers)
-            clock.run_pending()
+            engine.snapshot_for(answers)
+            epochs.append(engine.epoch)
+            _add_answers(answers, 1, worker=f"c{batch}")
+            engine.refit_now(answers)
             epochs.append(engine.epoch)
         assert epochs == sorted(epochs)
         assert len(set(epochs)) == len(epochs)
 
-    def test_threaded_worker_drain_and_close(self, tiny_schema):
-        model = StubModel()
-        engine = AsyncRefitEngine(model, tiny_schema, max_stale_answers=100)
+    def test_staleness_with_published_snapshot(self, tiny_schema):
+        engine = self._engine(tiny_schema, max_stale_answers=100)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
-        engine.result_for(answers)
-        _add_answers(answers, 2, worker="x")
-        engine.notify(answers)
-        assert engine.drain(timeout=30.0)
-        assert engine.snapshot.answers_seen == 4
-        assert engine.background_refits == 1
-        engine.close()
-        engine.close()  # idempotent
-        # notify after close is a silent no-op, not a crash.
-        _add_answers(answers, 1, worker="y")
-        engine.notify(answers)
-
-    def test_context_manager_closes_owned_worker(self, tiny_schema):
-        with AsyncRefitEngine(StubModel(), tiny_schema, max_stale_answers=5) as engine:
-            answers = AnswerSet(tiny_schema)
-            _add_answers(answers, 2)
-            engine.result_for(answers)
-        assert engine.epoch == 0
+        engine.refit_now(answers)
+        assert engine.staleness(answers) == 0
+        _add_answers(answers, 3, worker="x")
+        assert engine.staleness(answers) == 3
 
 
 # -- AsyncRefitPolicy ----------------------------------------------------------
@@ -373,23 +249,56 @@ class TestAsyncRefitPolicy:
         return TCrowdAssigner(schema, **kwargs)
 
     @staticmethod
-    def _async_spec():
+    def _async_spec(max_stale=0, **policy):
         return (
             SessionSpec.builder()
             .model(max_iterations=4, m_step_iterations=8)
-            .async_refit(max_stale=0)
+            .policy(**policy)
+            .async_refit(max_stale=max_stale)
             .build()
         )
 
-    def test_rejects_monte_carlo_gain_path(self, celebrity):
-        inner = self._inner(celebrity.schema, continuous_samples=4)
-        with pytest.raises(ConfigurationError):
-            AsyncRefitPolicy(inner)
+    def _decisions(self, celebrity, spec):
+        """Drive ten seeded two-cell selects; return the decisions."""
+        policy = build_policy(celebrity.schema, spec)
+        answers = _seeded_answers(celebrity)
+        workers = celebrity.worker_pool.worker_ids()
+        rng = np.random.default_rng(0)
+        decisions = []
+        for step in range(10):
+            worker = workers[step % len(workers)]
+            assignment = policy.select(worker, answers, k=2)
+            for row, col in assignment.cells:
+                answers.add_answer(
+                    worker, row, col, celebrity.oracle.answer(worker, row, col, rng)
+                )
+            decisions.append((worker, assignment.cells, assignment.gains))
+        return decisions
+
+    def test_accepts_monte_carlo_gain_path(self, celebrity):
+        """Monte-Carlo gains draw from the assigner's seeded generator on
+        the select path, so two runs take identical decisions at any bound."""
+        for max_stale in (0, 12):
+            spec = self._async_spec(max_stale, continuous_samples=4, seed=3)
+            first = self._decisions(celebrity, spec)
+            assert self._decisions(celebrity, spec) == first
+
+    def test_serving_starts_no_thread(self, celebrity):
+        """Stale selects, catch-up refits and a final fit all run on the
+        caller's thread.  (Compared by identity, so a thread another test
+        left behind cannot make this flaky by exiting meanwhile.)"""
+        before = set(threading.enumerate())
+        policy = build_policy(celebrity.schema, self._async_spec(max_stale=3))
+        answers = _seeded_answers(celebrity)
+        for step in range(4):
+            policy.select("w", answers, k=1)
+            _add_answers(answers, 2, worker=f"late{step}")
+        policy.final_result(answers)
+        assert policy.engine.blocking_refits > 1
+        assert set(threading.enumerate()) - before == set()
 
     def test_select_validates_inputs(self, celebrity):
-        policy = AsyncRefitPolicy(
-            self._inner(celebrity.schema), clock=VirtualClock()
-        )
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema))
         answers = _seeded_answers(celebrity)
         with pytest.raises(AssignmentError):
             policy.select("w", answers, k=0)
@@ -400,112 +309,95 @@ class TestAsyncRefitPolicy:
         answers = _seeded_answers(celebrity)
         sync = self._inner(celebrity.schema)
         worker = celebrity.worker_pool.worker_ids()[1]
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), max_stale_answers=0,
-            clock=VirtualClock(),
-        ) as policy:
-            fast = policy.select(worker, answers, k=4)
-            slow = sync.select(worker, answers, k=4)
-            assert fast.cells == slow.cells
-            assert fast.gains == pytest.approx(slow.gains, rel=1e-12, abs=1e-15)
-            assert policy.last_result is not None
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema), max_stale_answers=0)
+        fast = policy.select(worker, answers, k=4)
+        slow = sync.select(worker, answers, k=4)
+        assert fast.cells == slow.cells
+        assert fast.gains == pytest.approx(slow.gains, rel=1e-12, abs=1e-15)
+        assert policy.last_result is not None
 
     def test_matches_plain_assigner_at_zero_staleness(self, celebrity):
         """Two workers on one answer prefix: the second select is a scoring
         cache hit and must still match the synchronous assigner exactly."""
         answers = _seeded_answers(celebrity)
         sync = self._inner(celebrity.schema)
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), max_stale_answers=0,
-            clock=VirtualClock(),
-        ) as policy:
-            for worker in celebrity.worker_pool.worker_ids()[1:3]:
-                fast = policy.select(worker, answers, k=4)
-                slow = sync.select(worker, answers, k=4)
-                assert fast.cells == slow.cells
-                assert fast.gains == slow.gains
-            assert policy.scoring_cache_hits == 1
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema), max_stale_answers=0)
+        for worker in celebrity.worker_pool.worker_ids()[1:3]:
+            fast = policy.select(worker, answers, k=4)
+            slow = sync.select(worker, answers, k=4)
+            assert fast.cells == slow.cells
+            assert fast.gains == slow.gains
+        assert policy.scoring_cache_hits == 1
 
     def test_name_reflects_the_serving_mode(self, celebrity):
         """An async-refit spec is served by the async wrapper, and its name
         says so."""
         spec = self._async_spec()
         assert spec.serving.describe() == "async refit (max_stale=0)"
-        with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
-            assert isinstance(policy, AsyncRefitPolicy)
-            assert policy.name == f"{policy.inner.name} [async refit]"
+        policy = build_policy(celebrity.schema, spec)
+        assert isinstance(policy, AsyncRefitPolicy)
+        assert policy.name == f"{policy.inner.name} [async refit]"
 
     def test_empty_answers_rejected(self, celebrity):
         """The empty answer set is refused before any fit or scoring."""
-        spec = self._async_spec()
-        with build_policy(celebrity.schema, spec, clock=VirtualClock()) as policy:
-            with pytest.raises(AssignmentError):
-                policy.select("w0", AnswerSet(celebrity.schema), k=1)
-            assert policy.engine.epoch == -1
-            assert policy.engine.blocking_refits == 0
-            assert policy.scoring_cache_misses == 0
+        policy = build_policy(celebrity.schema, self._async_spec())
+        with pytest.raises(AssignmentError):
+            policy.select("w0", AnswerSet(celebrity.schema), k=1)
+        assert policy.engine.epoch == -1
+        assert policy.engine.blocking_refits == 0
+        assert policy.scoring_cache_misses == 0
 
-    def test_observe_schedules_and_final_result_catches_up(self, celebrity):
-        clock = VirtualClock()
+    def test_observe_fits_nothing_and_final_result_catches_up(self, celebrity):
         answers = _seeded_answers(celebrity)
         worker = celebrity.worker_pool.worker_ids()[2]
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), max_stale_answers=10 ** 6, clock=clock,
-        ) as policy:
-            assert policy.last_result is None
-            assignment = policy.select(worker, answers, k=2)
-            rng = np.random.default_rng(0)
-            for row, col in assignment.cells:
-                answers.add_answer(
-                    worker, row, col, celebrity.oracle.answer(worker, row, col, rng)
-                )
-            policy.observe(answers)
-            assert clock.pending_jobs == 1
-            final = policy.final_result(answers)
-            assert policy.engine.snapshot.answers_seen == len(answers)
-            assert final is policy.last_result
-            assert final.estimate(0, 0) is not None
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema), max_stale_answers=0)
+        assert policy.last_result is None
+        assignment = policy.select(worker, answers, k=2)
+        rng = np.random.default_rng(0)
+        for row, col in assignment.cells:
+            answers.add_answer(
+                worker, row, col, celebrity.oracle.answer(worker, row, col, rng)
+            )
+        policy.observe(answers)
+        assert policy.engine.blocking_refits == 1
+        assert policy.engine.staleness(answers) == 2
+        final = policy.final_result(answers)
+        assert policy.engine.blocking_refits == 2
+        assert policy.engine.snapshot.answers_seen == len(answers)
+        assert final is policy.last_result
+        assert final.estimate(0, 0) is not None
 
     def test_final_result_catches_up(self, celebrity):
         """final_result on a policy that never served a select fits the
         whole answer set and publishes that fit."""
         answers = _seeded_answers(celebrity)
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), max_stale_answers=100,
-            clock=VirtualClock(),
-        ) as policy:
-            result = policy.final_result(answers)
-            assert policy.engine.snapshot.answers_seen == len(answers)
-            assert result is policy.last_result
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema), max_stale_answers=100)
+        result = policy.final_result(answers)
+        assert policy.engine.snapshot.answers_seen == len(answers)
+        assert result is policy.last_result
 
     def test_exhausted_pool_raises_assignment_error(self, celebrity):
         answers = _seeded_answers(celebrity)
         inner = self._inner(celebrity.schema, max_answers_per_cell=1)
-        with AsyncRefitPolicy(inner, clock=VirtualClock()) as policy:
-            worker = celebrity.worker_pool.worker_ids()[3]
-            with pytest.raises(AssignmentError):
-                policy.select(worker, answers, k=1)
-
-    def test_close_is_idempotent(self, celebrity):
-        policy = AsyncRefitPolicy(self._inner(celebrity.schema))
-        policy.close()
-        policy.close()
+        policy = AsyncRefitPolicy(inner)
+        worker = celebrity.worker_pool.worker_ids()[3]
+        with pytest.raises(AssignmentError):
+            policy.select(worker, answers, k=1)
 
     def test_bounded_staleness_serves_stale_snapshot(self, celebrity):
         answers = _seeded_answers(celebrity)
-        clock = VirtualClock()
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), max_stale_answers=100, clock=clock,
-        ) as policy:
-            policy.select("w", answers, k=1)
-            epoch_before = policy.engine.epoch
-            _add_answers(answers, 1, worker="late")
-            policy.observe(answers)  # schedules a background refit
-            assert clock.pending_jobs == 1
-            policy.select("w", answers, k=1)  # lock-free on the stale snapshot
-            assert policy.engine.epoch == epoch_before
-            clock.run_pending()
-            assert policy.engine.epoch == epoch_before + 1
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema), max_stale_answers=2)
+        policy.select("w", answers, k=1)
+        epoch_before = policy.engine.epoch
+        _add_answers(answers, 2, worker="late")
+        policy.select("w", answers, k=1)  # staleness 2: the stale snapshot serves
+        assert policy.engine.epoch == epoch_before
+        assert policy.engine.blocking_refits == 1
+        _add_answers(answers, 1, worker="later")
+        policy.select("w", answers, k=1)  # staleness 3 trips the bound
+        assert policy.engine.epoch == epoch_before + 1
+        assert policy.engine.blocking_refits == 2
+        assert policy.engine.staleness(answers) == 0
 
 
 # -- the durable snapshot protocol ---------------------------------------------
@@ -518,27 +410,23 @@ class TestDurabilityProtocol:
 
     def test_snapshot_state_round_trip(self, celebrity):
         answers = _seeded_answers(celebrity)
-        with AsyncRefitPolicy(
-            self._inner(celebrity.schema), clock=VirtualClock()
-        ) as policy, AsyncRefitPolicy(
-            self._inner(celebrity.schema), clock=VirtualClock()
-        ) as fresh:
-            assert policy.snapshot_state() is None
-            policy.select("w", answers, k=1)
-            result, answers_seen = policy.snapshot_state()
-            assert answers_seen == len(answers)
-            fresh.restore_state(result, answers_seen)
-            assert fresh.last_result is result
-            assert fresh.engine.snapshot.answers_seen == answers_seen
+        policy = AsyncRefitPolicy(self._inner(celebrity.schema))
+        fresh = AsyncRefitPolicy(self._inner(celebrity.schema))
+        assert policy.snapshot_state() is None
+        policy.select("w", answers, k=1)
+        result, answers_seen = policy.snapshot_state()
+        assert answers_seen == len(answers)
+        fresh.restore_state(result, answers_seen)
+        assert fresh.last_result is result
+        assert fresh.engine.snapshot.answers_seen == answers_seen
 
     def test_engine_restore_advances_epoch(self, tiny_schema):
-        engine = AsyncRefitEngine(StubModel(), tiny_schema, clock=VirtualClock())
+        engine = AsyncRefitEngine(StubModel(), tiny_schema)
         result = StubResult("persisted")
         assert engine.restore(result, answers_seen=12).epoch == 0
         assert engine.restore(result, answers_seen=20).epoch == 1
         engine.restore(result, answers_seen=25, epoch=9)
         assert engine.epoch == 9
-        engine.close()
 
     def test_plain_assigner_snapshot_protocol(self, celebrity):
         answers = _seeded_answers(celebrity)
@@ -663,45 +551,6 @@ class TestObjectiveEarlyStopping:
         assert result.n_iterations == model.max_iterations
 
 
-class TestWorkerThreadEdgeCases:
-    def test_submit_after_close_raises(self):
-        from repro.engine.refit_worker import _RefitWorker
-
-        worker = _RefitWorker()
-        worker.close()
-        with pytest.raises(ConfigurationError):
-            worker.submit(lambda: None)
-
-    def test_drain_times_out_on_a_stuck_job(self):
-        from repro.engine.refit_worker import _RefitWorker
-
-        release = threading.Event()
-        worker = _RefitWorker()
-        worker.submit(release.wait)
-        assert worker.drain(timeout=0.05) is False
-        release.set()
-        assert worker.drain(timeout=30.0) is True
-        worker.close()
-
-    def test_staleness_with_published_snapshot(self, tiny_schema):
-        engine = AsyncRefitEngine(
-            StubModel(), tiny_schema, max_stale_answers=100, clock=VirtualClock()
-        )
-        answers = AnswerSet(tiny_schema)
-        _add_answers(answers, 2)
-        engine.refit_now(answers)
-        assert engine.staleness(answers) == 0
-        _add_answers(answers, 3, worker="x")
-        assert engine.staleness(answers) == 3
-
-    def test_run_pending_without_request_is_a_noop(self, tiny_schema):
-        engine = AsyncRefitEngine(
-            StubModel(), tiny_schema, max_stale_answers=100, clock=VirtualClock()
-        )
-        engine._run_pending()  # no pending request: nothing published
-        assert engine.epoch == -1
-
-
 class TestCadenceEquivalence:
     def test_strict_mode_honours_refit_every_cadence(self, tiny_schema):
         """At max_stale_answers=0 the blocking threshold follows the refit
@@ -709,18 +558,16 @@ class TestCadenceEquivalence:
         refit_every-1 answers old between refits."""
         model = StubModel()
         engine = AsyncRefitEngine(
-            model, tiny_schema, refit_every=3, max_stale_answers=0,
-            clock=VirtualClock(),
+            model, tiny_schema, refit_every=3, max_stale_answers=0
         )
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
-        first = engine.result_for(answers)  # cold fit
+        first = engine.snapshot_for(answers).result  # cold fit
         _add_answers(answers, 2, worker="x")
         # staleness 2 < refit_every 3: the synchronous path would not have
         # refitted either, so the stale model is served.
-        assert engine.result_for(answers) is first
+        assert engine.snapshot_for(answers).result is first
         _add_answers(answers, 1, worker="y")
         # staleness 3 crosses the cadence: blocking catch-up.
-        assert engine.result_for(answers) is not first
+        assert engine.snapshot_for(answers).result is not first
         assert engine.blocking_refits == 2
-        assert engine.background_refits == 0

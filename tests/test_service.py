@@ -115,7 +115,6 @@ class TestSchemaCodec:
             },
         )
         assert async_policy.name.endswith("[async refit]")
-        async_policy.close()
 
     def test_build_policy_rejects_bad_options(self, mixed_schema):
         with pytest.raises(ConfigurationError):

@@ -27,6 +27,7 @@ from scripted_sessions import (
     continue_scripted_session,
     run_scripted_session,
     scripted_spec,
+    staleness_profile,
     verify_recovery_identical,
 )
 
@@ -228,18 +229,31 @@ class TestDurableSession:
 class TestCrashRecovery:
     """Kill / truncate / recover / continue — must match uninterrupted runs."""
 
-    @pytest.mark.parametrize("mode", ["plain", "async"])
-    def test_recovery_is_bit_identical(self, mode, tmp_path):
+    @pytest.mark.parametrize(
+        "mode, backend",
+        [
+            pytest.param("plain", "jsonl", id="plain"),
+            pytest.param("async", "jsonl", id="async"),
+            pytest.param("bounded", "jsonl", id="bounded-jsonl"),
+            pytest.param("bounded", "sqlite", id="bounded-sqlite"),
+        ],
+    )
+    def test_recovery_is_bit_identical(self, mode, backend, tmp_path):
         summary = verify_recovery_identical(
             mode=mode,
             directory=tmp_path,
             crash_after_steps=3,
             truncate_bytes=7,
             snapshot_every=25,
+            backend=backend,
         )
         assert summary["recovery_decisions_identical"], summary
         assert summary["recovery_estimates_identical"], summary
         assert summary["recovery_identical"], summary
+        if mode == "bounded":
+            # A stale snapshot was served and caught up at least once.
+            assert summary["recovery_max_staleness"] > 0, summary
+            assert summary["recovery_refits_after_first"] > 0, summary
 
     def test_snapshot_fast_path_recovery(self, tmp_path):
         """A dense snapshot cadence must shortcut the replay, identically."""
@@ -480,22 +494,37 @@ class TestEstimatesLogging:
         assert session.wal_records == before
         session.close()
 
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_fitting_reads_replay_after_a_crash(self, backend, tmp_path):
+    @pytest.mark.parametrize(
+        "backend, mode",
+        [
+            pytest.param("jsonl", "plain", id="jsonl"),
+            pytest.param("sqlite", "plain", id="sqlite"),
+            pytest.param("jsonl", "bounded", id="bounded-jsonl"),
+            pytest.param("sqlite", "bounded", id="bounded-sqlite"),
+        ],
+    )
+    def test_fitting_reads_replay_after_a_crash(self, backend, mode, tmp_path):
         live = DurableSession(
-            _scenario_schema(), self._policy(), directory=tmp_path,
+            _scenario_schema(), self._policy(mode), directory=tmp_path,
             backend=backend,
         )
         self._drive(live)
+        if mode == "bounded":
+            profile = staleness_profile(live.recorder)
+            assert profile["max_staleness"] > 0, profile
+            assert profile["refits_after_first"] > 0, profile
+        # Read the live state first: a bounded session's last select left
+        # its model stale, so this read fits and is logged before the crash.
+        expected = self._state(live)
         records = live.wal_records
         # Crash: the live session is never closed.
         recovered = DurableSession(
-            _scenario_schema(), self._policy(), directory=tmp_path,
+            _scenario_schema(), self._policy(mode), directory=tmp_path,
             backend=backend,
         )
         assert recovered.recorder.replay_mismatches == 0
-        assert self._state(recovered) == self._state(live)
-        assert recovered.wal_records == live.wal_records == records
+        assert self._state(recovered) == expected
+        assert recovered.wal_records == records
         recovered.close()
 
     @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
