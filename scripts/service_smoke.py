@@ -627,6 +627,18 @@ def main() -> int:
         estimates = client.get_estimates(session_id)
         assert len(estimates["estimates"]) == schema.num_cells, estimates
 
+        # The session resource shows the served fit: after the first (cold)
+        # fit every refit is warm and runs the two-iteration warm budget.
+        status, stats = client.request("GET", f"/sessions/{session_id}")
+        assert status == 200, (status, stats)
+        model = stats["model"]
+        assert model["iterations_run"] <= 2, model
+        assert model["answers_seen"] <= stats["answers_collected"], (model, stats)
+        print(
+            f"served model OK ({model['iterations_run']} EM iterations over "
+            f"{model['answers_seen']} answers, stopped by {model['stopped_by']})"
+        )
+
         # A body without "version" (the retired pre-spec dialect) is a
         # strict 400 naming the missing field, not a silent upgrade.
         status, body = client.request(

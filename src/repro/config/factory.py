@@ -29,9 +29,6 @@ def build_model(spec: ModelSpec) -> TCrowdModel:
 def build_assigner(schema: TableSchema, spec: SessionSpec) -> TCrowdAssigner:
     """The bare :class:`TCrowdAssigner` of a spec (no serving wrapper).
 
-    ``serving.refit_tol`` is applied here: the objective-based
-    early-stopping tolerance rides on the assigner even though it is a
-    serving-section field (see :class:`~repro.config.ServingSpec`).
     ``policy.strategy`` is built into a live
     :class:`~repro.strategies.AssignmentStrategy` here too (``None`` for
     the default ``"paper"``), so every caller of this factory — the
@@ -43,7 +40,6 @@ def build_assigner(schema: TableSchema, spec: SessionSpec) -> TCrowdAssigner:
     return TCrowdAssigner(
         schema,
         model=build_model(spec.policy.model),
-        refit_tol=spec.serving.refit_tol,
         strategy=build_strategy(spec.policy.strategy),
         **spec.policy.to_kwargs(),
     )

@@ -19,10 +19,12 @@ directories, it is the body of ``POST /sessions`` and the response of
 Validation is strict and **path-qualified**: every violation raises a
 :class:`SpecValidationError` (a :class:`~repro.utils.exceptions.ConfigurationError`)
 whose message starts with the dotted field path, e.g.
-``serving.refit_tol must be > 0.0, got 0.0`` — the HTTP API surfaces the path in
-its 400 responses.  Unknown fields are rejected, never ignored, with one
-exception: the retired serving fields in :data:`RETIRED_SERVING_FIELDS`,
-which older manifests carry, are accepted and dropped.
+``serving.max_stale_answers must be >= 0 or null, got -1`` — the HTTP API
+surfaces the path in its 400 responses.  Unknown fields are rejected, never
+ignored, with two exceptions that older manifests carry: the retired
+serving fields in :data:`RETIRED_SERVING_FIELDS` and the retired
+``policy.model.m_step`` (only its ``"lbfgs"`` value), which are accepted
+and dropped.
 
 This module deliberately imports nothing heavy (no numpy, no engine code):
 ``python -m repro.config.validate`` must run in a lint-only environment.
@@ -43,12 +45,18 @@ from repro.utils.exceptions import ConfigurationError
 #: upgrade path from every older version.
 SPEC_VERSION = 1
 
-#: Serving fields removed from the spec without a version bump: none of
-#: them ever changed a decision.  Manifests written while they existed
-#: carry them (``to_dict`` emitted every field), so ``from_dict`` accepts
-#: and drops them; any other unknown key is still rejected.  A manifest
-#: that named ``processes`` or ``shards`` is served in-process.
-RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache", "processes", "shards")
+#: Serving fields removed from the spec without a version bump.  Manifests
+#: written while they existed carry them (``to_dict`` emitted every field),
+#: and clients still post them, so ``from_dict`` accepts and drops them;
+#: any other unknown key is still rejected.  The first four never changed
+#: a decision; a manifest that named ``processes`` or ``shards`` is served
+#: in-process.  ``refit_tol`` did: it stopped warm refits early, so a
+#: durable session written with a non-null ``refit_tol`` cannot replay as
+#: written and its recovery is refused
+#: (:meth:`repro.service.registry.SessionRegistry.create`).
+RETIRED_SERVING_FIELDS = (
+    "shard_workers", "scoring_cache", "processes", "shards", "refit_tol",
+)
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -255,12 +263,20 @@ class ModelSpec:
 
     Field-for-field the ``TCrowdModel`` constructor, with identical
     defaults, so ``TCrowdModel(**spec.to_kwargs())`` is always valid.
+    ``warm_iterations`` is the EM budget of a warm-started refit
+    (``max_iterations`` bounds the cold fit, and caps it too).
+
+    ``m_step`` is retired: L-BFGS is the only M-step, so ``from_dict``
+    accepts ``"m_step": "lbfgs"`` (every manifest written while the field
+    existed carries it) and drops it.  Any other value is refused, because
+    a session that ran another M-step cannot be replayed.
     """
 
     _SECTION: ClassVar[str] = "policy.model"
 
     epsilon: float = 1.0
     max_iterations: int = 50
+    warm_iterations: int = 2
     tolerance: float = 1e-5
     m_step_iterations: int = 30
     difficulty_regularization: float = 0.1
@@ -268,7 +284,6 @@ class ModelSpec:
     use_difficulty: bool = True
     standardize_continuous: bool = True
     seed: Optional[int] = None
-    m_step: str = "lbfgs"
 
     def __post_init__(self) -> None:
         s = self._SECTION
@@ -277,6 +292,8 @@ class ModelSpec:
              _check_float(f"{s}.epsilon", self.epsilon, 0.0, exclusive=True))
         set_(self, "max_iterations",
              _check_int(f"{s}.max_iterations", self.max_iterations, 1))
+        set_(self, "warm_iterations",
+             _check_int(f"{s}.warm_iterations", self.warm_iterations, 1))
         set_(self, "tolerance",
              _check_float(f"{s}.tolerance", self.tolerance, 0.0, exclusive=True))
         set_(self, "m_step_iterations",
@@ -292,12 +309,6 @@ class ModelSpec:
              _check_bool(f"{s}.standardize_continuous",
                          self.standardize_continuous))
         set_(self, "seed", _check_int(f"{s}.seed", self.seed, 0, optional=True))
-        m_step = _check_str(f"{s}.m_step", self.m_step)
-        if m_step not in ("lbfgs", "newton"):
-            raise SpecValidationError(
-                f"{s}.m_step", f"must be 'lbfgs' or 'newton', got {m_step!r}"
-            )
-        set_(self, "m_step", m_step)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -306,7 +317,14 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelSpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
+        _reject_unknown(cls._SECTION, payload, _field_names(cls) + ("m_step",))
+        payload = dict(payload)
+        m_step = payload.pop("m_step", "lbfgs")
+        if m_step != "lbfgs":
+            raise SpecValidationError(
+                f"{cls._SECTION}.m_step",
+                f"is retired and only accepts 'lbfgs', got {m_step!r}",
+            )
         return cls(**payload)
 
 
@@ -314,8 +332,7 @@ class ModelSpec:
 class PolicySpec:
     """Assignment-policy options (:class:`~repro.core.assignment.TCrowdAssigner`).
 
-    Field-for-field the ``TCrowdAssigner`` constructor (minus the schema and
-    the serving-time ``refit_tol``, which lives in :class:`ServingSpec`),
+    Field-for-field the ``TCrowdAssigner`` constructor (minus the schema),
     with identical defaults.
     """
 
@@ -415,10 +432,8 @@ class ServingSpec:
       refit; the served model advances only on a catch-up fit
       (``GET /estimates``).
 
-    ``refit_tol`` is the objective-based early-stopping tolerance of the
-    warm-started serving refits (``TCrowdAssigner(refit_tol=...)``); it
-    lives here rather than in :class:`PolicySpec` because it tunes the
-    serving loop, not the paper's algorithm.
+    How long a warm-started refit runs is the model's
+    ``policy.model.warm_iterations`` budget, in every serving mode.
 
     ``audit`` (default on) records every select into the session's
     decision-provenance ledger
@@ -433,7 +448,6 @@ class ServingSpec:
 
     async_refit: bool = False
     max_stale_answers: Optional[int] = 0
-    refit_tol: Optional[float] = None
     audit: bool = True
 
     def __post_init__(self) -> None:
@@ -444,9 +458,6 @@ class ServingSpec:
         set_(self, "max_stale_answers",
              _check_int(f"{s}.max_stale_answers", self.max_stale_answers, 0,
                         optional=True))
-        set_(self, "refit_tol",
-             _check_float(f"{s}.refit_tol", self.refit_tol, 0.0,
-                          exclusive=True, optional=True))
         set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
 
     @property
@@ -764,16 +775,10 @@ class SessionSpecBuilder:
         self._serving.update(options)
         return self
 
-    def async_refit(
-        self,
-        max_stale: Optional[int] = 0,
-        refit_tol: Optional[float] = None,
-    ) -> "SessionSpecBuilder":
+    def async_refit(self, max_stale: Optional[int] = 0) -> "SessionSpecBuilder":
         """Serve selects from bounded-stale snapshots (see :class:`ServingSpec`)."""
         self._serving["async_refit"] = True
         self._serving["max_stale_answers"] = max_stale
-        if refit_tol is not None:
-            self._serving["refit_tol"] = refit_tol
         return self
 
     def durable(

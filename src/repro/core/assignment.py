@@ -53,28 +53,20 @@ def refit_model(
     answers: AnswerSet,
     previous: Optional[InferenceResult] = None,
     warm_start: bool = True,
-    tol: Optional[float] = None,
 ) -> InferenceResult:
     """Run truth inference, warm-starting from ``previous`` when supported.
 
     Shared by every refitting policy so the warm-start contract (capability
-    check + ``init=`` keyword) lives in one place.  ``tol`` requests
-    objective-based early stopping (see :meth:`TCrowdModel.fit`) and is
-    forwarded only to models that advertise ``supports_objective_tol`` —
-    baseline models with plain ``fit(schema, answers)`` signatures are
-    untouched.
+    check + ``init=`` keyword) lives in one place.  A warm-started
+    :class:`TCrowdModel` runs its ``warm_iterations`` budget (see
+    :meth:`TCrowdModel.fit`); baseline models with plain
+    ``fit(schema, answers)`` signatures are fitted cold.
     """
-    init = (
-        previous
-        if warm_start and getattr(model, "supports_warm_start", False)
-        else None
-    )
-    kwargs = {}
-    if tol is not None and getattr(model, "supports_objective_tol", False):
-        kwargs["tol"] = tol
-    if init is not None:
-        return model.fit(schema, answers, init=init, **kwargs)
-    return model.fit(schema, answers, **kwargs)
+    if previous is not None and warm_start and getattr(
+        model, "supports_warm_start", False
+    ):
+        return model.fit(schema, answers, init=previous)
+    return model.fit(schema, answers)
 
 
 def top_k_stable(gains: np.ndarray, k: int) -> np.ndarray:
@@ -242,14 +234,9 @@ class TCrowdAssigner(AssignmentPolicy):
         generator so one reproducible stream is shared by every calculator
         this assigner builds.
     warm_start:
-        Warm-start each refit from the previous inference result (converges
-        to the cold-start fixed point within the EM tolerance).  ``False``
-        restores the seed implementation's cold start.
-    refit_tol:
-        Optional objective-based early-stopping tolerance forwarded to
-        warm-started refits (see :meth:`TCrowdModel.fit`).  ``None`` (the
-        default) keeps the model's fixed iteration budget, so the
-        equivalence benchmarks are unaffected.
+        Warm-start each refit from the previous inference result, on the
+        model's ``warm_iterations`` budget (see :meth:`TCrowdModel.fit`).
+        ``False`` restores the seed implementation's cold start.
     vectorized:
         Score all candidates through :meth:`InformationGainCalculator.gains_batch`
         with stable top-K selection instead of the per-cell scalar loop.
@@ -281,7 +268,6 @@ class TCrowdAssigner(AssignmentPolicy):
         warm_start: bool = True,
         vectorized: bool = True,
         incremental: bool = True,
-        refit_tol: Optional[float] = None,
         strategy=None,
     ) -> None:
         super().__init__(
@@ -298,7 +284,6 @@ class TCrowdAssigner(AssignmentPolicy):
         self.min_pairs = int(min_pairs)
         self.seed = seed
         self.warm_start = bool(warm_start)
-        self.refit_tol = None if refit_tol is None else float(refit_tol)
         self.vectorized = bool(vectorized)
         self.strategy = strategy
         self._rng = as_generator(
@@ -442,13 +427,10 @@ class TCrowdAssigner(AssignmentPolicy):
 
     def _refit(self, answers: AnswerSet) -> None:
         """Fit over all of ``answers`` and record it as the latest result."""
-        # The tolerance only makes sense once there is a previous result to
-        # warm-start from; the first (cold) fit keeps the full budget.
-        tol = self.refit_tol if self.warm_start and self._result else None
         with _stage(self.profile, "em_refit"):
             self._result = refit_model(
                 self.model, self.schema, answers,
-                previous=self._result, warm_start=self.warm_start, tol=tol,
+                previous=self._result, warm_start=self.warm_start,
             )
         self._answers_at_last_fit = len(answers)
 

@@ -16,7 +16,7 @@ EM loop:
   geometric mean of ``alpha`` and ``beta`` to one after each step because the
   likelihood only depends on the products ``alpha_i beta_j phi_u``.
 
-The default M-step is bounded L-BFGS-B over the box ``[-10, 10]`` of every
+The M-step is bounded L-BFGS-B over the box ``[-10, 10]`` of every
 log-parameter.  :func:`_lbfgsb_box` drives SciPy's reverse-communication
 routine ``setulb`` directly, with the box and workspaces built as whole
 arrays; it runs only when ``setulb`` has the exact signature it was written
@@ -453,8 +453,11 @@ class TCrowdModel:
     epsilon:
         Width of the quality window in Eq. 2, in standardised units.
     max_iterations:
-        Maximum number of EM iterations (the paper reports convergence in
-        fewer than 20).
+        Maximum number of EM iterations of a cold fit (the paper reports
+        convergence in fewer than 20).
+    warm_iterations:
+        EM iterations of a warm-started fit (``fit(init=...)``), capped at
+        ``max_iterations``; see :meth:`fit`.
     tolerance:
         EM stops when the largest absolute change of any parameter (in log
         space) falls below this threshold.
@@ -470,22 +473,13 @@ class TCrowdModel:
         If ``False``, fixes ``alpha_i = beta_j = 1`` (ablation of Section 4.2).
     standardize_continuous:
         Internally z-score continuous columns (recommended; see module docs).
-    m_step:
-        ``"lbfgs"`` (default) maximises Eq. 5 with bounded L-BFGS over the
-        concatenated log-parameters — the reference path every equivalence
-        bit is pinned against.  ``"newton"`` runs the ECME-style cyclic
-        Newton M-step instead (:meth:`_m_step_newton`): the expected
-        log-likelihood is coordinate-wise separable given the other blocks,
-        so each ``log alpha_i`` / ``log beta_j`` / ``log phi_u`` gets an
-        exact 1-D Newton update from analytic curvature.  Same stationary
-        points, fewer EM iterations on cold starts; any non-improving sweep
-        falls back to the L-BFGS step, keeping EM monotone.
     """
 
     def __init__(
         self,
         epsilon: float = 1.0,
         max_iterations: int = 50,
+        warm_iterations: int = 2,
         tolerance: float = 1e-5,
         m_step_iterations: int = 30,
         difficulty_regularization: float = 0.1,
@@ -493,19 +487,16 @@ class TCrowdModel:
         use_difficulty: bool = True,
         standardize_continuous: bool = True,
         seed=None,
-        m_step: str = "lbfgs",
     ) -> None:
         require_positive(epsilon, "epsilon")
         require_positive(max_iterations, "max_iterations")
+        require_positive(warm_iterations, "warm_iterations")
         require_positive(tolerance, "tolerance")
         require_positive(m_step_iterations, "m_step_iterations")
-        if m_step not in ("lbfgs", "newton"):
-            raise InferenceError(
-                f"m_step must be 'lbfgs' or 'newton', got {m_step!r}"
-            )
         self.worker_model = WorkerModel(epsilon)
         self.epsilon = float(epsilon)
         self.max_iterations = int(max_iterations)
+        self.warm_iterations = int(warm_iterations)
         self.tolerance = float(tolerance)
         self.m_step_iterations = int(m_step_iterations)
         self.difficulty_regularization = float(difficulty_regularization)
@@ -513,13 +504,10 @@ class TCrowdModel:
         self.use_difficulty = bool(use_difficulty)
         self.standardize_continuous = bool(standardize_continuous)
         self.seed = seed
-        self.m_step = str(m_step)
         self.rng = as_generator(seed)
 
     #: Advertises the ``init=`` keyword of :meth:`fit` to the assigners.
     supports_warm_start = True
-    #: Advertises the ``tol=`` / ``max_iter=`` keywords of :meth:`fit`.
-    supports_objective_tol = True
 
     # -- public API ----------------------------------------------------------
 
@@ -528,46 +516,39 @@ class TCrowdModel:
         schema: TableSchema,
         answers: AnswerSet,
         init: Optional[InferenceResult] = None,
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
     ) -> InferenceResult:
         """Run EM truth inference over ``answers`` and return the result.
 
+        A cold fit (``init=None``) starts from ``alpha = beta = phi = 1``
+        and runs up to ``max_iterations`` EM iterations.
+
         ``init`` warm-starts the EM loop from a previous
-        :class:`InferenceResult` (typically the fit over a slightly smaller
-        answer set in the online loop of Algorithm 2): the prior
+        :class:`InferenceResult` (typically the fit over all but the newest
+        answers in the online loop of Algorithm 2): the prior
         ``log alpha / log beta / log phi`` replace the zero initialisation,
         with workers unseen by ``init`` starting at the median ``log phi``.
-        EM still iterates to the usual convergence criterion, so the result
-        matches a cold start up to the optimiser tolerance — only the number
-        of iterations (the dominant online cost) shrinks.
+        A warm fit then runs ``min(warm_iterations, max_iterations)`` EM
+        iterations.  Each M-step improves Eq. 5 without necessarily
+        maximising it, which makes every iteration a generalized EM step
+        that still raises the free energy (Neal & Hinton, 1998, "A view of
+        the EM algorithm that justifies incremental, sparse, and other
+        variants"), so the online chain of short warm fits is itself an EM
+        run over the growing answer set rather than a converged refit per
+        answer.
 
-        ``tol`` adds objective-based early stopping on top of the parameter
-        criterion: EM stops once the expected complete-data log-likelihood
-        (:meth:`_objective`, already evaluated every iteration for
-        ``objective_trace``) improves by less than ``tol * max(1, |Q|)``
-        between successive iterations — the standard relative
-        log-likelihood criterion.  The difficulty parameters creep along a
-        near-flat likelihood ridge for many iterations, so a warm-started
-        refit in the online loop typically stops after two or three
-        iterations instead of the fixed budget while decoding to the same
-        truth estimates as the full-budget refit (asserted in
-        ``tests/test_refit_worker.py``); a cold start, whose early
-        iterations still gain whole units of log-likelihood, is unaffected.
-        The stop needs two recorded objective values, so at least two
-        iterations always run.  ``max_iter`` caps the iteration budget for
-        this call only (defaults to ``self.max_iterations``).
-
-        The result's ``stopped_by`` field records which criterion fired:
-        ``"parameters"``, ``"objective"`` or ``"max_iterations"``.
+        Either kind of fit stops early once the largest change of any
+        log-parameter falls below ``tolerance``.  The result's
+        ``stopped_by`` records which limit ended it: ``"parameters"`` or
+        ``"max_iterations"`` (results written by earlier versions may also
+        carry ``"objective"``).
         """
         if len(answers) == 0:
             raise InferenceError("Cannot run truth inference on an empty answer set")
-        if tol is not None:
-            require_positive(tol, "tol")
-        if max_iter is not None:
-            require_positive(max_iter, "max_iter")
-        iteration_budget = self.max_iterations if max_iter is None else int(max_iter)
+        iteration_budget = (
+            self.max_iterations
+            if init is None
+            else min(self.warm_iterations, self.max_iterations)
+        )
         indexed = answers.indexed()
         ws = _Workspace(schema, indexed, self.standardize_continuous)
 
@@ -582,7 +563,7 @@ class TCrowdModel:
         self._e_step(ws, log_alpha, log_beta, log_phi)
         for iteration in range(1, iteration_budget + 1):
             previous = np.concatenate([log_alpha, log_beta, log_phi])
-            log_alpha, log_beta, log_phi = self._m_step(
+            log_alpha, log_beta, log_phi = self._m_step_lbfgs(
                 ws, log_alpha, log_beta, log_phi
             )
             self._e_step(ws, log_alpha, log_beta, log_phi)
@@ -593,15 +574,6 @@ class TCrowdModel:
             if np.max(np.abs(current - previous)) < self.tolerance:
                 converged = True
                 stopped_by = "parameters"
-                break
-            if (
-                tol is not None
-                and len(objective_trace) >= 2
-                and abs(objective_trace[-1] - objective_trace[-2])
-                <= tol * max(1.0, abs(objective_trace[-1]))
-            ):
-                converged = True
-                stopped_by = "objective"
                 break
 
         # E-step outputs back to the original scale, as posterior arrays.
@@ -844,12 +816,6 @@ class TCrowdModel:
         grad_phi -= reg_phi * log_phi
         return objective, (grad_alpha, grad_beta, grad_phi)
 
-    def _m_step(self, ws: _Workspace, log_alpha, log_beta, log_phi):
-        """One M-step, dispatched on the ``m_step`` knob."""
-        if self.m_step == "newton":
-            return self._m_step_newton(ws, log_alpha, log_beta, log_phi)
-        return self._m_step_lbfgs(ws, log_alpha, log_beta, log_phi)
-
     def _m_step_lbfgs(self, ws: _Workspace, log_alpha, log_beta, log_phi):
         """Maximise Eq. 5 over the (log) parameters by L-BFGS."""
         shapes = (len(log_alpha), len(log_beta), len(log_phi))
@@ -880,130 +846,6 @@ class TCrowdModel:
             log_alpha = log_alpha - mean_alpha
             log_beta = log_beta - mean_beta
             log_phi = log_phi + mean_alpha + mean_beta
-        return log_alpha, log_beta, log_phi
-
-    def _newton_terms(self, ws: _Workspace, log_alpha, log_beta, log_phi):
-        """Per-answer first and second derivatives of Eq. 5 in log-variance.
-
-        Every answer touches the parameters only through its own
-        log-variance ``lv = log alpha_i + log beta_j + log phi_u``, so the
-        per-answer pairs ``(dQ/dlv, d2Q/dlv2)`` aggregate (``np.bincount``)
-        into exact per-coordinate gradients *and curvatures* for whichever
-        block is being updated — the quantity L-BFGS has to estimate from
-        gradient history, computed here in closed form.
-        """
-        terms = []
-        if len(ws.cont_keys):
-            variances = self._answer_variances(
-                ws, log_alpha, log_beta, log_phi,
-                ws.cont_rows, ws.cont_cols, ws.cont_workers,
-            )
-            half_ratio = ws.residual_sq / (2.0 * variances)
-            # Q = -0.5 lv - r^2 / (2 e^lv) + const per answer.
-            grad = -0.5 + half_ratio
-            curvature = -half_ratio
-            terms.append(
-                (ws.cont_rows, ws.cont_cols, ws.cont_workers, grad, curvature)
-            )
-        if len(ws.cat_keys):
-            variances = self._answer_variances(
-                ws, log_alpha, log_beta, log_phi,
-                ws.cat_rows, ws.cat_cols, ws.cat_workers,
-            )
-            u_arg = self.epsilon / np.sqrt(2.0 * variances)
-            quality = np.clip(safe_erf(u_arg), _Q_FLOOR, 1.0 - _Q_FLOOR)
-            p_correct, p_wrong = ws.p_correct, ws.p_wrong
-            gauss = np.exp(-u_arg**2) / np.sqrt(np.pi)
-            # q = erf(u), u = eps / sqrt(2 e^lv)  =>  du/dlv = -u/2.
-            dq = -u_arg * gauss
-            d2q = 0.5 * u_arg * gauss * (1.0 - 2.0 * u_arg**2)
-            dobj_dq = p_correct / quality - p_wrong / (1.0 - quality)
-            d2obj_dq2 = (
-                -p_correct / quality**2
-                - p_wrong / (1.0 - quality) ** 2
-            )
-            grad = dobj_dq * dq
-            curvature = d2obj_dq2 * dq**2 + dobj_dq * d2q
-            terms.append(
-                (ws.cat_rows, ws.cat_cols, ws.cat_workers, grad, curvature)
-            )
-        return terms
-
-    def _m_step_newton(self, ws: _Workspace, log_alpha, log_beta, log_phi):
-        """ECME-style cyclic Newton maximisation of Eq. 5.
-
-        Given the other two blocks, Eq. 5 separates per coordinate within a
-        block, so each sweep applies one exact 1-D Newton update per
-        ``log alpha_i``, ``log beta_j`` and ``log phi_u`` in turn
-        (Gauss-Seidel order: each block sees the others' fresh values).
-        Safeguards keep the ascent honest on the near-flat difficulty
-        ridge: curvature is floored away from zero, steps are clipped to
-        one log-unit, parameters stay inside the same ±10 box as the
-        L-BFGS path, and a sweep that fails to improve the objective
-        discards the Newton result for this M-step and falls back to
-        :meth:`_m_step_lbfgs` — so EM stays monotone whichever path runs.
-        """
-        before = (log_alpha.copy(), log_beta.copy(), log_phi.copy())
-        objective_before = self._objective(ws, log_alpha, log_beta, log_phi)
-        log_alpha = log_alpha.copy()
-        log_beta = log_beta.copy()
-        log_phi = log_phi.copy()
-        blocks = ("alpha", "beta", "phi") if self.use_difficulty else ("phi",)
-        # Exact-curvature sweeps converge quadratically near the block
-        # optimum, and EM only needs an *improving* M-step (generalized EM),
-        # so a handful of sweeps replaces the L-BFGS iteration budget; the
-        # near-flat difficulty ridge would otherwise eat the whole budget
-        # creeping below the parameter tolerance.
-        for _sweep in range(min(self.m_step_iterations, 4)):
-            largest_step = 0.0
-            for block in blocks:
-                terms = self._newton_terms(ws, log_alpha, log_beta, log_phi)
-                if block == "alpha":
-                    params, reg, pick = (
-                        log_alpha, self.difficulty_regularization, 0,
-                    )
-                elif block == "beta":
-                    params, reg, pick = (
-                        log_beta, self.difficulty_regularization, 1,
-                    )
-                else:
-                    params, reg, pick = log_phi, self.phi_regularization, 2
-                size = len(params)
-                grad = np.zeros(size)
-                curvature = np.zeros(size)
-                for entry in terms:
-                    index = entry[pick]
-                    grad += np.bincount(index, weights=entry[3], minlength=size)
-                    curvature += np.bincount(
-                        index, weights=entry[4], minlength=size
-                    )
-                grad -= reg * params
-                curvature -= reg
-                # Maximisation: step = grad / (-curvature); floor the
-                # curvature and clip the step so flat or locally convex
-                # coordinates move a bounded distance uphill.
-                step = np.clip(
-                    grad / np.maximum(-curvature, 1e-8), -1.0, 1.0
-                )
-                updated = np.clip(params + step, -10.0, 10.0)
-                if size:
-                    largest_step = max(
-                        largest_step, float(np.max(np.abs(updated - params)))
-                    )
-                if block == "alpha":
-                    log_alpha = updated
-                elif block == "beta":
-                    log_beta = updated
-                else:
-                    log_phi = updated
-            if largest_step < self.tolerance:
-                break
-        log_alpha, log_beta, log_phi = self._recenter(
-            log_alpha, log_beta, log_phi
-        )
-        objective_after = self._objective(ws, log_alpha, log_beta, log_phi)
-        if not np.isfinite(objective_after) or objective_after < objective_before:
-            return self._m_step_lbfgs(ws, *before)
         return log_alpha, log_beta, log_phi
 
     def _objective(self, ws: _Workspace, log_alpha, log_beta, log_phi) -> float:

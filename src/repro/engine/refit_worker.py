@@ -101,12 +101,10 @@ class AsyncRefitEngine:
         behind, then one inline catch-up refit runs.  ``None`` —
         unbounded; selects never refit once a first snapshot exists.
     warm_start:
-        Warm-start every refit from the previous snapshot's result.
-    tol:
-        Objective-based early-stopping tolerance for warm-started refits
-        (see :meth:`~repro.core.inference.TCrowdModel.fit`); applied only
-        when a previous snapshot exists, so the first (cold) fit keeps the
-        full iteration budget.
+        Warm-start every refit from the previous snapshot's result.  A
+        warm-started :class:`~repro.core.inference.TCrowdModel` runs its
+        ``warm_iterations`` budget; the first fit is cold and runs
+        ``max_iterations``.
     """
 
     def __init__(
@@ -116,7 +114,6 @@ class AsyncRefitEngine:
         refit_every: int = 1,
         max_stale_answers: Optional[int] = 0,
         warm_start: bool = True,
-        tol: Optional[float] = None,
     ) -> None:
         if refit_every < 1:
             raise ConfigurationError(f"refit_every must be >= 1, got {refit_every}")
@@ -131,7 +128,6 @@ class AsyncRefitEngine:
             None if max_stale_answers is None else int(max_stale_answers)
         )
         self.warm_start = bool(warm_start)
-        self.tol = None if tol is None else float(tol)
         self._snapshot: Optional[ModelSnapshot] = None
         # Refits and restores publish under this lock; its wait is the
         # ``lock_wait`` stage.
@@ -235,15 +231,13 @@ class AsyncRefitEngine:
     def _fit(
         self, answers: AnswerSet, previous: Optional[ModelSnapshot]
     ) -> InferenceResult:
-        """One refit, warm-started and tolerance-stopped per the knobs."""
-        tol = self.tol if (self.warm_start and previous is not None) else None
+        """One refit, warm-started per the knob."""
         return refit_model(
             self.model,
             self.schema,
             answers,
             previous=previous.result if previous is not None else None,
             warm_start=self.warm_start,
-            tol=tol,
         )
 
     def _publish(self, result: InferenceResult, answers_seen: int) -> None:
@@ -309,7 +303,6 @@ class AsyncRefitPolicy(AssignmentPolicy):
             refit_every=inner.refit_every,
             max_stale_answers=max_stale_answers,
             warm_start=inner.warm_start,
-            tol=inner.refit_tol,
         )
 
     def set_profile(self, profile: Optional[HotPathProfile]) -> None:

@@ -29,7 +29,8 @@ canonical spec the session actually runs with.
 
 Error mapping: unknown session / unknown worker → 404; malformed JSON,
 malformed answers, invalid configs → 400; a worker with no assignable cell
-left → 409 (the session is simply exhausted for them); wrong method → 405;
+left → 409 (the session is simply exhausted for them), and so is a durable
+directory another session or server holds open; wrong method → 405;
 a request body over ``--max-body-bytes`` → 413; a failed fit, a durability
 fault or a response that cannot be encoded as strict JSON → 500.
 Every response body is JSON, errors as ``{"error": ...}`` — spec
@@ -60,6 +61,7 @@ from repro.utils.exceptions import (
     AssignmentError,
     ConfigurationError,
     DataError,
+    DirectoryLockedError,
     DurabilityError,
     InferenceError,
 )
@@ -254,7 +256,7 @@ class ServiceApp:
                 body["path"] = path_hint
         except KeyError as exc:
             status, body = 404, {"error": f"Unknown resource: {exc.args[0]!r}"}
-        except AssignmentError as exc:
+        except (AssignmentError, DirectoryLockedError) as exc:
             status, body = 409, {"error": str(exc)}
         except (InferenceError, DurabilityError) as exc:
             status, body = 500, {"error": str(exc)}

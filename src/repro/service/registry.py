@@ -34,7 +34,7 @@ import threading
 import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SessionSpec, split_envelope
+from repro.config import ModelSpec, SessionSpec, SpecValidationError, split_envelope
 from repro.config.factory import build_durable_session
 from repro.config.factory import build_policy as _build_spec_policy
 from repro.core.schema import Column, TableSchema
@@ -50,6 +50,41 @@ _log = logging.getLogger("repro.service.registry")
 #: under ``"audit_format"``; a manifest without it predates audit format 2
 #: and chains at format 1 (see :mod:`repro.engine.provenance`).
 MANIFEST_FORMAT = 2
+
+
+def _spec_as_written(payload: dict) -> dict:
+    """A manifest's spec payload, pinned to how its session ran.
+
+    Replay must repeat every fit the session made, so two fields that
+    changed how warm refits ran are read from the raw manifest:
+
+    * a spec without ``policy.model.warm_iterations`` predates the warm
+      budget, and its warm refits ran the full ``max_iterations``: it is
+      recovered with ``warm_iterations = max_iterations``;
+    * a non-null ``serving.refit_tol`` stopped warm refits early on an
+      objective test that no longer exists, so the session cannot replay
+      as written and is refused.
+
+    Anything malformed is left for :meth:`SessionSpec.from_dict` to report.
+    """
+    if not isinstance(payload, dict):
+        return payload
+    serving = payload.get("serving")
+    if isinstance(serving, dict) and serving.get("refit_tol") is not None:
+        raise SpecValidationError(
+            "serving.refit_tol",
+            f"is {serving['refit_tol']!r} in this manifest: its warm refits "
+            "stopped on the retired objective test, so the session cannot "
+            "be replayed as written",
+        )
+    policy = payload.get("policy") or {}
+    model = (policy.get("model") or {}) if isinstance(policy, dict) else None
+    if isinstance(model, dict) and "warm_iterations" not in model:
+        budget = model.get("max_iterations", ModelSpec.max_iterations)
+        model = {**model, "warm_iterations": budget}
+        payload = {**payload, "policy": {**policy, "model": model}}
+    return payload
+
 
 #: Loaders a ``{"dataset": {"name": ...}}`` spec may reference.
 _DATASET_LOADERS = {
@@ -304,6 +339,25 @@ class ServedSession:
             "decisions": [record.to_dict() for record in records],
         }
 
+    def _served_model(self) -> Optional[Dict[str, object]]:
+        """The fit the session serves, read without running one.
+
+        ``None`` before the first fit; otherwise the number of answers it
+        was fitted over, its EM iteration count, what stopped it and its
+        final objective (Eq. 5).  The caller holds the session lock.
+        """
+        state = self.durable.policy.snapshot_state()
+        if state is None:
+            return None
+        result, answers_seen = state
+        trace = result.objective_trace
+        return {
+            "answers_seen": int(answers_seen),
+            "iterations_run": int(result.iterations_run),
+            "stopped_by": result.stopped_by,
+            "objective": float(trace[-1]) if trace else None,
+        }
+
     def stats(self) -> Dict[str, object]:
         """Status summary (the session resource representation)."""
         with self.lock:
@@ -341,6 +395,7 @@ class ServedSession:
                 "snapshots_retained": self.durable.snapshots_retained,
                 "durability_backend": self.durable.backend_name,
                 "recovered_epoch": self.durable.recovered_epoch,
+                "model": self._served_model(),
                 **audit,
             }
 
@@ -505,7 +560,7 @@ class SessionRegistry:
             )
             session_id = manifest["session_id"]
             envelope = {"schema": manifest["schema"]}
-            spec = SessionSpec.from_dict(manifest["spec"])
+            spec = SessionSpec.from_dict(_spec_as_written(manifest["spec"]))
             audit_format = int(manifest.get("audit_format", 1))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(

@@ -22,6 +22,15 @@ with two implementations:
   ``PRAGMA synchronous=FULL``, the default to ``OFF`` (process-crash
   safe, the failure model the recovery benchmark exercises).
 
+Each backend holds an exclusive, non-blocking ``flock`` on its directory
+from the moment it opens until :meth:`StorageBackend.close`, so at most one
+session, in one process, writes a durable directory: a second open raises
+:class:`~repro.utils.exceptions.DirectoryLockedError` instead of
+interleaving its appends with the first (JSONL) or colliding on a record
+index (SQLite).  The lock is taken on the directory itself, not on a file
+in it, so the on-disk layout is unchanged, and the kernel drops it when the
+holding process dies, so a crashed session's directory reopens at once.
+
 Record indexes are **global and immortal**: ``append`` returns the index
 the record has in the full event history, and ``record_count`` keeps
 counting past pruned prefixes.  ``truncate_before(n)`` may drop storage
@@ -35,6 +44,7 @@ shrink back to — but never below — the pruned prefix.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import pathlib
@@ -43,7 +53,11 @@ import sqlite3
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.utils.exceptions import ConfigurationError, DurabilityError
+from repro.utils.exceptions import (
+    ConfigurationError,
+    DirectoryLockedError,
+    DurabilityError,
+)
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d+)-(\d+)\.json$")
 _SEGMENT_NAME = re.compile(r"^wal-(\d+)\.jsonl$")
@@ -334,10 +348,33 @@ class StorageBackend:
     :class:`Snapshot`.  Concrete backends implement the primitive methods;
     the selection/GC policies (:meth:`latest_snapshot`,
     :meth:`discard_lost_timeline`, :meth:`prune_snapshots`,
-    :meth:`gc_cover`) are shared.
+    :meth:`gc_cover`) and the directory lock are shared.
     """
 
     name = "abstract"
+    _lock_fd: Optional[int] = None
+
+    # directory lock ----------------------------------------------------------
+
+    def _lock_directory(self, directory: pathlib.Path) -> None:
+        """Take the exclusive directory lock, or raise
+        :class:`DirectoryLockedError` if another open backend holds it."""
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise DirectoryLockedError(
+                f"durable directory {directory} is already open in another "
+                "session; close that session (or stop its server) first"
+            ) from None
+        self._lock_fd = fd
+
+    def _unlock_directory(self) -> None:
+        """Release the directory lock (idempotent)."""
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)  # closing the descriptor drops the flock
+            self._lock_fd = None
 
     # log primitives ----------------------------------------------------------
 
@@ -547,11 +584,18 @@ class JsonlBackend(StorageBackend):
             )
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._lock_directory(self.directory)
         self.fsync = bool(fsync)
         self.rotate_every_records = rotate_every_records
-        self.snapshots = SnapshotStore(self.directory / "snapshots", fsync=fsync)
-        self._sealed: List[_Segment] = []
-        self._open_log()
+        try:
+            self.snapshots = SnapshotStore(
+                self.directory / "snapshots", fsync=fsync
+            )
+            self._sealed: List[_Segment] = []
+            self._open_log()
+        except BaseException:
+            self._unlock_directory()
+            raise
 
     def _open_log(self) -> None:
         segments = wal_segment_files(self.directory)
@@ -657,6 +701,7 @@ class JsonlBackend(StorageBackend):
 
     def close(self) -> None:
         self._active.close()
+        self._unlock_directory()
 
     @property
     def closed(self) -> bool:
@@ -707,29 +752,34 @@ class SqliteBackend(StorageBackend):
     ) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._lock_directory(self.directory)
         self.fsync = bool(fsync)
         self.rotate_every_records = rotate_every_records
         self.path = self.directory / self.FILENAME
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._closed = False
-        self._conn.execute(
-            "PRAGMA synchronous = %s" % ("FULL" if self.fsync else "OFF")
-        )
-        with self._conn:
+        try:
+            self._conn = sqlite3.connect(self.path, check_same_thread=False)
             self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS wal ("
-                "idx INTEGER PRIMARY KEY, record TEXT NOT NULL)"
+                "PRAGMA synchronous = %s" % ("FULL" if self.fsync else "OFF")
             )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS snapshots ("
-                "epoch INTEGER PRIMARY KEY, answers_seen INTEGER NOT NULL, "
-                "wal_records INTEGER NOT NULL, payload TEXT NOT NULL)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                "key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
-            )
-        self._count = self._next_index()
+            with self._conn:
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS wal ("
+                    "idx INTEGER PRIMARY KEY, record TEXT NOT NULL)"
+                )
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS snapshots ("
+                    "epoch INTEGER PRIMARY KEY, answers_seen INTEGER NOT NULL, "
+                    "wal_records INTEGER NOT NULL, payload TEXT NOT NULL)"
+                )
+                self._conn.execute(
+                    "CREATE TABLE IF NOT EXISTS meta ("
+                    "key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
+                )
+            self._count = self._next_index()
+        except BaseException:
+            self._unlock_directory()
+            raise
 
     def _meta(self, key: str, default: int = 0) -> int:
         row = self._conn.execute(
@@ -805,6 +855,7 @@ class SqliteBackend(StorageBackend):
         if not self._closed:
             self._closed = True
             self._conn.close()
+            self._unlock_directory()
 
     @property
     def closed(self) -> bool:

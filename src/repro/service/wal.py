@@ -119,7 +119,10 @@ class DurableSession:
     directory:
         Where the log and snapshots live.  ``None`` runs fully in memory —
         the same code path with durability disabled, which is how the
-        non-durable HTTP sessions are served.
+        non-durable HTTP sessions are served.  The session holds the
+        directory exclusively until :meth:`close`; opening a directory
+        another session holds raises
+        :class:`~repro.utils.exceptions.DirectoryLockedError`.
     snapshot_every:
         Cut a snapshot after this many newly collected answers.
     fsync:
@@ -187,16 +190,21 @@ class DurableSession:
                 fsync=fsync,
                 rotate_every_records=rotate_every_records,
             )
-            if self._storage.record_count:
-                if fresh:
-                    self._storage.close()
-                    raise ConfigurationError(
-                        f"durable directory {directory} already holds a "
-                        f"write-ahead log with {self._storage.record_count} "
-                        "records; recover it with DurableSession(...) on a "
-                        "fresh policy instead of starting a new run over it"
-                    )
-                self._recover()
+            try:
+                if self._storage.record_count:
+                    if fresh:
+                        raise ConfigurationError(
+                            f"durable directory {directory} already holds a "
+                            f"write-ahead log with {self._storage.record_count} "
+                            "records; recover it with DurableSession(...) on a "
+                            "fresh policy instead of starting a new run over it"
+                        )
+                    self._recover()
+            except BaseException:
+                # Release the directory lock: a session that failed to open
+                # must not keep its directory from being opened again.
+                self._storage.close()
+                raise
 
     # -- properties ----------------------------------------------------------
 

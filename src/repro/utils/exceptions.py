@@ -28,3 +28,7 @@ class AssignmentError(ReproError):
 
 class DurabilityError(ReproError):
     """Raised when a write-ahead log or snapshot store is inconsistent."""
+
+
+class DirectoryLockedError(DurabilityError):
+    """Raised when a durable directory is already open in another session."""

@@ -141,10 +141,12 @@ def run_scripted_session(
 ) -> Dict[str, object]:
     """Run the scripted scenario through a :class:`DurableSession`.
 
-    ``crash_after_steps`` stops mid-run *without closing anything* —
-    simulating a killed process (the WAL is flushed per event, so the disk
-    state is what a crash would leave behind).  Returns the decisions taken,
-    the final estimates (``None`` when crashed) and the session object.
+    ``crash_after_steps`` stops mid-run as a killed process would: the
+    session is abandoned (:func:`abandon_session`: its file handles and
+    directory lock go, no closing snapshot is cut), and the WAL is flushed
+    per event, so the disk state is what a crash would leave behind.
+    Returns the decisions taken, the final estimates (``None`` when
+    crashed) and the session object.
     """
     scenario = {**DEFAULT_SCENARIO, **(scenario or {})}
     dataset = load_celebrity(seed=scenario["seed"], num_rows=scenario["num_rows"])
@@ -194,6 +196,7 @@ def run_scripted_session(
         steps += 1
         if crash_after_steps is not None and steps >= crash_after_steps:
             crashed = True
+            abandon_session(session)
             break
 
     estimates = None
@@ -328,8 +331,9 @@ def continue_scripted_session(
     }
 
 
-def _abandon_session(session: DurableSession) -> None:
-    """Simulate a process kill: release file handles, never snapshot."""
+def abandon_session(session: DurableSession) -> None:
+    """Simulate a process kill: release file handles and the directory
+    lock, never snapshot (idempotent)."""
     if session._storage is not None:
         session._storage.close()
 
@@ -400,7 +404,7 @@ def verify_recovery_identical(
     )
     # Simulate the kill: drop the in-memory engine, then tear a few bytes
     # off the log tail — a write cut mid-record.
-    _abandon_session(crashed["session"])
+    abandon_session(crashed["session"])
     torn = _tear_wal_tail(directory, backend, truncate_bytes)
     continued = continue_scripted_session(
         mode, directory=directory, snapshot_every=snapshot_every,
@@ -488,7 +492,7 @@ def run_scripted_session_restarting(
     while collected < extra and failures < 10 * len(worker_ids):
         if not restarted and steps >= restart_after_steps:
             restarted = True
-            _abandon_session(session)
+            abandon_session(session)
             _tear_wal_tail(directory, backend, truncate_bytes)
             session = DurableSession(
                 schema,
@@ -669,7 +673,7 @@ def verify_audit_replay(
     before = crashed["session"].recorder
     before_state = before.state()
     before_head = before.chain_head
-    _abandon_session(crashed["session"])
+    abandon_session(crashed["session"])
 
     dataset = load_celebrity(seed=scenario["seed"], num_rows=scenario["num_rows"])
     policy = _build_scripted_policy(dataset.schema, mode, scenario)
@@ -696,7 +700,7 @@ def verify_audit_replay(
         "audit_replay_identical": bool(identical),
         **{f"audit_{key}": value for key, value in staleness_profile(before).items()},
     }
-    _abandon_session(recovered)
+    abandon_session(recovered)
     if owns_dir:
         shutil.rmtree(directory, ignore_errors=True)
     return summary

@@ -48,6 +48,7 @@ model_specs = st.builds(
     ModelSpec,
     epsilon=st.floats(min_value=1e-3, max_value=10.0, **_floats),
     max_iterations=st.integers(min_value=1, max_value=200),
+    warm_iterations=st.integers(min_value=1, max_value=200),
     tolerance=st.floats(min_value=1e-12, max_value=1e-2, **_floats),
     m_step_iterations=st.integers(min_value=1, max_value=60),
     difficulty_regularization=st.floats(min_value=0.0, max_value=5.0, **_floats),
@@ -75,7 +76,6 @@ serving_specs = st.builds(
     ServingSpec,
     async_refit=st.booleans(),
     max_stale_answers=st.none() | st.integers(min_value=0, max_value=10_000),
-    refit_tol=st.none() | st.floats(min_value=1e-9, max_value=1.0, **_floats),
 )
 
 durability_specs = st.builds(
@@ -161,7 +161,8 @@ class TestValidation:
             ({"serving": {"audit": 1}}, "serving.audit"),
             ({"serving": {"max_stale_answers": -1}}, "serving.max_stale_answers"),
             ({"serving": {"async_refit": 1}}, "serving.async_refit"),
-            ({"serving": {"refit_tol": 0.0}}, "serving.refit_tol"),
+            ({"policy": {"model": {"warm_iterations": 0}}},
+             "policy.model.warm_iterations"),
             ({"serving": {"bogus": True}}, "serving.bogus"),
             ({"policy": {"refit_every": 0}}, "policy.refit_every"),
             ({"policy": {"bogus_knob": 1}}, "policy.bogus_knob"),
@@ -185,6 +186,21 @@ class TestValidation:
             SessionSpec.from_dict({"version": 1, **payload})
         assert excinfo.value.path == path
         assert str(excinfo.value).startswith(path)
+
+    def test_rejects_unknown_m_step(self):
+        """``m_step`` is retired: ``"lbfgs"``, which every older manifest
+        carries, is accepted and dropped; any other M-step is refused."""
+        spec = SessionSpec.from_dict(
+            {"version": 1, "policy": {"model": {"m_step": "lbfgs"}}}
+        )
+        assert spec == SessionSpec()
+        assert "m_step" not in spec.to_dict()["policy"]["model"]
+        for m_step in ("newton", "sgd"):
+            with pytest.raises(SpecValidationError) as excinfo:
+                SessionSpec.from_dict(
+                    {"version": 1, "policy": {"model": {"m_step": m_step}}}
+                )
+            assert excinfo.value.path == "policy.model.m_step"
 
     def test_errors_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
@@ -254,8 +270,8 @@ class TestBuilder:
         assert SessionSpec.builder().build() == SessionSpec()
 
     def test_builder_validates_at_build(self):
-        builder = SessionSpec.builder().serving(refit_tol=0.0)
-        with pytest.raises(SpecValidationError, match="serving.refit_tol"):
+        builder = SessionSpec.builder().serving(max_stale_answers=-1)
+        with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
             builder.build()
 
     def test_with_durable_dir(self, tmp_path):
@@ -267,7 +283,7 @@ class TestBuilder:
         spec = (
             SessionSpec.builder()
             .durable(tmp_path, snapshot_every_answers=25, wal_fsync=True)
-            .serving(max_stale_answers=3, refit_tol=1e-3)
+            .serving(max_stale_answers=3, audit=False)
             .serving(max_stale_answers=4)
             .build()
         )
@@ -275,7 +291,7 @@ class TestBuilder:
             durable_dir=str(tmp_path), snapshot_every_answers=25, wal_fsync=True
         )
         # later builder calls win
-        assert spec.serving == ServingSpec(max_stale_answers=4, refit_tol=1e-3)
+        assert spec.serving == ServingSpec(max_stale_answers=4, audit=False)
 
     def test_split_envelope_rejects_non_objects(self):
         from repro.config import split_envelope
@@ -297,23 +313,25 @@ class TestFactory:
         spec = SessionSpec()
         model = build_model(spec.policy.model)
         assert model.max_iterations == 50
+        assert model.warm_iterations == 2
         assigner = build_assigner(mixed_schema, spec)
         assert assigner.refit_every == 1
-        assert assigner.refit_tol is None
+        assert assigner.model.warm_iterations == 2
 
-    def test_refit_tol_rides_the_serving_section(self, mixed_schema):
-        spec = SessionSpec.builder().serving(refit_tol=1e-4).build()
-        assert build_assigner(mixed_schema, spec).refit_tol == 1e-4
+    def test_refit_tol_is_accepted_and_dropped(self, mixed_schema):
+        """The retired ``serving.refit_tol`` (crowdbench still posts 1e-9)
+        builds the default spec; the warm budget replaced it."""
+        spec = SessionSpec.from_dict(
+            {"version": 1, "serving": {"refit_tol": 1e-9}}
+        )
+        assert spec == SessionSpec()
+        assert "refit_tol" not in spec.to_dict()["serving"]
+        assert not hasattr(build_assigner(mixed_schema, spec), "refit_tol")
 
     def test_build_policy_modes(self, mixed_schema):
         fast = {"max_iterations": 3, "m_step_iterations": 6}
         plain = build_policy(mixed_schema, SessionSpec.builder().model(**fast).build())
         assert type(plain).__name__ == "TCrowdAssigner"
-        tolerant = build_policy(
-            mixed_schema,
-            SessionSpec.builder().model(**fast).serving(refit_tol=1e-3).build(),
-        )
-        assert type(tolerant).__name__ == "TCrowdAssigner"
         policy = build_policy(
             mixed_schema, SessionSpec.builder().model(**fast).async_refit().build()
         )

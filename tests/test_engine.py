@@ -127,13 +127,16 @@ class TestWarmStart:
         The EM crawl is slow (difficulty parameters keep creeping), so the
         two trajectories only agree once both have run long enough; with 200
         iterations the qualities match to ~1e-3 and the posterior means to a
-        few percent.
+        few percent.  The warm fit gets the same 200-iteration budget as the
+        cold one (``warm_iterations``), not the short serving budget.
         """
         dataset = generate_synthetic(
             num_rows=10, num_columns=4, categorical_ratio=0.5,
             answers_per_task=4, seed=11,
         )
-        model = TCrowdModel(max_iterations=200, m_step_iterations=25)
+        model = TCrowdModel(
+            max_iterations=200, warm_iterations=200, m_step_iterations=25
+        )
         previous = model.fit(dataset.schema, dataset.answers)
         grown = self._grow(dataset)
         cold = model.fit(dataset.schema, grown)

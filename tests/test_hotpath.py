@@ -1,11 +1,10 @@
-"""Hot-path tests: scoring cache, profile stages, Newton M-step.
+"""Hot-path tests: scoring cache and profile stages.
 
-The async serving path's speed features (the snapshot-keyed
-scoring-calculator cache of :class:`~repro.engine.AsyncRefitPolicy`) and the
-Newton M-step must be behaviour-neutral where the equivalence bits say so
-and objective-equivalent where EM tolerance allows.  These tests pin each
-claim in isolation; the end-to-end bit-identity stays with the golden-trace
-matrix and the benchmark gates.
+The async serving path's speed feature (the snapshot-keyed
+scoring-calculator cache of :class:`~repro.engine.AsyncRefitPolicy`) must
+be behaviour-neutral.  These tests pin it in isolation, next to the
+:class:`~repro.engine.HotPathProfile` stage timings; the end-to-end
+bit-identity stays with the golden-trace matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.engine import AsyncRefitPolicy
 from repro.engine.profiling import BUCKET_BOUNDS, HotPathProfile, stage
-from repro.utils.exceptions import InferenceError
 
 FAST_MODEL = {"max_iterations": 3, "m_step_iterations": 6}
 
@@ -132,65 +130,6 @@ class TestScoringCache:
         gc.collect()
         assert first() is None
         assert policy._cached_calculator is not None
-
-
-# -- Newton M-step ------------------------------------------------------------
-
-
-class TestNewtonMStep:
-    def test_rejects_unknown_m_step(self):
-        with pytest.raises(InferenceError):
-            TCrowdModel(m_step="sgd")
-
-    def test_converges_to_same_objective(self, mixed_schema):
-        """Both M-steps maximise the same Eq. 5; at convergence the EM
-        objectives must agree within the relative stopping tolerance."""
-        answers = _seeded_answers(mixed_schema, answers_per_cell=3)
-        tol = 1e-4
-        results = {}
-        for variant in ("lbfgs", "newton"):
-            model = TCrowdModel(
-                max_iterations=40, m_step_iterations=30, m_step=variant
-            )
-            results[variant] = model.fit(mixed_schema, answers, tol=tol)
-        obj_lbfgs = results["lbfgs"].objective_trace[-1]
-        obj_newton = results["newton"].objective_trace[-1]
-        assert obj_newton == pytest.approx(
-            obj_lbfgs, rel=10 * tol, abs=10 * tol * max(1.0, abs(obj_lbfgs))
-        )
-
-    def test_newton_objective_is_monotone(self, mixed_schema):
-        """Generalized EM: every Newton M-step must improve (or match) the
-        objective — the L-BFGS fallback guarantees it."""
-        answers = _seeded_answers(mixed_schema, answers_per_cell=3)
-        model = TCrowdModel(max_iterations=15, m_step="newton")
-        trace = model.fit(mixed_schema, answers).objective_trace
-        diffs = np.diff(np.asarray(trace))
-        assert np.all(diffs >= -1e-6 * np.maximum(1.0, np.abs(trace[:-1])))
-
-    def test_newton_decodes_same_truths(self, mixed_schema):
-        answers = _seeded_answers(mixed_schema, answers_per_cell=3)
-        fits = {
-            variant: TCrowdModel(
-                max_iterations=40, m_step_iterations=30, m_step=variant
-            ).fit(mixed_schema, answers, tol=1e-4)
-            for variant in ("lbfgs", "newton")
-        }
-        matches = 0
-        for row in range(mixed_schema.num_rows):
-            for col, column in enumerate(mixed_schema.columns):
-                a = fits["lbfgs"].estimate(row, col)
-                b = fits["newton"].estimate(row, col)
-                if column.is_categorical:
-                    matches += a == b
-                else:
-                    matches += abs(float(a) - float(b)) <= max(
-                        0.05 * abs(float(a)), 0.1
-                    )
-        assert matches / mixed_schema.num_cells >= 0.9
-
-    def test_default_path_is_lbfgs(self):
-        assert TCrowdModel().m_step == "lbfgs"
 
 
 # -- HotPathProfile -----------------------------------------------------------

@@ -8,8 +8,8 @@ L-BFGS-B routine from its own loop.  SciPy's public
   byte (the ``checked_driver`` fixture runs both on every call);
 * every fit's ``buffer_hash``, objective trace and iteration count equal
   those of the same fit through the reference, for the golden-trace
-  session, tiny versions of both crowdbench shapes, ``use_difficulty=False``,
-  a one-parameter fit and the Newton M-step's fallback;
+  session, tiny versions of both crowdbench shapes, ``use_difficulty=False``
+  and a one-parameter fit;
 * the driver alone matches on an ``x0`` outside the box, a problem that
   converges before ``maxiter`` and a one-parameter problem;
 * a ``setulb`` with another signature routes to the public call.
@@ -184,26 +184,6 @@ class TestFitsMatchTheReference:
 
         def run():
             return [fit_bits(model.fit(schema, answers))]
-
-        assert run() == via_reference(monkeypatch, run)
-        assert checked_driver
-
-    def test_newton_fallback_to_lbfgs(self, monkeypatch, checked_driver):
-        """Newton sweeps that step downhill fall back to the L-BFGS M-step."""
-
-        class DownhillNewton(TCrowdModel):
-            def _newton_terms(self, *args):
-                return [
-                    (rows, cols, workers, -grad, curvature)
-                    for rows, cols, workers, grad, curvature
-                    in super()._newton_terms(*args)
-                ]
-
-        schema, answers = tiny_paper_sync()
-        model = DownhillNewton(m_step="newton", **FAST_MODEL)
-
-        def run():
-            return cold_and_warm(model, schema, answers, len(answers) - 10)
 
         assert run() == via_reference(monkeypatch, run)
         assert checked_driver

@@ -1,7 +1,7 @@
 """Tests for the bounded-staleness refit engine
 (repro.engine.refit_worker), the durable snapshot protocol its policy
-shares with the bare assigner, and the objective-based EM early stopping it
-builds on (repro.core.inference).
+shares with the bare assigner, and the warm-refit EM budget every serving
+path shares (repro.core.inference).
 
 The scoring cache of :class:`~repro.engine.AsyncRefitPolicy` is pinned in
 ``tests/test_hotpath.py``; end-to-end bit-identity stays with the
@@ -38,14 +38,13 @@ class StubModel:
     """Records every fit call; returns :class:`StubResult` tagged by order."""
 
     supports_warm_start = True
-    supports_objective_tol = True
 
     def __init__(self):
         self.calls = []
 
-    def fit(self, schema, answers, init=None, tol=None):
+    def fit(self, schema, answers, init=None):
         order = len(self.calls)
-        self.calls.append({"n": len(answers), "init": init, "tol": tol, "order": order})
+        self.calls.append({"n": len(answers), "init": init, "order": order})
         return StubResult(order)
 
 
@@ -117,9 +116,8 @@ class TestAsyncRefitEngine:
         assert engine.epoch == 0
         assert engine.blocking_refits == 1
         assert engine.snapshot.answers_seen == 3
-        # The cold fit never receives the warm-start tolerance.
+        # The first fit is cold.
         assert model.calls[0]["init"] is None
-        assert model.calls[0]["tol"] is None
 
     def test_bounded_staleness_serves_stale_then_blocks(self, tiny_schema):
         engine = self._engine(tiny_schema, max_stale_answers=2)
@@ -169,33 +167,30 @@ class TestAsyncRefitEngine:
         assert engine.refit_now(answers) is first
         assert engine.blocking_refits == 1
 
-    def test_warm_chain_and_tolerance_plumbing(self, tiny_schema):
+    def test_warm_chain_plumbing(self, tiny_schema):
         model = StubModel()
-        engine = AsyncRefitEngine(model, tiny_schema, max_stale_answers=1, tol=1e-3)
+        engine = AsyncRefitEngine(model, tiny_schema, max_stale_answers=1)
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
         engine.snapshot_for(answers)
         _add_answers(answers, 2, worker="x")
         engine.snapshot_for(answers)  # staleness 2 > bound: inline warm refit
         cold, warm = model.calls
-        assert cold["init"] is None and cold["tol"] is None
+        assert cold["init"] is None
         assert isinstance(warm["init"], StubResult)
         assert warm["init"].tag == cold["order"]
-        assert warm["tol"] == 1e-3
 
-    def test_cold_starts_never_get_tolerance_when_warm_start_off(self, tiny_schema):
+    def test_every_fit_is_cold_when_warm_start_off(self, tiny_schema):
         model = StubModel()
         engine = AsyncRefitEngine(
-            model, tiny_schema, warm_start=False, tol=1e-3,
-            max_stale_answers=100,
+            model, tiny_schema, warm_start=False, max_stale_answers=100,
         )
         answers = AnswerSet(tiny_schema)
         _add_answers(answers, 2)
         engine.refit_now(answers)
         _add_answers(answers, 2, worker="x")
         engine.refit_now(answers)
-        assert all(call["init"] is None for call in model.calls)
-        assert all(call["tol"] is None for call in model.calls)
+        assert [call["init"] for call in model.calls] == [None, None]
 
     def test_epochs_increase_monotonically(self, tiny_schema):
         engine = self._engine(tiny_schema, max_stale_answers=1)
@@ -448,107 +443,6 @@ class TestDurabilityProtocol:
         assert assigner.answers_at_last_fit == len(answers)
         # Up to date: a second call is a no-op returning the same object.
         assert assigner.final_result(answers) is first
-
-
-# -- objective-based EM early stopping ----------------------------------------
-
-
-class TestObjectiveEarlyStopping:
-    def test_fit_validates_tol_and_max_iter(self, celebrity):
-        model = TCrowdModel(max_iterations=3, m_step_iterations=6)
-        answers = _seeded_answers(celebrity)
-        with pytest.raises(ConfigurationError):
-            model.fit(celebrity.schema, answers, tol=-1.0)
-        with pytest.raises(ConfigurationError):
-            model.fit(celebrity.schema, answers, max_iter=0)
-
-    def test_max_iter_overrides_budget_for_one_call(self, celebrity):
-        model = TCrowdModel(max_iterations=6, m_step_iterations=6)
-        answers = _seeded_answers(celebrity)
-        result = model.fit(celebrity.schema, answers, max_iter=2)
-        assert result.n_iterations == 2
-        assert result.iterations_run == 2
-        assert result.stopped_by == "max_iterations"
-        assert model.max_iterations == 6  # untouched
-
-    def test_warm_refit_with_tol_stops_early_with_unchanged_estimates(self):
-        """The acceptance property: a warm-started refit with ``tol`` stops
-        in under half the fixed iteration budget and decodes to the same
-        truth estimates as the full-budget warm refit."""
-        dataset = load_celebrity(seed=7, num_rows=15)
-        model = TCrowdModel(max_iterations=10, m_step_iterations=15)
-        cold = model.fit(dataset.schema, dataset.answers)
-        assert cold.stopped_by == "max_iterations"  # cold fit: full budget
-
-        rng = np.random.default_rng(3)
-        grown = dataset.answers.copy()
-        worker = dataset.answers.workers[0]
-        added = 0
-        for row in range(dataset.schema.num_rows):
-            for col in range(dataset.schema.num_columns):
-                if added >= 6:
-                    break
-                if not grown.has_answered(worker, row, col):
-                    value = dataset.oracle.answer(worker, row, col, rng)
-                    grown.add_answer(worker, row, col, value)
-                    added += 1
-
-        full = model.fit(dataset.schema, grown, init=cold)
-        early = model.fit(dataset.schema, grown, init=cold, tol=1e-3)
-
-        assert early.stopped_by == "objective"
-        assert early.converged
-        assert early.n_iterations < 0.5 * model.max_iterations
-        assert full.n_iterations == model.max_iterations
-
-        for row in range(dataset.schema.num_rows):
-            for col in range(dataset.schema.num_columns):
-                a = full.estimate(row, col)
-                b = early.estimate(row, col)
-                if dataset.schema.columns[col].is_categorical:
-                    assert a == b, (row, col)
-                else:
-                    assert float(b) == pytest.approx(
-                        float(a), rel=0.05, abs=0.1
-                    ), (row, col)
-        for worker_id, quality in full.worker_qualities().items():
-            assert early.worker_quality(worker_id) == pytest.approx(
-                quality, abs=0.02
-            )
-
-    def test_tol_does_not_fire_while_objective_still_climbs(self):
-        """On a small set whose EM improvements stay above the relative
-        threshold, the criterion must not trigger."""
-        from repro.datasets import generate_synthetic
-
-        dataset = generate_synthetic(
-            num_rows=10, num_columns=4, categorical_ratio=0.5,
-            answers_per_task=4, seed=11,
-        )
-        model = TCrowdModel(max_iterations=10, m_step_iterations=15)
-        cold = model.fit(dataset.schema, dataset.answers)
-        rng = np.random.default_rng(3)
-        grown = dataset.answers.copy()
-        worker = dataset.answers.workers[0]
-        added = 0
-        for row in range(dataset.schema.num_rows):
-            for col in range(dataset.schema.num_columns):
-                if added >= 6:
-                    break
-                if not grown.has_answered(worker, row, col):
-                    grown.add_answer(
-                        worker, row, col,
-                        dataset.oracle.answer(worker, row, col, rng),
-                    )
-                    added += 1
-        result = model.fit(dataset.schema, grown, init=cold, tol=1e-3)
-        # Every recorded improvement exceeds the relative threshold, so the
-        # fit must have used its whole budget.
-        deltas = np.abs(np.diff(result.objective_trace))
-        scale = max(1.0, abs(result.objective_trace[-1]))
-        assert np.all(deltas > 1e-3 * scale)
-        assert result.stopped_by == "max_iterations"
-        assert result.n_iterations == model.max_iterations
 
 
 class TestCadenceEquivalence:

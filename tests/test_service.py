@@ -12,6 +12,7 @@ CLI entry point.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 
@@ -163,6 +164,30 @@ class TestSessionLifecycle:
         assert closed == {"closed": session_id}
         status, _ = client.request("GET", f"/sessions/{session_id}")
         assert status == 404
+
+    def test_session_resource_shows_the_served_model(self, client):
+        """``model`` is read from the served fit without running one: an
+        async session fits nothing until a select, a sync one on every
+        answer batch, and every fit after the first is a warm one."""
+        for serving, fitted_by_answers in (({}, True), ({"async_refit": True}, False)):
+            session_id = client.create_session(_config(serving=serving))["session_id"]
+            path = f"/sessions/{session_id}"
+            assert client.request("GET", path)[1]["model"] is None
+            _seed(client, session_id)
+            model = client.request("GET", path)[1]["model"]
+            if not fitted_by_answers:
+                assert model is None
+                assert client.get_tasks(session_id, "worker-7", k=1)[0] == 200
+                model = client.request("GET", path)[1]["model"]
+                assert model["iterations_run"] == FAST_MODEL["max_iterations"]
+                client.post_answers(session_id, "worker-8", [(0, 0, "blue")])
+                assert client.get_tasks(session_id, "worker-7", k=1)[0] == 200
+                model = client.request("GET", path)[1]["model"]
+            assert model["answers_seen"] == 8 + (not fitted_by_answers)
+            assert model["iterations_run"] <= 2
+            assert model["stopped_by"] in ("max_iterations", "parameters")
+            assert isinstance(model["objective"], float)
+            client.delete_session(session_id)
 
     def test_session_from_named_dataset(self, client):
         created = client.create_session(
@@ -345,8 +370,9 @@ class TestErrorContract:
             ({"version": 1, "schema": SCHEMA_SPEC,
               "serving": {"max_stale_answers": -1}},
              "serving.max_stale_answers"),
-            ({"version": 1, "schema": SCHEMA_SPEC, "serving": {"refit_tol": 0}},
-             "serving.refit_tol"),
+            ({"version": 1, "schema": SCHEMA_SPEC,
+              "policy": {"model": {"m_step": "newton"}}},
+             "policy.model.m_step"),
             ({"version": 1, "schema": SCHEMA_SPEC,
               "policy": {"bogus_knob": 1}},
              "policy.bogus_knob"),
@@ -560,6 +586,33 @@ class TestDurableSessionsOverHTTP:
         assert "skipping unrecoverable" in caplog.text
         fresh.close_all()
 
+    def test_two_servers_on_one_durable_root(self, tmp_path, caplog, monkeypatch):
+        """A session is open in one server at a time: a second registry on
+        the same root skips it on boot and answers a POST for it with 409,
+        until the first server closes it."""
+        # The CLI entry point stops the "repro" logger tree from
+        # propagating; let caplog see the warning whatever ran before.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        with ServiceServer(SessionRegistry(durable_root=tmp_path)) as first:
+            client = ServiceClient(first.address)
+            session_id = client.create_session(_config(durable=True))["session_id"]
+            _seed(client, session_id)
+            second = SessionRegistry(durable_root=tmp_path)
+            with caplog.at_level("WARNING", logger="repro.service.registry"):
+                assert second.recover_all() == []
+            assert "already open" in caplog.text
+            with ServiceServer(second) as server:
+                status, body = ServiceClient(server.address).request(
+                    "POST", "/sessions",
+                    {"version": 1, "durable": True, "session_id": session_id},
+                )
+            assert status == 409, body
+            assert "already open" in body["error"]
+        fresh = SessionRegistry(durable_root=tmp_path)
+        assert fresh.recover_all() == [session_id]
+        assert len(fresh.get(session_id).durable.answers) == 8
+        fresh.close_all()
+
     def test_manifest_pins_the_canonical_spec(self, tmp_path):
         import json as json_module
 
@@ -701,13 +754,13 @@ class TestDurableSessionsOverHTTP:
 
     def test_parse_config_dialect_detection(self):
         envelope, spec = parse_config(
-            {"version": 1, "schema": SCHEMA_SPEC, "serving": {"refit_tol": 0.5}}
+            {"version": 1, "schema": SCHEMA_SPEC, "serving": {"audit": False}}
         )
         assert envelope == {"schema": SCHEMA_SPEC}
-        assert spec.serving.refit_tol == 0.5
+        assert spec.serving.audit is False
         # Only the v1 dialect exists: a body without a version is rejected.
         with pytest.raises(SpecValidationError) as excinfo:
-            parse_config({"schema": SCHEMA_SPEC, "serving": {"refit_tol": 0.5}})
+            parse_config({"schema": SCHEMA_SPEC, "serving": {"audit": False}})
         assert excinfo.value.path == "version"
 
     def test_duplicate_session_id_rejected(self, tmp_path):

@@ -31,7 +31,11 @@ from repro.service.storage import (
     wal_segment_files,
 )
 from repro.service.wal import DurableSession, durable_summary
-from repro.utils.exceptions import ConfigurationError, DurabilityError
+from repro.utils.exceptions import (
+    ConfigurationError,
+    DirectoryLockedError,
+    DurabilityError,
+)
 from scripted_sessions import (
     run_scripted_session,
     verify_recovery_identical,
@@ -179,6 +183,61 @@ class TestBackendContract:
     def test_unknown_backend_is_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="Unknown durability"):
             create_backend(tmp_path, backend="papyrus")
+
+
+class TestDirectoryLock:
+    """At most one open session per durable directory, on both backends."""
+
+    @staticmethod
+    def _session(schema, directory, backend, **options):
+        return DurableSession(
+            schema,
+            TestDurableSessionBoundedStorage._policy(schema),
+            directory=directory,
+            backend=backend,
+            **options,
+        )
+
+    def test_a_second_open_fails_until_the_first_closes(
+        self, backend_name, tmp_path
+    ):
+        first = create_backend(tmp_path, backend=backend_name)
+        first.append(_record(0))
+        with pytest.raises(DirectoryLockedError, match="already open"):
+            create_backend(tmp_path, backend=backend_name)
+        assert first.append(_record(1)) == 1  # the holder writes on alone
+        first.close()
+        reopened = create_backend(tmp_path, backend=backend_name)
+        assert reopened.records() == [_record(0), _record(1)]
+        reopened.close()
+
+    def test_a_second_session_is_refused_and_a_reopen_recovers(
+        self, backend_name, tmp_path, mixed_schema
+    ):
+        live = self._session(mixed_schema, tmp_path, backend_name)
+        live.append_answers("w0", [(0, 0, "red"), (0, 2, 10.0)])
+        with pytest.raises(DirectoryLockedError):
+            self._session(mixed_schema, tmp_path, backend_name)
+        live.append_answers("w1", [(1, 0, "red")])
+        records, answers = live.wal_records, len(live.answers)
+        live.close()
+        reopened = self._session(mixed_schema, tmp_path, backend_name)
+        assert reopened.wal_records == records
+        assert len(reopened.answers) == answers == 3
+        reopened.close()
+
+    def test_a_failed_open_releases_the_directory(
+        self, backend_name, tmp_path, mixed_schema
+    ):
+        session = self._session(mixed_schema, tmp_path, backend_name)
+        session.append_answers("w0", [(0, 0, "red")])
+        session.close()
+        # A second refusal would be a DirectoryLockedError if the first
+        # had kept the lock.
+        for _attempt in range(2):
+            with pytest.raises(ConfigurationError, match="already holds"):
+                self._session(mixed_schema, tmp_path, backend_name, fresh=True)
+        self._session(mixed_schema, tmp_path, backend_name).close()
 
 
 class TestJsonlRotation:

@@ -24,6 +24,7 @@ from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 from scripted_sessions import (
     DEFAULT_SCENARIO,
+    abandon_session,
     continue_scripted_session,
     run_scripted_session,
     scripted_spec,
@@ -517,7 +518,7 @@ class TestEstimatesLogging:
         # its model stale, so this read fits and is logged before the crash.
         expected = self._state(live)
         records = live.wal_records
-        # Crash: the live session is never closed.
+        abandon_session(live)  # crash: no closing snapshot
         recovered = DurableSession(
             _scenario_schema(), self._policy(mode), directory=tmp_path,
             backend=backend,
@@ -546,11 +547,13 @@ class TestEstimatesLogging:
             self._drive(old)
         assert self._estimates_records(old) == 5
         assert self._estimates_records(current) == 2
+        expected = self._state(old)
+        abandon_session(old)  # no closing snapshot: recovery replays the log
         recovered = DurableSession(
             _scenario_schema(), self._policy(), directory=tmp_path / "old",
             backend=backend,
         )
         assert recovered.recorder.replay_mismatches == 0
-        assert self._state(recovered) == self._state(old) == self._state(current)
-        for session in (current, old, recovered):
+        assert self._state(recovered) == expected == self._state(current)
+        for session in (current, recovered):
             session.close()
