@@ -21,10 +21,8 @@ Validation is strict and **path-qualified**: every violation raises a
 whose message starts with the dotted field path, e.g.
 ``serving.max_stale_answers must be >= 0 or null, got -1`` — the HTTP API
 surfaces the path in its 400 responses.  Unknown fields are rejected, never
-ignored, with two exceptions that older manifests carry: the retired
-serving fields in :data:`RETIRED_SERVING_FIELDS` and the retired
-``policy.model.m_step`` (only its ``"lbfgs"`` value), which are accepted
-and dropped.
+ignored, with two exceptions, which older manifests carry and which are
+accepted and dropped: :data:`RETIRED_SERVING_FIELDS` and ``policy.model.m_step``.
 
 This module deliberately imports nothing heavy (no numpy, no engine code):
 ``python -m repro.config.validate`` must run in a lint-only environment.
@@ -47,16 +45,12 @@ SPEC_VERSION = 1
 
 #: Serving fields removed from the spec without a version bump.  Manifests
 #: written while they existed carry them (``to_dict`` emitted every field),
-#: and clients still post them, so ``from_dict`` accepts and drops them;
-#: any other unknown key is still rejected.  The first four never changed
-#: a decision; a manifest that named ``processes`` or ``shards`` is served
-#: in-process.  ``refit_tol`` did: it stopped warm refits early, so a
-#: durable session written with a non-null ``refit_tol`` cannot replay as
-#: written and its recovery is refused
-#: (:meth:`repro.service.registry.SessionRegistry.create`).
-RETIRED_SERVING_FIELDS = (
-    "shard_workers", "scoring_cache", "processes", "shards", "refit_tol",
-)
+#: so ``from_dict`` accepts and drops them; any other unknown key is still
+#: rejected.  The first four never changed a decision (a manifest that named
+#: ``processes`` or ``shards`` is served in-process).  ``refit_tol`` did: it
+#: stopped warm refits early, so recovery refuses a manifest whose
+#: ``refit_tol`` is not null (``repro.service.registry``).
+RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache", "processes", "shards", "refit_tol")
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -263,13 +257,9 @@ class ModelSpec:
 
     Field-for-field the ``TCrowdModel`` constructor, with identical
     defaults, so ``TCrowdModel(**spec.to_kwargs())`` is always valid.
-    ``warm_iterations`` is the EM budget of a warm-started refit
-    (``max_iterations`` bounds the cold fit, and caps it too).
-
-    ``m_step`` is retired: L-BFGS is the only M-step, so ``from_dict``
-    accepts ``"m_step": "lbfgs"`` (every manifest written while the field
-    existed carries it) and drops it.  Any other value is refused, because
-    a session that ran another M-step cannot be replayed.
+    The retired ``m_step`` field is accepted and dropped by ``from_dict``
+    with its old default ``"lbfgs"``, which every older manifest carries;
+    any other value is refused, since L-BFGS is the only M-step left.
     """
 
     _SECTION: ClassVar[str] = "policy.model"

@@ -527,20 +527,18 @@ class TCrowdModel:
         answers in the online loop of Algorithm 2): the prior
         ``log alpha / log beta / log phi`` replace the zero initialisation,
         with workers unseen by ``init`` starting at the median ``log phi``.
-        A warm fit then runs ``min(warm_iterations, max_iterations)`` EM
-        iterations.  Each M-step improves Eq. 5 without necessarily
-        maximising it, which makes every iteration a generalized EM step
-        that still raises the free energy (Neal & Hinton, 1998, "A view of
-        the EM algorithm that justifies incremental, sparse, and other
-        variants"), so the online chain of short warm fits is itself an EM
-        run over the growing answer set rather than a converged refit per
-        answer.
+        A warm fit then runs a fixed ``min(warm_iterations,
+        max_iterations)`` EM iterations.  Each is a generalized EM step: its
+        M-step improves Eq. 5 without necessarily maximising it, which still
+        raises the free energy (Neal & Hinton, 1998, "A view of the EM
+        algorithm that justifies incremental, sparse, and other variants"),
+        so the online chain of short warm fits is itself an EM run over the
+        growing answer set, not a converged refit per answer.
 
-        Either kind of fit stops early once the largest change of any
-        log-parameter falls below ``tolerance``.  The result's
-        ``stopped_by`` records which limit ended it: ``"parameters"`` or
-        ``"max_iterations"`` (results written by earlier versions may also
-        carry ``"objective"``).
+        Either kind of fit stops early once no log-parameter moves by more
+        than ``tolerance``; ``stopped_by`` records ``"parameters"`` or
+        ``"max_iterations"`` (results of earlier versions may say
+        ``"objective"``).
         """
         if len(answers) == 0:
             raise InferenceError("Cannot run truth inference on an empty answer set")

@@ -52,38 +52,26 @@ _log = logging.getLogger("repro.service.registry")
 MANIFEST_FORMAT = 2
 
 
-def _spec_as_written(payload: dict) -> dict:
-    """A manifest's spec payload, pinned to how its session ran.
-
-    Replay must repeat every fit the session made, so two fields that
-    changed how warm refits ran are read from the raw manifest:
-
-    * a spec without ``policy.model.warm_iterations`` predates the warm
-      budget, and its warm refits ran the full ``max_iterations``: it is
-      recovered with ``warm_iterations = max_iterations``;
-    * a non-null ``serving.refit_tol`` stopped warm refits early on an
-      objective test that no longer exists, so the session cannot replay
-      as written and is refused.
-
-    Anything malformed is left for :meth:`SessionSpec.from_dict` to report.
-    """
-    if not isinstance(payload, dict):
-        return payload
-    serving = payload.get("serving")
-    if isinstance(serving, dict) and serving.get("refit_tol") is not None:
+def _spec_as_written(spec: dict) -> dict:
+    """A manifest's spec, pinned to how its session ran, so replay repeats
+    every fit.  A spec without ``policy.model.warm_iterations`` predates the
+    warm budget: its warm refits ran ``max_iterations``.  A non-null
+    ``serving.refit_tol`` stopped warm refits on an objective test that no
+    longer exists, so that session cannot replay and is refused."""
+    refit_tol = (spec.get("serving") or {}).get("refit_tol")
+    if refit_tol is not None:
         raise SpecValidationError(
             "serving.refit_tol",
-            f"is {serving['refit_tol']!r} in this manifest: its warm refits "
-            "stopped on the retired objective test, so the session cannot "
-            "be replayed as written",
+            f"is {refit_tol!r} in this manifest: its warm refits stopped on the "
+            "retired objective test, so the session cannot replay as written",
         )
-    policy = payload.get("policy") or {}
-    model = (policy.get("model") or {}) if isinstance(policy, dict) else None
-    if isinstance(model, dict) and "warm_iterations" not in model:
-        budget = model.get("max_iterations", ModelSpec.max_iterations)
-        model = {**model, "warm_iterations": budget}
-        payload = {**payload, "policy": {**policy, "model": model}}
-    return payload
+    policy = spec.get("policy") or {}
+    model = policy.get("model") or {}
+    if "warm_iterations" in model:
+        return spec
+    budget = model.get("max_iterations", ModelSpec.max_iterations)
+    model = {**model, "warm_iterations": budget}
+    return {**spec, "policy": {**policy, "model": model}}
 
 
 #: Loaders a ``{"dataset": {"name": ...}}`` spec may reference.
@@ -340,12 +328,8 @@ class ServedSession:
         }
 
     def _served_model(self) -> Optional[Dict[str, object]]:
-        """The fit the session serves, read without running one.
-
-        ``None`` before the first fit; otherwise the number of answers it
-        was fitted over, its EM iteration count, what stopped it and its
-        final objective (Eq. 5).  The caller holds the session lock.
-        """
+        """The served fit, read without running one (``None`` before the
+        first fit).  The caller holds the session lock."""
         state = self.durable.policy.snapshot_state()
         if state is None:
             return None
@@ -562,7 +546,7 @@ class SessionRegistry:
             envelope = {"schema": manifest["schema"]}
             spec = SessionSpec.from_dict(_spec_as_written(manifest["spec"]))
             audit_format = int(manifest.get("audit_format", 1))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigurationError(
                 f"Cannot recover session manifest in {durable_dir}: {exc}"
             ) from exc

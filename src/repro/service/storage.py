@@ -22,14 +22,11 @@ with two implementations:
   ``PRAGMA synchronous=FULL``, the default to ``OFF`` (process-crash
   safe, the failure model the recovery benchmark exercises).
 
-Each backend holds an exclusive, non-blocking ``flock`` on its directory
-from the moment it opens until :meth:`StorageBackend.close`, so at most one
-session, in one process, writes a durable directory: a second open raises
-:class:`~repro.utils.exceptions.DirectoryLockedError` instead of
-interleaving its appends with the first (JSONL) or colliding on a record
-index (SQLite).  The lock is taken on the directory itself, not on a file
-in it, so the on-disk layout is unchanged, and the kernel drops it when the
-holding process dies, so a crashed session's directory reopens at once.
+A backend holds an exclusive ``flock`` on its directory from open to
+:meth:`StorageBackend.close`, so a second open, in this process or another,
+raises :class:`~repro.utils.exceptions.DirectoryLockedError` instead of
+writing the same log.  The lock is on the directory itself (the layout is
+unchanged) and dies with its process (a crashed session reopens at once).
 
 Record indexes are **global and immortal**: ``append`` returns the index
 the record has in the full event history, and ``record_count`` keeps
@@ -53,11 +50,7 @@ import sqlite3
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.utils.exceptions import (
-    ConfigurationError,
-    DirectoryLockedError,
-    DurabilityError,
-)
+from repro.utils.exceptions import ConfigurationError, DirectoryLockedError, DurabilityError
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d+)-(\d+)\.json$")
 _SEGMENT_NAME = re.compile(r"^wal-(\d+)\.jsonl$")
@@ -356,22 +349,26 @@ class StorageBackend:
 
     # directory lock ----------------------------------------------------------
 
-    def _lock_directory(self, directory: pathlib.Path) -> None:
-        """Take the exclusive directory lock, or raise
-        :class:`DirectoryLockedError` if another open backend holds it."""
-        fd = os.open(directory, os.O_RDONLY)
+    def _open_locked(self, open_storage) -> None:
+        """Lock ``self.directory``, then run ``open_storage``; an open that
+        fails releases the lock."""
+        fd = os.open(self.directory, os.O_RDONLY)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             os.close(fd)
             raise DirectoryLockedError(
-                f"durable directory {directory} is already open in another "
+                f"durable directory {self.directory} is already open in another "
                 "session; close that session (or stop its server) first"
             ) from None
         self._lock_fd = fd
+        try:
+            open_storage()
+        except BaseException:
+            self._unlock_directory()
+            raise
 
     def _unlock_directory(self) -> None:
-        """Release the directory lock (idempotent)."""
         if self._lock_fd is not None:
             os.close(self._lock_fd)  # closing the descriptor drops the flock
             self._lock_fd = None
@@ -584,18 +581,11 @@ class JsonlBackend(StorageBackend):
             )
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock_directory(self.directory)
         self.fsync = bool(fsync)
         self.rotate_every_records = rotate_every_records
-        try:
-            self.snapshots = SnapshotStore(
-                self.directory / "snapshots", fsync=fsync
-            )
-            self._sealed: List[_Segment] = []
-            self._open_log()
-        except BaseException:
-            self._unlock_directory()
-            raise
+        self.snapshots = SnapshotStore(self.directory / "snapshots", fsync=fsync)
+        self._sealed: List[_Segment] = []
+        self._open_locked(self._open_log)
 
     def _open_log(self) -> None:
         segments = wal_segment_files(self.directory)
@@ -752,34 +742,32 @@ class SqliteBackend(StorageBackend):
     ) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock_directory(self.directory)
         self.fsync = bool(fsync)
         self.rotate_every_records = rotate_every_records
         self.path = self.directory / self.FILENAME
         self._closed = False
-        try:
-            self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._open_locked(self._open_database)
+
+    def _open_database(self) -> None:
+        self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        self._conn.execute(
+            "PRAGMA synchronous = %s" % ("FULL" if self.fsync else "OFF")
+        )
+        with self._conn:
             self._conn.execute(
-                "PRAGMA synchronous = %s" % ("FULL" if self.fsync else "OFF")
+                "CREATE TABLE IF NOT EXISTS wal ("
+                "idx INTEGER PRIMARY KEY, record TEXT NOT NULL)"
             )
-            with self._conn:
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS wal ("
-                    "idx INTEGER PRIMARY KEY, record TEXT NOT NULL)"
-                )
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS snapshots ("
-                    "epoch INTEGER PRIMARY KEY, answers_seen INTEGER NOT NULL, "
-                    "wal_records INTEGER NOT NULL, payload TEXT NOT NULL)"
-                )
-                self._conn.execute(
-                    "CREATE TABLE IF NOT EXISTS meta ("
-                    "key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
-                )
-            self._count = self._next_index()
-        except BaseException:
-            self._unlock_directory()
-            raise
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS snapshots ("
+                "epoch INTEGER PRIMARY KEY, answers_seen INTEGER NOT NULL, "
+                "wal_records INTEGER NOT NULL, payload TEXT NOT NULL)"
+            )
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS meta ("
+                "key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
+            )
+        self._count = self._next_index()
 
     def _meta(self, key: str, default: int = 0) -> int:
         row = self._conn.execute(

@@ -120,9 +120,7 @@ class DurableSession:
         Where the log and snapshots live.  ``None`` runs fully in memory —
         the same code path with durability disabled, which is how the
         non-durable HTTP sessions are served.  The session holds the
-        directory exclusively until :meth:`close`; opening a directory
-        another session holds raises
-        :class:`~repro.utils.exceptions.DirectoryLockedError`.
+        directory until :meth:`close` (see :mod:`repro.service.storage`).
     snapshot_every:
         Cut a snapshot after this many newly collected answers.
     fsync:
@@ -190,21 +188,20 @@ class DurableSession:
                 fsync=fsync,
                 rotate_every_records=rotate_every_records,
             )
-            try:
-                if self._storage.record_count:
-                    if fresh:
-                        raise ConfigurationError(
-                            f"durable directory {directory} already holds a "
-                            f"write-ahead log with {self._storage.record_count} "
-                            "records; recover it with DurableSession(...) on a "
-                            "fresh policy instead of starting a new run over it"
-                        )
+            if self._storage.record_count:
+                if fresh:
+                    self._storage.close()
+                    raise ConfigurationError(
+                        f"durable directory {directory} already holds a "
+                        f"write-ahead log with {self._storage.record_count} "
+                        "records; recover it with DurableSession(...) on a "
+                        "fresh policy instead of starting a new run over it"
+                    )
+                try:
                     self._recover()
-            except BaseException:
-                # Release the directory lock: a session that failed to open
-                # must not keep its directory from being opened again.
-                self._storage.close()
-                raise
+                except BaseException:
+                    self._storage.close()  # a failed recovery frees the directory
+                    raise
 
     # -- properties ----------------------------------------------------------
 

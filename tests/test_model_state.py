@@ -8,13 +8,16 @@
   moved by one ulp in any buffer or any header
   field; blind to the padded label width.
 * Durable directories written at audit format 1 (committed fixtures)
-  recover, re-verify and keep chaining at format 1.
+  recover, re-verify and keep chaining at format 1, with the full warm EM
+  budget their manifests predate; a copy that ran the retired objective
+  stop or Newton M-step is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import pathlib
 import shutil
 
@@ -35,6 +38,8 @@ from repro.core.schema import TableSchema
 from repro.core.worker_model import WorkerModel
 from repro.datasets import load_celebrity
 from repro.engine.provenance import AUDIT_FORMAT, DecisionRecorder
+from repro.service.app import ServiceServer
+from repro.service.client import ServiceClient
 from repro.service.registry import SessionRegistry, schema_from_dict
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 
@@ -335,6 +340,10 @@ class TestFormat1Fixtures:
             assert stats["decision_chain_hash"] == expected["chain_head"]
             recorder = session.durable.recorder
             assert recorder.audit_format == 1
+            # The manifest predates the warm budget: warm refits replay
+            # with the full max_iterations they ran.
+            model = session.spec.policy.model
+            assert model.warm_iterations == model.max_iterations == 4
 
             session.select("w002", k=2)
             record = recorder.get(expected["decisions"])
@@ -355,6 +364,39 @@ class TestFormat1Fixtures:
             assert recovered.stats()["decisions_recorded"] == expected["decisions"] + 1
         finally:
             again.close_all()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("serving.refit_tol", 0.001), ("policy.model.m_step", "newton")],
+        ids=["refit_tol", "newton"],
+    )
+    def test_a_session_that_cannot_replay_as_written_is_refused(
+        self, path, value, tmp_path, caplog, monkeypatch
+    ):
+        """Its warm refits stopped on the objective test, or ran another
+        M-step: recovery would fork its ledger, so it is skipped on boot and
+        a POST over it is a 400 naming the field."""
+        session_dir = tmp_path / "format1-jsonl"
+        shutil.copytree(FIXTURES / "jsonl" / "format1-jsonl", session_dir)
+        manifest = json.loads((session_dir / "session.json").read_text())
+        *sections, key = path.split(".")
+        section = manifest["spec"]
+        for name in sections:
+            section = section[name]
+        section[key] = value
+        (session_dir / "session.json").write_text(json.dumps(manifest))
+        # The service CLI stops the "repro" logger tree from propagating.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        registry = SessionRegistry(durable_root=tmp_path)
+        with caplog.at_level("WARNING", logger="repro.service.registry"):
+            assert registry.recover_all() == []
+        assert path in caplog.text
+        with ServiceServer(registry) as server:
+            status, body = ServiceClient(server.address).request(
+                "POST", "/sessions",
+                {"version": 1, "durable": True, "session_id": "format1-jsonl"},
+            )
+        assert (status, body["path"]) == (400, path), body
 
     def test_fixtures_have_no_manifest_audit_format(self):
         for backend in ("jsonl", "sqlite"):

@@ -13,8 +13,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import SessionSpec
-from repro.config.factory import build_policy
+from repro.config import ServingSpec, SessionSpec
+from repro.config.factory import build_policy, wrap_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
@@ -443,6 +443,96 @@ class TestDurabilityProtocol:
         assert assigner.answers_at_last_fit == len(answers)
         # Up to date: a second call is a no-op returning the same object.
         assert assigner.final_result(answers) is first
+
+
+# -- the warm-refit EM budget ---------------------------------------------------
+
+
+class CountingModel(TCrowdModel):
+    """Records ``(warm, iterations_run)`` of every fit.  Its parameter
+    tolerance is never reached, so every fit runs its whole budget."""
+
+    def __init__(self, **options):
+        super().__init__(tolerance=1e-12, m_step_iterations=6, **options)
+        self.fits = []
+
+    def fit(self, schema, answers, init=None):
+        result = super().fit(schema, answers, init=init)
+        self.fits.append((init is not None, result.iterations_run))
+        return result
+
+
+class TestWarmBudget:
+    @pytest.mark.parametrize(
+        "max_iterations, warm_iterations, expected", [(6, 2, 2), (6, 3, 3), (1, 2, 1)]
+    )
+    def test_warm_fits_run_the_budget(
+        self, celebrity, max_iterations, warm_iterations, expected
+    ):
+        schema, answers = celebrity.schema, _seeded_answers(celebrity)
+        model = CountingModel(
+            max_iterations=max_iterations, warm_iterations=warm_iterations
+        )
+        cold = model.fit(schema, AnswerSet(schema, list(answers)[:-7]))
+        warm = model.fit(schema, answers, init=cold)
+        assert model.fits == [(False, max_iterations), (True, expected)]
+        assert len(warm.objective_trace) == expected
+        assert warm.stopped_by == "max_iterations"
+        assert TCrowdModel().warm_iterations == 2
+        with pytest.raises(ConfigurationError, match="warm_iterations"):
+            TCrowdModel(warm_iterations=0)
+
+    @pytest.mark.parametrize(
+        "serving", [{}, {"async_refit": True, "max_stale_answers": 0},
+                    {"async_refit": True, "max_stale_answers": 12}],
+        ids=["sync", "async-0", "async-12"],
+    )
+    def test_every_serving_path_fits_cold_once_then_on_the_budget(
+        self, celebrity, serving
+    ):
+        """Selects and the ``final_result`` catch-up share the budget (WAL
+        replay is pinned in ``tests/test_wal.py``)."""
+        model = CountingModel(max_iterations=6)
+        policy = wrap_policy(
+            TCrowdAssigner(celebrity.schema, model=model), ServingSpec(**serving)
+        )
+        answers = _seeded_answers(celebrity)
+        for step in range(10):
+            policy.select("w", answers, k=1)
+            _add_answers(answers, 2, worker=f"late{step}")
+        assert policy.final_result(answers).iterations_run == 2
+        assert len(model.fits) >= 3
+        assert model.fits == [(False, 6)] + [(True, 2)] * (len(model.fits) - 1)
+
+
+def test_default_budget_agrees_with_the_full_chain():
+    """Over 100 warm refits of a seeded 174 x 7 Celebrity stream, the
+    default budget keeps at least 98 % of the categorical estimates of the
+    chain whose warm refits run the full ``max_iterations`` (99.4 % when
+    this was written)."""
+    dataset = load_celebrity(seed=7)
+    schema, answers = dataset.schema, _seeded_answers(dataset, seed=11)
+    short = TCrowdModel(max_iterations=6, m_step_iterations=10)
+    full = TCrowdModel(max_iterations=6, warm_iterations=6, m_step_iterations=10)
+    short_fit = full_fit = short.fit(schema, answers)  # the same cold fit
+    categorical = np.tile(
+        [column.is_categorical for column in schema.columns], schema.num_rows
+    )
+    workers = dataset.worker_pool.worker_ids()
+    rng = np.random.default_rng(11)
+    agree = 0
+    for _refit in range(100):
+        worker = workers[int(rng.integers(len(workers)))]
+        row = int(rng.integers(schema.num_rows))
+        for col in range(schema.num_columns):
+            if not answers.has_answered(worker, row, col):
+                value = dataset.oracle.answer(worker, row, col, rng)
+                answers.add_answer(worker, row, col, value)
+        short_fit = short.fit(schema, answers, init=short_fit)
+        full_fit = full.fit(schema, answers, init=full_fit)
+        same = short_fit.estimate_codes() == full_fit.estimate_codes()
+        agree += int(np.sum(same[categorical]))
+    assert agree / (100 * np.sum(categorical)) >= 0.98
 
 
 class TestCadenceEquivalence:

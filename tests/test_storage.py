@@ -186,58 +186,30 @@ class TestBackendContract:
 
 
 class TestDirectoryLock:
-    """At most one open session per durable directory, on both backends."""
-
-    @staticmethod
-    def _session(schema, directory, backend, **options):
-        return DurableSession(
-            schema,
-            TestDurableSessionBoundedStorage._policy(schema),
-            directory=directory,
-            backend=backend,
-            **options,
-        )
-
-    def test_a_second_open_fails_until_the_first_closes(
-        self, backend_name, tmp_path
-    ):
-        first = create_backend(tmp_path, backend=backend_name)
-        first.append(_record(0))
-        with pytest.raises(DirectoryLockedError, match="already open"):
-            create_backend(tmp_path, backend=backend_name)
-        assert first.append(_record(1)) == 1  # the holder writes on alone
-        first.close()
-        reopened = create_backend(tmp_path, backend=backend_name)
-        assert reopened.records() == [_record(0), _record(1)]
-        reopened.close()
-
-    def test_a_second_session_is_refused_and_a_reopen_recovers(
+    def test_one_open_session_per_directory(
         self, backend_name, tmp_path, mixed_schema
     ):
-        live = self._session(mixed_schema, tmp_path, backend_name)
+        def open_session(**options):
+            return DurableSession(
+                mixed_schema, TestDurableSessionBoundedStorage._policy(mixed_schema),
+                directory=tmp_path, backend=backend_name, **options,
+            )
+
+        live = open_session()
         live.append_answers("w0", [(0, 0, "red"), (0, 2, 10.0)])
-        with pytest.raises(DirectoryLockedError):
-            self._session(mixed_schema, tmp_path, backend_name)
-        live.append_answers("w1", [(1, 0, "red")])
-        records, answers = live.wal_records, len(live.answers)
+        with pytest.raises(DirectoryLockedError, match="already open"):
+            open_session()
+        live.append_answers("w1", [(1, 0, "red")])  # the holder writes on alone
+        records = live.wal_records
         live.close()
-        reopened = self._session(mixed_schema, tmp_path, backend_name)
-        assert reopened.wal_records == records
-        assert len(reopened.answers) == answers == 3
-        reopened.close()
-
-    def test_a_failed_open_releases_the_directory(
-        self, backend_name, tmp_path, mixed_schema
-    ):
-        session = self._session(mixed_schema, tmp_path, backend_name)
-        session.append_answers("w0", [(0, 0, "red")])
-        session.close()
-        # A second refusal would be a DirectoryLockedError if the first
-        # had kept the lock.
+        # A failed open releases the directory: were it kept locked, the
+        # second refusal would be a DirectoryLockedError.
         for _attempt in range(2):
             with pytest.raises(ConfigurationError, match="already holds"):
-                self._session(mixed_schema, tmp_path, backend_name, fresh=True)
-        self._session(mixed_schema, tmp_path, backend_name).close()
+                open_session(fresh=True)
+        reopened = open_session()
+        assert (reopened.wal_records, len(reopened.answers)) == (records, 3)
+        reopened.close()
 
 
 class TestJsonlRotation:

@@ -524,6 +524,8 @@ class TestEstimatesLogging:
             backend=backend,
         )
         assert recovered.recorder.replay_mismatches == 0
+        # The replayed warm refits ran the warm budget, as the live ones did.
+        assert recovered.policy.snapshot_state()[0].iterations_run == 2
         assert self._state(recovered) == expected
         assert recovered.wal_records == records
         recovered.close()
