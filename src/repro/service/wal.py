@@ -544,7 +544,9 @@ def durable_summary(directory) -> Dict[str, object]:
     Works for both backends without mutating anything: JSONL segments are
     found by :func:`~repro.service.storage.wal_segment_files` and scanned
     with :func:`read_wal` (no truncation), a SQLite database is opened in
-    place (opening never writes records).
+    place (opening never writes records) through its backend, which takes
+    the directory lock, so a SQLite directory must not be open in a
+    session.
     """
     directory = pathlib.Path(directory)
     database = directory / SqliteBackend.FILENAME
