@@ -8,6 +8,8 @@ fixtures.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,23 @@ from repro.core.inference import TCrowdModel
 from repro.core.schema import Column, TableSchema
 from repro.core.worker_model import WorkerModel
 from repro.datasets import generate_synthetic, load_restaurant
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Give every test the ``repro`` logger tree it started with.
+
+    The service CLI's ``build_server`` configures that tree for its process
+    (its own handler, no propagation); a test that builds a server
+    in-process must not leave it behind, or later ``caplog`` checks see
+    nothing.
+    """
+    logger = logging.getLogger("repro")
+    handlers, level, propagate = logger.handlers[:], logger.level, logger.propagate
+    yield
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
+    logger.setLevel(level)
 
 
 @pytest.fixture(scope="session")

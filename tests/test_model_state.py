@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import pathlib
 import shutil
 
@@ -371,7 +370,7 @@ class TestFormat1Fixtures:
         ids=["refit_tol", "newton"],
     )
     def test_a_session_that_cannot_replay_as_written_is_refused(
-        self, path, value, tmp_path, caplog, monkeypatch
+        self, path, value, tmp_path, caplog
     ):
         """Its warm refits stopped on the objective test, or ran another
         M-step: recovery would fork its ledger, so it is skipped on boot and
@@ -385,8 +384,6 @@ class TestFormat1Fixtures:
             section = section[name]
         section[key] = value
         (session_dir / "session.json").write_text(json.dumps(manifest))
-        # The service CLI stops the "repro" logger tree from propagating.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         registry = SessionRegistry(durable_root=tmp_path)
         with caplog.at_level("WARNING", logger="repro.service.registry"):
             assert registry.recover_all() == []

@@ -12,7 +12,6 @@ CLI entry point.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import threading
 
@@ -568,12 +567,10 @@ class TestDurableSessionsOverHTTP:
         assert "skipping unrecoverable" in caplog.text
         fresh.close_all()
 
-    def test_two_servers_on_one_durable_root(self, tmp_path, caplog, monkeypatch):
+    def test_two_servers_on_one_durable_root(self, tmp_path, caplog):
         """A session is open in one server at a time: a second registry on
         the same root skips it on boot and answers a POST for it with 409,
         until the first server closes it."""
-        # The CLI entry point stops the "repro" logger tree from propagating.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
         with ServiceServer(SessionRegistry(durable_root=tmp_path)) as first:
             session_id = ServiceClient(first.address).create_session(
                 _config(durable=True)
