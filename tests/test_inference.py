@@ -78,6 +78,8 @@ class TestFitBasics:
             TCrowdModel(epsilon=-1.0)
         with pytest.raises(ConfigurationError):
             TCrowdModel(max_iterations=0)
+        with pytest.raises(ConfigurationError, match="warm_iterations"):
+            TCrowdModel(warm_iterations=0)
 
 
 class TestWorkerQuality:

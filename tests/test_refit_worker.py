@@ -478,9 +478,6 @@ class TestWarmBudget:
         assert model.fits == [(False, max_iterations), (True, expected)]
         assert len(warm.objective_trace) == expected
         assert warm.stopped_by == "max_iterations"
-        assert TCrowdModel().warm_iterations == 2
-        with pytest.raises(ConfigurationError, match="warm_iterations"):
-            TCrowdModel(warm_iterations=0)
 
     @pytest.mark.parametrize(
         "serving", [{}, {"async_refit": True, "max_stale_answers": 0},
