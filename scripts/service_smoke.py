@@ -3,7 +3,8 @@
 Starts ``python -m repro.service --port 0`` as a real subprocess, drives a
 scripted session over HTTP (create session from a **v1 SessionSpec body**
 → seed answers → select/ingest loop → estimates → ``GET .../config``),
-scrapes ``/metrics``, asserts a body without ``version`` is a strict 400
+checks that back-to-back ``GET .../estimates`` send the same raw bytes and
+that one more answer shows in the next body, scrapes ``/metrics``, asserts a body without ``version`` is a strict 400
 naming the missing field, and shuts the server down cleanly (SIGINT,
 asserting the clean-shutdown message).  Exercises the same code path an operator
 would run, end to end, in a few seconds.
@@ -626,6 +627,23 @@ def main() -> int:
 
         estimates = client.get_estimates(session_id)
         assert len(estimates["estimates"]) == schema.num_cells, estimates
+
+        # A caught-up read is served from the session's cached body: the
+        # same raw bytes twice in a row, until one more answer arrives.
+        path = f"/sessions/{session_id}/estimates"
+        first, second = (client.request_raw("GET", path) for _ in range(2))
+        assert first[0] == second[0] == 200, (first[0], second[0])
+        assert first[1] == second[1], "back-to-back GET /estimates bodies differ"
+        row, col = divmod(int(rng.integers(schema.num_cells)), schema.num_columns)
+        worker = worker_ids[0]
+        client.post_answers(
+            session_id, worker, [(row, col, dataset.oracle.answer(worker, row, col, rng))]
+        )
+        status, after = client.request_raw("GET", path)
+        assert status == 200, (status, after)
+        collected = json.loads(after)["answers_collected"]
+        assert collected == estimates["answers_collected"] + 1, collected
+        print(f"cached estimates OK ({len(first[1])} bytes, then {collected} answers)")
 
         # The session resource shows the served fit: after the first (cold)
         # fit every refit is warm and runs the two-iteration warm budget.

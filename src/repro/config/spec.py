@@ -332,6 +332,10 @@ class PolicySpec:
     strategy: StrategySpec = field(default_factory=StrategySpec)
     use_structure: bool = True
     refit_every: int = 1
+    # > 0 samples the paper's Monte-Carlo continuous gain, which only
+    # validates the closed form: a conjugate Gaussian update's variance
+    # does not depend on the sampled answer, so the estimate's expectation
+    # is the closed form.  Kept so that sessions which set it still replay.
     continuous_samples: int = 0
     max_answers_per_cell: Optional[int] = None
     min_pairs: int = 5

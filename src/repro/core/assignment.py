@@ -200,6 +200,15 @@ class AssignmentPolicy(abc.ABC):
                 candidates.append((i, j))
         return candidates
 
+    def candidate_array(self, worker: str, answers: AnswerSet) -> np.ndarray:
+        """:meth:`candidate_cells` as an ``(n, 2)`` int64 array of
+        ``(row, col)`` pairs, the form ``gains_batch`` scores."""
+        state = self.session_state(answers)
+        if state is not None:
+            return state.candidate_array(worker)
+        cells = self.candidate_cells(worker, answers)
+        return np.array(cells, dtype=np.int64).reshape(len(cells), 2)
+
     @abc.abstractmethod
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
         """Select ``k`` cells to assign to ``worker`` given current answers."""
@@ -328,8 +337,11 @@ class TCrowdAssigner(AssignmentPolicy):
         """Assign the top-``k`` candidate cells by information gain."""
         if k < 1:
             raise AssignmentError(f"k must be >= 1, got {k}")
-        candidates = self.candidate_cells(worker, answers)
-        if not candidates:
+        if self.vectorized:
+            candidates = self.candidate_array(worker, answers)
+        else:
+            candidates = self.candidate_cells(worker, answers)
+        if not len(candidates):
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
         result = self._ensure_result(answers)
         with _stage(self.profile, "calculator_build"):
@@ -339,8 +351,9 @@ class TCrowdAssigner(AssignmentPolicy):
                 gains = calculator.gains_batch(worker, candidates)
             with _stage(self.profile, "top_k_merge"):
                 order = top_k_stable(gains, k)
-            cells = tuple(candidates[index] for index in order)
-            values = tuple(float(gains[index]) for index in order)
+            # Plain-int tuples: the cells are hashed into the audit ledger.
+            cells = tuple(map(tuple, candidates[order].tolist()))
+            values = tuple(gains[order].tolist())
         else:
             with _stage(self.profile, "gains_batch"):
                 gains = {

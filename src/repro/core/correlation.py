@@ -32,12 +32,19 @@ bit-identical to the per-answer loop it replaced (a reference copy lives in
   pair's own compact arrays (the sums and divisions ``np.mean`` and
   ``np.var`` perform), and shared by both orientations of the pair and the
   Pearson weight.
+
+:meth:`AttributeCorrelationModel.conditionals_batch` evaluates the Table 5
+conditionals of many (target, given, observed error) triples at once, from
+C x C parameter tables built once per model with the scalar arithmetic of
+:meth:`_PairStats.conditional`; the structure-aware gain scores a whole
+select with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -252,6 +259,36 @@ def _gaussian_pdf(x: float, mean: float, variance: float) -> float:
     )
 
 
+def python_squares(values: np.ndarray) -> np.ndarray:
+    """``value ** 2`` of every value, through Python's float power.
+
+    The scalar path squares Python floats, which calls the C library's
+    ``pow``; numpy squares by multiplying, which rounds differently about
+    once in a thousand values.
+    """
+    return np.array([value ** 2 for value in values.tolist()], dtype=float)
+
+
+def _table_pdfs(x: np.ndarray, mean, two_variance, root) -> np.ndarray:
+    """:func:`_gaussian_pdf` of each ``x``, from its floored variance's
+    ``2 * variance`` and ``sqrt(2 * pi * variance)``."""
+    return np.exp(-python_squares(x - mean) / two_variance) / root
+
+
+#: The C x C tables :meth:`AttributeCorrelationModel.conditionals_batch`
+#: reads, by Table 5 case: (a) both categorical, (b) both continuous,
+#: (c) continuous target given a categorical column, (d) the reverse.
+_TABLE_FIELDS = (
+    "weight",                                     # |W_jk| of usable pairs
+    "p_right", "p_wrong",                         # (a)
+    "mean_j", "mean_k", "slope", "variance",      # (b)
+    "mean_right", "variance_right", "mean_wrong", "variance_wrong",  # (c)
+    "prior",                                      # (d) and its pdfs of e_k:
+    "pdf_mean_right", "pdf_two_var_right", "pdf_root_right",
+    "pdf_mean_wrong", "pdf_two_var_wrong", "pdf_root_wrong",
+)
+
+
 class AttributeCorrelationModel:
     """Learned marginal and pairwise error models over the table's columns."""
 
@@ -266,6 +303,7 @@ class AttributeCorrelationModel:
         self._marginals = marginals
         self._pair_models = pair_models
         self._weights = weights
+        self._tables = None
 
     # -- fitting -------------------------------------------------------------
 
@@ -395,6 +433,122 @@ class AttributeCorrelationModel:
         mixture_second = float(np.sum(weights * (variances + means**2)))
         return GaussianError(mixture_mean, max(mixture_second - mixture_mean**2, 1e-9))
 
+    # -- batched queries -----------------------------------------------------
+
+    def tables(self) -> SimpleNamespace:
+        """The fitted pairs as C x C arrays indexed ``[target, given]``.
+
+        ``usable`` marks the pairs :meth:`predict_error` combines (fitted,
+        with ``|W_jk| > 1e-9``); ``weight`` holds their ``|W_jk|`` and the
+        ``_TABLE_FIELDS`` arrays their Table 5 parameters, each computed
+        with the scalar arithmetic of :meth:`_PairStats.conditional`.
+        Entries of other pairs are zero.  ``categorical`` flags the
+        categorical columns.  Built once per model.
+        """
+        if self._tables is None:
+            size = self.schema.num_columns
+            tables = SimpleNamespace(
+                usable=np.zeros((size, size), dtype=bool),
+                categorical=np.array(
+                    [column.is_categorical for column in self.schema.columns], dtype=bool
+                ),
+            )
+            for name in _TABLE_FIELDS:
+                setattr(tables, name, np.zeros((size, size)))
+            for (j, k), pair in self._pair_models.items():
+                weight = abs(self.weight(j, k))
+                if weight <= 1e-9:
+                    continue
+                tables.usable[j, k] = True
+                tables.weight[j, k] = weight
+                if pair.target_categorical and pair.given_categorical:
+                    tables.p_right[j, k] = BernoulliError(pair.p_wrong_given_right).p_wrong
+                    tables.p_wrong[j, k] = BernoulliError(pair.p_wrong_given_wrong).p_wrong
+                elif not pair.target_categorical and not pair.given_categorical:
+                    tables.mean_j[j, k] = pair.mean_j
+                    tables.mean_k[j, k] = pair.mean_k
+                    tables.slope[j, k] = pair.cov / pair.var_k
+                    tables.variance[j, k] = GaussianError(
+                        0.0, pair.var_j - pair.cov**2 / pair.var_k
+                    ).variance
+                elif not pair.target_categorical:
+                    for side, (mean, variance) in (
+                        ("right", pair.gauss_given_right),
+                        ("wrong", pair.gauss_given_wrong),
+                    ):
+                        getattr(tables, f"mean_{side}")[j, k] = mean
+                        getattr(tables, f"variance_{side}")[j, k] = GaussianError(
+                            mean, variance
+                        ).variance
+                else:
+                    tables.prior[j, k] = pair.p_wrong_prior
+                    for side, (mean, variance) in (
+                        ("right", pair.gauss_k_given_right),
+                        ("wrong", pair.gauss_k_given_wrong),
+                    ):
+                        variance = max(variance, 1e-9)
+                        getattr(tables, f"pdf_mean_{side}")[j, k] = mean
+                        getattr(tables, f"pdf_two_var_{side}")[j, k] = 2.0 * variance
+                        getattr(tables, f"pdf_root_{side}")[j, k] = np.sqrt(
+                            2.0 * np.pi * variance
+                        )
+            self._tables = tables
+        return self._tables
+
+    def conditionals_batch(
+        self, target: np.ndarray, given: np.ndarray, observed: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`conditional_error` of many usable pairs at once.
+
+        ``target``, ``given`` and ``observed`` are aligned arrays over
+        pairs marked ``usable`` in :meth:`tables`.  Returns ``(p_wrong,
+        mean, variance)``: ``p_wrong`` is the Bernoulli conditional of a
+        categorical target, ``mean`` and ``variance`` the Gaussian one of a
+        continuous target (the other entries are zero).  Each value equals
+        the scalar :class:`BernoulliError` / :class:`GaussianError` field
+        bit for bit.
+        """
+        tables = self.tables()
+        target_categorical = tables.categorical[target]
+        given_categorical = tables.categorical[given]
+        right = observed == 0.0
+        p_wrong = np.zeros(len(target))
+        mean = np.zeros(len(target))
+        variance = np.zeros(len(target))
+
+        # (a) Bernoulli conditionals picked by the given answer.
+        case = target_categorical & given_categorical
+        j, k = target[case], given[case]
+        p_wrong[case] = np.where(right[case], tables.p_right[j, k], tables.p_wrong[j, k])
+        # (b) the conditioned bivariate Gaussian.
+        case = ~target_categorical & ~given_categorical
+        j, k = target[case], given[case]
+        mean[case] = tables.mean_j[j, k] + tables.slope[j, k] * (
+            observed[case] - tables.mean_k[j, k]
+        )
+        variance[case] = tables.variance[j, k]
+        # (c) the Gaussian picked by the given answer.
+        case = ~target_categorical & given_categorical
+        j, k = target[case], given[case]
+        mean[case] = np.where(right[case], tables.mean_right[j, k], tables.mean_wrong[j, k])
+        variance[case] = np.where(
+            right[case], tables.variance_right[j, k], tables.variance_wrong[j, k]
+        )
+        # (d) Bayes over the given column's two Gaussians.
+        case = target_categorical & ~given_categorical
+        j, k, x = target[case], given[case], observed[case]
+        like_wrong = _table_pdfs(x, tables.pdf_mean_wrong[j, k],
+                                 tables.pdf_two_var_wrong[j, k], tables.pdf_root_wrong[j, k])
+        like_right = _table_pdfs(x, tables.pdf_mean_right[j, k],
+                                 tables.pdf_two_var_right[j, k], tables.pdf_root_right[j, k])
+        prior = tables.prior[j, k]
+        numerator = like_wrong * prior
+        denominator = numerator + like_right * (1.0 - prior)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            posterior = np.where(denominator <= 0, prior, numerator / denominator)
+        p_wrong[case] = np.clip(posterior, 0.0, 1.0)
+        return p_wrong, mean, variance
+
 
 def _answer_errors(answers: AnswerSet, result: InferenceResult):
     """Every answer's row, column, worker index and error, in answer order.
@@ -407,13 +561,32 @@ def _answer_errors(answers: AnswerSet, result: InferenceResult):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, np.empty(0)
     indexed = answers.indexed()
+    return (indexed.rows, indexed.cols, indexed.workers,
+            _errors(indexed, result, slice(None)))
+
+
+def worker_answer_errors(answers: AnswerSet, result: InferenceResult, worker: str):
+    """Row, column and error (as in :func:`_answer_errors`) of each of
+    ``worker``'s answers, in answer order; ``None`` if they gave none."""
+    if len(answers) == 0:
+        return None
+    indexed = answers.indexed()
+    index = indexed.worker_index.get(worker)
+    if index is None:
+        return None
+    mine = np.flatnonzero(indexed.workers == index)
+    return indexed.rows[mine], indexed.cols[mine], _errors(indexed, result, mine)
+
+
+def _errors(indexed, result: InferenceResult, which) -> np.ndarray:
+    """Errors of the ``which`` answers of ``indexed`` against ``result``."""
     codes = result.estimate_codes()[
-        indexed.rows * result.schema.num_columns + indexed.cols
+        indexed.rows[which] * result.schema.num_columns + indexed.cols[which]
     ]
-    errors = indexed.values - codes
-    categorical = indexed.is_categorical
-    errors[categorical] = indexed.label_indices[categorical] != codes[categorical]
-    return indexed.rows, indexed.cols, indexed.workers, errors
+    errors = indexed.values[which] - codes
+    categorical = indexed.is_categorical[which]
+    errors[categorical] = indexed.label_indices[which][categorical] != codes[categorical]
+    return errors
 
 
 def _pearson(

@@ -246,7 +246,7 @@ class InferenceResult:
         """Estimated truth ``T^hat_ij`` of cell ``(row, col)``."""
         schema = self.schema
         if 0 <= row < schema.num_rows and 0 <= col < schema.num_columns:
-            return self._estimate_table()[row * schema.num_columns + col]
+            return self.estimate_table()[row * schema.num_columns + col]
         return self.posterior(row, col).point_estimate()
 
     def estimates(self) -> Dict[Tuple[int, int], object]:
@@ -254,7 +254,7 @@ class InferenceResult:
         num_cols = self.schema.num_columns
         return {
             divmod(key, num_cols): value
-            for key, value in enumerate(self._estimate_table())
+            for key, value in enumerate(self.estimate_table())
         }
 
     def estimate_codes(self) -> np.ndarray:
@@ -280,12 +280,13 @@ class InferenceResult:
             self._codes = codes
         return self._codes
 
-    def _estimate_table(self) -> list:
+    def estimate_table(self) -> list:
         """Point estimates of every cell in row-major order, built once.
 
         :meth:`estimate_codes` decoded: the label a categorical cell's code
         indexes, the float of a continuous cell's code.  These are the
-        values :meth:`posterior` ``.point_estimate()`` gives.
+        values :meth:`posterior` ``.point_estimate()`` gives.  The list is
+        shared by every caller: do not mutate it.
         """
         if self._point_estimates is None:
             schema = self.schema

@@ -33,6 +33,18 @@ def _xlogx(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, values * np.log(np.maximum(values, 1e-300)), 0.0)
 
 
+def as_cell_array(cells) -> np.ndarray:
+    """Candidate cells as an ``(n, 2)`` int64 array of ``(row, col)`` pairs.
+
+    The assigners pass that array already; a sequence of pairs is
+    converted.
+    """
+    if isinstance(cells, np.ndarray) and cells.dtype == np.int64 and cells.ndim == 2:
+        return cells
+    cells = np.asarray(list(cells), dtype=np.int64)
+    return cells.reshape(len(cells), 2)
+
+
 class InformationGainCalculator:
     """Computes the inherent information gain of Eq. 6 for (worker, cell) pairs.
 
@@ -44,7 +56,12 @@ class InformationGainCalculator:
     continuous_samples:
         0 (default) uses the exact closed form for continuous cells; a
         positive value uses Monte-Carlo sampling over hypothetical answers
-        with that many samples, as described in the paper.
+        with that many samples, as described in the paper.  The sampling
+        estimator only validates the closed form: a conjugate Gaussian
+        update's variance does not depend on the sampled answer, so its
+        expectation *is* the closed form, and sampling decides nothing new
+        while it scores every candidate through the scalar :meth:`gain`.
+        It is kept so that sessions which set it still replay as written.
     seed:
         Seed for the sampling estimator.
     """
@@ -62,8 +79,6 @@ class InformationGainCalculator:
         self.result = result
         self.continuous_samples = int(continuous_samples)
         self._rng = as_generator(seed)
-        self._cont_variance_grid: Optional[np.ndarray] = None
-        self._cat_prob_grid: Optional[np.ndarray] = None
         # Schema-derived lookup tables used by every gains_batch call; the
         # schema is immutable, so build them once instead of per call.
         columns = result.schema.columns
@@ -124,19 +139,22 @@ class InformationGainCalculator:
     ) -> np.ndarray:
         """Information gain for many candidate cells in one vectorised pass.
 
-        Equivalent to calling :meth:`gain` per cell (same closed forms, same
-        clipping) but computed with shared variance/quality arrays.  The
-        optional override arrays are aligned with ``cells``; ``NaN`` entries
-        mean "no override" (the structure-aware calculator fills them only
-        for cells with structural evidence).  Monte-Carlo mode
-        (``continuous_samples > 0``) falls back to the scalar path.
+        ``cells`` is an ``(n, 2)`` int array of ``(row, col)`` pairs (a
+        sequence of pairs is converted).  Equivalent to calling :meth:`gain`
+        per cell (same closed forms, same clipping) but computed with shared
+        variance/quality arrays; the posteriors are gathered for the
+        candidate cells only.  The optional override arrays are aligned with
+        ``cells``; ``NaN`` entries mean "no override" (the structure-aware
+        calculator fills them only for cells with structural evidence).
+        Monte-Carlo mode (``continuous_samples > 0``) falls back to the
+        scalar path.
         """
-        cells = list(cells)
+        cells = as_cell_array(cells)
         gains = np.zeros(len(cells), dtype=float)
-        if not cells:
+        if not len(cells):
             return gains
         if self.continuous_samples:
-            for idx, (row, col) in enumerate(cells):
+            for idx, (row, col) in enumerate(cells.tolist()):
                 quality = None
                 variance = None
                 if quality_overrides is not None and np.isfinite(quality_overrides[idx]):
@@ -150,8 +168,7 @@ class InformationGainCalculator:
             return gains
 
         result = self.result
-        rows = np.fromiter((cell[0] for cell in cells), dtype=np.int64, count=len(cells))
-        cols = np.fromiter((cell[1] for cell in cells), dtype=np.int64, count=len(cells))
+        rows, cols = cells[:, 0], cells[:, 1]
         is_categorical = self._column_is_categorical[cols]
         phi = result.phi_for(worker)
         standardized_variance = np.maximum(
@@ -168,8 +185,9 @@ class InformationGainCalculator:
                     np.isfinite(overrides), overrides, answer_variance
                 )
             answer_variance = np.maximum(answer_variance, 1e-12)
-            grid = self._continuous_variance_grid()
-            posterior_variance = grid[rows[continuous_idx], cols[continuous_idx]]
+            posterior_variance = self._posterior_variances(
+                rows[continuous_idx], cols[continuous_idx]
+            )
             updated = 1.0 / (1.0 / posterior_variance + 1.0 / answer_variance)
             gains[continuous_idx] = 0.5 * np.log(posterior_variance / updated)
 
@@ -185,49 +203,46 @@ class InformationGainCalculator:
             )
         return gains
 
-    def _continuous_variance_grid(self) -> np.ndarray:
-        """Dense (rows, cols) posterior variances for continuous cells.
+    def _cell_slots(self, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """Positions of cells ``(rows, cols)`` in the result's sorted
+        posterior ``keys``, and which of them are there (answered)."""
+        wanted = rows * self.result.schema.num_columns + cols
+        slots = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
+        found = keys[slots] == wanted if len(keys) else np.zeros(len(wanted), bool)
+        return slots, found
+
+    def _posterior_variances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Posterior variances of continuous cells ``(rows, cols)``.
 
         Unanswered cells carry the prior variance used by
-        :meth:`InferenceResult.posterior`; entries of categorical columns are
-        never read.  Built once per calculator, straight from the result's
-        posterior arrays.
+        :meth:`InferenceResult.posterior`.
         """
-        if self._cont_variance_grid is None:
-            result = self.result
-            schema = result.schema
-            prior = np.maximum(
-                np.asarray(result.column_scale, dtype=float) ** 2, VARIANCE_FLOOR
-            )
-            grid = np.tile(prior, (schema.num_rows, 1))
-            grid.reshape(-1)[result.cont_keys] = result.cont_var
-            self._cont_variance_grid = grid
-        return self._cont_variance_grid
+        result = self.result
+        prior = np.maximum(
+            np.asarray(result.column_scale, dtype=float) ** 2, VARIANCE_FLOOR
+        )
+        variances = prior[cols]
+        slots, found = self._cell_slots(result.cont_keys, rows, cols)
+        variances[found] = result.cont_var[slots[found]]
+        return variances
 
-    def _categorical_prob_grid(self) -> np.ndarray:
-        """Dense ``(rows, cols, max_labels)`` posterior label probabilities.
+    def _label_probs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``(n, max_labels)`` posterior label probabilities of categorical
+        cells ``(rows, cols)``.
 
-        Unanswered categorical cells carry the uniform prior (matching
+        Unanswered cells carry the uniform prior (matching
         :meth:`InferenceResult.posterior`); slots past a column's label-set
-        size stay zero and entries of continuous columns are never read.
-        Built once per calculator, straight from the result's posterior
-        arrays.
+        size are zero.
         """
-        if self._cat_prob_grid is None:
-            result = self.result
-            schema = result.schema
-            grid = np.zeros(
-                (schema.num_rows, schema.num_columns, max(self._max_labels, 1))
-            )
-            for col in np.flatnonzero(self._column_is_categorical):
-                count = self._num_labels_per_col[col]
-                grid[:, col, :count] = 1.0 / count
-            # Answered cells' padding past their label count is zero, as is
-            # the grid's, so whole padded rows copy over.
-            width = result.cat_probs.shape[1]
-            grid.reshape(-1, grid.shape[2])[result.cat_keys, :width] = result.cat_probs
-            self._cat_prob_grid = grid
-        return self._cat_prob_grid
+        result = self.result
+        labels = self._num_labels_per_col[cols]
+        valid = np.arange(max(self._max_labels, 1))[None, :] < labels[:, None]
+        probs = np.where(valid, (1.0 / labels)[:, None], 0.0)
+        slots, found = self._cell_slots(result.cat_keys, rows, cols)
+        # Answered cells' padding past their label count is zero, as is the
+        # prior's, so whole padded rows copy over.
+        probs[found, : result.cat_probs.shape[1]] = result.cat_probs[slots[found]]
+        return probs
 
     def _categorical_gains_batch(
         self,
@@ -247,7 +262,7 @@ class InformationGainCalculator:
         result = self.result
         labels = self._num_labels_per_col[cols]
         max_labels = self._max_labels
-        probs = self._categorical_prob_grid()[rows, cols]
+        probs = self._label_probs(rows, cols)
 
         quality = np.asarray(
             result.worker_model.quality_from_variance(standardized_variance),

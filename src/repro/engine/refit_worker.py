@@ -347,8 +347,8 @@ class AsyncRefitPolicy(AssignmentPolicy):
                 "T-Crowd assignment needs at least one collected answer; "
                 "seed each task with initial answers first (Algorithm 2, line 1)"
             )
-        candidates = self.candidate_cells(worker, answers)
-        if not candidates:
+        candidates = self.candidate_array(worker, answers)
+        if not len(candidates):
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
         with _stage(self.profile, "snapshot_acquire"):
             snapshot = self.engine.snapshot_for(answers)
@@ -356,11 +356,12 @@ class AsyncRefitPolicy(AssignmentPolicy):
         with _stage(self.profile, "gains_batch"):
             gains = calculator.gains_batch(worker, candidates)
         with _stage(self.profile, "top_k_merge"):
-            order = top_k_stable(gains, k).tolist()
+            order = top_k_stable(gains, k)
+        # Plain-int tuples: the cells are hashed into the audit ledger.
         assignment = BatchAssignment(
             worker,
-            tuple(candidates[index] for index in order),
-            tuple(float(gains[index]) for index in order),
+            tuple(map(tuple, candidates[order].tolist())),
+            tuple(gains[order].tolist()),
         )
         if self._recorder is not None:
             self._record_decision(

@@ -140,14 +140,16 @@ class SessionState:
             return self._open.copy()
         return self._open & ~answered
 
-    def candidate_cells(self, worker: str) -> List[Cell]:
-        """Cells assignable to ``worker``, in row-major order.
+    def candidate_array(self, worker: str) -> np.ndarray:
+        """Cells assignable to ``worker`` as an ``(n, 2)`` int64 array of
+        ``(row, col)`` pairs, in row-major order.
 
         Matches the ordering of the legacy full scan so rankings (and their
         tie-breaks) are identical between the engine and seed paths.
         """
-        answered = self._answered.get(worker)
-        mask = self._open if answered is None else self._open & ~answered
-        flat = np.flatnonzero(mask.ravel())
-        rows, cols = np.divmod(flat, self.schema.num_columns)
-        return list(zip(rows.tolist(), cols.tolist()))
+        flat = np.flatnonzero(self.candidate_mask(worker).ravel())
+        return np.stack(np.divmod(flat, self.schema.num_columns), axis=1)
+
+    def candidate_cells(self, worker: str) -> List[Cell]:
+        """:meth:`candidate_array` as a list of ``(row, col)`` tuples."""
+        return list(map(tuple, self.candidate_array(worker).tolist()))

@@ -56,7 +56,11 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from socketserver import ThreadingMixIn
 
 from repro.engine.profiling import HotPathProfile, StageStats, histogram_lines
-from repro.service.registry import SessionRegistry
+from repro.service.registry import (
+    ResponseEncodingError,
+    SessionRegistry,
+    encode_response,
+)
 from repro.utils.exceptions import (
     AssignmentError,
     ConfigurationError,
@@ -112,10 +116,10 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a valid JSON value")
 
 
-#: Strict JSON codecs, built once (``json.loads`` / ``json.dumps`` with
-#: keyword arguments would build a new codec per request).
+#: Strict JSON decoder, built once (``json.loads`` with keyword arguments
+#: would build a new decoder per request); responses are encoded by
+#: :func:`~repro.service.registry.encode_response`.
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 class ServiceMetrics:
@@ -258,20 +262,21 @@ class ServiceApp:
             status, body = 404, {"error": f"Unknown resource: {exc.args[0]!r}"}
         except (AssignmentError, DirectoryLockedError) as exc:
             status, body = 409, {"error": str(exc)}
-        except (InferenceError, DurabilityError) as exc:
+        except (InferenceError, DurabilityError, ResponseEncodingError) as exc:
             status, body = 500, {"error": str(exc)}
         if isinstance(body, str):
             payload = body.encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         else:
-            try:
-                text = _ENCODER.encode(body)
-            except ValueError as exc:
-                # A non-finite number must never ship as invalid JSON.
-                status = 500
-                text = json.dumps({"error": f"Response is not valid JSON: {exc}"})
-            payload = (text + "\n").encode("utf-8")
             content_type = "application/json"
+            if isinstance(body, bytes):
+                payload = body  # encoded by the session (GET /estimates)
+            else:
+                try:
+                    payload = encode_response(body)
+                except ResponseEncodingError as exc:
+                    # A non-finite number must never ship as invalid JSON.
+                    status, payload = 500, encode_response({"error": str(exc)})
         self.metrics.observe_request(endpoint, status)
         start_response(
             _STATUS.get(status, _STATUS[500]),

@@ -22,6 +22,16 @@ class ServiceClient:
         self.timeout = timeout
 
     def request(self, method: str, path: str, payload=None):
+        status, raw, content_type = self._send(method, path, payload)
+        if content_type.startswith("application/json"):
+            return status, json.loads(raw.decode("utf-8"))
+        return status, raw.decode("utf-8")
+
+    def request_raw(self, method: str, path: str, payload=None):
+        """Like :meth:`request`, but return the body's bytes undecoded."""
+        return self._send(method, path, payload)[:2]
+
+    def _send(self, method: str, path: str, payload):
         data = None
         headers = {}
         if payload is not None:
@@ -32,14 +42,9 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                status, raw = resp.status, resp.read()
-                content_type = resp.headers.get("Content-Type", "")
+                return resp.status, resp.read(), resp.headers.get("Content-Type", "")
         except urllib.error.HTTPError as exc:
-            status, raw = exc.code, exc.read()
-            content_type = exc.headers.get("Content-Type", "")
-        if content_type.startswith("application/json"):
-            return status, json.loads(raw.decode("utf-8"))
-        return status, raw.decode("utf-8")
+            return exc.code, exc.read(), exc.headers.get("Content-Type", "")
 
     def _expect(self, method: str, path: str, payload=None):
         status, body = self.request(method, path, payload)

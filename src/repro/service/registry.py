@@ -44,6 +44,28 @@ from repro.utils.exceptions import ConfigurationError, ReproError
 
 _log = logging.getLogger("repro.service.registry")
 
+#: Strict JSON encoder of every response body, built once (``json.dumps``
+#: with keyword arguments would build a new encoder per request).
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+class ResponseEncodingError(ReproError):
+    """A response body that cannot be encoded as strict JSON (the API's 500)."""
+
+
+def encode_response(body) -> bytes:
+    """``body`` as strict JSON plus a newline, in UTF-8.
+
+    A non-finite number raises :class:`ResponseEncodingError`, which the
+    API answers with a 500: it is a server fault, never the 400 that a
+    bare ``ValueError`` maps to.
+    """
+    try:
+        text = _ENCODER.encode(body)
+    except ValueError as exc:
+        raise ResponseEncodingError(f"Response is not valid JSON: {exc}") from None
+    return (text + "\n").encode("utf-8")
+
 #: Version of the durable ``session.json`` manifest.  Format 2 pins the
 #: canonical v1 spec under ``"spec"``; a manifest without one (format 1)
 #: is unrecoverable.  The manifest also pins the session's audit format
@@ -216,6 +238,11 @@ class ServedSession:
         self.selects_served = 0
         self.answers_ingested = 0
         self.estimate_requests = 0
+        # The encoded GET /estimates body and the (result, answer count) it
+        # was built from; read and written under the session lock.
+        self._estimates_key: Optional[Tuple[object, int]] = None
+        self._estimates_body: Optional[bytes] = None
+        self._cell_keys: Optional[List[str]] = None
 
     def config_payload(self) -> Dict[str, object]:
         """The canonical v1 spec body (``GET /sessions/{id}/config``).
@@ -247,22 +274,38 @@ class ServedSession:
             self.answers_ingested += len(items)
             return total
 
-    def estimates(self) -> Dict[str, object]:
-        """Current truth estimates for every cell (triggers a catch-up fit)."""
+    def estimates(self) -> bytes:
+        """The encoded ``GET /estimates`` body: every cell's truth estimate.
+
+        :meth:`DurableSession.estimates` runs on every call, so catch-up
+        fits and their WAL records are unchanged.  The body depends only on
+        the result that call returns and on the answer count, so it is
+        cached on that pair (the result object itself, not its ``id``) and
+        rebuilt only when either changes.  Raises
+        :class:`ResponseEncodingError` for a non-finite estimate.
+        """
         with self.lock:
             result = self.durable.estimates()
             self.estimate_requests += 1
-            estimates = {
-                f"{row},{col}": result.estimate(row, col)
-                for row in range(self.schema.num_rows)
-                for col in range(self.schema.num_columns)
-            }
-            return {
-                "session_id": self.session_id,
-                "answers_collected": len(self.durable.answers),
-                "mean_answers_per_cell": self.durable.answers.mean_answers_per_cell(),
-                "estimates": estimates,
-            }
+            answers = self.durable.answers
+            count = len(answers)
+            key = self._estimates_key
+            if key is None or key[0] is not result or key[1] != count:
+                if self._cell_keys is None:
+                    self._cell_keys = [
+                        f"{row},{col}"
+                        for row in range(self.schema.num_rows)
+                        for col in range(self.schema.num_columns)
+                    ]
+                self._estimates_key = self._estimates_body = None
+                self._estimates_body = encode_response({
+                    "session_id": self.session_id,
+                    "answers_collected": count,
+                    "mean_answers_per_cell": answers.mean_answers_per_cell(),
+                    "estimates": dict(zip(self._cell_keys, result.estimate_table())),
+                })
+                self._estimates_key = (result, count)
+            return self._estimates_body
 
     def worker_info(self, worker: str) -> Dict[str, object]:
         """Answer count and estimated quality of one known worker.

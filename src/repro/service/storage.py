@@ -748,6 +748,28 @@ class SqliteBackend(StorageBackend):
         self._closed = False
         self._open_locked(self._open_database)
 
+    @classmethod
+    def open_read_only(cls, directory) -> "SqliteBackend":
+        """A read-only view of an existing database, for inspection.
+
+        The file is opened through a ``mode=ro`` URI: no directory lock, no
+        ``CREATE TABLE`` and no writes, so it can read a directory that a
+        live session holds.  Writing through the view fails.
+        """
+        backend = cls.__new__(cls)
+        backend.directory = pathlib.Path(directory)
+        backend.fsync = False
+        backend.rotate_every_records = None
+        backend.path = backend.directory / cls.FILENAME
+        backend._closed = False
+        backend._conn = sqlite3.connect(
+            f"{backend.path.resolve().as_uri()}?mode=ro",
+            uri=True,
+            check_same_thread=False,
+        )
+        backend._count = backend._next_index()
+        return backend
+
     def _open_database(self) -> None:
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
         self._conn.execute(

@@ -541,17 +541,16 @@ class DurableSession:
 def durable_summary(directory) -> Dict[str, object]:
     """Cheap, read-only summary of a durable directory (tests/inspection).
 
-    Works for both backends without mutating anything: JSONL segments are
-    found by :func:`~repro.service.storage.wal_segment_files` and scanned
-    with :func:`read_wal` (no truncation), a SQLite database is opened in
-    place (opening never writes records) through its backend, which takes
-    the directory lock, so a SQLite directory must not be open in a
-    session.
+    Works for both backends without a lock or a write, so it also reads a
+    directory a live session holds: JSONL segments are found by
+    :func:`~repro.service.storage.wal_segment_files` and scanned with
+    :func:`read_wal` (no truncation), a SQLite database is read through
+    :meth:`~repro.service.storage.SqliteBackend.open_read_only`.
     """
     directory = pathlib.Path(directory)
     database = directory / SqliteBackend.FILENAME
     if database.exists():
-        backend = SqliteBackend(directory)
+        backend = SqliteBackend.open_read_only(directory)
         try:
             records = backend.records()
             wal_records = backend.record_count

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.answers import AnswerSet
 from repro.core.inference import InferenceResult
+from repro.core.information_gain import as_cell_array
 
 Cell = Tuple[int, int]
 
@@ -84,9 +85,14 @@ class StrategyCalculator(abc.ABC):
         """Score one candidate cell for ``worker``."""
 
     def gains_batch(self, worker: str, cells: Iterable[Cell]) -> np.ndarray:
-        """Scores for many candidate cells (default: scalar loop)."""
+        """Scores for many candidate cells (default: scalar loop).
+
+        ``cells`` is the ``(n, 2)`` int array the assigners pass, or a
+        sequence of pairs; :meth:`gain` gets plain ints.
+        """
         return np.array(
-            [self.gain(worker, row, col) for row, col in cells], dtype=float
+            [self.gain(worker, row, col) for row, col in as_cell_array(cells).tolist()],
+            dtype=float,
         )
 
 

@@ -38,6 +38,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.inference import InferenceResult
+from repro.core.information_gain import as_cell_array
 from repro.strategies.base import (
     RETIRED_GAIN,
     AssignmentStrategy,
@@ -83,10 +84,7 @@ class _RoundRobinCalculator(StrategyCalculator):
         return float(-self._counts[row, col])
 
     def gains_batch(self, worker: str, cells: Iterable[Cell]) -> np.ndarray:
-        cells = list(cells)
-        if not cells:
-            return np.zeros(0, dtype=float)
-        index = np.asarray(cells, dtype=np.int64)
+        index = as_cell_array(cells)
         return -self._counts[index[:, 0], index[:, 1]].astype(float)
 
 
@@ -156,11 +154,11 @@ class _VoICalculator(StrategyCalculator):
         return self._inner.gain(worker, row, col)
 
     def gains_batch(self, worker: str, cells: Iterable[Cell]) -> np.ndarray:
-        cells = list(cells)
+        cells = as_cell_array(cells)
         gains = np.asarray(
             self._inner.gains_batch(worker, cells), dtype=float
         ).copy()
-        for index, (row, col) in enumerate(cells):
+        for index, (row, col) in enumerate(cells.tolist()):
             if self._retired(row, col):
                 gains[index] = RETIRED_GAIN
         return gains

@@ -508,6 +508,116 @@ class TestConcurrency:
         client.delete_session(session_id)
 
 
+def _estimates_raw(client, session_id) -> bytes:
+    status, raw = client.request_raw("GET", f"/sessions/{session_id}/estimates")
+    assert status == 200, raw
+    return raw
+
+
+def _reference_estimates(session) -> dict:
+    """The ``GET /estimates`` body, built cell by cell from the served fit."""
+    result = session.durable.policy.snapshot_state()[0]
+    answers = session.durable.answers
+    return {
+        "session_id": session.session_id,
+        "answers_collected": len(answers),
+        "mean_answers_per_cell": answers.mean_answers_per_cell(),
+        "estimates": {
+            f"{row},{col}": result.estimate(row, col)
+            for row in range(session.schema.num_rows)
+            for col in range(session.schema.num_columns)
+        },
+    }
+
+
+SERVING_MODES = {
+    "sync": {},
+    "async-0": {"async_refit": True, "max_stale_answers": 0},
+    "async-12": {"async_refit": True, "max_stale_answers": 12},
+}
+
+
+class TestEstimatesBody:
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("mode", sorted(SERVING_MODES))
+    def test_cached_body_over_http_and_across_recovery(self, tmp_path, mode, backend):
+        """Back-to-back reads send the cached bytes and log nothing; an
+        answer in between changes the body; a recovered session serves the
+        body its live predecessor served before the crash."""
+        from scripted_sessions import abandon_session
+
+        durable_dir = tmp_path / "session"
+        registry = SessionRegistry()
+        with ServiceServer(registry) as server:
+            client = ServiceClient(server.address)
+            session_id = client.create_session(_config(
+                serving=dict(SERVING_MODES[mode]),
+                durability={"durable_dir": str(durable_dir), "backend": backend,
+                            "snapshot_every_answers": 6},
+            ))["session_id"]
+            session = registry.get(session_id)
+            _seed(client, session_id)
+            for step in range(4):
+                raw = _estimates_raw(client, session_id)
+                body = json.loads(raw)
+                assert body == _reference_estimates(session)
+                cached, wal_records = session._estimates_body, session.durable.wal_records
+                assert _estimates_raw(client, session_id) == raw
+                assert session._estimates_body is cached
+                assert session.durable.wal_records == wal_records
+                worker = f"w{step}"
+                status, tasks = client.get_tasks(session_id, worker, k=2)
+                assert status == 200, tasks
+                client.post_answers(session_id, worker, [
+                    (row, col, "blue" if col == 0 else 30.0 + step)
+                    for row, col in tasks["cells"]
+                ])
+                after = _estimates_raw(client, session_id)
+                assert after != raw
+                assert json.loads(after)["answers_collected"] == (
+                    body["answers_collected"] + len(tasks["cells"])
+                )
+                assert json.loads(after) == _reference_estimates(session)
+            live = _estimates_raw(client, session_id)
+            abandon_session(session.durable)  # crash: no closing snapshot
+        fresh = SessionRegistry()
+        recovered = fresh.create(
+            {"version": 1, "durability": {"durable_dir": str(durable_dir)}}
+        )
+        try:
+            assert recovered.estimates() == live
+            assert json.loads(live) == _reference_estimates(recovered)
+        finally:
+            fresh.close_all()
+
+    def test_a_non_finite_estimate_is_a_json_500(self):
+        """The session encodes the body; a NaN estimate is still a server
+        fault with a JSON error, never a 400 and never a cached body."""
+        import dataclasses
+
+        import numpy as np
+
+        registry = SessionRegistry()
+        with ServiceServer(registry) as server:
+            client = ServiceClient(server.address)
+            session_id = client.create_session(_config())["session_id"]
+            _seed(client, session_id)
+            path = f"/sessions/{session_id}/estimates"
+            good = _estimates_raw(client, session_id)
+            durable = registry.get(session_id).durable
+            result = durable.estimates()
+            broken = dataclasses.replace(
+                result, cont_mean=np.full_like(result.cont_mean, np.nan)
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(durable, "estimates", lambda: broken)
+                for _ in range(2):
+                    status, body = client.request("GET", path)
+                    assert status == 500, body
+                    assert body["error"].startswith("Response is not valid JSON"), body
+            assert _estimates_raw(client, session_id) == good
+
+
 class TestDurableSessionsOverHTTP:
     def test_recovery_across_server_restart(self, tmp_path):
         durable_dir = tmp_path / "session-a"
@@ -667,7 +777,7 @@ class TestDurableSessionsOverHTTP:
                 if step == 1:
                     session.durable.snapshot()
             session.select("w9", k=2)
-            estimates = session.estimates()["estimates"]
+            estimates = json.loads(session.estimates())["estimates"]
             recorder = session.durable.recorder
             head = recorder.chain_head
             decisions = [record.cells for record in recorder.page(0, 100)]
@@ -713,7 +823,7 @@ class TestDurableSessionsOverHTTP:
                 assert stats["decision_chain_hash"] == head
                 records = recovered.durable.recorder.page(0, 100)
                 assert [record.cells for record in records] == decisions
-                assert recovered.estimates()["estimates"] == estimates
+                assert json.loads(recovered.estimates())["estimates"] == estimates
                 serving = recovered.config_payload()["serving"]
                 assert not set(retired) & set(serving), serving
             finally:

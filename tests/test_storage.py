@@ -212,6 +212,28 @@ class TestDirectoryLock:
         reopened.close()
 
 
+    def test_summary_reads_a_directory_a_session_holds(
+        self, backend_name, tmp_path, mixed_schema
+    ):
+        """No lock and no write: an open directory summarises as it does
+        once closed, and its session keeps writing."""
+        live = DurableSession(
+            mixed_schema, TestDurableSessionBoundedStorage._policy(mixed_schema),
+            directory=tmp_path, backend=backend_name, snapshot_every=3,
+        )
+        TestDurableSessionBoundedStorage()._fill(live, 4)
+        live.snapshot()  # leave close() nothing to write
+        summary = durable_summary(tmp_path)
+        assert summary["wal_records"] == live.wal_records
+        assert summary["answers_logged"] == 8 and summary["snapshots"] >= 2
+        live.append_answers("w9", [(5, 0, "red")])
+        live.snapshot()
+        summary = durable_summary(tmp_path)
+        live.close()
+        assert durable_summary(tmp_path) == summary
+        assert summary["answers_logged"] == 9
+
+
 class TestJsonlRotation:
     def test_rotation_seals_segments_and_replays_in_order(self, tmp_path):
         backend = JsonlBackend(tmp_path, rotate_every_records=3)
