@@ -4,9 +4,10 @@ Starts ``python -m repro.service --port 0`` as a real subprocess, drives a
 scripted session over HTTP (create session from a **v1 SessionSpec body**
 → seed answers → select/ingest loop → estimates → ``GET .../config``),
 checks that back-to-back ``GET .../estimates`` send the same raw bytes and
-that one more answer shows in the next body, scrapes ``/metrics``, asserts a body without ``version`` is a strict 400
-naming the missing field, and shuts the server down cleanly (SIGINT,
-asserting the clean-shutdown message).  Exercises the same code path an operator
+that one more answer shows in the next body, scrapes ``/metrics``, asserts
+a body without ``version`` is a strict 400 naming the missing field, and
+shuts the server down cleanly (SIGINT, asserting the clean-shutdown
+message).  Exercises the same code path an operator
 would run, end to end, in a few seconds.
 
 With ``--rotate`` the smoke pins **bounded durability** end to end, once

@@ -66,6 +66,7 @@ def encode_response(body) -> bytes:
         raise ResponseEncodingError(f"Response is not valid JSON: {exc}") from None
     return (text + "\n").encode("utf-8")
 
+
 #: Version of the durable ``session.json`` manifest.  Format 2 pins the
 #: canonical v1 spec under ``"spec"``; a manifest without one (format 1)
 #: is unrecoverable.  The manifest also pins the session's audit format
@@ -297,6 +298,8 @@ class ServedSession:
                         for row in range(self.schema.num_rows)
                         for col in range(self.schema.num_columns)
                     ]
+                # Drop the stale body first: a failed encode keeps none, and
+                # at most one body is ever held.
                 self._estimates_key = self._estimates_body = None
                 self._estimates_body = encode_response({
                     "session_id": self.session_id,
