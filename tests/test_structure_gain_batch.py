@@ -119,8 +119,9 @@ def masked_gains_batch(calculator, worker, cells):
     return gains, seen["quality"], seen["variance"]
 
 
-def assert_matches_reference(result, answers, correlation, worker, cells):
-    """Score both ways and compare every byte; return the reference paths."""
+def assert_matches_reference(result, answers, correlation, worker, cells, served=None):
+    """Score both ways and compare every byte (and the ``served`` gains of
+    the recorded call, if given); return the reference paths."""
     calculator = StructureAwareGainCalculator(result, answers, correlation_model=correlation)
     gains, quality, variance = masked_gains_batch(calculator, worker, cells)
     want, want_quality, want_variance, paths = reference_gains_batch(
@@ -129,6 +130,8 @@ def assert_matches_reference(result, answers, correlation, worker, cells):
     assert quality.tobytes() == want_quality.tobytes(), worker
     assert variance.tobytes() == want_variance.tobytes(), worker
     assert gains.dtype == want.dtype and gains.tobytes() == want.tobytes(), worker
+    if served is not None:
+        assert served.tobytes() == want.tobytes(), worker
     return paths
 
 
@@ -238,9 +241,7 @@ class TestMaskedPassMatchesTheLoop:
         paths = {}
         for result, answers, correlation, worker, cells, gains in golden_calls:
             _add_paths(paths, assert_matches_reference(
-                result, answers, correlation, worker, cells))
-            want = reference_gains_batch(result, answers, correlation, worker, cells)[0]
-            assert gains.tobytes() == want.tobytes()
+                result, answers, correlation, worker, cells, served=gains))
         assert paths["combined"] > 0
 
     def test_gain_driven_paper_sync_state(self, gain_driven_state):
