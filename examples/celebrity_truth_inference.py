@@ -32,7 +32,7 @@ def main() -> None:
     print("Dataset:", dataset.summary())
 
     methods = [
-        ("T-Crowd", TCrowdModel(seed=args.seed), True, True),
+        ("T-Crowd", TCrowdModel(), True, True),
         ("CRH", CRH(), True, True),
         ("CATD", CATD(), True, True),
         ("Majority Voting", MajorityVoting(), True, False),

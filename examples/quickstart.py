@@ -50,7 +50,7 @@ def main() -> None:
     schema = build_schema()
     answers = collect_answers(schema)
 
-    model = TCrowdModel(seed=7)
+    model = TCrowdModel()
     result = model.fit(schema, answers)
 
     print("Estimated truths:")

@@ -31,7 +31,7 @@ def main() -> None:
     if args.rows:
         kwargs["num_rows"] = args.rows
     dataset = load_restaurant(**kwargs)
-    result = TCrowdModel(seed=args.seed).fit(dataset.schema, dataset.answers)
+    result = TCrowdModel().fit(dataset.schema, dataset.answers)
     schema = dataset.schema
 
     # Actual per-worker error statistics against the ground truth.

@@ -5,9 +5,10 @@ scripted session over HTTP (create session from a **v1 SessionSpec body**
 → seed answers → select/ingest loop → estimates → ``GET .../config``),
 checks that back-to-back ``GET .../estimates`` send the same raw bytes and
 that one more answer shows in the next body, scrapes ``/metrics``, asserts
-a body without ``version`` is a strict 400 naming the missing field, and
-shuts the server down cleanly (SIGINT, asserting the clean-shutdown
-message).  Exercises the same code path an operator
+a body without ``version`` is a strict 400 naming the missing field, that
+retired spec fields are dropped from the served config (and a value of
+theirs that would not replay is a 400 at its path), and shuts the server
+down cleanly (SIGINT, asserting the clean-shutdown message).  Exercises the same code path an operator
 would run, end to end, in a few seconds.
 
 With ``--rotate`` the smoke pins **bounded durability** end to end, once
@@ -674,6 +675,38 @@ def main() -> int:
         )
         assert status == 400 and body.get("path") == "version", (status, body)
         print("version-less body rejected OK")
+
+        # Retired fields at values that replay as written are accepted and
+        # dropped; a value that does not replay is a 400 at its path.
+        retired = client.create_session({
+            "version": 1,
+            "schema": schema_to_dict(schema),
+            "policy": {
+                "vectorized": True, "incremental": True,
+                "continuous_samples": 0, "seed": None,
+                "model": {"max_iterations": 4, "m_step_iterations": 8, "seed": None},
+            },
+            "serving": {"refit_tol": 1e-9},
+        })
+        status, config = client.request(
+            "GET", f"/sessions/{retired['session_id']}/config"
+        )
+        assert status == 200, (status, config)
+        for section, key in (
+            ("policy", "vectorized"), ("policy", "incremental"),
+            ("policy", "continuous_samples"), ("policy", "seed"),
+            ("serving", "refit_tol"),
+        ):
+            assert key not in config[section], (section, key, config)
+        assert "seed" not in config["policy"]["model"], config
+        client.delete_session(retired["session_id"])
+        status, body = client.request(
+            "POST", "/sessions",
+            {"version": 1, "schema": schema_to_dict(schema),
+             "policy": {"vectorized": False}},
+        )
+        assert status == 400 and body.get("path") == "policy.vectorized", (status, body)
+        print("retired fields dropped, non-replayable value rejected OK")
 
         metrics = client.get_metrics()
         for needle in (

@@ -25,7 +25,7 @@ Quickstart::
     from repro.metrics import error_rate, mnad
 
     dataset = datasets.load_celebrity(seed=7)
-    model = TCrowdModel(seed=7)
+    model = TCrowdModel()
     result = model.fit(dataset.schema, dataset.answers)
     print(error_rate(result, dataset))
     print(mnad(result, dataset))

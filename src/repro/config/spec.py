@@ -21,8 +21,8 @@ Validation is strict and **path-qualified**: every violation raises a
 whose message starts with the dotted field path, e.g.
 ``serving.max_stale_answers must be >= 0 or null, got -1`` — the HTTP API
 surfaces the path in its 400 responses.  Unknown fields are rejected, never
-ignored, with two exceptions, which older manifests carry and which are
-accepted and dropped: :data:`RETIRED_SERVING_FIELDS` and ``policy.model.m_step``.
+ignored, except the :data:`RETIRED_FIELDS` older manifests carry, which are
+accepted and dropped when their value replays as written.
 
 This module deliberately imports nothing heavy (no numpy, no engine code):
 ``python -m repro.config.validate`` must run in a lint-only environment.
@@ -42,15 +42,6 @@ from repro.utils.exceptions import ConfigurationError
 #: The one schema version this package reads and writes.  Bump only with an
 #: upgrade path from every older version.
 SPEC_VERSION = 1
-
-#: Serving fields removed from the spec without a version bump.  Manifests
-#: written while they existed carry them (``to_dict`` emitted every field),
-#: so ``from_dict`` accepts and drops them; any other unknown key is still
-#: rejected.  The first four never changed a decision (a manifest that named
-#: ``processes`` or ``shards`` is served in-process).  ``refit_tol`` did: it
-#: stopped warm refits early, so recovery refuses a manifest whose
-#: ``refit_tol`` is not null (``repro.service.registry``).
-RETIRED_SERVING_FIELDS = ("shard_workers", "scoring_cache", "processes", "shards", "refit_tol")
 
 #: Service-envelope keys that ride *next to* a spec in a ``POST /sessions``
 #: body: where the rows live (``schema`` inline or a named ``dataset``),
@@ -136,21 +127,77 @@ def _check_str(path: str, value, optional: bool = False):
     return value
 
 
-def _reject_unknown(section: str, payload: dict, known: Tuple[str, ...]) -> None:
+def _only(*replayable):
+    """A retired field that replays as written only at ``replayable``."""
+
+    def check(path: str, value) -> None:
+        if not any(type(value) is type(v) and value == v for v in replayable):
+            expected = " or ".join(map(repr, replayable))
+            raise SpecValidationError(
+                path, f"is retired and only accepts {expected}, got {value!r}"
+            )
+
+    return check
+
+
+def _any_seed(path: str, value) -> None:
+    _check_int(path, value, 0, optional=True)
+
+
+def _any_value(path: str, value) -> None:
+    """A retired field that replays as written at every value."""
+
+
+#: Fields removed from the spec without a version bump, by dotted path.
+#: Manifests written while they existed carry them (``to_dict`` emitted
+#: every field), so ``from_dict`` drops a retired key whose value replays
+#: as written and raises at its path for any other value.
+#:
+#: * ``vectorized: false`` and ``continuous_samples > 0`` scored cells
+#:   through the scalar ``gain``, whose bits differ from ``gains_batch``;
+#:   ``incremental: false`` (a full candidate rescan) chose the same cells.
+#: * The seeds fed only the Monte-Carlo gain.
+#: * L-BFGS-B is the only M-step left.
+#: * The serving fields are accepted at any value.  The first four never
+#:   changed a decision (serving is in-process and the async policy's
+#:   scoring cache is always on).  ``refit_tol`` stopped warm refits early,
+#:   so recovery refuses a manifest whose ``refit_tol`` is not null
+#:   (``repro.service.registry``).
+RETIRED_FIELDS = {
+    "policy.vectorized": _only(True),
+    "policy.incremental": _only(True, False),
+    "policy.continuous_samples": _only(0),
+    "policy.seed": _any_seed,
+    "policy.model.seed": _any_seed,
+    "policy.model.m_step": _only("lbfgs"),
+    "serving.shard_workers": _any_value,
+    "serving.scoring_cache": _any_value,
+    "serving.processes": _any_value,
+    "serving.shards": _any_value,
+    "serving.refit_tol": _any_value,
+}
+
+
+def _live_fields(section: str, payload, cls) -> dict:
+    """``payload``'s fields of ``cls``, with its retired keys checked and
+    dropped; any other unknown key raises, naming the live fields."""
     if not isinstance(payload, dict):
         raise SpecValidationError(
             section, f"must be a JSON object, got {payload!r}"
         )
-    for key in payload:
-        if key not in known:
+    known = tuple(f.name for f in dataclasses.fields(cls))
+    live = {}
+    for key, value in payload.items():
+        path = f"{section}.{key}"
+        if key in known:
+            live[key] = value
+        elif path in RETIRED_FIELDS:
+            RETIRED_FIELDS[path](path, value)
+        else:
             raise SpecValidationError(
-                f"{section}.{key}",
-                f"is not a recognised field (expected one of {sorted(known)})",
+                path, f"is not a recognised field (expected one of {sorted(known)})"
             )
-
-
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return live
 
 
 # -- nested sections ----------------------------------------------------------
@@ -247,8 +294,7 @@ class StrategySpec:
         if isinstance(payload, str):
             # Shorthand: "uncertainty" == {"name": "uncertainty"}.
             return cls(name=payload)
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
-        return cls(**payload)
+        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 @dataclass(frozen=True)
@@ -257,9 +303,6 @@ class ModelSpec:
 
     Field-for-field the ``TCrowdModel`` constructor, with identical
     defaults, so ``TCrowdModel(**spec.to_kwargs())`` is always valid.
-    The retired ``m_step`` field is accepted and dropped by ``from_dict``
-    with its old default ``"lbfgs"``, which every older manifest carries;
-    any other value is refused, since L-BFGS is the only M-step left.
     """
 
     _SECTION: ClassVar[str] = "policy.model"
@@ -273,7 +316,6 @@ class ModelSpec:
     phi_regularization: float = 1e-3
     use_difficulty: bool = True
     standardize_continuous: bool = True
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         s = self._SECTION
@@ -298,7 +340,6 @@ class ModelSpec:
         set_(self, "standardize_continuous",
              _check_bool(f"{s}.standardize_continuous",
                          self.standardize_continuous))
-        set_(self, "seed", _check_int(f"{s}.seed", self.seed, 0, optional=True))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -307,15 +348,7 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelSpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls) + ("m_step",))
-        payload = dict(payload)
-        m_step = payload.pop("m_step", "lbfgs")
-        if m_step != "lbfgs":
-            raise SpecValidationError(
-                f"{cls._SECTION}.m_step",
-                f"is retired and only accepts 'lbfgs', got {m_step!r}",
-            )
-        return cls(**payload)
+        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 @dataclass(frozen=True)
@@ -332,17 +365,9 @@ class PolicySpec:
     strategy: StrategySpec = field(default_factory=StrategySpec)
     use_structure: bool = True
     refit_every: int = 1
-    # > 0 samples the paper's Monte-Carlo continuous gain, which only
-    # validates the closed form: a conjugate Gaussian update's variance
-    # does not depend on the sampled answer, so the estimate's expectation
-    # is the closed form.  Kept so that sessions which set it still replay.
-    continuous_samples: int = 0
     max_answers_per_cell: Optional[int] = None
     min_pairs: int = 5
-    seed: Optional[int] = None
     warm_start: bool = True
-    vectorized: bool = True
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         s = self._SECTION
@@ -360,17 +385,11 @@ class PolicySpec:
              _check_bool(f"{s}.use_structure", self.use_structure))
         set_(self, "refit_every",
              _check_int(f"{s}.refit_every", self.refit_every, 1))
-        set_(self, "continuous_samples",
-             _check_int(f"{s}.continuous_samples", self.continuous_samples, 0))
         set_(self, "max_answers_per_cell",
              _check_int(f"{s}.max_answers_per_cell", self.max_answers_per_cell,
                         1, optional=True))
         set_(self, "min_pairs", _check_int(f"{s}.min_pairs", self.min_pairs, 0))
-        set_(self, "seed", _check_int(f"{s}.seed", self.seed, 0, optional=True))
         set_(self, "warm_start", _check_bool(f"{s}.warm_start", self.warm_start))
-        set_(self, "vectorized", _check_bool(f"{s}.vectorized", self.vectorized))
-        set_(self, "incremental",
-             _check_bool(f"{s}.incremental", self.incremental))
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -392,8 +411,7 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PolicySpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
-        payload = dict(payload)
+        payload = _live_fields(cls._SECTION, payload, cls)
         if "model" in payload:
             payload["model"] = ModelSpec.from_dict(payload["model"])
         if "strategy" in payload:
@@ -475,13 +493,7 @@ class ServingSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServingSpec":
-        _reject_unknown(
-            cls._SECTION, payload, _field_names(cls) + RETIRED_SERVING_FIELDS
-        )
-        return cls(**{
-            key: value for key, value in payload.items()
-            if key not in RETIRED_SERVING_FIELDS
-        })
+        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 #: Durability backend names (must match ``repro.service.storage``; listed
@@ -545,8 +557,7 @@ class DurabilitySpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DurabilitySpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
-        return cls(**payload)
+        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 @dataclass(frozen=True)
@@ -632,8 +643,7 @@ class SimulationSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationSpec":
-        _reject_unknown(cls._SECTION, payload, _field_names(cls))
-        return cls(**payload)
+        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 # -- the versioned spec -------------------------------------------------------
@@ -697,7 +707,7 @@ class SessionSpec:
             raise SpecValidationError(
                 "version", f"is required (this library reads version {SPEC_VERSION})"
             )
-        _reject_unknown("spec", payload, _field_names(cls))
+        payload = _live_fields("spec", payload, cls)
         return cls(
             version=payload["version"],
             policy=PolicySpec.from_dict(payload.get("policy") or {}),

@@ -10,20 +10,13 @@ top K (Eq. 9).
 The online loop runs on the incremental engine layer
 (:mod:`repro.engine`): candidate filtering consults a
 :class:`~repro.engine.SessionState` updated O(1) per new answer, refits are
-warm-started from the previous :class:`~repro.core.inference.InferenceResult`,
-and gains are scored in one vectorised batch.  Every fast path has a
-compatibility switch (``incremental`` / ``warm_start`` / ``vectorized``) that
-restores the from-scratch behaviour of the seed implementation; the
-benchmarks use those switches to verify that both paths take identical
-assignment decisions.
-
-One deliberate behaviour change sits outside the switches: the Monte-Carlo
-gain estimator (``continuous_samples > 0``) now draws from a single
-persistent generator shared by every calculator this assigner builds.  The
-seed implementation re-created the generator per ``select``, which with an
-integer seed replayed the *same* samples on every call — the dead-seed bug
-this fixes.  The closed-form path (``continuous_samples=0``, the default and
-the only path the equivalence benchmark exercises) is unaffected.
+warm-started from the previous :class:`~repro.core.inference.InferenceResult`
+(``warm_start=False`` refits cold), and every select scores its candidates
+in one ``gains_batch`` call and takes the stable top K
+(:func:`rank_candidates`, shared with :class:`~repro.engine.AsyncRefitPolicy`).
+The seed implementation's full candidate rescan and per-cell scalar gain
+loop live on only as the reference ``tests/test_golden_trace.py`` replays
+these paths against.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ from repro.core.structure_gain import StructureAwareGainCalculator
 from repro.engine.profiling import stage as _stage
 from repro.engine.state import SessionState
 from repro.utils.exceptions import AssignmentError
-from repro.utils.rng import as_generator
 
 Cell = Tuple[int, int]
 
@@ -104,6 +96,27 @@ class BatchAssignment:
         return float(sum(self.gains))
 
 
+def rank_candidates(
+    calculator, worker: str, candidates: np.ndarray, k: int, profile=None
+) -> BatchAssignment:
+    """The top-``k`` ``candidates`` by gain: the ranking tail of every select.
+
+    Scores the ``(n, 2)`` candidate array in one ``gains_batch`` call and
+    keeps the stable top ``k``, timed as the ``gains_batch`` and
+    ``top_k_merge`` stages of ``profile``.
+    """
+    with _stage(profile, "gains_batch"):
+        gains = calculator.gains_batch(worker, candidates)
+    with _stage(profile, "top_k_merge"):
+        order = top_k_stable(gains, k)
+    # Plain-int tuples: the cells are hashed into the audit ledger.
+    return BatchAssignment(
+        worker,
+        tuple(map(tuple, candidates[order].tolist())),
+        tuple(gains[order].tolist()),
+    )
+
+
 class AssignmentPolicy(abc.ABC):
     """Base class for online task-assignment policies.
 
@@ -111,22 +124,17 @@ class AssignmentPolicy(abc.ABC):
     filtering: a worker is never assigned a cell they already answered, and
     cells that already collected ``max_answers_per_cell`` answers are
     excluded (the budget mechanism used by the end-to-end experiments).
-
-    ``incremental=True`` (default) backs the filtering with a
-    :class:`~repro.engine.SessionState` kept in sync with the answer set —
-    O(new answers) per call instead of a full table rescan; ``False``
-    restores the seed implementation's from-scratch scan.
+    The filtering is backed by a :class:`~repro.engine.SessionState` kept in
+    sync with the answer set, O(new answers) per call.
     """
 
     def __init__(
         self,
         schema: TableSchema,
         max_answers_per_cell: Optional[int] = None,
-        incremental: bool = True,
     ) -> None:
         self.schema = schema
         self.max_answers_per_cell = max_answers_per_cell
-        self.incremental = bool(incremental)
         self._state: Optional[SessionState] = None
         self._recorder = None
 
@@ -168,13 +176,8 @@ class AssignmentPolicy(abc.ABC):
         """Human-readable policy name (used by the experiment harnesses)."""
         return type(self).__name__
 
-    def session_state(self, answers: AnswerSet) -> Optional[SessionState]:
-        """The policy's incremental session state, synced to ``answers``.
-
-        Returns ``None`` for policies running with ``incremental=False``.
-        """
-        if not self.incremental:
-            return None
+    def session_state(self, answers: AnswerSet) -> SessionState:
+        """The policy's incremental session state, synced to ``answers``."""
         if self._state is None:
             self._state = SessionState(
                 self.schema, max_answers_per_cell=self.max_answers_per_cell
@@ -183,31 +186,12 @@ class AssignmentPolicy(abc.ABC):
 
     def candidate_cells(self, worker: str, answers: AnswerSet) -> List[Cell]:
         """Cells this worker may still be assigned (row-major order)."""
-        state = self.session_state(answers)
-        if state is not None:
-            return state.candidate_cells(worker)
-        counts = answers.answer_counts()
-        candidates: List[Cell] = []
-        for i in range(self.schema.num_rows):
-            for j in range(self.schema.num_columns):
-                if (
-                    self.max_answers_per_cell is not None
-                    and counts[i, j] >= self.max_answers_per_cell
-                ):
-                    continue
-                if answers.has_answered(worker, i, j):
-                    continue
-                candidates.append((i, j))
-        return candidates
+        return self.session_state(answers).candidate_cells(worker)
 
     def candidate_array(self, worker: str, answers: AnswerSet) -> np.ndarray:
         """:meth:`candidate_cells` as an ``(n, 2)`` int64 array of
         ``(row, col)`` pairs, the form ``gains_batch`` scores."""
-        state = self.session_state(answers)
-        if state is not None:
-            return state.candidate_array(worker)
-        cells = self.candidate_cells(worker, answers)
-        return np.array(cells, dtype=np.int64).reshape(len(cells), 2)
+        return self.session_state(answers).candidate_array(worker)
 
     @abc.abstractmethod
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
@@ -234,23 +218,14 @@ class TCrowdAssigner(AssignmentPolicy):
         Re-run full truth inference after this many newly collected answers.
         ``1`` reproduces Algorithm 2 exactly; larger values trade a little
         accuracy for speed in large simulations.
-    continuous_samples:
-        Forwarded to :class:`InformationGainCalculator` (0 = closed form).
     max_answers_per_cell:
         Budget cap per cell (see :class:`AssignmentPolicy`).
-    seed:
-        Seed for the Monte-Carlo gain estimator; defaults to the model's
-        generator so one reproducible stream is shared by every calculator
-        this assigner builds.
+    min_pairs:
+        Forwarded to :class:`StructureAwareGainCalculator`.
     warm_start:
         Warm-start each refit from the previous inference result, on the
         model's ``warm_iterations`` budget (see :meth:`TCrowdModel.fit`).
-        ``False`` restores the seed implementation's cold start.
-    vectorized:
-        Score all candidates through :meth:`InformationGainCalculator.gains_batch`
-        with stable top-K selection instead of the per-cell scalar loop.
-    incremental:
-        See :class:`AssignmentPolicy`.
+        ``False`` refits cold.
     strategy:
         Optional :class:`~repro.strategies.AssignmentStrategy` overriding
         *what scores candidate cells* (``None``, the default, is the
@@ -270,34 +245,20 @@ class TCrowdAssigner(AssignmentPolicy):
         model: Optional[TCrowdModel] = None,
         use_structure: bool = True,
         refit_every: int = 1,
-        continuous_samples: int = 0,
         max_answers_per_cell: Optional[int] = None,
         min_pairs: int = 5,
-        seed=None,
         warm_start: bool = True,
-        vectorized: bool = True,
-        incremental: bool = True,
         strategy=None,
     ) -> None:
-        super().__init__(
-            schema,
-            max_answers_per_cell=max_answers_per_cell,
-            incremental=incremental,
-        )
+        super().__init__(schema, max_answers_per_cell=max_answers_per_cell)
         if refit_every < 1:
             raise AssignmentError(f"refit_every must be >= 1, got {refit_every}")
         self.model = model or TCrowdModel()
         self.use_structure = bool(use_structure)
         self.refit_every = int(refit_every)
-        self.continuous_samples = int(continuous_samples)
         self.min_pairs = int(min_pairs)
-        self.seed = seed
         self.warm_start = bool(warm_start)
-        self.vectorized = bool(vectorized)
         self.strategy = strategy
-        self._rng = as_generator(
-            seed if seed is not None else getattr(self.model, "rng", None)
-        )
         self._result: Optional[InferenceResult] = None
         self._answers_at_last_fit = -1
         self.profile = None
@@ -337,36 +298,13 @@ class TCrowdAssigner(AssignmentPolicy):
         """Assign the top-``k`` candidate cells by information gain."""
         if k < 1:
             raise AssignmentError(f"k must be >= 1, got {k}")
-        if self.vectorized:
-            candidates = self.candidate_array(worker, answers)
-        else:
-            candidates = self.candidate_cells(worker, answers)
+        candidates = self.candidate_array(worker, answers)
         if not len(candidates):
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
         result = self._ensure_result(answers)
         with _stage(self.profile, "calculator_build"):
             calculator = self._build_calculator(result, answers)
-        if self.vectorized:
-            with _stage(self.profile, "gains_batch"):
-                gains = calculator.gains_batch(worker, candidates)
-            with _stage(self.profile, "top_k_merge"):
-                order = top_k_stable(gains, k)
-            # Plain-int tuples: the cells are hashed into the audit ledger.
-            cells = tuple(map(tuple, candidates[order].tolist()))
-            values = tuple(gains[order].tolist())
-        else:
-            with _stage(self.profile, "gains_batch"):
-                gains = {
-                    cell: calculator.gain(worker, cell[0], cell[1])
-                    for cell in candidates
-                }
-            with _stage(self.profile, "top_k_merge"):
-                ranked = sorted(
-                    gains.items(), key=lambda item: item[1], reverse=True
-                )[:k]
-            cells = tuple(cell for cell, _gain in ranked)
-            values = tuple(gain for _cell, gain in ranked)
-        assignment = BatchAssignment(worker, cells, values)
+        assignment = rank_candidates(calculator, worker, candidates, k, self.profile)
         self._record_decision(
             assignment,
             answers_seen=self._answers_at_last_fit,
@@ -469,12 +407,6 @@ class TCrowdAssigner(AssignmentPolicy):
         """
         if self.use_structure:
             return StructureAwareGainCalculator(
-                result,
-                answers,
-                continuous_samples=self.continuous_samples,
-                min_pairs=self.min_pairs,
-                seed=self._rng,
+                result, answers, min_pairs=self.min_pairs
             )
-        return InformationGainCalculator(
-            result, continuous_samples=self.continuous_samples, seed=self._rng
-        )
+        return InformationGainCalculator(result)

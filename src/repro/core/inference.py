@@ -49,7 +49,6 @@ from repro.core.schema import TableSchema
 from repro.core.worker_model import WorkerModel
 from repro.utils.exceptions import ConfigurationError, InferenceError
 from repro.utils.numerics import normalize_log_probs, safe_erf
-from repro.utils.rng import as_generator
 from repro.utils.validation import require_positive
 
 try:  # SciPy's private L-BFGS-B extension; see _setulb_matches.
@@ -487,7 +486,6 @@ class TCrowdModel:
         phi_regularization: float = 1e-3,
         use_difficulty: bool = True,
         standardize_continuous: bool = True,
-        seed=None,
     ) -> None:
         require_positive(epsilon, "epsilon")
         require_positive(max_iterations, "max_iterations")
@@ -504,8 +502,6 @@ class TCrowdModel:
         self.phi_regularization = float(phi_regularization)
         self.use_difficulty = bool(use_difficulty)
         self.standardize_continuous = bool(standardize_continuous)
-        self.seed = seed
-        self.rng = as_generator(seed)
 
     #: Advertises the ``init=`` keyword of :meth:`fit` to the assigners.
     supports_warm_start = True

@@ -8,8 +8,9 @@ in the cell's (uniform) entropy after one more answer by ``u``:
 For a categorical cell the expectation runs over the finite label set using
 the worker's predictive answer distribution.  For a continuous cell the
 Gaussian posterior's updated variance does not depend on the answer's value,
-so the expected differential entropy has a closed form; a Monte-Carlo
-estimator (the paper's ``s_cont`` sampling) is available for validation.
+so the expected differential entropy has a closed form; the paper's
+``s_cont`` sampling over hypothetical answers returns that value on every
+sample (``tests/test_information_gain.py`` checks it against a sampler).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core.inference import (
 )
 from repro.core.posteriors import CategoricalPosterior, GaussianPosterior
 from repro.utils.exceptions import ConfigurationError
-from repro.utils.rng import as_generator
 
 
 def _xlogx(values: np.ndarray) -> np.ndarray:
@@ -53,32 +53,10 @@ class InformationGainCalculator:
     result:
         A fitted :class:`InferenceResult` providing posteriors, worker
         qualities and cell difficulties.
-    continuous_samples:
-        0 (default) uses the exact closed form for continuous cells; a
-        positive value uses Monte-Carlo sampling over hypothetical answers
-        with that many samples, as described in the paper.  The sampling
-        estimator only validates the closed form: a conjugate Gaussian
-        update's variance does not depend on the sampled answer, so its
-        expectation *is* the closed form, and sampling decides nothing new
-        while it scores every candidate through the scalar :meth:`gain`.
-        It is kept so that sessions which set it still replay as written.
-    seed:
-        Seed for the sampling estimator.
     """
 
-    def __init__(
-        self,
-        result: InferenceResult,
-        continuous_samples: int = 0,
-        seed=None,
-    ) -> None:
-        if continuous_samples < 0:
-            raise ConfigurationError(
-                f"continuous_samples must be >= 0, got {continuous_samples}"
-            )
+    def __init__(self, result: InferenceResult) -> None:
         self.result = result
-        self.continuous_samples = int(continuous_samples)
-        self._rng = as_generator(seed)
         # Schema-derived lookup tables used by every gains_batch call; the
         # schema is immutable, so build them once instead of per call.
         columns = result.schema.columns
@@ -126,10 +104,6 @@ class InformationGainCalculator:
             f"Unsupported posterior type {type(posterior).__name__}"
         )
 
-    def gains_for_worker(self, worker: str, candidates) -> dict:
-        """Information gain for every candidate cell ``(row, col)``."""
-        return {cell: self.gain(worker, cell[0], cell[1]) for cell in candidates}
-
     def gains_batch(
         self,
         worker: str,
@@ -146,27 +120,11 @@ class InformationGainCalculator:
         candidate cells only.  The optional override arrays are aligned with
         ``cells``; ``NaN`` entries mean "no override" (the structure-aware
         calculator fills them only for cells with structural evidence).
-        Monte-Carlo mode (``continuous_samples > 0``) falls back to the
-        scalar path.
         """
         cells = as_cell_array(cells)
         gains = np.zeros(len(cells), dtype=float)
         if not len(cells):
             return gains
-        if self.continuous_samples:
-            for idx, (row, col) in enumerate(cells.tolist()):
-                quality = None
-                variance = None
-                if quality_overrides is not None and np.isfinite(quality_overrides[idx]):
-                    quality = float(quality_overrides[idx])
-                if variance_overrides is not None and np.isfinite(variance_overrides[idx]):
-                    variance = float(variance_overrides[idx])
-                gains[idx] = self.gain(
-                    worker, row, col,
-                    quality_override=quality, variance_override=variance,
-                )
-            return gains
-
         result = self.result
         rows, cols = cells[:, 0], cells[:, 1]
         is_categorical = self._column_is_categorical[cols]
@@ -303,21 +261,8 @@ class InformationGainCalculator:
 
     # -- continuous -------------------------------------------------------------
 
-    def _continuous_gain(self, posterior: GaussianPosterior, answer_variance: float) -> float:
+    @staticmethod
+    def _continuous_gain(posterior: GaussianPosterior, answer_variance: float) -> float:
         answer_variance = max(float(answer_variance), 1e-12)
-        if self.continuous_samples == 0:
-            updated_variance = posterior.updated_variance(answer_variance)
-            return 0.5 * float(np.log(posterior.variance / updated_variance))
-        # Monte-Carlo estimator over hypothetical answers (paper's s_cont).
-        predictive_std = float(np.sqrt(posterior.predictive_variance(answer_variance)))
-        samples = self._rng.normal(posterior.mean, predictive_std, self.continuous_samples)
-        current_entropy = posterior.entropy()
-        expected_entropy = float(
-            np.mean(
-                [
-                    posterior.updated_with_answer(sample, answer_variance).entropy()
-                    for sample in samples
-                ]
-            )
-        )
-        return current_entropy - expected_entropy
+        updated_variance = posterior.updated_variance(answer_variance)
+        return 0.5 * float(np.log(posterior.variance / updated_variance))

@@ -52,18 +52,14 @@ class StructureAwareGainCalculator:
         result: InferenceResult,
         answers: AnswerSet,
         correlation_model: Optional[AttributeCorrelationModel] = None,
-        continuous_samples: int = 0,
         min_pairs: int = 5,
-        seed=None,
     ) -> None:
         self.result = result
         self.answers = answers
         self.correlation = correlation_model or AttributeCorrelationModel.fit(
             answers, result, min_pairs=min_pairs
         )
-        self._inherent = InformationGainCalculator(
-            result, continuous_samples=continuous_samples, seed=seed
-        )
+        self._inherent = InformationGainCalculator(result)
 
     # -- public API -----------------------------------------------------------
 
@@ -87,10 +83,6 @@ class StructureAwareGainCalculator:
         return self._inherent.gain(
             worker, row, col, variance_override=max(predicted.second_moment(), 1e-9)
         )
-
-    def gains_for_worker(self, worker: str, candidates) -> Dict[tuple, float]:
-        """Structure-aware gain for every candidate cell."""
-        return {cell: self.gain(worker, cell[0], cell[1]) for cell in candidates}
 
     def gains_batch(self, worker: str, cells) -> np.ndarray:
         """Structure-aware gain for many candidate cells in one pass.

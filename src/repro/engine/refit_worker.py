@@ -47,8 +47,8 @@ from repro.core.assignment import (
     AssignmentPolicy,
     BatchAssignment,
     TCrowdAssigner,
+    rank_candidates,
     refit_model,
-    top_k_stable,
 )
 from repro.core.inference import InferenceResult
 from repro.core.schema import TableSchema
@@ -287,9 +287,7 @@ class AsyncRefitPolicy(AssignmentPolicy):
         max_stale_answers: Optional[int] = 0,
     ) -> None:
         super().__init__(
-            inner.schema,
-            max_answers_per_cell=inner.max_answers_per_cell,
-            incremental=True,
+            inner.schema, max_answers_per_cell=inner.max_answers_per_cell
         )
         self.inner = inner
         self.profile: Optional[HotPathProfile] = None
@@ -353,16 +351,7 @@ class AsyncRefitPolicy(AssignmentPolicy):
         with _stage(self.profile, "snapshot_acquire"):
             snapshot = self.engine.snapshot_for(answers)
         calculator = self._scoring_calculator(snapshot, answers)
-        with _stage(self.profile, "gains_batch"):
-            gains = calculator.gains_batch(worker, candidates)
-        with _stage(self.profile, "top_k_merge"):
-            order = top_k_stable(gains, k)
-        # Plain-int tuples: the cells are hashed into the audit ledger.
-        assignment = BatchAssignment(
-            worker,
-            tuple(map(tuple, candidates[order].tolist())),
-            tuple(gains[order].tolist()),
-        )
+        assignment = rank_candidates(calculator, worker, candidates, k, self.profile)
         if self._recorder is not None:
             self._record_decision(
                 assignment,

@@ -18,6 +18,7 @@ import time
 from typing import Iterable, Optional
 
 from repro.core.inference import TCrowdModel
+from repro.core.information_gain import as_cell_array
 from repro.core.structure_gain import StructureAwareGainCalculator
 from repro.datasets import generate_synthetic, load_celebrity
 from repro.experiments.reporting import ExperimentReport
@@ -45,10 +46,9 @@ def run_figure11_assignment_time(
         result = model.fit(dataset.schema, dataset.answers)
         worker = dataset.answers.workers[0]
         calculator = StructureAwareGainCalculator(result, dataset.answers)
-        candidates = list(dataset.schema.cells())
+        candidates = as_cell_array(dataset.schema.cells())
         start = time.perf_counter()
-        for row, col in candidates:
-            calculator.gain(worker, row, col)
+        calculator.gains_batch(worker, candidates)
         elapsed = time.perf_counter() - start
         report.add_row(int(level), len(candidates), elapsed)
         points.append((int(level), elapsed))

@@ -308,8 +308,7 @@ class CrowdsourcingSession:
             # answer cap; stop immediately instead of drawing workers until
             # the consecutive-failure limit trips (the recorded trace is
             # identical either way — no further answer could be collected).
-            state = self.policy.session_state(answers)
-            if state is not None and not state.has_open_cells():
+            if not self.policy.session_state(answers).has_open_cells():
                 break
             if self.max_steps is not None and steps >= self.max_steps:
                 break

@@ -50,8 +50,6 @@ the ``recovery_identical`` property that ``tests/test_wal.py`` checks.
 This holds in every serving mode and at every staleness bound: a
 bounded-stale policy refits inline on the select path when its bound
 trips, so which selects refit is itself a function of the logged events.
-(Monte-Carlo gains, ``continuous_samples > 0``, are excluded: snapshots
-do not store the sample generator's state.)
 
 Snapshot-epoch protocol: epochs increase by one per snapshot and never
 reuse a number, so ``snapshot-<epoch>-<answers_seen>.json`` names are

@@ -2,20 +2,22 @@
 
 A strategy decides *what scores candidate cells* — it plugs into
 :meth:`repro.core.assignment.TCrowdAssigner._build_calculator`, the one
-point every serving mode funnels scoring through (the vectorized select,
-the scalar path and the async snapshot-scoring path all build their
-calculator there).  Everything *around* the scores — candidate filtering,
-stable top-K, refit cadence, WAL replay, decision provenance — is shared
-machinery the strategy never touches, which is what makes every strategy
-bit-identical across both serving modes by construction.
+point every serving mode funnels scoring through (the plain select and the
+async snapshot-scoring path both build their calculator there).
+Everything *around* the scores — candidate filtering, stable top-K, refit
+cadence, WAL replay, decision provenance — is shared machinery the
+strategy never touches, which is what makes every strategy bit-identical
+across both serving modes by construction.
 
 The contract for the returned calculator mirrors the paper calculators
 (:class:`~repro.core.information_gain.InformationGainCalculator`):
 
 ``gain(worker, row, col) -> float``
-    Score one cell (the scalar / non-vectorized path).
+    Score one cell (:class:`StrategyCalculator`'s default ``gains_batch``
+    loops over it).
 ``gains_batch(worker, cells) -> np.ndarray``
-    Score many cells in one pass (the vectorized and async paths).
+    Score many cells in one pass; every select ranks its candidates with
+    this.
 
 Determinism rules every strategy must obey (and the provided helpers
 make easy):

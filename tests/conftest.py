@@ -116,7 +116,7 @@ def mixed_truth(mixed_truth_and_answers) -> dict:
 @pytest.fixture(scope="session")
 def fitted_result(mixed_schema, mixed_answers):
     """A fitted T-Crowd inference result over the mixed schema."""
-    model = TCrowdModel(max_iterations=20, seed=1)
+    model = TCrowdModel(max_iterations=20)
     return model.fit(mixed_schema, mixed_answers)
 
 

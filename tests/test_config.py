@@ -16,6 +16,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -37,7 +38,10 @@ from repro.config.factory import (
     build_policy,
     wrap_policy,
 )
+from repro.config.spec import RETIRED_FIELDS
 from repro.config.validate import main as validate_main
+from repro.core.assignment import TCrowdAssigner
+from repro.core.inference import TCrowdModel
 from repro.utils.exceptions import ConfigurationError
 
 # -- strategies ----------------------------------------------------------------
@@ -55,7 +59,6 @@ model_specs = st.builds(
     phi_regularization=st.floats(min_value=0.0, max_value=1.0, **_floats),
     use_difficulty=st.booleans(),
     standardize_continuous=st.booleans(),
-    seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
 )
 
 policy_specs = st.builds(
@@ -63,13 +66,9 @@ policy_specs = st.builds(
     model=model_specs,
     use_structure=st.booleans(),
     refit_every=st.integers(min_value=1, max_value=20),
-    continuous_samples=st.integers(min_value=0, max_value=8),
     max_answers_per_cell=st.none() | st.integers(min_value=1, max_value=50),
     min_pairs=st.integers(min_value=0, max_value=20),
-    seed=st.none() | st.integers(min_value=0, max_value=2**31 - 1),
     warm_start=st.booleans(),
-    vectorized=st.booleans(),
-    incremental=st.booleans(),
 )
 
 serving_specs = st.builds(
@@ -153,6 +152,32 @@ class TestRoundTrip:
 # -- validation ----------------------------------------------------------------
 
 
+#: ``(path, value, dropped)``: each retired field at values that replay as
+#: written (dropped) and at values that do not (refused at ``path``).
+RETIRED_CASES = [
+    ("policy.vectorized", True, True),
+    ("policy.vectorized", False, False),
+    ("policy.incremental", True, True),
+    ("policy.incremental", False, True),
+    ("policy.continuous_samples", 0, True),
+    ("policy.continuous_samples", 4, False),
+    ("policy.continuous_samples", False, False),
+    ("policy.seed", None, True),
+    ("policy.seed", 7, True),
+    ("policy.seed", -1, False),
+    ("policy.model.seed", 999, True),
+    ("policy.model.seed", "7", False),
+    ("policy.model.m_step", "lbfgs", True),
+    ("policy.model.m_step", "newton", False),
+    ("serving.refit_tol", 1e-9, True),
+    ("serving.refit_tol", None, True),
+    ("serving.processes", 2, True),
+    ("serving.shards", 1, True),
+    ("serving.shard_workers", 4, True),
+    ("serving.scoring_cache", False, True),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "payload, path",
@@ -186,21 +211,45 @@ class TestValidation:
             SessionSpec.from_dict({"version": 1, **payload})
         assert excinfo.value.path == path
         assert str(excinfo.value).startswith(path)
+        # An unknown field's message lists the section's live fields only
+        # (``serving.bogus`` does not name 'refit_tol').
+        section = path.rpartition(".")[0]
+        for retired in RETIRED_FIELDS:
+            if retired.rpartition(".")[0] == section:
+                assert repr(retired.rpartition(".")[2]) not in str(excinfo.value)
 
-    def test_rejects_unknown_m_step(self):
-        """``m_step`` is retired: ``"lbfgs"``, which every older manifest
-        carries, is accepted and dropped; any other M-step is refused."""
-        spec = SessionSpec.from_dict(
-            {"version": 1, "policy": {"model": {"m_step": "lbfgs"}}}
-        )
-        assert spec == SessionSpec()
-        assert "m_step" not in spec.to_dict()["policy"]["model"]
-        for m_step in ("newton", "sgd"):
+    @pytest.mark.parametrize("path, value, dropped", RETIRED_CASES)
+    def test_retired_fields(self, path, value, dropped):
+        """A retired field whose value replays as written is dropped;
+        any other value raises at its path."""
+        *sections, key = path.split(".")
+        payload = {key: value}
+        for name in reversed(sections):
+            payload = {name: payload}
+        if not dropped:
             with pytest.raises(SpecValidationError) as excinfo:
-                SessionSpec.from_dict(
-                    {"version": 1, "policy": {"model": {"m_step": m_step}}}
-                )
-            assert excinfo.value.path == "policy.model.m_step"
+                SessionSpec.from_dict({"version": 1, **payload})
+            assert excinfo.value.path == path
+            return
+        spec = SessionSpec.from_dict({"version": 1, **payload})
+        assert spec == SessionSpec()
+        section = spec.to_dict()
+        for name in sections:
+            section = section[name]
+        assert key not in section
+
+    def test_every_retired_field_has_a_case(self):
+        assert {path for path, _value, _dropped in RETIRED_CASES} == set(RETIRED_FIELDS)
+
+    def test_spec_sections_mirror_the_constructors(self):
+        """A retired knob cannot linger on one side only."""
+        def parameters(cls):
+            return set(inspect.signature(cls.__init__).parameters) - {"self"}
+
+        policy_fields = {f.name for f in dataclasses.fields(PolicySpec)}
+        assert policy_fields == parameters(TCrowdAssigner) - {"schema"}
+        model_fields = {f.name for f in dataclasses.fields(ModelSpec)}
+        assert model_fields == parameters(TCrowdModel)
 
     def test_errors_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
@@ -210,32 +259,12 @@ class TestValidation:
         with pytest.raises(SpecValidationError, match="serving.max_stale_answers"):
             ServingSpec(max_stale_answers=True)
 
-    def test_async_refit_accepts_monte_carlo_gains(self, mixed_schema):
-        """Bounded-staleness serving draws Monte-Carlo samples on the select
-        path only, like the plain assigner, so the spec builds."""
-        spec = SessionSpec.from_dict(
-            {
-                "version": 1,
-                "policy": {"continuous_samples": 4},
-                "serving": {"async_refit": True, "max_stale_answers": 12},
-            }
-        )
-        policy = build_policy(mixed_schema, spec)
-        assert type(policy).__name__ == "AsyncRefitPolicy"
-        assert policy.inner.continuous_samples == 4
-
     def test_shards_without_processes_accept_monte_carlo_gains(self):
         """The retired ``serving.processes`` / ``serving.shards`` are
-        dropped, so the spec serves the plain assigner, whose sample stream
-        is the single one Monte-Carlo gains need."""
+        dropped, so the spec serves the plain assigner in-process."""
         spec = SessionSpec.from_dict(
-            {
-                "version": 1,
-                "policy": {"continuous_samples": 4},
-                "serving": {"shards": 2, "processes": 2},
-            }
+            {"version": 1, "serving": {"shards": 2, "processes": 2}}
         )
-        assert spec.policy.continuous_samples == 4
         assert not spec.serving.wants_wrapper
         assert spec.serving == ServingSpec()
         assert "processes" not in spec.to_dict()["serving"]
@@ -317,16 +346,6 @@ class TestFactory:
         assigner = build_assigner(mixed_schema, spec)
         assert assigner.refit_every == 1
         assert assigner.model.warm_iterations == 2
-
-    def test_refit_tol_is_accepted_and_dropped(self, mixed_schema):
-        """The retired ``serving.refit_tol`` (crowdbench still posts 1e-9)
-        builds the default spec; the warm budget replaced it."""
-        spec = SessionSpec.from_dict(
-            {"version": 1, "serving": {"refit_tol": 1e-9}}
-        )
-        assert spec == SessionSpec()
-        assert "refit_tol" not in spec.to_dict()["serving"]
-        assert not hasattr(build_assigner(mixed_schema, spec), "refit_tol")
 
     def test_build_policy_modes(self, mixed_schema):
         fast = {"max_iterations": 3, "m_step_iterations": 6}

@@ -18,7 +18,7 @@ def correlation_setup(request):
     """Fit a correlation model on the shared mixed answers."""
     mixed_schema = request.getfixturevalue("mixed_schema")
     mixed_answers = request.getfixturevalue("mixed_answers")
-    result = TCrowdModel(max_iterations=15, seed=2).fit(mixed_schema, mixed_answers)
+    result = TCrowdModel(max_iterations=15).fit(mixed_schema, mixed_answers)
     model = AttributeCorrelationModel.fit(mixed_answers, result, min_pairs=3)
     return mixed_schema, mixed_answers, result, model
 

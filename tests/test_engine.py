@@ -3,6 +3,7 @@ warm-start / vectorised counterparts in repro.core."""
 
 import numpy as np
 import pytest
+from test_golden_trace import SeedPathAssigner, rescan_candidates
 
 from repro.core.answers import AnswerSet
 from repro.core.assignment import TCrowdAssigner, top_k_stable
@@ -17,19 +18,6 @@ from repro.engine import SessionState
 @pytest.fixture()
 def fast_model():
     return TCrowdModel(max_iterations=8, m_step_iterations=12)
-
-
-def _legacy_candidates(schema, answers, worker, cap=None):
-    counts = answers.answer_counts()
-    cells = []
-    for i in range(schema.num_rows):
-        for j in range(schema.num_columns):
-            if cap is not None and counts[i, j] >= cap:
-                continue
-            if answers.has_answered(worker, i, j):
-                continue
-            cells.append((i, j))
-    return cells
 
 
 class TestSessionState:
@@ -68,7 +56,7 @@ class TestSessionState:
             state = SessionState(mixed_schema, max_answers_per_cell=cap)
             state.sync(mixed_answers)
             for worker in mixed_answers.workers + ["brand-new"]:
-                assert state.candidate_cells(worker) == _legacy_candidates(
+                assert state.candidate_cells(worker) == rescan_candidates(
                     mixed_schema, mixed_answers, worker, cap=cap
                 )
 
@@ -97,11 +85,10 @@ class TestSessionState:
     def test_policy_candidate_cells_identical_to_legacy(
         self, mixed_schema, mixed_answers, fast_model
     ):
-        engine = TCrowdAssigner(mixed_schema, model=fast_model, incremental=True)
-        legacy = TCrowdAssigner(mixed_schema, model=fast_model, incremental=False)
+        engine = TCrowdAssigner(mixed_schema, model=fast_model)
         for worker in mixed_answers.workers:
             assert engine.candidate_cells(worker, mixed_answers) == (
-                legacy.candidate_cells(worker, mixed_answers)
+                rescan_candidates(mixed_schema, mixed_answers, worker)
             )
 
 
@@ -195,18 +182,17 @@ class TestVectorizedSelect:
     def test_vectorized_select_matches_scalar_select(
         self, mixed_schema, mixed_answers
     ):
-        def build(vectorized):
-            return TCrowdAssigner(
+        def build(assigner):
+            return assigner(
                 mixed_schema,
                 model=TCrowdModel(max_iterations=8, m_step_iterations=12),
                 use_structure=True,
                 warm_start=False,
-                vectorized=vectorized,
             )
 
         for worker in ("expert", "good", "brand-new"):
-            fast = build(True).select(worker, mixed_answers, k=4)
-            slow = build(False).select(worker, mixed_answers, k=4)
+            fast = build(TCrowdAssigner).select(worker, mixed_answers, k=4)
+            slow = build(SeedPathAssigner).select(worker, mixed_answers, k=4)
             assert fast.cells == slow.cells
             assert fast.gains == pytest.approx(slow.gains, rel=1e-9, abs=1e-12)
 
@@ -228,27 +214,6 @@ class TestVectorizedSelect:
         assert list(top_k_stable(gains, 2)) == [1, 2]
         assert list(top_k_stable(gains, 4)) == [1, 2, 4, 0]
         assert list(top_k_stable(gains, 10)) == [1, 2, 4, 0, 3]
-
-
-class TestSeedPlumbing:
-    def test_model_seed_flows_through_rng(self):
-        model = TCrowdModel(seed=123)
-        assert isinstance(model.rng, np.random.Generator)
-
-    def test_assigner_shares_one_generator_with_calculators(
-        self, mixed_schema, mixed_answers
-    ):
-        model = TCrowdModel(max_iterations=5, m_step_iterations=8, seed=42)
-        assigner = TCrowdAssigner(
-            mixed_schema, model=model, use_structure=False,
-            continuous_samples=4, vectorized=False, warm_start=False,
-        )
-        # Monte-Carlo gains advance one shared stream: two selects over the
-        # same answers must not replay identical samples.
-        first = assigner.select("expert", mixed_answers, k=2)
-        second = assigner.select("expert", mixed_answers, k=2)
-        assert assigner._rng is model.rng
-        assert first.cells == second.cells or first.gains != second.gains
 
 
 class TestPosteriorProtocol:

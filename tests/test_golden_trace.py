@@ -22,8 +22,8 @@ behaviour across refactors.
 Three cold-EM configurations (every refit from scratch) replay the same
 scenario without the fixture, whose decisions are warm-started:
 
-* ``seed`` — ``warm_start``, ``vectorized`` and ``incremental`` all off:
-  the seed implementation's scalar gains and full candidate rescans;
+* ``seed`` — :class:`SeedPathAssigner`, the seed implementation's full
+  candidate rescan and scalar gain loop, kept here as the reference;
 * ``exact`` — the engine's incremental indexes and vectorised gains;
 * ``exact_async`` — the exact path through an
   :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0``.
@@ -48,7 +48,7 @@ import numpy as np
 import pytest
 
 from repro.core.answers import AnswerSet
-from repro.core.assignment import TCrowdAssigner
+from repro.core.assignment import BatchAssignment, TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.datasets import load_celebrity
 from repro.utils.exceptions import AssignmentError
@@ -88,20 +88,51 @@ _SERVING = {
 }
 
 
+def rescan_candidates(schema, answers, worker, cap=None):
+    """The seed implementation's candidate filter: a full table rescan."""
+    counts = answers.answer_counts()
+    return [
+        (i, j)
+        for i in range(schema.num_rows)
+        for j in range(schema.num_columns)
+        if (cap is None or counts[i, j] < cap)
+        and not answers.has_answered(worker, i, j)
+    ]
+
+
+class SeedPathAssigner(TCrowdAssigner):
+    """The seed implementation's select, the reference the engine paths
+    replay: a full candidate rescan, the scalar ``gain`` per cell and a
+    stable sort of the gains."""
+
+    def select(self, worker, answers, k=1):
+        candidates = rescan_candidates(
+            self.schema, answers, worker, self.max_answers_per_cell
+        )
+        if not candidates:
+            raise AssignmentError(f"No candidate cells left for worker {worker!r}")
+        calculator = self._build_calculator(self._ensure_result(answers), answers)
+        gains = {cell: calculator.gain(worker, *cell) for cell in candidates}
+        ranked = sorted(gains.items(), key=lambda item: item[1], reverse=True)[:k]
+        return BatchAssignment(
+            worker,
+            tuple(cell for cell, _gain in ranked),
+            tuple(gain for _cell, gain in ranked),
+        )
+
+
 def _build_policy(config: str, schema):
     from repro.config import ServingSpec
     from repro.config.factory import wrap_policy
 
     if config not in _SERVING:
         raise ValueError(f"unknown config {config!r}")
-    engine = config != "seed"
-    inner = TCrowdAssigner(
+    assigner = SeedPathAssigner if config == "seed" else TCrowdAssigner
+    inner = assigner(
         schema,
         model=TCrowdModel(**SCENARIO["model_kwargs"]),
         refit_every=1,
         warm_start=config in CONFIGS,
-        vectorized=engine,
-        incremental=engine,
     )
     return wrap_policy(inner, ServingSpec(**_SERVING[config])), inner
 

@@ -78,7 +78,7 @@ class TestAnswersCsv:
         path = tmp_path / "answers.csv"
         write_answers_csv(mixed_answers, path)
         loaded = read_answers_csv(mixed_schema, path)
-        model = TCrowdModel(max_iterations=8, seed=0)
+        model = TCrowdModel(max_iterations=8)
         original = model.fit(mixed_schema, mixed_answers)
         reloaded = model.fit(mixed_schema, loaded)
         assert original.estimates() == reloaded.estimates()
@@ -116,7 +116,7 @@ class TestDatasetJson:
         loaded = load_dataset_json(path)
         assert loaded.schema.num_cells == small_dataset.schema.num_cells
         assert loaded.num_answers == small_dataset.num_answers
-        model = TCrowdModel(max_iterations=8, seed=0)
+        model = TCrowdModel(max_iterations=8)
         original = model.fit(small_dataset.schema, small_dataset.answers)
         restored = model.fit(loaded.schema, loaded.answers)
         assert error_rate(original, small_dataset) == pytest.approx(

@@ -366,15 +366,21 @@ class TestFormat1Fixtures:
 
     @pytest.mark.parametrize(
         "path, value",
-        [("serving.refit_tol", 0.001), ("policy.model.m_step", "newton")],
-        ids=["refit_tol", "newton"],
+        [
+            ("serving.refit_tol", 0.001),
+            ("policy.model.m_step", "newton"),
+            ("policy.vectorized", False),
+            ("policy.continuous_samples", 4),
+        ],
+        ids=["refit_tol", "newton", "scalar", "monte_carlo"],
     )
     def test_a_session_that_cannot_replay_as_written_is_refused(
         self, path, value, tmp_path, caplog
     ):
-        """Its warm refits stopped on the objective test, or ran another
-        M-step: recovery would fork its ledger, so it is skipped on boot and
-        a POST over it is a 400 naming the field."""
+        """Its warm refits stopped on the objective test, it ran another
+        M-step, or it scored through the scalar gain: recovery would fork
+        its ledger, so it is skipped on boot and a POST over it is a 400
+        naming the field."""
         session_dir = tmp_path / "format1-jsonl"
         shutil.copytree(FIXTURES / "jsonl" / "format1-jsonl", session_dir)
         manifest = json.loads((session_dir / "session.json").read_text())

@@ -244,39 +244,13 @@ class TestAsyncRefitPolicy:
         return TCrowdAssigner(schema, **kwargs)
 
     @staticmethod
-    def _async_spec(max_stale=0, **policy):
+    def _async_spec(max_stale=0):
         return (
             SessionSpec.builder()
             .model(max_iterations=4, m_step_iterations=8)
-            .policy(**policy)
             .async_refit(max_stale=max_stale)
             .build()
         )
-
-    def _decisions(self, celebrity, spec):
-        """Drive ten seeded two-cell selects; return the decisions."""
-        policy = build_policy(celebrity.schema, spec)
-        answers = _seeded_answers(celebrity)
-        workers = celebrity.worker_pool.worker_ids()
-        rng = np.random.default_rng(0)
-        decisions = []
-        for step in range(10):
-            worker = workers[step % len(workers)]
-            assignment = policy.select(worker, answers, k=2)
-            for row, col in assignment.cells:
-                answers.add_answer(
-                    worker, row, col, celebrity.oracle.answer(worker, row, col, rng)
-                )
-            decisions.append((worker, assignment.cells, assignment.gains))
-        return decisions
-
-    def test_accepts_monte_carlo_gain_path(self, celebrity):
-        """Monte-Carlo gains draw from the assigner's seeded generator on
-        the select path, so two runs take identical decisions at any bound."""
-        for max_stale in (0, 12):
-            spec = self._async_spec(max_stale, continuous_samples=4, seed=3)
-            first = self._decisions(celebrity, spec)
-            assert self._decisions(celebrity, spec) == first
 
     def test_serving_starts_no_thread(self, celebrity):
         """Stale selects, catch-up refits and a final fit all run on the
