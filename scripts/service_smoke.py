@@ -7,9 +7,11 @@ checks that back-to-back ``GET .../estimates`` send the same raw bytes and
 that one more answer shows in the next body, scrapes ``/metrics``, asserts
 a body without ``version`` is a strict 400 naming the missing field, that
 retired spec fields are dropped from the served config (and a value of
-theirs that would not replay is a 400 at its path), and shuts the server
-down cleanly (SIGINT, asserting the clean-shutdown message).  Exercises the same code path an operator
-would run, end to end, in a few seconds.
+theirs that would not replay is a 400 at its path), that a section which
+is not an object (``"serving": false``) is a 400 at its path, and shuts
+the server down cleanly (SIGINT, asserting the clean-shutdown message).
+Exercises the same code path an operator would run, end to end, in a few
+seconds.
 
 With ``--rotate`` the smoke pins **bounded durability** end to end, once
 per storage backend (JSONL segments and sqlite): it starts the server with
@@ -707,6 +709,15 @@ def main() -> int:
         )
         assert status == 400 and body.get("path") == "policy.vectorized", (status, body)
         print("retired fields dropped, non-replayable value rejected OK")
+
+        # Only an absent or null section means its defaults: a falsy value
+        # that is not an object is a 400 at the section's path.
+        status, body = client.request(
+            "POST", "/sessions",
+            {"version": 1, "schema": schema_to_dict(schema), "serving": False},
+        )
+        assert status == 400 and body.get("path") == "serving", (status, body)
+        print("non-object section rejected OK")
 
         metrics = client.get_metrics()
         for needle in (

@@ -5,9 +5,9 @@ the paper, together with every substrate the evaluation depends on:
 
 * :mod:`repro.core` — the unified worker model, EM truth inference,
   information-gain based task assignment, and the structure-aware extension.
-* :mod:`repro.engine` — the incremental assignment engine: per-session
-  mutable indexes (answer counts, answered-cell masks, open-candidate pool)
-  updated O(1) per answer that back the online loop of Algorithm 2.
+* :mod:`repro.engine` — the incremental assignment engine that serves the
+  online loop of Algorithm 2: bounded-staleness refits, the decision audit
+  ledger and the hot-path timers.
 * :mod:`repro.baselines` — all compared truth-inference and assignment
   baselines (Majority Voting, Median, Dawid & Skene, GLAD, ZenCrowd, GTM,
   CRH, CATD, CDAS, AskIt!, and the simple assignment heuristics).
@@ -37,7 +37,6 @@ from repro.core.inference import InferenceResult, TCrowdModel
 from repro.core.posteriors import Posterior
 from repro.core.restricted import TCrowdCategoricalOnly, TCrowdContinuousOnly
 from repro.core.schema import AttributeType, Column, TableSchema
-from repro.engine import SessionState
 
 __version__ = "1.0.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "Column",
     "InferenceResult",
     "Posterior",
-    "SessionState",
     "TableSchema",
     "TCrowdAssigner",
     "TCrowdCategoricalOnly",

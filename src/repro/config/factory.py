@@ -1,8 +1,8 @@
 """Build live policy objects from a :class:`~repro.config.SessionSpec`.
 
 This is the **single** wrapper-selection point of the codebase: the
-platform simulator, ``service/registry.build_policy`` and the benchmark
-drivers all call :func:`wrap_policy`, which has two outcomes:
+platform simulator, the service registry (through :func:`build_policy`)
+and the benchmarks all call :func:`wrap_policy`, which has two outcomes:
 
 ========================  =============================================
 ``serving`` section       policy served
@@ -59,7 +59,7 @@ def wrap_policy(policy: AssignmentPolicy, serving: ServingSpec) -> AssignmentPol
     serving:
         The serving section of a spec.
     """
-    if not serving.wants_wrapper:
+    if not serving.async_refit:
         return policy
     if not isinstance(policy, TCrowdAssigner):
         raise ConfigurationError(

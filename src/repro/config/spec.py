@@ -472,11 +472,6 @@ class ServingSpec:
                         optional=True))
         set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
 
-    @property
-    def wants_wrapper(self) -> bool:
-        """True when the async refit wrapper is needed."""
-        return self.async_refit
-
     def describe(self) -> str:
         """Human-readable serving mode, e.g. ``async refit (max_stale=0)``."""
         if not self.async_refit:
@@ -708,12 +703,19 @@ class SessionSpec:
                 "version", f"is required (this library reads version {SPEC_VERSION})"
             )
         payload = _live_fields("spec", payload, cls)
+
+        def section(name):
+            # Only an absent key or null means defaults; any other value
+            # that is not an object raises at the section's path.
+            value = payload.get(name)
+            return {} if value is None else value
+
         return cls(
             version=payload["version"],
-            policy=PolicySpec.from_dict(payload.get("policy") or {}),
-            serving=ServingSpec.from_dict(payload.get("serving") or {}),
-            durability=DurabilitySpec.from_dict(payload.get("durability") or {}),
-            simulation=SimulationSpec.from_dict(payload.get("simulation") or {}),
+            policy=PolicySpec.from_dict(section("policy")),
+            serving=ServingSpec.from_dict(section("serving")),
+            durability=DurabilitySpec.from_dict(section("durability")),
+            simulation=SimulationSpec.from_dict(section("simulation")),
         )
 
     # -- conveniences ---------------------------------------------------------

@@ -7,13 +7,13 @@ assign.  :class:`TCrowdAssigner` implements the paper's policy — rank every
 candidate cell by (structure-aware) information gain and greedily take the
 top K (Eq. 9).
 
-The online loop runs on the incremental engine layer
-(:mod:`repro.engine`): candidate filtering consults a
-:class:`~repro.engine.SessionState` updated O(1) per new answer, refits are
-warm-started from the previous :class:`~repro.core.inference.InferenceResult`
-(``warm_start=False`` refits cold), and every select scores its candidates
-in one ``gains_batch`` call and takes the stable top K
-(:func:`rank_candidates`, shared with :class:`~repro.engine.AsyncRefitPolicy`).
+In the online loop a worker's candidate cells are derived on demand from
+the answer arrays (:meth:`AnswerSet.indexed`, which the refits build at the
+same answer count), refits are warm-started from the previous
+:class:`~repro.core.inference.InferenceResult` (``warm_start=False`` refits
+cold), and every select scores its candidates in one ``gains_batch`` call
+and takes the stable top K (:func:`rank_candidates`, shared with
+:class:`~repro.engine.AsyncRefitPolicy`).
 The seed implementation's full candidate rescan and per-cell scalar gain
 loop live on only as the reference ``tests/test_golden_trace.py`` replays
 these paths against.
@@ -33,7 +33,6 @@ from repro.core.information_gain import InformationGainCalculator
 from repro.core.schema import TableSchema
 from repro.core.structure_gain import StructureAwareGainCalculator
 from repro.engine.profiling import stage as _stage
-from repro.engine.state import SessionState
 from repro.utils.exceptions import AssignmentError
 
 Cell = Tuple[int, int]
@@ -124,8 +123,8 @@ class AssignmentPolicy(abc.ABC):
     filtering: a worker is never assigned a cell they already answered, and
     cells that already collected ``max_answers_per_cell`` answers are
     excluded (the budget mechanism used by the end-to-end experiments).
-    The filtering is backed by a :class:`~repro.engine.SessionState` kept in
-    sync with the answer set, O(new answers) per call.
+    Both are read from the answer arrays on every call, so a policy follows
+    whichever :class:`AnswerSet` it is given.
     """
 
     def __init__(
@@ -133,9 +132,12 @@ class AssignmentPolicy(abc.ABC):
         schema: TableSchema,
         max_answers_per_cell: Optional[int] = None,
     ) -> None:
+        if max_answers_per_cell is not None and max_answers_per_cell < 1:
+            raise AssignmentError(
+                f"max_answers_per_cell must be >= 1, got {max_answers_per_cell}"
+            )
         self.schema = schema
         self.max_answers_per_cell = max_answers_per_cell
-        self._state: Optional[SessionState] = None
         self._recorder = None
 
     def set_recorder(self, recorder) -> None:
@@ -176,22 +178,42 @@ class AssignmentPolicy(abc.ABC):
         """Human-readable policy name (used by the experiment harnesses)."""
         return type(self).__name__
 
-    def session_state(self, answers: AnswerSet) -> SessionState:
-        """The policy's incremental session state, synced to ``answers``."""
-        if self._state is None:
-            self._state = SessionState(
-                self.schema, max_answers_per_cell=self.max_answers_per_cell
-            )
-        return self._state.sync(answers)
+    def _under_cap(self, answers: AnswerSet) -> np.ndarray:
+        """Row-major flat mask of the cells below ``max_answers_per_cell``."""
+        cap = self.max_answers_per_cell
+        if cap is None or not len(answers):
+            return np.ones(self.schema.num_cells, dtype=bool)
+        indexed = answers.indexed()
+        counts = np.bincount(
+            indexed.rows * self.schema.num_columns + indexed.cols,
+            minlength=self.schema.num_cells,
+        )
+        return counts < cap
 
-    def candidate_cells(self, worker: str, answers: AnswerSet) -> List[Cell]:
-        """Cells this worker may still be assigned (row-major order)."""
-        return self.session_state(answers).candidate_cells(worker)
+    def has_open_cells(self, answers: AnswerSet) -> bool:
+        """True while at least one cell can accept further answers."""
+        return bool(self._under_cap(answers).any())
 
     def candidate_array(self, worker: str, answers: AnswerSet) -> np.ndarray:
-        """:meth:`candidate_cells` as an ``(n, 2)`` int64 array of
-        ``(row, col)`` pairs, the form ``gains_batch`` scores."""
-        return self.session_state(answers).candidate_array(worker)
+        """Cells ``worker`` may still be assigned, as an ``(n, 2)`` int64
+        array of ``(row, col)`` pairs, the form ``gains_batch`` scores.
+
+        Row-major, the order of the seed implementation's full rescan, so
+        the stable top K breaks ties exactly as it did.
+        """
+        num_columns = self.schema.num_columns
+        open_cells = self._under_cap(answers)
+        if len(answers):
+            indexed = answers.indexed()
+            index = indexed.worker_index.get(worker)
+            if index is not None:
+                mine = indexed.workers == index
+                open_cells[indexed.rows[mine] * num_columns + indexed.cols[mine]] = False
+        return np.stack(np.divmod(np.flatnonzero(open_cells), num_columns), axis=1)
+
+    def candidate_cells(self, worker: str, answers: AnswerSet) -> List[Cell]:
+        """:meth:`candidate_array` as a list of ``(row, col)`` tuples."""
+        return list(map(tuple, self.candidate_array(worker, answers).tolist()))
 
     @abc.abstractmethod
     def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:

@@ -1,22 +1,18 @@
 """Incremental assignment engine.
 
 The online protocol of Algorithm 2 interleaves truth inference and
-information-gain assignment after *every* collected answer.  Re-deriving the
-full candidate pool, worker indexes and answer counts from scratch on each
-step is O(rows x cols x answers); this package maintains them as mutable
-indexes updated O(1) per new answer so that the per-step cost of the online
-loop is driven by the (warm-started) EM refit and one vectorised gain pass.
+information-gain assignment after *every* collected answer, so the per-step
+cost of the online loop is driven by the (warm-started) EM refit and one
+vectorised gain pass.
 
 Layering: ``core`` holds the paper's algorithms, ``engine`` holds the
-incremental session state those algorithms consult in the online loop, and
-``platform`` / ``experiments`` drive both.  Sessions are served by the bare
-assigner or :class:`AsyncRefitPolicy`.
+machinery that serves them in the online loop (bounded-staleness refits,
+the audit ledger, hot-path timers), and ``platform`` / ``experiments``
+drive both.  Sessions are served by the bare assigner or
+:class:`AsyncRefitPolicy`.
 """
 
-from repro.engine.state import SessionState
-
 __all__ = [
-    "SessionState",
     "AsyncRefitEngine",
     "AsyncRefitPolicy",
     "DecisionRecord",
@@ -35,9 +31,9 @@ _REFIT_EXPORTS = (
 
 
 def __getattr__(name):
-    # Lazy so that ``core.assignment → engine.state → engine.__init__`` does
-    # not re-enter ``core.assignment`` (the async refit policy builds on the
-    # policy base classes) while it is still half-initialised.
+    # Lazy so that ``core.assignment → engine.profiling → engine.__init__``
+    # does not re-enter ``core.assignment`` (the async refit policy builds on
+    # the policy base classes) while it is still half-initialised.
     if name in _REFIT_EXPORTS:
         from repro.engine import refit_worker
 

@@ -252,8 +252,7 @@ class AsyncRefitEngine:
 class AsyncRefitPolicy(AssignmentPolicy):
     """Serve a :class:`TCrowdAssigner`'s policy from bounded-stale snapshots.
 
-    Candidate filtering uses the same incremental
-    :class:`~repro.engine.SessionState` as the wrapped assigner; scoring
+    Candidate filtering is the shared :class:`AssignmentPolicy` one; scoring
     uses the wrapped assigner's gain calculators, built over whatever
     :class:`ModelSnapshot` the engine serves — the only behavioural
     difference to the synchronous policy is *which* inference result scores

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.config import SessionSpec, SimulationSpec
-from repro.config.factory import build_assigner, build_model, wrap_policy
+from repro.config.factory import build_assigner, build_durable_session, build_model, wrap_policy
 from repro.core.answers import AnswerSet
 from repro.core.assignment import AssignmentPolicy
 from repro.datasets.base import CrowdDataset
@@ -171,7 +171,6 @@ class CrowdsourcingSession:
         self.batch_size = simulation.batch_size or dataset.schema.num_columns
         self.eval_every = simulation.eval_every_answers_per_task
         self.max_steps = simulation.max_steps
-        self.durable_dir = spec.durability.durable_dir
         self.durable = None
         self._rng = as_generator(self._raw_seed)
         # Scenario perturbations (spam / drift / churn) derive from
@@ -214,7 +213,7 @@ class CrowdsourcingSession:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _seed_answers(self, answers: AnswerSet) -> AnswerSet:
+    def _seed_answers(self) -> None:
         """Collect the initial answers (Algorithm 2, line 1): one HIT per row."""
         schema = self.dataset.schema
         pool = self.worker_pool
@@ -233,12 +232,7 @@ class CrowdsourcingSession:
                     (row, col, self.oracle.answer(worker, row, col, self._rng))
                     for col in range(schema.num_columns)
                 ]
-                if self.durable is not None:
-                    self.durable.append_answers(worker, items, observe=False)
-                else:
-                    for r, c, value in items:
-                        answers.add_answer(worker, r, c, value)
-        return answers
+                self.durable.append_answers(worker, items, observe=False)
 
     def _evaluate(self, answers: AnswerSet, budget: Budget, trace: SessionTrace) -> None:
         schema = self.dataset.schema
@@ -264,27 +258,26 @@ class CrowdsourcingSession:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SessionTrace:
-        """Run the session until the budget is exhausted; return the trace."""
+        """Run the session until the budget is exhausted; return the trace.
+
+        Every event goes through a
+        :class:`~repro.service.wal.DurableSession`, which logs it when the
+        spec names a ``durable_dir`` and runs in memory otherwise.
+        """
+        # fresh=True: resuming over an old log would corrupt the
+        # experiment, unlike the service's recover-on-attach semantics.
+        self.durable = build_durable_session(
+            self.dataset.schema, self.policy, self.spec, fresh=True
+        )
         try:
             return self._run()
         finally:
-            if self.durable is not None:
-                self.durable.close()
+            self.durable.close()
 
     def _run(self) -> SessionTrace:
         schema = self.dataset.schema
-        if self.durable_dir is not None:
-            from repro.config.factory import build_durable_session
-
-            # fresh=True: resuming over an old log would corrupt the
-            # experiment, unlike the service's recover-on-attach semantics.
-            self.durable = build_durable_session(
-                schema, self.policy, self.spec, fresh=True
-            )
-            answers = self.durable.answers
-        else:
-            answers = AnswerSet(schema)
-        self._seed_answers(answers)
+        answers = self.durable.answers
+        self._seed_answers()
         extra_answers = int(
             round(
                 (self.target_answers_per_task - self.initial_answers_per_task)
@@ -304,11 +297,11 @@ class CrowdsourcingSession:
         consecutive_failures = 0
         failure_limit = 10 * len(self.worker_pool)
         while not budget.exhausted:
-            # The engine's incremental state knows when every cell reached its
-            # answer cap; stop immediately instead of drawing workers until
-            # the consecutive-failure limit trips (the recorded trace is
-            # identical either way — no further answer could be collected).
-            if not self.policy.session_state(answers).has_open_cells():
+            # Once every cell reached its answer cap, stop immediately instead
+            # of drawing workers until the consecutive-failure limit trips
+            # (the recorded trace is identical either way — no further
+            # answer could be collected).
+            if not self.policy.has_open_cells(answers):
                 break
             if self.max_steps is not None and steps >= self.max_steps:
                 break
@@ -316,10 +309,7 @@ class CrowdsourcingSession:
             worker = self.arrival.next_worker()
             batch = min(self.batch_size, budget.remaining_answers)
             try:
-                if self.durable is not None:
-                    assignment = self.durable.select(worker, k=batch)
-                else:
-                    assignment = self.policy.select(worker, answers, k=batch)
+                assignment = self.durable.select(worker, k=batch)
             except AssignmentError:
                 # This worker has no candidate cells left; try another one,
                 # but give up if no worker can be assigned anything anymore.
@@ -332,16 +322,10 @@ class CrowdsourcingSession:
                 (row, col, self.oracle.answer(worker, row, col, self._rng))
                 for row, col in assignment.cells
             ]
-            if self.durable is not None:
-                self.durable.append_answers(worker, items)
-            else:
-                for row, col, value in items:
-                    answers.add_answer(worker, row, col, value)
+            self.durable.append_answers(worker, items)
             budget.charge(len(assignment.cells))
             if self.scenario.drift is not None:
                 self.scenario.drift.advance()
-            if self.durable is None:
-                self.policy.observe(answers)
             if answers.mean_answers_per_cell() >= next_checkpoint or budget.exhausted:
                 self._evaluate(answers, budget, trace)
                 next_checkpoint += self.eval_every

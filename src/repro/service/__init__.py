@@ -6,8 +6,8 @@ serves them to live workers instead of in-process simulation loops:
 
 * :mod:`repro.service.wal` — a durable session: an append-only
   write-ahead answer log plus periodic engine-state snapshots, replayable to
-  a **bit-identical** rebuild of the session (answers, incremental indexes
-  and the warm-start EM chain).
+  a **bit-identical** rebuild of the session (answers and the warm-start
+  EM chain).
 * :mod:`repro.service.storage` — the pluggable storage backends under it:
   rotated JSONL segments or a single stdlib ``sqlite3`` database, both with
   snapshot retention / WAL GC so long-lived sessions stay disk-bounded.

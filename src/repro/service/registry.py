@@ -35,8 +35,7 @@ import uuid
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ModelSpec, SessionSpec, SpecValidationError, split_envelope
-from repro.config.factory import build_durable_session
-from repro.config.factory import build_policy as _build_spec_policy
+from repro.config.factory import build_durable_session, build_policy
 from repro.core.schema import Column, TableSchema
 from repro.engine.provenance import AUDIT_FORMAT, DEFAULT_PAGE_LIMIT
 from repro.service.wal import DurableSession
@@ -202,20 +201,6 @@ def parse_config(config: dict) -> Tuple[dict, SessionSpec]:
         raise ConfigurationError("The session config must be a JSON object")
     envelope, payload = split_envelope(config)
     return envelope, SessionSpec.from_dict(payload)
-
-
-def build_policy(schema: TableSchema, config):
-    """Build the serving policy a session config describes.
-
-    ``config`` may be a :class:`~repro.config.SessionSpec` or a v1 JSON
-    body (parsed by :func:`parse_config`).  The actual construction —
-    assigner options, model options, and the serving-mode table (plain /
-    async) — is the shared factory in
-    :mod:`repro.config.factory`.
-    """
-    if not isinstance(config, SessionSpec):
-        _envelope, config = parse_config(dict(config))
-    return _build_spec_policy(schema, config)
 
 
 # -- served session -----------------------------------------------------------
@@ -615,7 +600,7 @@ class SessionRegistry:
         audit_format: int = AUDIT_FORMAT,
     ) -> ServedSession:
         schema = resolve_schema(envelope)
-        policy = _build_spec_policy(schema, spec, audit_format=audit_format)
+        policy = build_policy(schema, spec, audit_format=audit_format)
         if self.hotpath_profile is not None and hasattr(policy, "set_profile"):
             policy.set_profile(self.hotpath_profile)
         durable = build_durable_session(

@@ -38,15 +38,14 @@ surviving global count, and a pruned timeline can never be resurrected.
 **Replay is bit-identical.**  Everything the engine does is a
 deterministic function of the event sequence: answers are append-only,
 refits are deterministic EM (warm-started from the previous result), and
-selection is a deterministic ranking.  Recovery therefore rebuilds the
-exact session: the :class:`~repro.engine.SessionState` indexes
-(re-synced from the recovered answers), the answer set, and the model's
-warm-start chain —
-either by re-seating a snapshot's serialized result
-(:func:`serialize_result` round-trips every float exactly) and replaying
-the WAL tail with full side effects, or by replaying the whole log.  The
-continued assignment sequence matches an uninterrupted run bit for bit —
-the ``recovery_identical`` property that ``tests/test_wal.py`` checks.
+selection is a deterministic ranking over candidates derived from the
+answers alone.  Recovery therefore rebuilds the exact session: the answer
+set and the model's warm-start chain — either by re-seating a snapshot's
+serialized result (:func:`serialize_result` round-trips every float
+exactly) and replaying the WAL tail with full side effects, or by
+replaying the whole log.  The continued assignment sequence matches an
+uninterrupted run bit for bit — the ``recovery_identical`` property that
+``tests/test_wal.py`` checks.
 This holds in every serving mode and at every staleness bound: a
 bounded-stale policy refits inline on the select path when its bound
 trips, so which selects refit is itself a function of the logged events.
@@ -117,8 +116,9 @@ class DurableSession:
     directory:
         Where the log and snapshots live.  ``None`` runs fully in memory —
         the same code path with durability disabled, which is how the
-        non-durable HTTP sessions are served.  The session holds the
-        directory until :meth:`close` (see :mod:`repro.service.storage`).
+        non-durable HTTP sessions and simulator runs are served.  The
+        session holds the directory until :meth:`close` (see
+        :mod:`repro.service.storage`).
     snapshot_every:
         Cut a snapshot after this many newly collected answers.
     fsync:

@@ -117,6 +117,8 @@ session_specs = st.builds(
 
 # -- round-trip properties -----------------------------------------------------
 
+SECTIONS = ("policy", "serving", "durability", "simulation")
+
 
 class TestRoundTrip:
     @settings(max_examples=200)
@@ -141,6 +143,8 @@ class TestRoundTrip:
 
     def test_sections_may_be_omitted(self):
         assert SessionSpec.from_dict({"version": 1}) == SessionSpec()
+        for section in SECTIONS:
+            assert SessionSpec.from_dict({"version": 1, section: None}) == SessionSpec()
 
     def test_version_is_required_and_pinned(self):
         with pytest.raises(SpecValidationError, match="version is required"):
@@ -204,6 +208,9 @@ class TestValidation:
              "simulation.initial_answers_per_task"),
             ({"unknown_section": {}}, "spec.unknown_section"),
             ({"serving": {"shard_worker": 2}}, "serving.shard_worker"),
+            # Only an absent or null section means its defaults.
+            *[({section: value}, section)
+              for section in SECTIONS for value in (False, [], 0, "")],
         ],
     )
     def test_path_qualified_errors(self, payload, path):
@@ -265,7 +272,7 @@ class TestValidation:
         spec = SessionSpec.from_dict(
             {"version": 1, "serving": {"shards": 2, "processes": 2}}
         )
-        assert not spec.serving.wants_wrapper
+        assert not spec.serving.async_refit
         assert spec.serving == ServingSpec()
         assert "processes" not in spec.to_dict()["serving"]
         assert "shards" not in spec.to_dict()["serving"]

@@ -12,7 +12,7 @@ from repro.core.information_gain import InformationGainCalculator
 from repro.core.posteriors import Posterior
 from repro.core.structure_gain import StructureAwareGainCalculator
 from repro.datasets import generate_synthetic
-from repro.engine import SessionState
+from repro.utils.exceptions import AssignmentError
 
 
 @pytest.fixture()
@@ -21,66 +21,50 @@ def fast_model():
 
 
 class TestSessionState:
-    def test_incremental_counts_match_full_rescan(self, mixed_schema):
-        """Counts stay exact under interleaved inserts and syncs."""
-        rng = np.random.default_rng(5)
-        answers = AnswerSet(mixed_schema)
-        state = SessionState(mixed_schema)
-        workers = [f"w{i}" for i in range(6)]
-        for step in range(60):
-            worker = workers[int(rng.integers(len(workers)))]
-            row = int(rng.integers(mixed_schema.num_rows))
-            col = int(rng.integers(mixed_schema.num_columns))
-            column = mixed_schema.columns[col]
-            value = (
-                column.labels[int(rng.integers(column.num_labels))]
-                if column.is_categorical
-                else float(rng.normal())
-            )
-            answers.add_answer(worker, row, col, value)
-            # Sync at irregular intervals so several answers arrive per sync.
-            if step % 3 == 0:
-                state.sync(answers)
-                assert np.array_equal(state.counts, answers.answer_counts())
-        state.sync(answers)
-        assert np.array_equal(state.counts, answers.answer_counts())
-        for worker in workers:
-            for i in range(mixed_schema.num_rows):
-                for j in range(mixed_schema.num_columns):
-                    assert state.has_answered(worker, i, j) == answers.has_answered(
-                        worker, i, j
-                    )
+    """Candidate cells and the open-cell check, derived from the answers."""
 
     def test_candidates_match_legacy_scan(self, mixed_schema, mixed_answers):
-        for cap in (None, 3, 5):
-            state = SessionState(mixed_schema, max_answers_per_cell=cap)
-            state.sync(mixed_answers)
-            for worker in mixed_answers.workers + ["brand-new"]:
-                assert state.candidate_cells(worker) == rescan_candidates(
-                    mixed_schema, mixed_answers, worker, cap=cap
-                )
+        # Every fixture cell has 4 answers; the strided subset has 1 or 2.
+        sparse = AnswerSet(mixed_schema, list(mixed_answers)[::3])
+        for answers in (mixed_answers, sparse):
+            for cap in (None, 1, 2, 3, 4, 5):
+                policy = TCrowdAssigner(mixed_schema, max_answers_per_cell=cap)
+                for worker in mixed_answers.workers + ["brand-new"]:
+                    assert policy.candidate_cells(worker, answers) == (
+                        rescan_candidates(mixed_schema, answers, worker, cap=cap)
+                    )
 
     def test_open_cell_pool_shrinks_to_zero(self, mixed_schema):
         answers = AnswerSet(mixed_schema)
-        state = SessionState(mixed_schema, max_answers_per_cell=1)
-        assert state.has_open_cells()
+        policy = TCrowdAssigner(mixed_schema, max_answers_per_cell=1)
+        assert policy.has_open_cells(answers)
+        assert len(policy.candidate_array("other", answers)) == mixed_schema.num_cells
         for i in range(mixed_schema.num_rows):
             for j, column in enumerate(mixed_schema.columns):
                 value = column.labels[0] if column.is_categorical else 1.0
                 answers.add_answer("solo", i, j, value)
-        state.sync(answers)
-        assert not state.has_open_cells()
-        assert state.open_cell_count() == 0
-        assert state.candidate_cells("other") == []
+        assert not policy.has_open_cells(answers)
+        assert policy.candidate_cells("other", answers) == []
+        assert policy.candidate_array("other", answers).shape == (0, 2)
 
     def test_rebuilds_for_a_different_answer_set(self, mixed_schema, mixed_answers):
-        state = SessionState(mixed_schema)
-        state.sync(mixed_answers)
+        """One policy follows whichever answer set it is given."""
+        policy = TCrowdAssigner(mixed_schema, max_answers_per_cell=5)
         other = mixed_answers.copy()
         label = mixed_schema.columns[0].labels[0]
         other.add_answer("fresh", 0, 0, label)
-        state.sync(other)
-        assert np.array_equal(state.counts, other.answer_counts())
+        assert (0, 0) in policy.candidate_cells("fresh", mixed_answers)
+        assert (0, 0) not in policy.candidate_cells("fresh", other)
+        for answers in (mixed_answers, other, mixed_answers):
+            for worker in ("fresh", mixed_answers.workers[0]):
+                assert policy.candidate_cells(worker, answers) == rescan_candidates(
+                    mixed_schema, answers, worker, cap=5
+                )
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_a_cap_below_one(self, mixed_schema, cap):
+        with pytest.raises(AssignmentError, match="max_answers_per_cell"):
+            TCrowdAssigner(mixed_schema, max_answers_per_cell=cap)
 
     def test_policy_candidate_cells_identical_to_legacy(
         self, mixed_schema, mixed_answers, fast_model
@@ -226,20 +210,3 @@ class TestPosteriorProtocol:
             assert np.isfinite(posterior.entropy())
             assert posterior.point_estimate() is not None
 
-
-class TestSessionStateQueries:
-    def test_answer_count_and_candidate_mask(self, mixed_schema, mixed_answers):
-        state = SessionState(mixed_schema, max_answers_per_cell=4)
-        state.sync(mixed_answers)
-        counts = mixed_answers.answer_counts()
-        assert state.answer_count(0, 0) == counts[0, 0]
-        for worker in (mixed_answers.workers[0], "brand-new"):
-            mask = state.candidate_mask(worker)
-            assert mask.shape == counts.shape
-            expected = {
-                (i, j)
-                for i in range(mixed_schema.num_rows)
-                for j in range(mixed_schema.num_columns)
-                if mask[i, j]
-            }
-            assert expected == set(state.candidate_cells(worker))

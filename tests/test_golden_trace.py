@@ -5,7 +5,7 @@ configuration at the Algorithm 2 cadence) is replayed through every serving
 policy the factory can return:
 
 * ``incremental`` — the plain :class:`~repro.core.assignment.TCrowdAssigner`
-  (incremental indexes, vectorised gains, warm-started refits);
+  (candidates from the answer arrays, vectorised gains, warm-started refits);
 * ``async_refit`` — the same assigner served through an
   :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0`` (every
   select refits inline; the scoring cache on).
@@ -24,7 +24,8 @@ scenario without the fixture, whose decisions are warm-started:
 
 * ``seed`` — :class:`SeedPathAssigner`, the seed implementation's full
   candidate rescan and scalar gain loop, kept here as the reference;
-* ``exact`` — the engine's incremental indexes and vectorised gains;
+* ``exact`` — the engine's candidates from the answer arrays and vectorised
+  gains;
 * ``exact_async`` — the exact path through an
   :class:`~repro.engine.AsyncRefitPolicy` at ``max_stale_answers=0``.
 

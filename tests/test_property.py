@@ -1,12 +1,12 @@
-"""Property-based tests (hypothesis) for the engine's incremental indexes.
+"""Property-based tests (hypothesis) for the assignment's selection steps.
 
 Two families of properties:
 
 * ``top_k_stable`` against the naive sorted oracle the seed implementation
   used — including heavy ties and negative gains.
-* ``SessionState`` incremental indexes against a
-  recompute-from-scratch oracle, over randomized answer streams with
-  interleaved syncs — the O(1)-per-answer bookkeeping must never drift from
+* ``AssignmentPolicy.candidate_cells`` and ``has_open_cells`` against a
+  recompute-from-scratch oracle, over randomized answer streams queried
+  between answers — the cells derived from the answer arrays must always be
   what a full rescan of the answer set reports.
 """
 
@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answers import AnswerSet
-from repro.core.assignment import top_k_stable
+from repro.core.assignment import TCrowdAssigner, top_k_stable
 from repro.core.schema import Column, TableSchema
-from repro.engine import SessionState
 
 # -- top-K selection vs the seed implementation's sort ------------------------
 
@@ -46,7 +45,7 @@ class TestTopKProperties:
         assert list(top_k_stable(array, k)) == _oracle_top_k(array, k)
 
 
-# -- incremental session state vs recompute-from-scratch ----------------------
+# -- candidate cells vs recompute-from-scratch --------------------------------
 
 _NUM_ROWS = 5
 _NUM_COLS = 3
@@ -102,36 +101,29 @@ def _scratch_candidates(schema, answers, worker, cap):
 
 class TestSessionStateProperties:
     @given(events=_events, cap=st.sampled_from([None, 1, 2, 4]),
-           sync_every=st.integers(min_value=1, max_value=7))
+           query_every=st.integers(min_value=1, max_value=7))
     @settings(max_examples=60, deadline=None)
     def test_incremental_indexes_match_scratch_recompute(
-        self, events, cap, sync_every
+        self, events, cap, query_every
     ):
         schema = _schema()
         answers = AnswerSet(schema)
-        state = SessionState(schema, max_answers_per_cell=cap)
+        policy = TCrowdAssigner(schema, max_answers_per_cell=cap)
+
+        def check():
+            scratch = _scratch_counts(schema, answers)
+            open_cells = (
+                int(np.sum(scratch < cap)) if cap is not None else schema.num_cells
+            )
+            assert policy.has_open_cells(answers) == (open_cells > 0)
+            for worker in (*_WORKERS, "never-seen"):
+                assert policy.candidate_cells(worker, answers) == _scratch_candidates(
+                    schema, answers, worker, cap
+                )
+
+        check()
         for step, (worker, row, col) in enumerate(events):
             answers.add_answer(worker, row, col, _value_for(schema, col))
-            if step % sync_every == 0:
-                state.sync(answers)
-        state.sync(answers)
-
-        scratch = _scratch_counts(schema, answers)
-        assert np.array_equal(state.counts, scratch)
-        assert state.num_answers == len(answers)
-        open_cells = (
-            int(np.sum(scratch < cap)) if cap is not None else schema.num_cells
-        )
-        assert state.open_cell_count() == open_cells
-        assert state.has_open_cells() == (open_cells > 0)
-        for col in range(schema.num_columns):
-            assert state.column_answer_count(col) == answers.column_answer_count(col)
-        for worker in (*_WORKERS, "never-seen"):
-            assert state.candidate_cells(worker) == _scratch_candidates(
-                schema, answers, worker, cap
-            )
-            for row in range(schema.num_rows):
-                for col in range(schema.num_columns):
-                    assert state.has_answered(worker, row, col) == (
-                        answers.has_answered(worker, row, col)
-                    )
+            if step % query_every == 0:
+                check()
+        check()

@@ -18,11 +18,11 @@ import threading
 import pytest
 
 from repro.config import SessionSpec, SpecValidationError
+from repro.config.factory import build_policy
 from repro.service.app import ServiceServer
 from repro.service.client import ServiceClient
 from repro.service.registry import (
     SessionRegistry,
-    build_policy,
     parse_config,
     resolve_schema,
     schema_from_dict,
@@ -103,25 +103,32 @@ class TestSchemaCodec:
 
     def test_build_policy_modes(self, mixed_schema):
         plain = build_policy(
-            mixed_schema, {"version": 1, "policy": {"model": FAST_MODEL}}
+            mixed_schema,
+            parse_config({"version": 1, "policy": {"model": FAST_MODEL}})[1],
         )
         assert type(plain).__name__ == "TCrowdAssigner"
         async_policy = build_policy(
             mixed_schema,
-            {
-                "version": 1,
-                "policy": {"model": FAST_MODEL},
-                "serving": {"async_refit": True},
-            },
+            parse_config(
+                {
+                    "version": 1,
+                    "policy": {"model": FAST_MODEL},
+                    "serving": {"async_refit": True},
+                }
+            )[1],
         )
         assert async_policy.name.endswith("[async refit]")
 
     def test_build_policy_rejects_bad_options(self, mixed_schema):
         with pytest.raises(ConfigurationError):
-            build_policy(mixed_schema, {"version": 1, "policy": {"bogus_knob": 1}})
+            build_policy(
+                mixed_schema,
+                parse_config({"version": 1, "policy": {"bogus_knob": 1}})[1],
+            )
         with pytest.raises(ConfigurationError):
             build_policy(
-                mixed_schema, {"version": 1, "policy": {"model": {"bogus": 1}}}
+                mixed_schema,
+                parse_config({"version": 1, "policy": {"model": {"bogus": 1}}})[1],
             )
 
 
