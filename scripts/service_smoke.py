@@ -21,7 +21,12 @@ GC prunes many times during the drive, restarts the server (SIGINT + a
 fresh process over the same root), and asserts the recovered session
 serves **bit-identical** estimates, that the on-disk file count stayed
 bounded (``keep_snapshots`` + 2 WAL segments + the session manifest), and
-that the session keeps serving selects after recovery.
+that the session keeps serving selects after recovery.  It then stops
+that server, overwrites the session's newest snapshot with ``[]`` (the
+JSONL file, or the SQLite row through ``sqlite3``) and starts a third
+server over the same root, which must recover the session from the older
+retained snapshot, serve the estimates the second server served last and
+keep assigning tasks.
 
 With ``--audit`` the smoke pins the **decision provenance layer** end to
 end: it starts the server with ``--log-json`` over a ``--durable-root``,
@@ -48,12 +53,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
 import shutil
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -274,30 +281,11 @@ def rotate_backend_pass(backend: str, root: pathlib.Path) -> None:
             f"{len(after['estimates'])} estimates match pre-restart"
         )
 
-        pool = dataset.worker_pool
-        worker_ids, activities = pool.worker_ids(), pool.activities()
-        rng = np.random.default_rng(11)
-        served = False
-        for _ in range(50):
-            worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
-            status, body = client.get_tasks(session_id, worker, k=3)
-            if status == 409:
-                continue
-            assert status == 200, (status, body)
-            client.post_answers(
-                session_id,
-                worker,
-                [
-                    (row, col, dataset.oracle.answer(worker, row, col, rng))
-                    for row, col in body["cells"]
-                ],
-            )
-            served = True
-            break
-        assert served, "recovered session served no assignment"
+        assign_one_batch(client, session_id, dataset, seed=11)
         status, stats = client.request("GET", f"/sessions/{session_id}")
         assert status == 200 and stats["wal_segments"] <= max_segments, stats
         print(f"[{backend}] recovered session still serving")
+        last = client.get_estimates(session_id)
 
         stop_server(process)
         print(f"[{backend}] clean shutdown OK")
@@ -305,6 +293,77 @@ def rotate_backend_pass(backend: str, root: pathlib.Path) -> None:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+    # An unreadable newest snapshot must not stop the next start: recovery
+    # skips it and replays from the older retained one (keep_snapshots = 2
+    # keeps it and the WAL tail it needs on disk).
+    retained = overwrite_newest_snapshot(root / session_id, backend, "[]")
+    assert retained >= 2, retained
+    print(f"[{backend}] newest of {retained} snapshots overwritten with []")
+    process = start_server("--durable-root", str(root))
+    try:
+        address, recovered = server_address_after_recovery(process)
+        assert session_id in recovered, (session_id, recovered)
+        client = ServiceClient(address, timeout=60.0)
+        after = client.get_estimates(session_id)
+        assert after["estimates"] == last["estimates"], (
+            "estimates diverged after the fallback to the older snapshot"
+        )
+        assign_one_batch(client, session_id, dataset, seed=13)
+        print(
+            f"[{backend}] third server recovered {session_id} from the older "
+            f"snapshot: {len(after['estimates'])} estimates match, still serving"
+        )
+
+        stop_server(process)
+        print(f"[{backend}] clean shutdown OK")
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+
+
+def assign_one_batch(client, session_id: str, dataset, seed: int) -> None:
+    """Take one task batch for some worker and post its answers."""
+    pool = dataset.worker_pool
+    worker_ids, activities = pool.worker_ids(), pool.activities()
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        worker = worker_ids[int(rng.choice(len(worker_ids), p=activities))]
+        status, body = client.get_tasks(session_id, worker, k=3)
+        if status == 409:
+            continue
+        assert status == 200, (status, body)
+        client.post_answers(
+            session_id,
+            worker,
+            [
+                (row, col, dataset.oracle.answer(worker, row, col, rng))
+                for row, col in body["cells"]
+            ],
+        )
+        return
+    raise AssertionError("recovered session served no assignment")
+
+
+def overwrite_newest_snapshot(
+    directory: pathlib.Path, backend: str, payload: str
+) -> int:
+    """Replace the newest snapshot's JSON with ``payload``; return how many
+    snapshots the directory holds."""
+    if backend == "sqlite":
+        with contextlib.closing(
+            sqlite3.connect(directory / "durable.sqlite3")
+        ) as conn, conn:
+            conn.execute(
+                "UPDATE snapshots SET payload = ? "
+                "WHERE epoch = (SELECT MAX(epoch) FROM snapshots)",
+                (payload,),
+            )
+            return conn.execute("SELECT COUNT(*) FROM snapshots").fetchone()[0]
+    paths = sorted((directory / "snapshots").glob("snapshot-*.json"))
+    paths[-1].write_text(payload, encoding="utf-8")
+    return len(paths)
 
 
 # The hash-covered core of a decision record, restated here on purpose:

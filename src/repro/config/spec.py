@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Optional, Tuple
 
@@ -48,6 +49,10 @@ SPEC_VERSION = 1
 #: the caller-chosen ``session_id``, and the ``durable`` flag that asks the
 #: server to place the session under its ``--durable-root``.
 ENVELOPE_KEYS = ("schema", "dataset", "session_id", "durable")
+
+#: A ``session_id`` is one URL path segment (the service's route is built
+#: from this) and one directory name under ``--durable-root``, not ``..``.
+SESSION_ID_PATTERN = r"[A-Za-z0-9_.-]+"
 
 
 class SpecValidationError(ConfigurationError):
@@ -840,8 +845,10 @@ class SessionSpecBuilder:
 def split_envelope(body: dict) -> Tuple[dict, dict]:
     """Split a v1 service body into ``(envelope, spec_payload)``.
 
-    The envelope carries :data:`ENVELOPE_KEYS`; everything else must be
-    spec fields (validated by :meth:`SessionSpec.from_dict`).
+    The envelope carries :data:`ENVELOPE_KEYS`, type-checked here for
+    ``POST /sessions`` and ``python -m repro.config.validate`` alike (a
+    ``null`` ``session_id`` is generated); everything else must be spec
+    fields (validated by :meth:`SessionSpec.from_dict`).
     """
     if not isinstance(body, dict):
         raise SpecValidationError("spec", f"must be a JSON object, got {body!r}")
@@ -852,4 +859,19 @@ def split_envelope(body: dict) -> Tuple[dict, dict]:
             envelope[key] = value
         else:
             payload[key] = value
+    for key in ("schema", "dataset"):
+        if key in envelope and not isinstance(envelope[key], dict):
+            raise SpecValidationError(
+                key, f"must be a JSON object, got {envelope[key]!r}"
+            )
+    session_id = _check_str("session_id", envelope.get("session_id"), optional=True)
+    if session_id is not None and (
+        session_id in (".", "..") or not re.fullmatch(SESSION_ID_PATTERN, session_id)
+    ):
+        raise SpecValidationError(
+            "session_id", f"must match {SESSION_ID_PATTERN} and not be '.' or '..', "
+            f"got {session_id!r}"
+        )
+    if "durable" in envelope:
+        _check_bool("durable", envelope["durable"])
     return envelope, payload

@@ -7,8 +7,9 @@ Usage (the CI lint job runs exactly this)::
 Each file must hold either a bare spec document or a service body (a spec
 plus the ``schema`` / ``dataset`` / ``session_id`` / ``durable`` envelope
 keys of ``POST /sessions``).  The spec portion is validated strictly; the
-envelope's schema/dataset payloads are the service's concern and are only
-checked for type here.  Exit status is non-zero if any file fails, with
+envelope gets the checks ``POST /sessions`` makes (see
+:func:`~repro.config.spec.split_envelope`), and its schema/dataset
+payloads are the service's concern and are only checked for type here.  Exit status is non-zero if any file fails, with
 the dotted field path in the message::
 
     examples/broken.json: serving.max_stale_answers must be >= 0 or null, got -1
@@ -21,7 +22,7 @@ import json
 import sys
 from typing import Optional
 
-from repro.config.spec import SessionSpec, SpecValidationError, split_envelope
+from repro.config.spec import SessionSpec, split_envelope
 from repro.utils.exceptions import ConfigurationError
 
 
@@ -38,20 +39,7 @@ def validate_file(path: str) -> SessionSpec:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigurationError(f"not valid JSON: {exc}") from exc
-    envelope, payload = split_envelope(body)
-    for key in ("schema", "dataset"):
-        if key in envelope and not isinstance(envelope[key], dict):
-            raise SpecValidationError(
-                key, f"must be a JSON object, got {envelope[key]!r}"
-            )
-    if "session_id" in envelope and not isinstance(envelope["session_id"], str):
-        raise SpecValidationError(
-            "session_id", f"must be a string, got {envelope['session_id']!r}"
-        )
-    if "durable" in envelope and not isinstance(envelope["durable"], bool):
-        raise SpecValidationError(
-            "durable", f"must be a boolean, got {envelope['durable']!r}"
-        )
+    _envelope, payload = split_envelope(body)
     return SessionSpec.from_dict(payload)
 
 

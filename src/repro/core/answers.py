@@ -1,9 +1,10 @@
 """Workers, answers and answer containers (Section 3, Definition 2).
 
 An :class:`Answer` is one worker's value for one cell.  :class:`AnswerSet`
-stores the full collection ``A = {a^u_ij}`` with the per-cell / per-worker
-indexes every inference method needs, and :class:`IndexedAnswers` is its
-vectorised (numpy) view used by the EM algorithm and the baselines.
+stores the full collection ``A = {a^u_ij}`` as the :class:`Answer` objects
+plus numeric columns grown in place, its only index; :class:`IndexedAnswers`
+is a read-only view of those columns, used by the EM algorithm, the
+correlation fit, the candidate filter and every lookup.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 
 from repro.core.schema import TableSchema
 from repro.utils.exceptions import DataError
+
+#: First capacity of the answer columns; each time they fill up, they double.
+_MIN_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -36,29 +40,21 @@ class Answer:
 
 
 class AnswerSet:
-    """Mutable collection of worker answers for a given :class:`TableSchema`.
+    """Mutable, append-only collection of worker answers for a :class:`TableSchema`.
 
-    The container validates every answer against the schema on insertion and
-    maintains per-cell and per-worker indexes so that truth inference and
-    task assignment stay linear in the number of answers.
+    The container validates every answer against the schema on insertion
+    and keeps, besides the :class:`Answer` objects, one columnar index: a
+    ``(4, capacity)`` int64 block of row, column, worker index and label
+    index (``-1`` for a continuous answer) and a float64 block of values
+    (``NaN`` for a categorical answer).  Lookups query :meth:`indexed`.
     """
 
     def __init__(self, schema: TableSchema, answers: Iterable[Answer] = ()) -> None:
         self._schema = schema
         self._answers: List[Answer] = []
-        self._by_cell: Dict[Tuple[int, int], List[int]] = {}
-        self._by_worker: Dict[str, List[int]] = {}
-        self._by_row: Dict[int, List[int]] = {}
-        self._by_col: Dict[int, List[int]] = {}
-        # Append-only parallel buffers kept in sync by add(); IndexedAnswers
-        # (built once per answer count, see indexed()) turns them into
-        # arrays without a per-answer Python loop.
         self._worker_order: Dict[str, int] = {}
-        self._buf_rows: List[int] = []
-        self._buf_cols: List[int] = []
-        self._buf_workers: List[int] = []
-        self._buf_values: List[float] = []
-        self._buf_labels: List[int] = []
+        self._ints = np.empty((4, _MIN_CAPACITY), dtype=np.int64)
+        self._values = np.empty(_MIN_CAPACITY, dtype=float)
         self._indexed: Optional["IndexedAnswers"] = None
         for answer in answers:
             self.add(answer)
@@ -88,25 +84,18 @@ class AnswerSet:
         column = self._schema.columns[answer.col]
         if column.is_continuous:
             answer = Answer(answer.worker, answer.row, answer.col, float(answer.value))
-        index = len(self._answers)
-        self._answers.append(answer)
-        self._by_cell.setdefault(answer.cell(), []).append(index)
-        self._by_worker.setdefault(answer.worker, []).append(index)
-        self._by_row.setdefault(answer.row, []).append(index)
-        self._by_col.setdefault(answer.col, []).append(index)
-        worker_index = self._worker_order.get(answer.worker)
-        if worker_index is None:
-            worker_index = len(self._worker_order)
-            self._worker_order[answer.worker] = worker_index
-        self._buf_rows.append(answer.row)
-        self._buf_cols.append(answer.col)
-        self._buf_workers.append(worker_index)
-        if column.is_categorical:
-            self._buf_values.append(float("nan"))
-            self._buf_labels.append(column.label_index(answer.value))
+            value, label = answer.value, -1
         else:
-            self._buf_values.append(float(answer.value))
-            self._buf_labels.append(-1)
+            value, label = np.nan, column.label_index(answer.value)
+        index = len(self._answers)
+        if index == len(self._values):
+            # New blocks: the views taken so far keep the old ones.
+            self._ints = np.concatenate((self._ints, np.empty_like(self._ints)), axis=1)
+            self._values = np.concatenate((self._values, np.empty_like(self._values)))
+        worker = self._worker_order.setdefault(answer.worker, len(self._worker_order))
+        self._ints[:, index] = (answer.row, answer.col, worker, label)
+        self._values[index] = value
+        self._answers.append(answer)
 
     def add_answer(self, worker: str, row: int, col: int, value) -> None:
         """Convenience wrapper constructing and adding an :class:`Answer`."""
@@ -123,21 +112,32 @@ class AnswerSet:
 
     # -- lookups -----------------------------------------------------------
 
+    def _answers_at(self, indices: np.ndarray) -> List[Answer]:
+        return [self._answers[i] for i in indices.tolist()]
+
+    def _where(self, mask_of) -> List[Answer]:
+        """Answers where ``mask_of(view)`` is true, in arrival order."""
+        if not self._answers:
+            return []
+        return self._answers_at(np.flatnonzero(mask_of(self.indexed())))
+
     def answers_for_cell(self, row: int, col: int) -> List[Answer]:
         """All answers collected for cell ``(row, col)``."""
-        return [self._answers[i] for i in self._by_cell.get((row, col), [])]
+        if not self._answers:
+            return []
+        return self._answers_at(self.indexed().cell_indices(row, col))
 
     def answers_by_worker(self, worker: str) -> List[Answer]:
         """All answers submitted by ``worker``."""
-        return [self._answers[i] for i in self._by_worker.get(worker, [])]
+        return self._where(lambda view: view.workers == view.worker_index.get(worker, -1))
 
     def answers_in_row(self, row: int) -> List[Answer]:
         """All answers for cells of row ``row``."""
-        return [self._answers[i] for i in self._by_row.get(row, [])]
+        return self._where(lambda view: view.rows == row)
 
     def answers_in_column(self, col: int) -> List[Answer]:
         """All answers for cells of column ``col``."""
-        return [self._answers[i] for i in self._by_col.get(col, [])]
+        return self._where(lambda view: view.cols == col)
 
     def worker_answers_in_row(self, worker: str, row: int) -> List[Answer]:
         """Answers by ``worker`` to cells of row ``row`` (used by Eq. 7)."""
@@ -149,39 +149,33 @@ class AnswerSet:
 
     def has_answered(self, worker: str, row: int, col: int) -> bool:
         """True if ``worker`` already answered cell ``(row, col)``."""
-        indexes = self._by_cell.get((row, col))
-        if not indexes:
-            return False
-        return any(self._answers[i].worker == worker for i in indexes)
+        return any(answer.worker == worker for answer in self.answers_for_cell(row, col))
 
     def answer_count(self, row: int, col: int) -> int:
-        """Number of answers collected for cell ``(row, col)`` (O(1))."""
-        indexes = self._by_cell.get((row, col))
-        return len(indexes) if indexes else 0
+        """Number of answers collected for cell ``(row, col)``."""
+        return len(self.indexed().cell_indices(row, col)) if self._answers else 0
 
     def column_answer_count(self, col: int) -> int:
-        """Number of answers collected for column ``col`` (O(1))."""
-        indexes = self._by_col.get(col)
-        return len(indexes) if indexes else 0
+        """Number of answers collected for column ``col``."""
+        counts = self.answer_counts()
+        return int(counts[:, col].sum()) if 0 <= col < counts.shape[1] else 0
 
     @property
     def workers(self) -> List[str]:
         """Distinct worker identifiers, in first-seen order."""
-        return list(self._by_worker.keys())
+        return list(self._worker_order)
 
     @property
     def num_workers(self) -> int:
         """Number of distinct workers who contributed at least one answer."""
-        return len(self._by_worker)
+        return len(self._worker_order)
 
     def answer_counts(self) -> np.ndarray:
-        """Return an ``(N, M)`` matrix of answers collected per cell."""
-        counts = np.zeros(
-            (self._schema.num_rows, self._schema.num_columns), dtype=int
-        )
-        for (row, col), indexes in self._by_cell.items():
-            counts[row, col] = len(indexes)
-        return counts
+        """Return an ``(N, M)`` matrix of answers collected per cell (read-only)."""
+        shape = (self._schema.num_rows, self._schema.num_columns)
+        if not self._answers:
+            return np.zeros(shape, dtype=int)
+        return self.indexed().cell_counts().reshape(shape)
 
     def mean_answers_per_cell(self) -> float:
         """Average number of answers per cell (the x-axis of Figure 2)."""
@@ -206,8 +200,8 @@ class AnswerSet:
         """Return the vectorised view used by the numerical algorithms.
 
         Answers are append-only, so the view is kept until the next answer
-        arrives: the EM fit and the correlation fit over the same answers
-        share one.
+        arrives: the fits, the candidate filter and the lookups over the
+        same answers share one, and its per-cell grouping.
         """
         if self._indexed is None or self._indexed.num_answers != len(self._answers):
             self._indexed = IndexedAnswers(self)
@@ -215,38 +209,35 @@ class AnswerSet:
 
 
 class IndexedAnswers:
-    """Vectorised, read-only view over an :class:`AnswerSet`.
+    """Read-only view over the first ``n`` answers of an :class:`AnswerSet`.
 
-    Exposes parallel numpy arrays over the answers plus grouping indexes.
-    Categorical answers are encoded as label indices; continuous answers as
-    floats (the two encodings live in separate arrays and each answer fills
-    exactly one of them, the other holding a sentinel).
+    Exposes parallel numpy arrays over the answers, sliced from the set's
+    columns without a copy, plus grouping indexes.  Categorical answers are
+    encoded as label indices; continuous answers as floats (the two
+    encodings live in separate arrays and each answer fills exactly one of
+    them, the other holding a sentinel).  Later answers never change a
+    view: they land past its end, or in new blocks once the old ones fill.
     """
 
     def __init__(self, answers: AnswerSet) -> None:
-        if len(answers) == 0:
+        num_answers = len(answers)
+        if num_answers == 0:
             raise DataError("Cannot index an empty answer set")
-        schema = answers.schema
-        self.schema = schema
-        self.worker_ids: List[str] = answers.workers
-        self.worker_index: Dict[str, int] = {
-            worker: u for u, worker in enumerate(self.worker_ids)
-        }
-        self.rows = np.asarray(answers._buf_rows, dtype=np.int64)
-        self.cols = np.asarray(answers._buf_cols, dtype=np.int64)
-        self.workers = np.asarray(answers._buf_workers, dtype=np.int64)
-        self.values = np.asarray(answers._buf_values, dtype=float)
-        self.label_indices = np.asarray(answers._buf_labels, dtype=np.int64)
-        column_is_categorical = np.array(
-            [column.is_categorical for column in schema.columns], dtype=bool
+        self.schema = answers.schema
+        self.worker_index: Dict[str, int] = dict(answers._worker_order)
+        self.worker_ids: List[str] = list(self.worker_index)
+        self.rows, self.cols, self.workers, self.label_indices = (
+            answers._ints[:, :num_answers]
         )
-        self.is_categorical = column_is_categorical[self.cols]
+        self.values = answers._values[:num_answers]
+        self.is_categorical = self.label_indices >= 0
         self.is_continuous = ~self.is_categorical
         # The view is shared by every fit over the same answers.
         for array in (self.rows, self.cols, self.workers, self.values,
                       self.label_indices, self.is_categorical, self.is_continuous):
             array.flags.writeable = False
-        self._groups: Optional[Dict[Tuple[int, int], np.ndarray]] = None
+        # Per-cell counts and grouping, built on first use.
+        self._counts = self._order = self._starts = None
 
     @property
     def num_answers(self) -> int:
@@ -258,27 +249,33 @@ class IndexedAnswers:
         """Number of distinct workers."""
         return len(self.worker_ids)
 
-    @property
-    def _cell_groups(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """Answer indices per answered cell, built on first use.
+    def cell_counts(self) -> np.ndarray:
+        """Answers per cell, row-major over the whole table (read-only).
 
-        EM groups cells itself, so a fit never pays for this lexsort.
+        One ``bincount``, built on first use.
         """
-        if self._groups is None:
-            self._groups = {}
-            order = np.lexsort((self.cols, self.rows))
-            boundaries = np.flatnonzero(
-                (np.diff(self.rows[order]) != 0) | (np.diff(self.cols[order]) != 0)
+        if self._counts is None:
+            self._counts = np.bincount(
+                self.rows * self.schema.num_columns + self.cols,
+                minlength=self.schema.num_cells,
             )
-            for group in np.split(order, boundaries + 1):
-                key = (int(self.rows[group[0]]), int(self.cols[group[0]]))
-                self._groups[key] = group
-        return self._groups
+            self._counts.flags.writeable = False
+        return self._counts
 
     def cell_indices(self, row: int, col: int) -> np.ndarray:
-        """Indices (into the parallel arrays) of answers for cell (row, col)."""
-        return self._cell_groups.get((row, col), np.empty(0, dtype=np.int64))
+        """Indices (into the parallel arrays) of answers for cell (row, col),
+        in answer order: one stable ``argsort``, built on first use."""
+        num_columns = self.schema.num_columns
+        if not (0 <= row < self.schema.num_rows and 0 <= col < num_columns):
+            return np.empty(0, dtype=np.int64)
+        if self._order is None:
+            self._order = np.argsort(self.rows * num_columns + self.cols, kind="stable")
+            self._order.flags.writeable = False
+            self._starts = np.concatenate(([0], np.cumsum(self.cell_counts())))
+        cell = row * num_columns + col
+        return self._order[self._starts[cell]:self._starts[cell + 1]]
 
     def answered_cells(self) -> List[Tuple[int, int]]:
-        """All cells that received at least one answer."""
-        return list(self._cell_groups.keys())
+        """All cells that received at least one answer, row-major."""
+        rows, cols = np.divmod(np.flatnonzero(self.cell_counts()), self.schema.num_columns)
+        return list(zip(rows.tolist(), cols.tolist()))

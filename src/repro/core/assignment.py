@@ -8,8 +8,9 @@ candidate cell by (structure-aware) information gain and greedily take the
 top K (Eq. 9).
 
 In the online loop a worker's candidate cells are derived on demand from
-the answer arrays (:meth:`AnswerSet.indexed`, which the refits build at the
-same answer count), refits are warm-started from the previous
+the answer arrays (:meth:`AnswerSet.indexed`, a view of the answer set's
+columns that copies no answer; the per-cell cap reads the view's cell
+counts), refits are warm-started from the previous
 :class:`~repro.core.inference.InferenceResult` (``warm_start=False`` refits
 cold), and every select scores its candidates in one ``gains_batch`` call
 and takes the stable top K (:func:`rank_candidates`, shared with
@@ -183,12 +184,7 @@ class AssignmentPolicy(abc.ABC):
         cap = self.max_answers_per_cell
         if cap is None or not len(answers):
             return np.ones(self.schema.num_cells, dtype=bool)
-        indexed = answers.indexed()
-        counts = np.bincount(
-            indexed.rows * self.schema.num_columns + indexed.cols,
-            minlength=self.schema.num_cells,
-        )
-        return counts < cap
+        return answers.indexed().cell_counts() < cap
 
     def has_open_cells(self, answers: AnswerSet) -> bool:
         """True while at least one cell can accept further answers."""

@@ -55,6 +55,7 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from socketserver import ThreadingMixIn
 
+from repro.config.spec import SESSION_ID_PATTERN
 from repro.engine.profiling import HotPathProfile, StageStats, histogram_lines
 from repro.service.registry import (
     ResponseEncodingError,
@@ -86,7 +87,7 @@ _STATUS = {
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _SESSION_PATH = re.compile(
-    r"^/sessions/(?P<sid>[A-Za-z0-9_.-]+)"
+    rf"^/sessions/(?P<sid>{SESSION_ID_PATTERN})"
     r"(?:/(?P<verb>tasks|answers|estimates|workers|config|decisions))?"
     r"(?:/(?P<arg>[^/]+))?$"
 )

@@ -185,6 +185,18 @@ class Snapshot:
     payload: dict
     path: Optional[pathlib.Path] = None
 
+    @classmethod
+    def from_payload(cls, payload, path: Optional[pathlib.Path] = None) -> Optional["Snapshot"]:
+        """The snapshot ``payload`` describes, or ``None`` unless it is a JSON
+        object with integer ``epoch``, ``answers_seen`` and ``wal_records``
+        (recovery then skips it, for an older snapshot or a full replay)."""
+        fields = ("epoch", "answers_seen", "wal_records")
+        if not isinstance(payload, dict) or any(
+            type(payload.get(name)) is not int for name in fields
+        ):
+            return None
+        return cls(*(payload[name] for name in fields), payload=payload, path=path)
+
     @property
     def standalone(self) -> bool:
         """True when this snapshot can recover without any WAL prefix.
@@ -265,15 +277,9 @@ class SnapshotStore:
                 continue
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                return Snapshot(
-                    epoch=int(payload["epoch"]),
-                    answers_seen=int(payload["answers_seen"]),
-                    wal_records=int(payload["wal_records"]),
-                    payload=payload,
-                    path=path,
-                )
-            except (OSError, ValueError, KeyError):
+            except (OSError, ValueError):
                 return None
+            return Snapshot.from_payload(payload, path)
         return None
 
     def delete(self, epoch: int) -> None:
@@ -281,27 +287,6 @@ class SnapshotStore:
         for found, _seen, path in self._entries():
             if found == epoch:
                 path.unlink(missing_ok=True)
-
-    def discard_lost_timeline(self, max_wal_records: int) -> List[pathlib.Path]:
-        """Delete snapshots covering more WAL records than survive on disk.
-
-        A crash that loses the WAL tail can strand snapshots describing
-        events that no longer exist; they can never become valid again (the
-        regrown log diverges from the lost one), and leaving them around
-        would let a *later* recovery pick one once the new log grows past
-        their record count.  Recovery calls this before replaying.
-        """
-        removed = []
-        for _epoch, _seen, path in self._entries():
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                stale = int(payload["wal_records"]) > max_wal_records
-            except (OSError, ValueError, KeyError):
-                continue  # unreadable files are merely skipped, never chosen
-            if stale:
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        return removed
 
     def latest(self, max_wal_records: Optional[int] = None) -> Optional[Snapshot]:
         """Newest loadable snapshot covering at most ``max_wal_records``.
@@ -311,17 +296,9 @@ class SnapshotStore:
         snapshot was cut) are skipped — recovery then falls back to an
         older snapshot or to a full replay.
         """
-        for path in reversed(self.paths()):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                snapshot = Snapshot(
-                    epoch=int(payload["epoch"]),
-                    answers_seen=int(payload["answers_seen"]),
-                    wal_records=int(payload["wal_records"]),
-                    payload=payload,
-                    path=path,
-                )
-            except (OSError, ValueError, KeyError):
+        for epoch in reversed(self.epochs()):
+            snapshot = self.load(epoch)
+            if snapshot is None:
                 continue
             if max_wal_records is not None and snapshot.wal_records > max_wal_records:
                 continue
@@ -902,15 +879,9 @@ class SqliteBackend(StorageBackend):
             return None
         try:
             payload = json.loads(row[0])
-            return Snapshot(
-                epoch=int(payload["epoch"]),
-                answers_seen=int(payload["answers_seen"]),
-                wal_records=int(payload["wal_records"]),
-                payload=payload,
-                path=None,
-            )
-        except (ValueError, KeyError):
+        except (TypeError, ValueError):
             return None
+        return Snapshot.from_payload(payload)
 
     def delete_snapshot(self, epoch: int) -> None:
         with self._conn:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.answers import Answer, AnswerSet, IndexedAnswers
+from repro.core.answers import _MIN_CAPACITY, Answer, AnswerSet, IndexedAnswers
 from repro.core.schema import Column, TableSchema
 from repro.utils.exceptions import DataError
 
@@ -129,6 +129,12 @@ class TestAnswerSet:
         assert len(answer_set) == 1
 
 
+_VIEW_ARRAYS = (
+    "rows", "cols", "workers", "values", "label_indices",
+    "is_categorical", "is_continuous",
+)
+
+
 class TestIndexedAnswers:
     def test_empty_answer_set_rejected(self, schema):
         with pytest.raises(DataError):
@@ -168,3 +174,34 @@ class TestIndexedAnswers:
         indexed = answers.indexed()
         for idx, answer in enumerate(answers):
             assert indexed.worker_ids[indexed.workers[idx]] == answer.worker
+
+    def test_views_survive_later_answers_and_capacity_doublings(self, schema):
+        answer_set = AnswerSet(schema)
+        take_at = (1, _MIN_CAPACITY - 1, _MIN_CAPACITY, _MIN_CAPACITY + 1, 2 * _MIN_CAPACITY)
+        taken = {}
+        for n in range(1, 2 * _MIN_CAPACITY + 2):
+            col = n % 2
+            value = "abc"[n % 3] if col == 0 else float(n)
+            answer_set.add_answer(f"w{n % 5}", n % schema.num_rows, col, value)
+            if n in take_at:
+                view = answer_set.indexed()
+                taken[n] = (view, {name: getattr(view, name).copy() for name in _VIEW_ARRAYS})
+        assert len(answer_set._values) == 4 * _MIN_CAPACITY  # doubled twice
+        for n, (view, arrays) in taken.items():
+            assert view.num_answers == n
+            for name, before in arrays.items():
+                array = getattr(view, name)
+                np.testing.assert_array_equal(array, before, err_msg=f"{name} at {n}")
+                assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                view.rows[0] = 3
+
+    def test_lookups_on_an_empty_set_build_no_view(self, schema):
+        answer_set = AnswerSet(schema)
+        assert answer_set.answers_for_cell(0, 0) == []
+        assert answer_set.answers_in_row(0) == []
+        assert answer_set.answer_count(0, 0) == 0
+        assert answer_set.column_answer_count(0) == 0
+        assert answer_set.answer_counts().sum() == 0
+        assert not answer_set.has_answered("w", 0, 0)
+        assert answer_set._indexed is None

@@ -40,6 +40,7 @@ from repro.config.factory import (
 )
 from repro.config.spec import RETIRED_FIELDS
 from repro.config.validate import main as validate_main
+from repro.config.validate import validate_file
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.utils.exceptions import ConfigurationError
@@ -433,3 +434,21 @@ class TestValidateCLI:
         )
         assert validate_main([str(body)]) == 1
         assert "durable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("session_id", [5, "", "a/b", ".", "..", "../x", "x y"])
+    def test_rejects_session_ids_the_api_cannot_address(self, tmp_path, session_id):
+        body = tmp_path / "envelope.json"
+        body.write_text(
+            json.dumps({"version": 1, "session_id": session_id}), encoding="utf-8"
+        )
+        with pytest.raises(SpecValidationError) as info:
+            validate_file(str(body))
+        assert info.value.path == "session_id"
+
+    @pytest.mark.parametrize("session_id", ["bench", "ok-1", "a.b_c", None])
+    def test_accepts_addressable_or_null_session_ids(self, tmp_path, session_id):
+        body = tmp_path / "envelope.json"
+        body.write_text(
+            json.dumps({"version": 1, "session_id": session_id}), encoding="utf-8"
+        )
+        assert validate_file(str(body)) == SessionSpec()

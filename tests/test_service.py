@@ -11,8 +11,10 @@ CLI entry point.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sqlite3
 import threading
 
 import pytest
@@ -28,6 +30,8 @@ from repro.service.registry import (
     schema_from_dict,
     schema_to_dict,
 )
+from repro.service.storage import BACKEND_NAMES
+from repro.service.wal import durable_summary
 from repro.utils.exceptions import ConfigurationError
 
 SCHEMA_SPEC = {
@@ -866,6 +870,124 @@ class TestDurableSessionsOverHTTP:
         with pytest.raises(ConfigurationError):
             registry.create(_config(session_id="twin"))
         registry.close_all()
+
+
+def _damage_newest_snapshot(directory, backend, damage):
+    """Rewrite the newest snapshot's JSON as ``damage(payload)``; return
+    the retained epochs, oldest first."""
+    if backend == "sqlite":
+        with contextlib.closing(
+            sqlite3.connect(directory / "durable.sqlite3")
+        ) as conn, conn:
+            rows = conn.execute(
+                "SELECT epoch, payload FROM snapshots ORDER BY epoch"
+            ).fetchall()
+            epoch, payload = rows[-1]
+            conn.execute(
+                "UPDATE snapshots SET payload = ? WHERE epoch = ?",
+                (json.dumps(damage(json.loads(payload))), epoch),
+            )
+        return [epoch for epoch, _payload in rows]
+    paths = sorted((directory / "snapshots").glob("snapshot-*.json"))
+    payload = json.loads(paths[-1].read_text(encoding="utf-8"))
+    paths[-1].write_text(json.dumps(damage(payload)), encoding="utf-8")
+    return [int(path.name.split("-")[1]) for path in paths]
+
+
+class TestUnreadableNewestSnapshot:
+    """A newest snapshot whose JSON is not a snapshot object is skipped:
+    recovery, ``durable_summary`` and ``recover_all`` fall back to the
+    older retained snapshot and the WAL tail it needs."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda payload: [], lambda payload: {**payload, "epoch": None}],
+        ids=["not-an-object", "epoch-null"],
+    )
+    def test_recovery_falls_back_to_the_older_snapshot(
+        self, backend, damage, tmp_path
+    ):
+        registry = SessionRegistry(durable_root=tmp_path)
+        session = registry.create(
+            _config(
+                session_id="fallback",
+                durable=True,
+                durability={"backend": backend, "snapshot_every_answers": 4,
+                            "keep_snapshots": 2},
+            )
+        )
+        for row in range(4):
+            session.ingest(f"seed-{row % 2}", [(row, 0, "red"), (row, 1, 10.0 + row)])
+        for step in range(6):
+            worker = f"w{step % 3}"
+            cells = session.select(worker, k=2).cells
+            session.ingest(
+                worker,
+                [(row, col, 5.0 + step if col else "blue") for row, col in cells],
+            )
+        decisions = session.decisions(limit=1000)
+        estimates = json.loads(session.estimates())
+        registry.close_all()
+
+        directory = tmp_path / "fallback"
+        epochs = _damage_newest_snapshot(directory, backend, damage)
+        assert len(epochs) == 2
+        assert durable_summary(directory)["latest_snapshot_epoch"] == epochs[0]
+        fresh = SessionRegistry(durable_root=tmp_path)
+        try:
+            assert fresh.recover_all() == ["fallback"]
+            recovered = fresh.get("fallback")
+            stats = recovered.stats()
+            assert stats["recovered_epoch"] == epochs[0]
+            assert stats["audit_replay_verified"] > 0
+            assert stats["audit_replay_mismatches"] == 0
+            assert recovered.decisions(limit=1000) == decisions
+            assert json.loads(recovered.estimates()) == estimates
+        finally:
+            fresh.close_all()
+
+
+_UNADDRESSABLE_IDS = [5, "", "a/b", ".", "..", "../x", "x y"]
+_ADDRESSABLE_IDS = ["bench", "ok-1", "a.b_c"]
+
+
+class TestSessionIds:
+    """``POST /sessions`` takes only ids one URL segment can carry."""
+
+    @pytest.fixture()
+    def durable_client(self, tmp_path):
+        with ServiceServer(SessionRegistry(durable_root=tmp_path / "root")) as server:
+            yield ServiceClient(server.address)
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_unaddressable_ids_are_400(self, durable_client, tmp_path, durable):
+        for session_id in _UNADDRESSABLE_IDS:
+            status, body = durable_client.request(
+                "POST", "/sessions", _config(session_id=session_id, durable=durable)
+            )
+            assert status == 400, (session_id, status, body)
+            assert body["path"] == "session_id", (session_id, body)
+        assert durable_client.request("GET", "/sessions") == (200, {"sessions": []})
+        # Nothing was written, inside the durable root or beside it.
+        assert all(path == tmp_path / "root" for path in tmp_path.rglob("*"))
+
+    def test_addressable_ids_are_201(self, durable_client, tmp_path):
+        for session_id in _ADDRESSABLE_IDS:
+            status, body = durable_client.request(
+                "POST", "/sessions", _config(session_id=session_id, durable=True)
+            )
+            assert status == 201 and body["session_id"] == session_id, body
+            assert durable_client.request("GET", f"/sessions/{session_id}")[0] == 200
+            assert (tmp_path / "root" / session_id / "session.json").exists()
+        assert durable_client.request("GET", "/sessions") == (
+            200, {"sessions": sorted(_ADDRESSABLE_IDS)}
+        )
+
+    def test_non_boolean_durable_is_400(self, client):
+        for durable in ("yes", 1, None):
+            status, body = client.request("POST", "/sessions", _config(durable=durable))
+            assert status == 400 and body["path"] == "durable", (durable, body)
 
 
 class TestServingBenchmarkAndCLI:
