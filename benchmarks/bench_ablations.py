@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §7.
+"""Ablation benchmarks for three of the reproduction's design choices.
 
 These go beyond the paper's own tables: they isolate the contribution of
 (1) the unified worker quality across datatypes, (2) the row/column

@@ -1,9 +1,10 @@
 """Datasets: container, synthetic generator, simulated real datasets, noise.
 
 The three "real" datasets of the paper (Celebrity, Restaurant, Emotion) are
-simulated with the published shapes and answer redundancies (see Table 6 and
-DESIGN.md §4 for the substitution rationale); the synthetic generator follows
-Section 6.5.1 and the noise injection follows Section 6.5.2.
+simulated with the published shapes and answer redundancies (see Table 6;
+each dataset's module docstring gives the substitution rationale); the
+synthetic generator follows Section 6.5.1 and the noise injection follows
+Section 6.5.2.
 """
 
 from repro.datasets.base import CrowdDataset
@@ -30,12 +31,3 @@ __all__ = [
     "load_restaurant",
     "restaurant_schema",
 ]
-
-
-def load_all_real(seed: int = 7) -> list:
-    """Load the three simulated real datasets (Celebrity, Restaurant, Emotion)."""
-    return [
-        load_celebrity(seed=seed),
-        load_restaurant(seed=seed + 1),
-        load_emotion(seed=seed + 2),
-    ]

@@ -2,9 +2,9 @@
 
 Every harness returns an :class:`~repro.experiments.reporting.ExperimentReport`
 (or a small structured result) and can print the same rows / series the paper
-reports.  The mapping from paper table/figure to harness is listed in
-DESIGN.md §3; the command-line entry point is ``tcrowd-experiments``
-(:mod:`repro.experiments.cli`).
+reports.  The mapping from paper table/figure to harness is the
+``EXPERIMENTS`` registry of :mod:`repro.experiments.cli`, which is also the
+command-line entry point (installed as ``tcrowd-experiments``).
 """
 
 from repro.experiments.case_studies import (

@@ -1,6 +1,6 @@
 """Command-line entry point: run any of the paper's experiments.
 
-Installed as ``tcrowd-experiments`` (see ``pyproject.toml``).  Examples::
+Installed as ``tcrowd-experiments`` (see ``setup.py``).  Examples::
 
     tcrowd-experiments table7 --quick
     tcrowd-experiments figure2 --dataset Restaurant

@@ -17,7 +17,7 @@ to (dataset, metric) combinations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.baselines import CATD, CRH
 from repro.baselines.assignment_askit import AskItAssigner
@@ -136,11 +136,3 @@ def run_figure2(
         "structure-aware information gain."
     )
     return report
-
-
-def run_figure2_all(seed: int = 7, num_rows: Optional[int] = 40) -> List[ExperimentReport]:
-    """Run Figure 2 for all three datasets (panels a-e)."""
-    return [
-        run_figure2(dataset_name=name, seed=seed, num_rows=num_rows)
-        for name in _FIGURE2_DATASETS
-    ]

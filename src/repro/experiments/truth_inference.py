@@ -131,6 +131,6 @@ def run_table7(
     report.add_note(
         f"trials={trials}, seed={seed}, num_rows={num_rows or 'paper sizes'}; "
         "datasets are simulated equivalents of the paper's AMT collections "
-        "(see DESIGN.md §4)"
+        "(see the repro.datasets module docstrings)"
     )
     return report

@@ -8,9 +8,11 @@ serves them to live workers instead of in-process simulation loops:
   write-ahead answer log plus periodic engine-state snapshots, replayable to
   a **bit-identical** rebuild of the session (answers and the warm-start
   EM chain).
-* :mod:`repro.service.storage` — the pluggable storage backends under it:
-  rotated JSONL segments or a single stdlib ``sqlite3`` database, both with
-  snapshot retention / WAL GC so long-lived sessions stay disk-bounded.
+* :mod:`repro.service.storage` — the pluggable storage backends under it,
+  each one class that owns its directory's log and snapshots: rotated JSONL
+  segments with one file per snapshot, or a single stdlib ``sqlite3``
+  database, both with snapshot retention / WAL GC so long-lived sessions
+  stay disk-bounded.
 * :mod:`repro.service.registry` — multi-tenant session registry with a
   per-session lock discipline, plus the JSON codecs for schemas and session
   configurations.
@@ -34,10 +36,8 @@ durability/replay model).
 from repro.service.registry import ServedSession, SessionRegistry
 from repro.service.storage import (
     JsonlBackend,
-    SnapshotStore,
     SqliteBackend,
     StorageBackend,
-    WriteAheadLog,
     create_backend,
 )
 from repro.service.wal import DurableSession
@@ -47,9 +47,7 @@ __all__ = [
     "JsonlBackend",
     "ServedSession",
     "SessionRegistry",
-    "SnapshotStore",
     "SqliteBackend",
     "StorageBackend",
-    "WriteAheadLog",
     "create_backend",
 ]

@@ -3,7 +3,8 @@
 :class:`~repro.service.wal.DurableSession` stores its write-ahead log and
 snapshots through :class:`StorageBackend` — append / iterate /
 truncate-before for the log, save / list / load / delete for snapshots —
-with two implementations:
+with two implementations, each one class that owns every durable side
+effect in its directory:
 
 * :class:`JsonlBackend` — local JSONL files with optional **segment
   rotation**: without rotation the log is one ``wal.jsonl`` file; with it
@@ -13,7 +14,8 @@ with two implementations:
   ``rotate_every_records`` appends, and only the *newest* segment may
   carry a torn tail — an older segment that does not parse to EOF is a
   hard :class:`~repro.utils.exceptions.DurabilityError`, because the
-  records after the corruption were already acknowledged.
+  records after the corruption were already acknowledged.  Each snapshot
+  is one ``snapshots/snapshot-<epoch>-<answers_seen>.json`` file.
 
 * :class:`SqliteBackend` — a single ``durable.sqlite3`` file (stdlib
   ``sqlite3``).  Appends are transactions, so torn tails cannot exist;
@@ -27,6 +29,7 @@ A backend holds an exclusive ``flock`` on its directory from open to
 raises :class:`~repro.utils.exceptions.DirectoryLockedError` instead of
 writing the same log.  The lock is on the directory itself (the layout is
 unchanged) and dies with its process (a crashed session reopens at once).
+``open_read_only`` views take no lock and write nothing, for inspection.
 
 Record indexes are **global and immortal**: ``append`` returns the index
 the record has in the full event history, and ``record_count`` keeps
@@ -36,7 +39,8 @@ keeps a little more; SQLite drops exactly) — the session layer only calls
 it with a bound proven covered by every retained snapshot, so a pruned
 record is never needed again, not even by ``discard_lost_timeline``:
 snapshots are discarded against the *global* count, which a lost tail can
-shrink back to — but never below — the pruned prefix.
+shrink back to — but never below — the pruned prefix.  Whichever snapshot
+a caller starts from is picked by :meth:`StorageBackend.latest_snapshot`.
 """
 
 from __future__ import annotations
@@ -105,74 +109,7 @@ def read_wal(path: pathlib.Path) -> Tuple[List[dict], int]:
     return records, valid_bytes
 
 
-class WriteAheadLog:
-    """Append-only JSONL event log with torn-tail recovery.
-
-    Opening an existing file truncates it back to its last complete record
-    (so a torn write can never merge with the next append) and resumes the
-    record count from there.  ``fsync=True`` forces every append to disk —
-    full power-loss durability at a heavy per-event cost; the default
-    flush-only mode survives process crashes, which is the failure model
-    the recovery benchmark exercises.
-
-    The on-disk file is the source of truth: only the record count and the
-    newest record are held in memory, so a long-lived session's log costs
-    O(1) memory regardless of how many events it serves.
-    """
-
-    def __init__(self, path, fsync: bool = False) -> None:
-        self.path = pathlib.Path(path)
-        self.fsync = bool(fsync)
-        records, valid_bytes = read_wal(self.path)
-        self._count = len(records)
-        self._last_record: Optional[dict] = records[-1] if records else None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "ab")
-        if self._file.tell() != valid_bytes:
-            self._file.truncate(valid_bytes)
-            self._file.seek(valid_bytes)
-        self._closed = False
-
-    @property
-    def record_count(self) -> int:
-        """Number of complete records in the log."""
-        return self._count
-
-    @property
-    def last_record(self) -> Optional[dict]:
-        """The newest complete record (``None`` on an empty log)."""
-        return self._last_record
-
-    @property
-    def records(self) -> List[dict]:
-        """All complete records, oldest first — re-read from disk.
-
-        Every append was flushed before it was counted, so the read always
-        sees at least ``record_count`` records.
-        """
-        return read_wal(self.path)[0]
-
-    def append(self, record: dict) -> int:
-        """Durably append one record; return its index."""
-        if self._closed:
-            raise DurabilityError(f"WAL {self.path} is closed")
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        self._file.write(line.encode("utf-8"))
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-        self._count += 1
-        self._last_record = record
-        return self._count - 1
-
-    def close(self) -> None:
-        """Close the underlying file (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._file.close()
-
-
-# -- snapshots (JSONL layout) -------------------------------------------------
+# -- snapshots ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -183,10 +120,9 @@ class Snapshot:
     answers_seen: int
     wal_records: int
     payload: dict
-    path: Optional[pathlib.Path] = None
 
     @classmethod
-    def from_payload(cls, payload, path: Optional[pathlib.Path] = None) -> Optional["Snapshot"]:
+    def from_payload(cls, payload) -> Optional["Snapshot"]:
         """The snapshot ``payload`` describes, or ``None`` unless it is a JSON
         object with integer ``epoch``, ``answers_seen`` and ``wal_records``
         (recovery then skips it, for an older snapshot or a full replay)."""
@@ -195,7 +131,7 @@ class Snapshot:
             type(payload.get(name)) is not int for name in fields
         ):
             return None
-        return cls(*(payload[name] for name in fields), payload=payload, path=path)
+        return cls(*(payload[name] for name in fields), payload=payload)
 
     @property
     def standalone(self) -> bool:
@@ -209,101 +145,6 @@ class Snapshot:
             self.payload.get("model") is not None
             and self.payload.get("answers") is not None
         )
-
-
-class SnapshotStore:
-    """Atomic, epoch-ordered engine-state snapshot files in one directory."""
-
-    def __init__(self, directory, fsync: bool = False) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = bool(fsync)
-
-    def save(self, payload: dict) -> pathlib.Path:
-        """Write one snapshot atomically; return its path.
-
-        With ``fsync=True`` the file content is fsynced before the rename
-        and the directory after it, so the snapshot either exists complete
-        or not at all even across power loss — matching the WAL's
-        durability level (a flushed-but-unsynced snapshot could otherwise
-        vanish while the log it covers survives).
-        """
-        epoch = int(payload["epoch"])
-        answers_seen = int(payload["answers_seen"])
-        name = f"snapshot-{epoch:06d}-{answers_seen:08d}.json"
-        path = self.directory / name
-        tmp = path.with_suffix(".json.tmp")
-        data = (json.dumps(payload) + "\n").encode("utf-8")
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if self.fsync:
-            _fsync_directory(self.directory)
-        return path
-
-    def _entries(self) -> List[Tuple[int, int, pathlib.Path]]:
-        found = []
-        for path in self.directory.iterdir():
-            match = _SNAPSHOT_NAME.match(path.name)
-            if match:
-                found.append((int(match.group(1)), int(match.group(2)), path))
-        return sorted(found, key=lambda entry: (entry[0], entry[1]))
-
-    def paths(self) -> List[pathlib.Path]:
-        """Snapshot files, oldest epoch first."""
-        return [path for _epoch, _seen, path in self._entries()]
-
-    def epochs(self) -> List[int]:
-        """Epoch numbers present, ascending."""
-        return [epoch for epoch, _seen, _path in self._entries()]
-
-    def next_epoch(self) -> int:
-        """One past the highest epoch number any file has ever used here.
-
-        Epochs must never be reused — not even those of snapshots that a
-        recovery later discards — so a file name, once observed, always
-        refers to the same immutable content.
-        """
-        entries = self._entries()
-        return entries[-1][0] + 1 if entries else 0
-
-    def load(self, epoch: int) -> Optional[Snapshot]:
-        """Load one snapshot by epoch (``None`` if absent or unreadable)."""
-        for found, _seen, path in self._entries():
-            if found != epoch:
-                continue
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                return None
-            return Snapshot.from_payload(payload, path)
-        return None
-
-    def delete(self, epoch: int) -> None:
-        """Delete one snapshot file by epoch (idempotent)."""
-        for found, _seen, path in self._entries():
-            if found == epoch:
-                path.unlink(missing_ok=True)
-
-    def latest(self, max_wal_records: Optional[int] = None) -> Optional[Snapshot]:
-        """Newest loadable snapshot covering at most ``max_wal_records``.
-
-        Unreadable files and snapshots that claim more WAL records than
-        survive on disk (possible when the log lost its tail after the
-        snapshot was cut) are skipped — recovery then falls back to an
-        older snapshot or to a full replay.
-        """
-        for epoch in reversed(self.epochs()):
-            snapshot = self.load(epoch)
-            if snapshot is None:
-                continue
-            if max_wal_records is not None and snapshot.wal_records > max_wal_records:
-                continue
-            return snapshot
-        return None
 
 
 # -- the backend contract -----------------------------------------------------
@@ -423,12 +264,17 @@ class StorageBackend:
         return len(self.snapshot_epochs())
 
     def latest_snapshot(
-        self, max_wal_records: Optional[int] = None
+        self, max_wal_records: Optional[int] = None, standalone: bool = False
     ) -> Optional[Snapshot]:
-        """Newest loadable snapshot covering at most ``max_wal_records``."""
+        """Newest loadable snapshot covering at most ``max_wal_records``.
+
+        The one place a snapshot is chosen.  Skips unreadable snapshots,
+        those past the surviving log (it lost its tail after they were cut)
+        and, with ``standalone=True``, those without model and answer prefix.
+        """
         for epoch in reversed(self.snapshot_epochs()):
             snapshot = self.load_snapshot(epoch)
-            if snapshot is None:
+            if snapshot is None or (standalone and not snapshot.standalone):
                 continue
             if max_wal_records is not None and snapshot.wal_records > max_wal_records:
                 continue
@@ -533,15 +379,17 @@ class _Segment:
 
 
 class JsonlBackend(StorageBackend):
-    """Segmented JSONL files + one snapshot file per epoch.
+    """JSONL log segments and one ``snapshots/`` file per epoch, in one class.
 
-    Without ``rotate_every_records`` the log is one ``wal.jsonl`` file.
-    With rotation, the active
-    segment seals once it holds ``rotate_every_records`` records and a new
-    ``wal-<first_record:08d>.jsonl`` opens; sealed segments are immutable,
-    so only the active (newest) one can carry a torn tail — an older
-    segment that does not parse to its end, or a gap between consecutive
-    segments, is a hard :class:`DurabilityError`.
+    Without ``rotate_every_records`` the log is one ``wal.jsonl``; with it
+    the active segment seals once it holds that many records and a new
+    ``wal-<first_record:08d>.jsonl`` opens.  Sealed segments are immutable,
+    so only the active one may carry a torn tail (opening truncates it) —
+    a sealed segment that does not parse to its end, or a gap between
+    segments, is a hard :class:`DurabilityError`.  Only the segments'
+    extents, the active segment's handle and the newest record are held
+    in memory.  ``fsync=True`` forces every append, seal and snapshot to
+    disk; the default flush-only mode survives process crashes.
     """
 
     name = "jsonl"
@@ -556,74 +404,101 @@ class JsonlBackend(StorageBackend):
             raise ConfigurationError(
                 f"rotate_every_records must be >= 1, got {rotate_every_records}"
             )
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = bool(fsync)
-        self.rotate_every_records = rotate_every_records
-        self.snapshots = SnapshotStore(self.directory / "snapshots", fsync=fsync)
-        self._sealed: List[_Segment] = []
+        self._init(directory, fsync, rotate_every_records)
+        self._snapshot_dir.mkdir(parents=True, exist_ok=True)  # the directory too
         self._open_locked(self._open_log)
 
-    def _open_log(self) -> None:
+    @classmethod
+    def open_read_only(cls, directory) -> "JsonlBackend":
+        """A read-only view of a directory's log and snapshots, for inspection.
+
+        No directory lock, no file or directory created and no torn tail
+        truncated, so it can read a directory that a live session holds (or
+        one that does not exist: an empty log without snapshots).  The view
+        is closed from the start, so appending through it fails.
+        """
+        backend = cls.__new__(cls)
+        backend._init(directory, False, None)
+        backend._scan_log()
+        return backend
+
+    def _init(self, directory, fsync: bool, rotate_every_records) -> None:
+        self.directory = pathlib.Path(directory)
+        self.fsync = bool(fsync)
+        self.rotate_every_records = rotate_every_records
+        self._snapshot_dir = self.directory / "snapshots"
+        self._sealed: List[_Segment] = []
+        self._file = None  # the active segment open for append; None once closed
+
+    def _scan_log(self) -> int:
+        """Check the sealed segments and count the active (newest) one.
+
+        Returns the active segment's length up to its last complete record.
+        """
         segments = wal_segment_files(self.directory)
-        if not segments:
-            if self.rotate_every_records is None:
-                path = self.directory / "wal.jsonl"
-            else:
-                path = self.directory / "wal-00000000.jsonl"
-            first = 0
-        else:
+        last: Optional[dict] = None
+        for (first, path), (following, _path) in zip(segments, segments[1:]):
+            records, valid_bytes = read_wal(path)
+            if valid_bytes != path.stat().st_size:
+                raise DurabilityError(
+                    f"sealed WAL segment {path.name} is corrupt "
+                    "(only the newest segment may carry a torn tail)"
+                )
+            if first + len(records) != following:
+                raise DurabilityError(
+                    f"WAL segment {path.name} holds records "
+                    f"[{first}, {first + len(records)}) but the next segment "
+                    f"starts at {following}; the log has a gap"
+                )
+            self._sealed.append(_Segment(first, len(records), path))
+            last = records[-1] if records else last
+        if segments:
             first, path = segments[-1]
-            for seg_first, seg_path in segments[:-1]:
-                records, valid_bytes = read_wal(seg_path)
-                if valid_bytes != seg_path.stat().st_size:
-                    raise DurabilityError(
-                        f"sealed WAL segment {seg_path.name} is corrupt "
-                        "(only the newest segment may carry a torn tail)"
-                    )
-                self._sealed.append(_Segment(seg_first, len(records), seg_path))
-            expected = first
-            for segment in reversed(self._sealed):
-                if segment.first + segment.count != expected:
-                    raise DurabilityError(
-                        f"WAL segment {segment.path.name} holds records "
-                        f"[{segment.first}, {segment.first + segment.count}) "
-                        f"but the next segment starts at {expected}; the "
-                        "log has a gap"
-                    )
-                expected = segment.first
-        self._active_first = first
-        self._active = WriteAheadLog(path, fsync=self.fsync)
-        self._last: Optional[dict] = self._active.last_record
-        if self._last is None and self._sealed:
-            tail = read_wal(self._sealed[-1].path)[0]
-            self._last = tail[-1] if tail else None
+        else:
+            name = "wal.jsonl" if self.rotate_every_records is None else "wal-00000000.jsonl"
+            first, path = 0, self.directory / name
+        records, valid_bytes = read_wal(path)
+        self._active_first, self._active_count, self._active_path = first, len(records), path
+        self._last = records[-1] if records else last
+        return valid_bytes
+
+    def _open_log(self) -> None:
+        valid_bytes = self._scan_log()
+        self._file = open(self._active_path, "ab")
+        if self._file.tell() != valid_bytes:
+            self._file.truncate(valid_bytes)
+            self._file.seek(valid_bytes)
 
     # log primitives ----------------------------------------------------------
 
     def append(self, record: dict) -> int:
+        if self._file is None:
+            raise DurabilityError(f"WAL {self._active_path} is closed")
         if (
             self.rotate_every_records is not None
-            and self._active.record_count >= self.rotate_every_records
+            and self._active_count >= self.rotate_every_records
         ):
             self._rotate()
-        index = self._active_first + self._active.append(record)
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        self._file.write(line.encode("utf-8"))
+        self._file.flush()
+        if self.fsync:
+            os.fsync(self._file.fileno())
+        self._active_count += 1
         self._last = record
-        return index
+        return self._active_first + self._active_count - 1
 
     def _rotate(self) -> None:
-        sealed_first = self._active_first
-        sealed_count = self._active.record_count
-        sealed_path = self._active.path
         if self.fsync:
-            os.fsync(self._active._file.fileno())
-        self._active.close()
-        self._sealed.append(_Segment(sealed_first, sealed_count, sealed_path))
-        first = sealed_first + sealed_count
-        self._active_first = first
-        self._active = WriteAheadLog(
-            self.directory / f"wal-{first:08d}.jsonl", fsync=self.fsync
+            os.fsync(self._file.fileno())
+        self._file.close()
+        self._sealed.append(
+            _Segment(self._active_first, self._active_count, self._active_path)
         )
+        self._active_first += self._active_count
+        self._active_count = 0
+        self._active_path = self.directory / f"wal-{self._active_first:08d}.jsonl"
+        self._file = open(self._active_path, "ab")
         if self.fsync:
             _fsync_directory(self.directory)
 
@@ -631,12 +506,14 @@ class JsonlBackend(StorageBackend):
         out: List[dict] = []
         for segment in self._sealed:
             out.extend(read_wal(segment.path)[0])
-        out.extend(self._active.records)
+        # Every append was flushed before it was counted, so this read sees
+        # at least the counted records.
+        out.extend(read_wal(self._active_path)[0])
         return out
 
     @property
     def record_count(self) -> int:
-        return self._active_first + self._active.record_count
+        return self._active_first + self._active_count
 
     @property
     def first_record_index(self) -> int:
@@ -667,29 +544,72 @@ class JsonlBackend(StorageBackend):
         return dropped
 
     def close(self) -> None:
-        self._active.close()
+        if self._file is not None:
+            self._file.close()
+            self._file = None
         self._unlock_directory()
 
     @property
     def closed(self) -> bool:
-        return self._active._closed
+        return self._file is None
 
     # snapshot primitives -----------------------------------------------------
 
     def save_snapshot(self, payload: dict) -> None:
-        self.snapshots.save(payload)
+        """Write one snapshot file atomically: a temporary file, then a rename.
+
+        With ``fsync=True`` the file is fsynced before the rename and the
+        directory after it, so the snapshot exists complete or not at all
+        even across power loss, like the log it covers.
+        """
+        epoch = int(payload["epoch"])
+        answers_seen = int(payload["answers_seen"])
+        path = self._snapshot_dir / f"snapshot-{epoch:06d}-{answers_seen:08d}.json"
+        tmp = path.with_suffix(".json.tmp")
+        with open(tmp, "wb") as handle:
+            handle.write((json.dumps(payload) + "\n").encode("utf-8"))
+            handle.flush()
+            if self.fsync:
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        if self.fsync:
+            _fsync_directory(self._snapshot_dir)
+
+    def _snapshot_files(self) -> List[Tuple[int, int, pathlib.Path]]:
+        """``(epoch, answers_seen, path)`` of every snapshot file, oldest first."""
+        if not self._snapshot_dir.is_dir():
+            return []
+        found = [
+            (int(match.group(1)), int(match.group(2)), path)
+            for path in self._snapshot_dir.iterdir()
+            if (match := _SNAPSHOT_NAME.match(path.name))
+        ]
+        return sorted(found, key=lambda entry: entry[:2])
 
     def snapshot_epochs(self) -> List[int]:
-        return self.snapshots.epochs()
+        return [epoch for epoch, _seen, _path in self._snapshot_files()]
 
     def load_snapshot(self, epoch: int) -> Optional[Snapshot]:
-        return self.snapshots.load(epoch)
+        for found, _seen, path in self._snapshot_files():
+            if found == epoch:
+                try:
+                    payload = json.loads(path.read_text(encoding="utf-8"))
+                except (OSError, ValueError):
+                    return None
+                return Snapshot.from_payload(payload)
+        return None
 
     def delete_snapshot(self, epoch: int) -> None:
-        self.snapshots.delete(epoch)
+        for found, _seen, path in self._snapshot_files():
+            if found == epoch:
+                path.unlink(missing_ok=True)
 
     def next_epoch(self) -> int:
-        return self.snapshots.next_epoch()
+        # Epochs are never reused, not even those of snapshots that a
+        # recovery later discards, so a file name, once observed, always
+        # refers to the same immutable content.
+        files = self._snapshot_files()
+        return files[-1][0] + 1 if files else 0
 
 
 # -- SQLite backend -----------------------------------------------------------

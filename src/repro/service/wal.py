@@ -60,15 +60,16 @@ totally ordered and immutable once written, like
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.answers import AnswerSet
 from repro.core.codec import deserialize_result, serialize_result
 from repro.core.inference import InferenceResult
 from repro.core.schema import TableSchema
 from repro.service.storage import (
+    JsonlBackend,
     Snapshot,
-    SnapshotStore,
     SqliteBackend,
     StorageBackend,
     create_backend,
@@ -78,6 +79,7 @@ from repro.service.storage import (
 from repro.utils.exceptions import (
     AssignmentError,
     ConfigurationError,
+    DataError,
     DurabilityError,
 )
 
@@ -88,6 +90,28 @@ Cell = Tuple[int, int]
 #: standalone, the precondition for WAL segment GC); a format-1 snapshot
 #: is skipped by recovery.
 FORMAT_VERSION = 2
+
+
+@contextmanager
+def _malformed(what: str) -> Iterator[None]:
+    """Turn a parse failure of ``what`` (a logged record or snapshot body)
+    into a :class:`DurabilityError`.  Wraps parsing and answer validation
+    only, never a policy call."""
+    try:
+        yield
+    except (AttributeError, DataError, IndexError, KeyError, OverflowError,
+            TypeError, ValueError) as exc:
+        raise DurabilityError(
+            f"{what} is malformed ({type(exc).__name__}: {exc}); the "
+            "durable directory cannot be recovered"
+        ) from exc
+
+
+def _worker_id(value) -> str:
+    """A logged worker id: a non-empty string, as the HTTP API accepts."""
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"worker id {value!r} is not a non-empty string")
+    return value
 
 
 # -- durable session ----------------------------------------------------------
@@ -287,10 +311,17 @@ class DurableSession:
         self._snapshot_epoch = storage.next_epoch()
         storage.discard_lost_timeline(total)
         records = storage.records()
-        latest = storage.latest_snapshot(max_wal_records=total)
-        if latest is not None:
-            self._answers_at_last_snapshot = latest.answers_seen
-        snapshot = self._usable_snapshot(total)
+        # The fast path needs a policy that re-seats a model and a
+        # standalone snapshot (model plus answer prefix) within the log.
+        snapshot = None
+        if hasattr(self.policy, "restore_state"):
+            snapshot = storage.latest_snapshot(total, standalone=True)
+        if snapshot is None:
+            # Replaying from an older start still resumes the snapshot
+            # cadence from the newest readable snapshot.
+            latest = storage.latest_snapshot(total)
+            if latest is not None:
+                self._answers_at_last_snapshot = latest.answers_seen
         start = first
         if self.recorder is not None:
             self.recorder.begin_replay()
@@ -304,37 +335,29 @@ class DurableSession:
                     "retained snapshot is standalone (model + answer prefix); "
                     "the durable directory cannot be recovered"
                 )
-            for record in records[start - first:]:
-                self._apply(record)
+            for index, record in enumerate(records[start - first:], start):
+                self._apply(index, record)
         finally:
             if self.recorder is not None:
                 self.recorder.end_replay()
         self.replayed_records = total - start
 
-    def _usable_snapshot(self, total: int) -> Optional[Snapshot]:
-        """Newest snapshot the recovery fast path can actually start from.
-
-        Needs a policy that can re-seat a model and a *standalone*
-        snapshot (serialized model plus answer prefix) within the
-        surviving log; any other snapshot is skipped, so recovery falls
-        back to an older one or to a full WAL replay.
-        """
-        if not hasattr(self.policy, "restore_state"):
-            return None
-        for epoch in reversed(self._storage.snapshot_epochs()):
-            snapshot = self._storage.load_snapshot(epoch)
-            if (
-                snapshot is not None
-                and snapshot.wal_records <= total
-                and snapshot.standalone
-            ):
-                return snapshot
-        return None
-
     def _restore_snapshot(self, snapshot: Snapshot) -> None:
-        """Re-seat one snapshot: answer prefix without side effects + model."""
-        for worker, row, col, value in snapshot.payload["answers"]:
-            self.answers.add_answer(worker, int(row), int(col), value)
+        """Re-seat one snapshot: answer prefix without side effects + model.
+
+        The body is parsed before anything reaches the policy; a malformed
+        one is a :class:`DurabilityError` naming the snapshot's epoch.
+        """
+        payload = snapshot.payload
+        with _malformed(f"snapshot epoch {snapshot.epoch}"):
+            for worker, row, col, value in payload["answers"]:
+                self.answers.add_answer(_worker_id(worker), int(row), int(col), value)
+            model = payload["model"]
+            result = deserialize_result(model["result"], self.schema)
+            answers_seen = int(model["answers_seen"])
+            audit = payload.get("audit")
+            if self.recorder is not None and audit:
+                self.recorder.restore(audit)
         if len(self.answers) != snapshot.answers_seen:
             raise DurabilityError(
                 f"snapshot epoch {snapshot.epoch} covers "
@@ -342,40 +365,40 @@ class DurableSession:
                 f"holds {len(self.answers)}; the durable directory is "
                 "inconsistent"
             )
-        model = snapshot.payload["model"]
-        result = deserialize_result(model["result"], self.schema)
-        self.policy.restore_state(result, int(model["answers_seen"]))
-        audit = snapshot.payload.get("audit")
-        if self.recorder is not None and audit:
-            self.recorder.restore(audit)
+        self.policy.restore_state(result, answers_seen)
         self.recovered_epoch = snapshot.epoch
         self._answers_at_last_snapshot = snapshot.answers_seen
 
-    def _add_answers(self, record: dict) -> None:
-        for row, col, value in record["a"]:
-            self.answers.add_answer(record["w"], int(row), int(col), value)
+    def _apply(self, index: int, record: dict) -> None:
+        """Re-execute the logged event at global ``index`` with full side effects.
 
-    def _apply(self, record: dict) -> None:
-        """Re-execute one logged event with full side effects."""
-        kind = record.get("t")
+        Its fields are parsed before they reach the policy; a malformed
+        record of a known type is a :class:`DurabilityError` naming
+        ``index``.  Unknown record types are skipped (forward compatibility).
+        """
+        with _malformed(f"WAL record {index}"):
+            kind = record.get("t")
+            if kind == "answers":
+                worker = _worker_id(record["w"])
+                for row, col, value in record["a"]:
+                    self.answers.add_answer(worker, int(row), int(col), value)
+            elif kind in ("select", "decision"):
+                worker, k = _worker_id(record["w"]), int(record["k"])
+                if kind == "decision" and self.recorder is not None:
+                    # Audit record: restore it verbatim, verifying it against
+                    # the record the preceding replayed select recomputed.
+                    self.recorder.apply_logged(record["d"])
         if kind == "answers":
-            self._add_answers(record)
             if record.get("o", True):
                 self.policy.observe(self.answers)
         elif kind == "select":
             try:
-                self.policy.select(record["w"], self.answers, int(record["k"]))
+                self.policy.select(worker, self.answers, k)
             except AssignmentError:
                 pass  # the live call failed too; the refit side effect stands
         elif kind == "estimates":
             if len(self.answers):
                 self.policy.final_result(self.answers)
-        elif kind == "decision":
-            # Audit record: restore it verbatim, verifying it against the
-            # record the preceding replayed select just recomputed.
-            if self.recorder is not None:
-                self.recorder.apply_logged(record["d"])
-        # Unknown record types are skipped (forward compatibility).
 
     # -- session events -------------------------------------------------------
 
@@ -539,38 +562,40 @@ class DurableSession:
 def durable_summary(directory) -> Dict[str, object]:
     """Cheap, read-only summary of a durable directory (tests/inspection).
 
-    Works for both backends without a lock or a write, so it also reads a
-    directory a live session holds: JSONL segments are found by
+    Takes no lock and writes nothing (a missing directory is not created),
+    so it also reads a directory a live session holds.  The log is read by
+    layout: JSONL segments are found by
     :func:`~repro.service.storage.wal_segment_files` and scanned with
-    :func:`read_wal` (no truncation), a SQLite database is read through
-    :meth:`~repro.service.storage.SqliteBackend.open_read_only`.
+    :func:`read_wal` (no truncation), SQLite rows are read through
+    :meth:`~repro.service.storage.SqliteBackend.open_read_only`.  The
+    newest snapshot within the log is picked by
+    :meth:`~repro.service.storage.StorageBackend.latest_snapshot` on the
+    backend's read-only view, on both layouts.
     """
     directory = pathlib.Path(directory)
     database = directory / SqliteBackend.FILENAME
-    if database.exists():
-        backend = SqliteBackend.open_read_only(directory)
-        try:
+    sqlite = database.exists()
+    backend = (SqliteBackend if sqlite else JsonlBackend).open_read_only(directory)
+    try:
+        if sqlite:
             records = backend.records()
             wal_records = backend.record_count
             wal_segments = 1
             wal_bytes = database.stat().st_size
-            snapshot = backend.latest_snapshot(max_wal_records=wal_records)
-            snapshots = backend.snapshot_count
-        finally:
-            backend.close()
-    else:
-        segments = wal_segment_files(directory)
-        records = []
-        wal_bytes = 0
-        for _first, path in segments:
-            part, valid_bytes = read_wal(path)
-            records.extend(part)
-            wal_bytes += valid_bytes
-        wal_records = (segments[-1][0] + len(part)) if segments else 0
-        wal_segments = len(segments)
-        store = SnapshotStore(directory / "snapshots")
-        snapshot = store.latest(max_wal_records=wal_records)
-        snapshots = len(store.paths())
+        else:
+            segments = wal_segment_files(directory)
+            records = []
+            wal_bytes = 0
+            for _first, path in segments:
+                part, valid_bytes = read_wal(path)
+                records.extend(part)
+                wal_bytes += valid_bytes
+            wal_records = (segments[-1][0] + len(part)) if segments else 0
+            wal_segments = len(segments)
+        snapshot = backend.latest_snapshot(max_wal_records=wal_records)
+        snapshots = backend.snapshot_count
+    finally:
+        backend.close()
     answers = sum(len(r["a"]) for r in records if r.get("t") == "answers")
     return {
         "wal_records": wal_records,

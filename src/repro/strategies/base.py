@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -130,10 +130,3 @@ class AssignmentStrategy(abc.ABC):
         calculator (never ``_build_calculator``, which would recurse back
         into the strategy).
         """
-
-
-def batch_scores(
-    cells: Sequence[Cell], score_fn
-) -> np.ndarray:
-    """``np.ndarray`` of ``score_fn(row, col)`` over ``cells``."""
-    return np.array([score_fn(row, col) for row, col in cells], dtype=float)

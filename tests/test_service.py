@@ -30,9 +30,9 @@ from repro.service.registry import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.service.storage import BACKEND_NAMES
+from repro.service.storage import BACKEND_NAMES, create_backend, wal_segment_files
 from repro.service.wal import durable_summary
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, DurabilityError
 
 SCHEMA_SPEC = {
     "entity_attribute": "item",
@@ -946,6 +946,124 @@ class TestUnreadableNewestSnapshot:
             assert json.loads(recovered.estimates()) == estimates
         finally:
             fresh.close_all()
+
+
+def _append_wal_record(directory, backend, record):
+    """Append ``record`` as the newest log record; return its global index."""
+    line = json.dumps(record)
+    if backend == "sqlite":
+        with contextlib.closing(
+            sqlite3.connect(directory / "durable.sqlite3")
+        ) as conn, conn:
+            (index,) = conn.execute("SELECT MAX(idx) + 1 FROM wal").fetchone()
+            conn.execute("INSERT INTO wal (idx, record) VALUES (?, ?)", (index, line))
+        return index
+    index = durable_summary(directory)["wal_records"]
+    with open(wal_segment_files(directory)[-1][1], "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    return index
+
+
+def _first_answer_row_cut(payload):
+    answers = [list(row) for row in payload["answers"]]
+    answers[0] = answers[0][:3]
+    return {**payload, "answers": answers}
+
+
+class TestMalformedDurableState:
+    """A logged record or snapshot body with the wrong shape stops only its
+    own session's recovery, with a :class:`DurabilityError` that names it;
+    ``recover_all`` logs it and recovers the other sessions."""
+
+    @staticmethod
+    def _two_sessions(root, backend):
+        registry = SessionRegistry(durable_root=root)
+        for session_id in ("bad", "healthy"):
+            session = registry.create(
+                _config(
+                    session_id=session_id,
+                    durable=True,
+                    durability={"backend": backend, "snapshot_every_answers": 4},
+                )
+            )
+            for row in range(4):
+                session.ingest(f"seed-{row % 2}", [(row, 0, "red"), (row, 1, 10.0 + row)])
+            for step in range(3):
+                cells = session.select(f"w{step}", k=2).cells
+                session.ingest(
+                    f"w{step}",
+                    [(row, col, 5.0 if col else "blue") for row, col in cells],
+                )
+        registry.close_all()
+
+    @staticmethod
+    def _assert_only_bad_fails(root, backend, match, caplog):
+        fresh = SessionRegistry(durable_root=root)
+        try:
+            with pytest.raises(DurabilityError, match=match):
+                fresh.create({"version": 1, "durability": {"durable_dir": str(root / "bad")}})
+            create_backend(root / "bad", backend=backend).close()  # released
+            with caplog.at_level("WARNING", logger="repro.service.registry"):
+                assert fresh.recover_all() == ["healthy"]
+            assert "skipping unrecoverable" in caplog.text
+            assert "bad" in caplog.text and "malformed" in caplog.text
+        finally:
+            fresh.close_all()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"t": "answers", "w": "x", "a": 5},
+            {"t": "select", "k": 1},
+            {"t": "answers", "w": "x", "a": [["r", 0, "red"]]},
+            {"t": "answers", "w": "x", "a": [[0, 0]]},
+            {"t": "decision", "w": "x", "k": 1, "d": {}},
+            {"t": "select", "w": "w1", "k": "zz"},
+            {"t": "answers", "w": 5, "a": [[2, 0, "red"]]},
+        ],
+        ids=[
+            "answers-not-a-list", "select-without-worker", "row-not-a-number",
+            "answer-of-two-items", "decision-without-fields", "k-not-a-number",
+            "worker-not-a-string",
+        ],
+    )
+    def test_malformed_wal_record(self, backend, record, tmp_path, caplog):
+        self._two_sessions(tmp_path, backend)
+        index = _append_wal_record(tmp_path / "bad", backend, record)
+        self._assert_only_bad_fails(
+            tmp_path, backend, f"WAL record {index} is malformed", caplog
+        )
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_unknown_record_types_are_still_skipped(self, backend, tmp_path):
+        self._two_sessions(tmp_path, backend)
+        _append_wal_record(tmp_path / "bad", backend, {"t": "later", "x": [1]})
+        fresh = SessionRegistry(durable_root=tmp_path)
+        try:
+            assert fresh.recover_all() == ["bad", "healthy"]
+        finally:
+            fresh.close_all()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: {**payload, "answers": 5},
+            _first_answer_row_cut,
+            lambda payload: {**payload, "model": {}},
+            lambda payload: {**payload, "model": {**payload["model"], "result": 5}},
+            lambda payload: {**payload, "audit": 5},
+        ],
+        ids=["answers-not-a-list", "answer-of-three-items", "model-empty",
+             "result-not-an-object", "audit-not-an-object"],
+    )
+    def test_malformed_snapshot_body(self, backend, damage, tmp_path, caplog):
+        self._two_sessions(tmp_path, backend)
+        epoch = _damage_newest_snapshot(tmp_path / "bad", backend, damage)[-1]
+        self._assert_only_bad_fails(
+            tmp_path, backend, f"snapshot epoch {epoch} is malformed", caplog
+        )
 
 
 _UNADDRESSABLE_IDS = [5, "", "a/b", ".", "..", "../x", "x y"]

@@ -24,7 +24,6 @@ from repro.core.inference import TCrowdModel
 from repro.service.storage import (
     BACKEND_NAMES,
     JsonlBackend,
-    SnapshotStore,
     SqliteBackend,
     create_backend,
     read_wal,
@@ -180,6 +179,17 @@ class TestBackendContract:
         assert backend.snapshot_epochs() == [0]
         backend.close()
 
+    def test_latest_standalone_snapshot_skips_model_only_ones(
+        self, backend_name, tmp_path
+    ):
+        backend = create_backend(tmp_path, backend=backend_name)
+        backend.save_snapshot(_snapshot_payload(0, wal_records=2))
+        backend.save_snapshot(_snapshot_payload(1, 8, standalone=False))
+        assert backend.latest_snapshot().epoch == 1
+        assert backend.latest_snapshot(standalone=True).epoch == 0
+        assert backend.latest_snapshot(max_wal_records=1, standalone=True) is None
+        backend.close()
+
     def test_unknown_backend_is_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="Unknown durability"):
             create_backend(tmp_path, backend="papyrus")
@@ -232,6 +242,39 @@ class TestDirectoryLock:
         live.close()
         assert durable_summary(tmp_path) == summary
         assert summary["answers_logged"] == 9
+
+    def test_summary_of_a_missing_path_creates_nothing(self, tmp_path):
+        missing = tmp_path / "missing"
+        assert durable_summary(missing) == {
+            "wal_records": 0,
+            "wal_bytes": 0,
+            "wal_segments": 0,
+            "answers_logged": 0,
+            "snapshots": 0,
+            "latest_snapshot_epoch": None,
+            "latest_snapshot_answers_seen": None,
+        }
+        assert not missing.exists()
+
+    def test_jsonl_read_only_view_locks_and_truncates_nothing(self, tmp_path):
+        live = JsonlBackend(tmp_path, rotate_every_records=2)
+        for i in range(3):
+            live.append(_record(i))
+        live.save_snapshot(_snapshot_payload(0, wal_records=3))
+        newest = tmp_path / "wal-00000002.jsonl"
+        with open(newest, "ab") as handle:
+            handle.write(b'{"t": "sel')  # a write still in flight
+        size = newest.stat().st_size
+        view = JsonlBackend.open_read_only(tmp_path)
+        assert view.closed
+        assert view.record_count == 3 and view.last_record == _record(2)
+        assert view.records() == [_record(i) for i in range(3)]
+        assert view.latest_snapshot().epoch == 0
+        with pytest.raises(DurabilityError, match="closed"):
+            view.append(_record(9))
+        view.close()
+        assert newest.stat().st_size == size
+        live.close()
 
 
 class TestJsonlRotation:
@@ -334,6 +377,17 @@ class TestJsonlRotation:
         assert backend.records() == [_record(4)]
         backend.close()
 
+    def test_append_after_close_raises_even_when_a_rotation_is_due(self, tmp_path):
+        backend = JsonlBackend(tmp_path, rotate_every_records=1)
+        backend.append(_record(0))
+        backend.close()
+        with pytest.raises(DurabilityError, match="closed"):
+            backend.append(_record(1))
+        assert backend.closed
+        assert [path.name for path in tmp_path.glob("wal-*.jsonl")] == [
+            "wal-00000000.jsonl"
+        ]
+
     def test_rotation_cadence_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigurationError):
             JsonlBackend(tmp_path, rotate_every_records=0)
@@ -345,12 +399,12 @@ class TestJsonlRotation:
             backend.append(_record(i))
         assert backend.segment_count == 2
         backend.truncate_before(0)
+        backend.save_snapshot(_snapshot_payload(0, wal_records=3))
         backend.close()
-        store = SnapshotStore(tmp_path / "snapshots", fsync=True)
-        path = store.save(_snapshot_payload(0, wal_records=3))
-        assert path.exists()
-        assert not path.with_suffix(".json.tmp").exists()
-        assert store.load(0).wal_records == 3
+        assert [path.name for path in (tmp_path / "snapshots").iterdir()] == [
+            "snapshot-000000-00000003.json"
+        ]  # renamed into place: no temporary file is left
+        assert backend.load_snapshot(0).wal_records == 3
 
     def test_sqlite_single_file_layout(self, tmp_path):
         backend = SqliteBackend(tmp_path, rotate_every_records=2)

@@ -1,4 +1,4 @@
-"""Durability tests: WAL framing, snapshot store, bit-identical recovery.
+"""Durability tests: WAL framing, snapshot files, bit-identical recovery.
 
 The crash-recovery tests drive the golden-trace scenario through a
 :class:`~repro.service.wal.DurableSession`, kill it mid-run (optionally
@@ -19,7 +19,7 @@ from repro.core.assignment import TCrowdAssigner
 from repro.config.factory import build_policy
 from repro.core.codec import buffer_hash, deserialize_result, serialize_result
 from repro.core.inference import TCrowdModel
-from repro.service.storage import SnapshotStore, WriteAheadLog, read_wal
+from repro.service.storage import JsonlBackend, read_wal
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 from scripted_sessions import (
@@ -86,9 +86,11 @@ class TestResultCodec:
 
 
 class TestWriteAheadLog:
+    """The JSONL backend's log: one ``wal.jsonl`` without rotation."""
+
     def test_append_and_reload(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path)
+        wal = JsonlBackend(tmp_path)
         assert wal.append({"t": "select", "w": "w0", "k": 3}) == 0
         assert wal.append({"t": "answers", "w": "w0", "a": [[0, 1, "x"]]}) == 1
         wal.close()
@@ -99,7 +101,7 @@ class TestWriteAheadLog:
 
     def test_torn_tail_is_dropped_and_truncated_on_reopen(self, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog(path)
+        wal = JsonlBackend(tmp_path)
         for index in range(3):
             wal.append({"t": "select", "w": f"w{index}", "k": 1})
         wal.close()
@@ -109,8 +111,9 @@ class TestWriteAheadLog:
         assert len(records) == 2
         # Reopening truncates the torn bytes so new appends never merge
         # with the partial line.
-        reopened = WriteAheadLog(path)
+        reopened = JsonlBackend(tmp_path)
         assert reopened.record_count == 2
+        assert path.stat().st_size == valid_bytes
         reopened.append({"t": "select", "w": "w9", "k": 1})
         reopened.close()
         records, _ = read_wal(path)
@@ -126,21 +129,26 @@ class TestWriteAheadLog:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         records, _ = read_wal(path)
         assert [r["w"] for r in records] == ["a"]
+        reopened = JsonlBackend(tmp_path)
+        assert reopened.records() == records
+        reopened.close()
 
     def test_append_after_close_raises(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl")
+        wal = JsonlBackend(tmp_path)
         wal.close()
         with pytest.raises(DurabilityError):
             wal.append({"t": "select", "w": "w", "k": 1})
 
     def test_fsync_mode_appends(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
+        wal = JsonlBackend(tmp_path, fsync=True)
         wal.append({"t": "estimates"})
         wal.close()
         assert read_wal(tmp_path / "wal.jsonl")[0] == [{"t": "estimates"}]
 
 
 class TestSnapshotStore:
+    """The JSONL backend's snapshot files under ``snapshots/``."""
+
     @staticmethod
     def _payload(epoch, answers_seen, wal_records):
         return {
@@ -152,32 +160,40 @@ class TestSnapshotStore:
         }
 
     def test_latest_orders_by_epoch(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(self._payload(0, 10, 2))
-        store.save(self._payload(2, 50, 9))
-        store.save(self._payload(1, 30, 5))
-        assert [p.name for p in store.paths()] == [
+        store = JsonlBackend(tmp_path)
+        store.save_snapshot(self._payload(0, 10, 2))
+        store.save_snapshot(self._payload(2, 50, 9))
+        store.save_snapshot(self._payload(1, 30, 5))
+        assert sorted(p.name for p in (tmp_path / "snapshots").iterdir()) == [
             "snapshot-000000-00000010.json",
             "snapshot-000001-00000030.json",
             "snapshot-000002-00000050.json",
         ]
-        assert store.latest().epoch == 2
+        assert store.snapshot_epochs() == [0, 1, 2]
+        assert store.latest_snapshot().epoch == 2
+        store.close()
 
     def test_latest_skips_snapshots_past_the_surviving_log(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(self._payload(0, 10, 2))
-        store.save(self._payload(1, 50, 9))
-        snapshot = store.latest(max_wal_records=4)
+        store = JsonlBackend(tmp_path)
+        store.save_snapshot(self._payload(0, 10, 2))
+        store.save_snapshot(self._payload(1, 50, 9))
+        snapshot = store.latest_snapshot(max_wal_records=4)
         assert snapshot.epoch == 0
+        store.close()
 
     def test_latest_skips_corrupt_files(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(self._payload(0, 10, 2))
-        (tmp_path / "snapshot-000001-00000099.json").write_text("{broken")
-        assert store.latest().epoch == 0
+        store = JsonlBackend(tmp_path)
+        store.save_snapshot(self._payload(0, 10, 2))
+        (tmp_path / "snapshots" / "snapshot-000001-00000099.json").write_text("{broken")
+        assert store.latest_snapshot().epoch == 0
+        assert store.load_snapshot(1) is None
+        store.close()
 
     def test_empty_store(self, tmp_path):
-        assert SnapshotStore(tmp_path / "none").latest() is None
+        store = JsonlBackend(tmp_path / "none")
+        assert store.latest_snapshot() is None
+        assert store.next_epoch() == 0
+        store.close()
 
 
 class TestDurableSession:
@@ -329,10 +345,9 @@ class TestCrashRecovery:
         run_scripted_session(
             "plain", directory=tmp_path, crash_after_steps=4, snapshot_every=7
         )
-        store = SnapshotStore(tmp_path / "snapshots")
-        before = store.paths()
+        before = _snapshot_paths(tmp_path)
         assert len(before) >= 2
-        next_epoch_before = store.next_epoch()
+        next_epoch_before = JsonlBackend.open_read_only(tmp_path).next_epoch()
         newest = json.loads(before[-1].read_text(encoding="utf-8"))
         # keep one record fewer than the newest snapshot covers
         wal_path = tmp_path / "wal.jsonl"
@@ -345,7 +360,7 @@ class TestCrashRecovery:
         baseline = run_scripted_session("plain")
         assert continued["decisions"] == baseline["decisions"]
         assert continued["estimates"] == baseline["estimates"]
-        remaining = [path.name for path in store.paths()]
+        remaining = [path.name for path in _snapshot_paths(tmp_path)]
         assert before[-1].name not in remaining  # lost timeline discarded
         epochs = sorted(int(name.split("-")[1]) for name in remaining)
         assert len(set(epochs)) == len(epochs)  # unique forever
@@ -359,7 +374,7 @@ class TestCrashRecovery:
         run_scripted_session(
             "plain", directory=tmp_path, crash_after_steps=4, snapshot_every=7
         )
-        paths = SnapshotStore(tmp_path / "snapshots").paths()
+        paths = _snapshot_paths(tmp_path)
         assert len(paths) >= 2
         for path in paths if strip == "all" else paths[-1:]:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -393,6 +408,11 @@ class TestCrashRecovery:
         assert summary["wal_records"] > 0
         assert summary["snapshots"] > 0
         assert summary["answers_logged"] > DEFAULT_SCENARIO["num_rows"]
+
+
+def _snapshot_paths(directory):
+    """The JSONL layout's snapshot files, oldest epoch first."""
+    return sorted((directory / "snapshots").glob("snapshot-*.json"))
 
 
 def _scenario_schema():
