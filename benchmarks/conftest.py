@@ -4,7 +4,8 @@ Every benchmark regenerates one table or figure of the paper (at a reduced
 scale so the whole suite stays fast) and writes the resulting report text to
 ``benchmarks/_output/<experiment>.txt`` so the rows/series can be inspected
 after a run.  Timing comes from pytest-benchmark; effectiveness numbers come
-from the written reports and from EXPERIMENTS.md (full-scale runs).
+from the written reports (``scripts/run_all_experiments.py`` writes the
+full-scale ones).
 """
 
 from __future__ import annotations

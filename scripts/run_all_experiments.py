@@ -1,10 +1,11 @@
 """Run every experiment harness at recording scale and save the reports.
 
-This is the script used to produce the numbers quoted in EXPERIMENTS.md.
-Scales are chosen so the full run finishes in tens of minutes on a laptop:
-truth-inference experiments use the paper-sized tables; the end-to-end
-assignment experiments (which refit truth inference hundreds of times) use
-reduced tables, which is recorded in each report's notes.
+It writes one ``<experiment>.txt`` report per harness into the output
+directory (``results/`` by default).  Scales are chosen so the full run
+finishes in tens of minutes on a laptop: truth-inference experiments use the
+paper-sized tables; the end-to-end assignment experiments (which refit truth
+inference hundreds of times) use reduced tables, which is recorded in each
+report's notes.
 
 Usage::
 

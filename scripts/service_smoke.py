@@ -36,7 +36,8 @@ reproducibility chain client-side** — plain ``hashlib`` over the
 sorted-keys compact JSON of each record's core fields, no repro imports —
 asserts it against the served ``record_hash``/``decision_chain_hash``,
 then restarts the server (SIGINT + fresh process) and asserts the
-recovered session serves the identical ledger record for record.  It then
+recovered session serves the identical ledger record for record, and that
+its next select reaches the ``/metrics`` hot-path histograms.  It then
 boots a server over a copy of the committed audit-format-1 fixture
 (``tests/fixtures/audit_format1/jsonl``, written before model hashes
 moved to raw buffers) and asserts the upgraded server replays that ledger
@@ -531,6 +532,19 @@ def audit_main() -> int:
             assert grown[: len(records)] == records
             recompute_chain_client_side(grown)
             print("post-recovery decision extends the same chain")
+
+            # This server holds only the recovered session, so its select
+            # is what the hot-path histograms counted.
+            prefix = 'repro_hotpath_stage_seconds_count{stage="gains_batch"} '
+            counts = [
+                int(line[len(prefix):])
+                for line in client.get_metrics().splitlines()
+                if line.startswith(prefix)
+            ]
+            assert counts and counts[0] >= 1, (
+                "the recovered session's select reported no hot-path stages"
+            )
+            print("recovered session reports hot-path stages")
 
             stop_server(process)
             print("clean shutdown OK")

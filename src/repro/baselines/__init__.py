@@ -3,9 +3,10 @@
 Truth inference (Section 6.2): Majority Voting, Median, Dawid & Skene (the
 paper's "EM"), GLAD, ZenCrowd, GTM, CRH and CATD.
 
-Task assignment (Sections 6.3-6.4): CDAS, AskIt!, and the Random / Looping /
-Entropy heuristics; CRH and CATD use random assignment combined with their
-own inference, which the experiment harness composes from these pieces.
+Task assignment (Sections 6.3-6.4): CDAS, AskIt!, and the Random / Looping
+heuristics (Figure 5's Entropy heuristic is the ``uncertainty`` strategy);
+CRH and CATD use random assignment combined with their own inference, which
+the experiment harness composes from these pieces.
 """
 
 from repro.baselines.base import BaselineResult, TruthInferenceMethod
@@ -19,11 +20,7 @@ from repro.baselines.median import MedianAggregator
 from repro.baselines.zencrowd import ZenCrowd
 from repro.baselines.assignment_askit import AskItAssigner
 from repro.baselines.assignment_cdas import CDASAssigner
-from repro.baselines.assignment_simple import (
-    EntropyAssigner,
-    LoopingAssigner,
-    RandomAssigner,
-)
+from repro.baselines.assignment_simple import LoopingAssigner, RandomAssigner
 
 __all__ = [
     "AskItAssigner",
@@ -32,7 +29,6 @@ __all__ = [
     "CDASAssigner",
     "CRH",
     "DawidSkene",
-    "EntropyAssigner",
     "GLAD",
     "GTM",
     "LoopingAssigner",

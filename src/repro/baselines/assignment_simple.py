@@ -1,14 +1,15 @@
-"""Simple assignment heuristics: Random, Looping, Entropy (Section 6.4.2).
+"""Simple assignment heuristics: Random and Looping (Section 6.4.2).
 
-These are the heuristics of Figure 5 (all evaluated with T-Crowd's inference
+Two of the heuristics of Figure 5 (all evaluated with T-Crowd's inference
 in the paper's case study):
 
 * **Random** — pick uniformly among the candidate cells;
-* **Looping** — round-robin over the cells in row-major order;
-* **Entropy** — pick the cell whose current truth posterior has the highest
-  *raw* uniform entropy.  Because raw Shannon and differential entropies are
-  not comparable, this heuristic is biased toward continuous cells — the
-  behaviour the paper points out and that motivates delta entropy.
+* **Looping** — round-robin over the cells in row-major order.
+
+The third, **Entropy** (the cell whose truth posterior has the highest
+*raw* uniform entropy), is the ``uncertainty`` strategy of
+:mod:`repro.strategies` served through
+:class:`~repro.core.assignment.TCrowdAssigner`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.answers import AnswerSet
-from repro.core.assignment import AssignmentPolicy, BatchAssignment, Cell, refit_model
-from repro.core.inference import TCrowdModel
+from repro.core.assignment import AssignmentPolicy, BatchAssignment, Cell
 from repro.core.schema import TableSchema
 from repro.utils.exceptions import AssignmentError
 from repro.utils.rng import as_generator
@@ -76,59 +76,3 @@ class LoopingAssigner(AssignmentPolicy):
         if not cells:
             raise AssignmentError(f"No candidate cells left for worker {worker!r}")
         return BatchAssignment(worker, tuple(cells), tuple(0.0 for _ in cells))
-
-
-class EntropyAssigner(AssignmentPolicy):
-    """Assign the cells whose truth posterior currently has the highest entropy.
-
-    Uses T-Crowd's truth inference to obtain the posteriors (as in the
-    paper's Figure 5 study) but ranks by *raw* uniform entropy rather than by
-    delta entropy, so it inherits the categorical-vs-continuous bias.
-    """
-
-    def __init__(self, schema: TableSchema, model: Optional[TCrowdModel] = None,
-                 refit_every: int = 1,
-                 max_answers_per_cell: Optional[int] = None,
-                 warm_start: bool = True) -> None:
-        super().__init__(schema, max_answers_per_cell=max_answers_per_cell)
-        self.model = model or TCrowdModel()
-        self.refit_every = max(int(refit_every), 1)
-        self.warm_start = bool(warm_start)
-        self._result = None
-        self._answers_at_last_fit = -1
-
-    @property
-    def name(self) -> str:
-        return "Entropy"
-
-    def select(self, worker: str, answers: AnswerSet, k: int = 1) -> BatchAssignment:
-        candidates = self.candidate_cells(worker, answers)
-        if not candidates:
-            raise AssignmentError(f"No candidate cells left for worker {worker!r}")
-        result = self._ensure_result(answers)
-        scored = [
-            (result.posterior(row, col).entropy(), (row, col))
-            for row, col in candidates
-        ]
-        scored.sort(key=lambda item: item[0], reverse=True)
-        top = scored[:k]
-        cells = tuple(cell for _score, cell in top)
-        gains = tuple(score for score, _cell in top)
-        return BatchAssignment(worker, cells, gains)
-
-    def _ensure_result(self, answers: AnswerSet):
-        if len(answers) == 0:
-            raise AssignmentError(
-                "Entropy assignment needs at least one collected answer"
-            )
-        stale = (
-            self._result is None
-            or len(answers) - self._answers_at_last_fit >= self.refit_every
-        )
-        if stale:
-            self._result = refit_model(
-                self.model, self.schema, answers,
-                previous=self._result, warm_start=self.warm_start,
-            )
-            self._answers_at_last_fit = len(answers)
-        return self._result

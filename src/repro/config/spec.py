@@ -16,6 +16,14 @@ the same ``repr``-based discipline as the WAL codec in
 directories, it is the body of ``POST /sessions`` and the response of
 ``GET /sessions/{id}/config``.
 
+Every section is a frozen dataclass over one private base, ``_Section``.
+A field declares its check and limits next to its default
+(``max_iterations: int = _field(50, _check_int, minimum=1)``); a field
+whose default is another section holds that section.  The base runs every
+field's check at its dotted path, encodes a section with
+``dataclasses.asdict`` and parses one (nested sections included), so each
+rule is stated once.
+
 Validation is strict and **path-qualified**: every violation raises a
 :class:`SpecValidationError` (a :class:`~repro.utils.exceptions.ConfigurationError`)
 whose message starts with the dotted field path, e.g.
@@ -24,15 +32,18 @@ surfaces the path in its 400 responses.  Unknown fields are rejected, never
 ignored, except the :data:`RETIRED_FIELDS` older manifests carry, which are
 accepted and dropped when their value replays as written.
 
-This module deliberately imports nothing heavy (no numpy, no engine code):
-``python -m repro.config.validate`` must run in a lint-only environment.
-The factory that turns a spec into live policy objects lives in
+The module itself imports only the standard library and
+:mod:`repro.utils.exceptions`; importing it, like running
+``python -m repro.config.validate``, still needs the package's runtime
+dependencies, because ``repro/__init__.py`` imports the core.  The factory
+that turns a spec into live policy objects lives in
 :mod:`repro.config.factory`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -97,11 +108,9 @@ def _check_float(
     value,
     minimum: Optional[float] = None,
     exclusive: bool = False,
-    optional: bool = False,
+    maximum: Optional[float] = None,
 ):
     if value is None:
-        if optional:
-            return None
         raise SpecValidationError(path, "must be a number, got None")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecValidationError(path, f"must be a number, got {value!r}")
@@ -115,10 +124,12 @@ def _check_float(
             raise SpecValidationError(path, f"must be > {minimum}, got {value}")
         if not exclusive and value < minimum:
             raise SpecValidationError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SpecValidationError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
-def _check_str(path: str, value, optional: bool = False):
+def _check_str(path: str, value, optional: bool = False, choices=None):
     if value is None:
         if optional:
             return None
@@ -129,6 +140,16 @@ def _check_str(path: str, value, optional: bool = False):
         raise SpecValidationError(path, f"must be a string, got {value!r}")
     if not value:
         raise SpecValidationError(path, "must be a non-empty string")
+    if choices is not None and value not in choices:
+        raise SpecValidationError(
+            path, f"must be one of {list(choices)}, got {value!r}"
+        )
+    return value
+
+
+def _check_version(path: str, value):
+    if value != SPEC_VERSION:
+        raise SpecValidationError(path, f"must be {SPEC_VERSION}, got {value!r}")
     return value
 
 
@@ -183,26 +204,90 @@ RETIRED_FIELDS = {
 }
 
 
-def _live_fields(section: str, payload, cls) -> dict:
-    """``payload``'s fields of ``cls``, with its retired keys checked and
-    dropped; any other unknown key raises, naming the live fields."""
-    if not isinstance(payload, dict):
-        raise SpecValidationError(
-            section, f"must be a JSON object, got {payload!r}"
-        )
-    known = tuple(f.name for f in dataclasses.fields(cls))
-    live = {}
-    for key, value in payload.items():
-        path = f"{section}.{key}"
-        if key in known:
-            live[key] = value
-        elif path in RETIRED_FIELDS:
-            RETIRED_FIELDS[path](path, value)
-        else:
+# -- the section base ---------------------------------------------------------
+
+
+def _field(default, check, **limits):
+    """A field holding ``default`` until set; every value it takes must
+    pass ``check(path, value, **limits)``, which returns the stored value."""
+    return field(default=default, metadata={"check": functools.partial(check, **limits)})
+
+
+def _section_of(spec_field) -> Optional[type]:
+    """The section class a field holds (its default factory), else ``None``."""
+    factory = spec_field.default_factory
+    if isinstance(factory, type) and issubclass(factory, _Section):
+        return factory
+    return None
+
+
+class _Section:
+    """Validates, encodes and parses one spec section.
+
+    ``_SECTION`` is the section's dotted path (empty for the spec itself,
+    whose fields sit at the top level).
+    """
+
+    _SECTION: ClassVar[str] = ""
+
+    @classmethod
+    def _path(cls, name: str) -> str:
+        return f"{cls._SECTION}.{name}" if cls._SECTION else name
+
+    def __post_init__(self) -> None:
+        for spec_field in dataclasses.fields(self):
+            path = self._path(spec_field.name)
+            value = getattr(self, spec_field.name)
+            section = _section_of(spec_field)
+            if section is None:
+                object.__setattr__(
+                    self, spec_field.name, spec_field.metadata["check"](path, value)
+                )
+            elif not isinstance(value, section):
+                raise SpecValidationError(
+                    path, f"must be a {spec_field.name} object, got {value!r}"
+                )
+        self._check_across_fields()
+
+    def _check_across_fields(self) -> None:
+        """Rules that span two fields; none unless a section adds one."""
+
+    def to_dict(self) -> dict:
+        """Canonical JSON-safe form: every field explicit, floats exact."""
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Parse (strictly) the dict produced by :meth:`to_dict`.
+
+        Omitted fields keep their defaults.  A :data:`RETIRED_FIELDS` key is
+        dropped when its value replays as written; any other unknown key
+        raises, naming the live fields.  Nested sections are parsed after
+        every key of this one is known.
+        """
+        where = cls._SECTION or "spec"
+        if not isinstance(payload, dict):
             raise SpecValidationError(
-                path, f"is not a recognised field (expected one of {sorted(known)})"
+                where, f"must be a JSON object, got {payload!r}"
             )
-    return live
+        fields = dataclasses.fields(cls)
+        known = [spec_field.name for spec_field in fields]
+        live = {}
+        for key, value in payload.items():
+            path = f"{where}.{key}"
+            if key in known:
+                live[key] = value
+            elif path in RETIRED_FIELDS:
+                RETIRED_FIELDS[path](path, value)
+            else:
+                raise SpecValidationError(
+                    path, f"is not a recognised field (expected one of {sorted(known)})"
+                )
+        for spec_field in fields:
+            section = _section_of(spec_field)
+            if section is not None and spec_field.name in live:
+                live[spec_field.name] = section.from_dict(live[spec_field.name])
+        return cls(**live)
 
 
 # -- nested sections ----------------------------------------------------------
@@ -222,7 +307,7 @@ STRATEGY_NAMES = (
 
 
 @dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(_Section):
     """Which assignment strategy the policy serves (:mod:`repro.strategies`).
 
     ``name`` selects the strategy; the remaining fields parameterise the
@@ -247,63 +332,27 @@ class StrategySpec:
 
     _SECTION: ClassVar[str] = "policy.strategy"
 
-    name: str = "paper"
-    epsilon: float = 0.1
-    base: str = "paper"
-    confidence: float = 0.9
-    min_answers: int = 2
-    seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        name = _check_str(f"{s}.name", self.name)
-        if name not in STRATEGY_NAMES:
-            raise SpecValidationError(
-                f"{s}.name",
-                f"must be one of {list(STRATEGY_NAMES)}, got {name!r}",
-            )
-        set_(self, "name", name)
-        epsilon = _check_float(f"{s}.epsilon", self.epsilon, 0.0)
-        if epsilon > 1.0:
-            raise SpecValidationError(
-                f"{s}.epsilon", f"must be <= 1.0, got {epsilon}"
-            )
-        set_(self, "epsilon", epsilon)
-        base = _check_str(f"{s}.base", self.base)
-        if base not in STRATEGY_NAMES or base == "epsilon_greedy":
-            raise SpecValidationError(
-                f"{s}.base",
-                "must be a non-composite strategy name "
-                f"({[n for n in STRATEGY_NAMES if n != 'epsilon_greedy']}), "
-                f"got {base!r}",
-            )
-        set_(self, "base", base)
-        confidence = _check_float(
-            f"{s}.confidence", self.confidence, 0.0, exclusive=True
-        )
-        if confidence > 1.0:
-            raise SpecValidationError(
-                f"{s}.confidence", f"must be <= 1.0, got {confidence}"
-            )
-        set_(self, "confidence", confidence)
-        set_(self, "min_answers",
-             _check_int(f"{s}.min_answers", self.min_answers, 0))
-        set_(self, "seed", _check_int(f"{s}.seed", self.seed, 0, optional=True))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    name: str = _field("paper", _check_str, choices=STRATEGY_NAMES)
+    epsilon: float = _field(0.1, _check_float, minimum=0.0, maximum=1.0)
+    base: str = _field(
+        "paper",
+        _check_str,
+        choices=tuple(name for name in STRATEGY_NAMES if name != "epsilon_greedy"),
+    )
+    confidence: float = _field(0.9, _check_float, minimum=0.0, exclusive=True, maximum=1.0)
+    min_answers: int = _field(2, _check_int, minimum=0)
+    seed: Optional[int] = _field(None, _check_int, minimum=0, optional=True)
 
     @classmethod
     def from_dict(cls, payload) -> "StrategySpec":
         if isinstance(payload, str):
             # Shorthand: "uncertainty" == {"name": "uncertainty"}.
             return cls(name=payload)
-        return cls(**_live_fields(cls._SECTION, payload, cls))
+        return super().from_dict(payload)
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Section):
     """EM truth-inference options (:class:`~repro.core.inference.TCrowdModel`).
 
     Field-for-field the ``TCrowdModel`` constructor, with identical
@@ -312,52 +361,21 @@ class ModelSpec:
 
     _SECTION: ClassVar[str] = "policy.model"
 
-    epsilon: float = 1.0
-    max_iterations: int = 50
-    warm_iterations: int = 2
-    tolerance: float = 1e-5
-    m_step_iterations: int = 30
-    difficulty_regularization: float = 0.1
-    phi_regularization: float = 1e-3
-    use_difficulty: bool = True
-    standardize_continuous: bool = True
+    epsilon: float = _field(1.0, _check_float, minimum=0.0, exclusive=True)
+    max_iterations: int = _field(50, _check_int, minimum=1)
+    warm_iterations: int = _field(2, _check_int, minimum=1)
+    tolerance: float = _field(1e-5, _check_float, minimum=0.0, exclusive=True)
+    m_step_iterations: int = _field(30, _check_int, minimum=1)
+    difficulty_regularization: float = _field(0.1, _check_float, minimum=0.0)
+    phi_regularization: float = _field(1e-3, _check_float, minimum=0.0)
+    use_difficulty: bool = _field(True, _check_bool)
+    standardize_continuous: bool = _field(True, _check_bool)
 
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        set_(self, "epsilon",
-             _check_float(f"{s}.epsilon", self.epsilon, 0.0, exclusive=True))
-        set_(self, "max_iterations",
-             _check_int(f"{s}.max_iterations", self.max_iterations, 1))
-        set_(self, "warm_iterations",
-             _check_int(f"{s}.warm_iterations", self.warm_iterations, 1))
-        set_(self, "tolerance",
-             _check_float(f"{s}.tolerance", self.tolerance, 0.0, exclusive=True))
-        set_(self, "m_step_iterations",
-             _check_int(f"{s}.m_step_iterations", self.m_step_iterations, 1))
-        set_(self, "difficulty_regularization",
-             _check_float(f"{s}.difficulty_regularization",
-                          self.difficulty_regularization, 0.0))
-        set_(self, "phi_regularization",
-             _check_float(f"{s}.phi_regularization", self.phi_regularization, 0.0))
-        set_(self, "use_difficulty",
-             _check_bool(f"{s}.use_difficulty", self.use_difficulty))
-        set_(self, "standardize_continuous",
-             _check_bool(f"{s}.standardize_continuous",
-                         self.standardize_continuous))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    to_kwargs = to_dict  # ``TCrowdModel(**spec.to_kwargs())``
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelSpec":
-        return cls(**_live_fields(cls._SECTION, payload, cls))
+    to_kwargs = _Section.to_dict  # ``TCrowdModel(**spec.to_kwargs())``
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(_Section):
     """Assignment-policy options (:class:`~repro.core.assignment.TCrowdAssigner`).
 
     Field-for-field the ``TCrowdAssigner`` constructor (minus the schema),
@@ -368,39 +386,11 @@ class PolicySpec:
 
     model: ModelSpec = field(default_factory=ModelSpec)
     strategy: StrategySpec = field(default_factory=StrategySpec)
-    use_structure: bool = True
-    refit_every: int = 1
-    max_answers_per_cell: Optional[int] = None
-    min_pairs: int = 5
-    warm_start: bool = True
-
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        if not isinstance(self.model, ModelSpec):
-            raise SpecValidationError(
-                f"{s}.model", f"must be a model object, got {self.model!r}"
-            )
-        if not isinstance(self.strategy, StrategySpec):
-            raise SpecValidationError(
-                f"{s}.strategy",
-                f"must be a strategy object, got {self.strategy!r}",
-            )
-        set_(self, "use_structure",
-             _check_bool(f"{s}.use_structure", self.use_structure))
-        set_(self, "refit_every",
-             _check_int(f"{s}.refit_every", self.refit_every, 1))
-        set_(self, "max_answers_per_cell",
-             _check_int(f"{s}.max_answers_per_cell", self.max_answers_per_cell,
-                        1, optional=True))
-        set_(self, "min_pairs", _check_int(f"{s}.min_pairs", self.min_pairs, 0))
-        set_(self, "warm_start", _check_bool(f"{s}.warm_start", self.warm_start))
-
-    def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
-        payload["model"] = self.model.to_dict()
-        payload["strategy"] = self.strategy.to_dict()
-        return payload
+    use_structure: bool = _field(True, _check_bool)
+    refit_every: int = _field(1, _check_int, minimum=1)
+    max_answers_per_cell: Optional[int] = _field(None, _check_int, minimum=1, optional=True)
+    min_pairs: int = _field(5, _check_int, minimum=0)
+    warm_start: bool = _field(True, _check_bool)
 
     def to_kwargs(self) -> dict:
         """``TCrowdAssigner`` keyword arguments (model/strategy excluded).
@@ -414,18 +404,9 @@ class PolicySpec:
         payload.pop("strategy")
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PolicySpec":
-        payload = _live_fields(cls._SECTION, payload, cls)
-        if "model" in payload:
-            payload["model"] = ModelSpec.from_dict(payload["model"])
-        if "strategy" in payload:
-            payload["strategy"] = StrategySpec.from_dict(payload["strategy"])
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(_Section):
     """How the policy is served: bounded-staleness refits, audit.
 
     The serving table (see :mod:`repro.config.factory`): the default spec
@@ -463,19 +444,9 @@ class ServingSpec:
 
     _SECTION: ClassVar[str] = "serving"
 
-    async_refit: bool = False
-    max_stale_answers: Optional[int] = 0
-    audit: bool = True
-
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        set_(self, "async_refit",
-             _check_bool(f"{s}.async_refit", self.async_refit))
-        set_(self, "max_stale_answers",
-             _check_int(f"{s}.max_stale_answers", self.max_stale_answers, 0,
-                        optional=True))
-        set_(self, "audit", _check_bool(f"{s}.audit", self.audit))
+    async_refit: bool = _field(False, _check_bool)
+    max_stale_answers: Optional[int] = _field(0, _check_int, minimum=0, optional=True)
+    audit: bool = _field(True, _check_bool)
 
     def describe(self) -> str:
         """Human-readable serving mode, e.g. ``async refit (max_stale=0)``."""
@@ -488,13 +459,6 @@ class ServingSpec:
         )
         return f"async refit (max_stale={stale})"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServingSpec":
-        return cls(**_live_fields(cls._SECTION, payload, cls))
-
 
 #: Durability backend names (must match ``repro.service.storage``; listed
 #: here so the spec module stays importable without the service package).
@@ -502,7 +466,7 @@ DURABILITY_BACKENDS = ("jsonl", "sqlite")
 
 
 @dataclass(frozen=True)
-class DurabilitySpec:
+class DurabilitySpec(_Section):
     """Write-ahead logging, snapshot cadence and retention
     (:mod:`repro.service.wal` / :mod:`repro.service.storage`).
 
@@ -522,46 +486,16 @@ class DurabilitySpec:
 
     _SECTION: ClassVar[str] = "durability"
 
-    durable_dir: Optional[str] = None
-    snapshot_every_answers: int = 200
-    wal_fsync: bool = False
-    backend: str = "jsonl"
-    rotate_every_records: Optional[int] = None
-    keep_snapshots: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        set_(self, "durable_dir",
-             _check_str(f"{s}.durable_dir", self.durable_dir, optional=True))
-        set_(self, "snapshot_every_answers",
-             _check_int(f"{s}.snapshot_every_answers",
-                        self.snapshot_every_answers, 1))
-        set_(self, "wal_fsync", _check_bool(f"{s}.wal_fsync", self.wal_fsync))
-        backend = _check_str(f"{s}.backend", self.backend)
-        if backend not in DURABILITY_BACKENDS:
-            raise SpecValidationError(
-                f"{s}.backend",
-                f"must be one of {list(DURABILITY_BACKENDS)}, got {backend!r}",
-            )
-        set_(self, "backend", backend)
-        set_(self, "rotate_every_records",
-             _check_int(f"{s}.rotate_every_records",
-                        self.rotate_every_records, 1, optional=True))
-        set_(self, "keep_snapshots",
-             _check_int(f"{s}.keep_snapshots",
-                        self.keep_snapshots, 1, optional=True))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DurabilitySpec":
-        return cls(**_live_fields(cls._SECTION, payload, cls))
+    durable_dir: Optional[str] = _field(None, _check_str, optional=True)
+    snapshot_every_answers: int = _field(200, _check_int, minimum=1)
+    wal_fsync: bool = _field(False, _check_bool)
+    backend: str = _field("jsonl", _check_str, choices=DURABILITY_BACKENDS)
+    rotate_every_records: Optional[int] = _field(None, _check_int, minimum=1, optional=True)
+    keep_snapshots: Optional[int] = _field(None, _check_int, minimum=1, optional=True)
 
 
 @dataclass(frozen=True)
-class SimulationSpec:
+class SimulationSpec(_Section):
     """Budget and cadence of a simulated session (the Section 6.3 protocol).
 
     Only the platform simulator and the benchmarks read this section; the
@@ -588,69 +522,32 @@ class SimulationSpec:
 
     _SECTION: ClassVar[str] = "simulation"
 
-    target_answers_per_task: float = 5.0
-    initial_answers_per_task: int = 1
-    batch_size: Optional[int] = None
-    eval_every_answers_per_task: float = 0.5
-    seed: Optional[int] = None
-    max_steps: Optional[int] = None
-    worker_churn_rate: float = 0.0
-    spam_fraction: float = 0.0
-    spam_contamination: float = 0.9
-    difficulty_drift: float = 0.0
+    target_answers_per_task: float = _field(5.0, _check_float, minimum=0.0, exclusive=True)
+    initial_answers_per_task: int = _field(1, _check_int, minimum=1)
+    batch_size: Optional[int] = _field(None, _check_int, minimum=1, optional=True)
+    eval_every_answers_per_task: float = _field(0.5, _check_float, minimum=0.0, exclusive=True)
+    seed: Optional[int] = _field(None, _check_int, minimum=0, optional=True)
+    max_steps: Optional[int] = _field(None, _check_int, minimum=0, optional=True)
+    worker_churn_rate: float = _field(0.0, _check_float, minimum=0.0, maximum=0.999)
+    spam_fraction: float = _field(0.0, _check_float, minimum=0.0, maximum=1.0)
+    spam_contamination: float = _field(0.9, _check_float, minimum=0.0, maximum=1.0)
+    difficulty_drift: float = _field(0.0, _check_float, minimum=0.0)
 
-    def __post_init__(self) -> None:
-        s = self._SECTION
-        set_ = object.__setattr__
-        set_(self, "target_answers_per_task",
-             _check_float(f"{s}.target_answers_per_task",
-                          self.target_answers_per_task, 0.0, exclusive=True))
-        set_(self, "initial_answers_per_task",
-             _check_int(f"{s}.initial_answers_per_task",
-                        self.initial_answers_per_task, 1))
-        set_(self, "batch_size",
-             _check_int(f"{s}.batch_size", self.batch_size, 1, optional=True))
-        set_(self, "eval_every_answers_per_task",
-             _check_float(f"{s}.eval_every_answers_per_task",
-                          self.eval_every_answers_per_task, 0.0,
-                          exclusive=True))
-        set_(self, "seed", _check_int(f"{s}.seed", self.seed, 0, optional=True))
-        set_(self, "max_steps",
-             _check_int(f"{s}.max_steps", self.max_steps, 0, optional=True))
-        for name, ceiling in (
-            ("worker_churn_rate", 0.999),
-            ("spam_fraction", 1.0),
-            ("spam_contamination", 1.0),
-        ):
-            value = _check_float(f"{s}.{name}", getattr(self, name), 0.0)
-            if value > ceiling:
-                raise SpecValidationError(
-                    f"{s}.{name}", f"must be <= {ceiling}, got {value}"
-                )
-            set_(self, name, value)
-        set_(self, "difficulty_drift",
-             _check_float(f"{s}.difficulty_drift", self.difficulty_drift, 0.0))
+    def _check_across_fields(self) -> None:
         if self.target_answers_per_task <= self.initial_answers_per_task:
             raise SpecValidationError(
-                f"{s}.target_answers_per_task",
+                self._path("target_answers_per_task"),
                 "must exceed simulation.initial_answers_per_task "
                 f"({self.initial_answers_per_task}), got "
                 f"{self.target_answers_per_task}",
             )
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimulationSpec":
-        return cls(**_live_fields(cls._SECTION, payload, cls))
 
 
 # -- the versioned spec -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(_Section):
     """The canonical, versioned description of one serving session.
 
     Immutable; derive variants with :meth:`with_durable_dir` or
@@ -660,68 +557,36 @@ class SessionSpec:
     boundaries.
     """
 
-    version: int = SPEC_VERSION
+    version: int = _field(SPEC_VERSION, _check_version)
     policy: PolicySpec = field(default_factory=PolicySpec)
     serving: ServingSpec = field(default_factory=ServingSpec)
     durability: DurabilitySpec = field(default_factory=DurabilitySpec)
     simulation: SimulationSpec = field(default_factory=SimulationSpec)
 
-    def __post_init__(self) -> None:
-        if self.version != SPEC_VERSION:
-            raise SpecValidationError(
-                "version", f"must be {SPEC_VERSION}, got {self.version!r}"
-            )
-        for name, expected in (
-            ("policy", PolicySpec),
-            ("serving", ServingSpec),
-            ("durability", DurabilitySpec),
-            ("simulation", SimulationSpec),
-        ):
-            if not isinstance(getattr(self, name), expected):
-                raise SpecValidationError(
-                    name, f"must be a {name} object, got {getattr(self, name)!r}"
-                )
-
-    # -- codecs ---------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Canonical JSON-safe form: every field explicit, floats exact."""
-        return {
-            "version": self.version,
-            "policy": self.policy.to_dict(),
-            "serving": self.serving.to_dict(),
-            "durability": self.durability.to_dict(),
-            "simulation": self.simulation.to_dict(),
-        }
-
     @classmethod
-    def from_dict(cls, payload: dict) -> "SessionSpec":
+    def from_dict(cls, payload) -> "SessionSpec":
         """Parse (strictly) the dict produced by :meth:`to_dict`.
 
-        Sections may be omitted (their defaults apply); unknown keys and
-        invalid values raise :class:`SpecValidationError` with the dotted
-        field path.  A missing ``version`` is reported before any unknown
-        key: which keys are known depends on the version.
+        Sections may be omitted or ``null`` (their defaults apply); unknown
+        keys and invalid values raise :class:`SpecValidationError` with the
+        dotted field path.  A missing ``version`` is reported before any
+        unknown key: which keys are known depends on the version.
         """
-        if isinstance(payload, dict) and "version" not in payload:
-            raise SpecValidationError(
-                "version", f"is required (this library reads version {SPEC_VERSION})"
-            )
-        payload = _live_fields("spec", payload, cls)
-
-        def section(name):
+        if isinstance(payload, dict):
+            if "version" not in payload:
+                raise SpecValidationError(
+                    "version",
+                    f"is required (this library reads version {SPEC_VERSION})",
+                )
             # Only an absent key or null means defaults; any other value
             # that is not an object raises at the section's path.
-            value = payload.get(name)
-            return {} if value is None else value
-
-        return cls(
-            version=payload["version"],
-            policy=PolicySpec.from_dict(section("policy")),
-            serving=ServingSpec.from_dict(section("serving")),
-            durability=DurabilitySpec.from_dict(section("durability")),
-            simulation=SimulationSpec.from_dict(section("simulation")),
-        )
+            sections = [f.name for f in dataclasses.fields(cls) if _section_of(f)]
+            payload = {
+                key: value
+                for key, value in payload.items()
+                if value is not None or key not in sections
+            }
+        return super().from_dict(payload)
 
     # -- conveniences ---------------------------------------------------------
 
@@ -792,29 +657,13 @@ class SessionSpecBuilder:
         self._serving["max_stale_answers"] = max_stale
         return self
 
-    def durable(
-        self,
-        durable_dir,
-        snapshot_every_answers: Optional[int] = None,
-        wal_fsync: Optional[bool] = None,
-        backend: Optional[str] = None,
-        rotate_every_records: Optional[int] = None,
-        keep_snapshots: Optional[int] = None,
-    ) -> "SessionSpecBuilder":
-        """Log every event to a write-ahead log under ``durable_dir``."""
+    def durable(self, durable_dir, **options) -> "SessionSpecBuilder":
+        """Log every event to a write-ahead log under ``durable_dir``; set
+        any other :class:`DurabilitySpec` fields by keyword."""
         self._durability["durable_dir"] = (
             None if durable_dir is None else os.fspath(durable_dir)
         )
-        if snapshot_every_answers is not None:
-            self._durability["snapshot_every_answers"] = snapshot_every_answers
-        if wal_fsync is not None:
-            self._durability["wal_fsync"] = wal_fsync
-        if backend is not None:
-            self._durability["backend"] = backend
-        if rotate_every_records is not None:
-            self._durability["rotate_every_records"] = rotate_every_records
-        if keep_snapshots is not None:
-            self._durability["keep_snapshots"] = keep_snapshots
+        self._durability.update(options)
         return self
 
     def simulation(self, **options) -> "SessionSpecBuilder":

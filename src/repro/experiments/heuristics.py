@@ -3,7 +3,8 @@
 All heuristics use T-Crowd's truth inference (as in the paper's case study);
 only the assignment criterion differs:
 
-* Random, Looping, Entropy (raw uniform entropy),
+* Random, Looping, Entropy (raw uniform entropy: the ``uncertainty``
+  strategy),
 * Inherent Information Gain (Section 5.1),
 * Structure-Aware Information Gain (Section 5.2).
 """
@@ -12,16 +13,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines.assignment_simple import (
-    EntropyAssigner,
-    LoopingAssigner,
-    RandomAssigner,
-)
+from repro.baselines.assignment_simple import LoopingAssigner, RandomAssigner
+from repro.config import StrategySpec
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.datasets import load_restaurant
 from repro.experiments.reporting import ExperimentReport
 from repro.platform import CrowdsourcingSession
+from repro.strategies import build_strategy
 
 
 def run_figure5(
@@ -53,8 +52,9 @@ def run_figure5(
         ("Looping", LoopingAssigner(schema)),
         (
             "Entropy",
-            EntropyAssigner(
-                schema, model=model, refit_every=refit, warm_start=warm_start
+            TCrowdAssigner(
+                schema, model=model, refit_every=refit, warm_start=warm_start,
+                strategy=build_strategy(StrategySpec(name="uncertainty")),
             ),
         ),
         (

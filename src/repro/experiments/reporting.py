@@ -37,7 +37,8 @@ class ExperimentReport:
     ``rows`` is a list of equal-length sequences matching ``headers``;
     ``series`` optionally carries per-curve data (used by figure-style
     experiments); ``notes`` records the exact configuration used so the
-    report is self-describing in EXPERIMENTS.md.
+    report text (:meth:`to_text`, the file ``scripts/run_all_experiments.py``
+    writes per experiment) is self-describing.
     """
 
     experiment_id: str

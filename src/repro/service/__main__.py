@@ -63,13 +63,19 @@ def build_server(argv=None) -> ServiceServer:
     registry = SessionRegistry(
         durable_root=args.durable_root, durable_backend=args.durable_backend
     )
-    recovered = registry.recover_all()
+    # The app attaches its hot-path profile to the registry, so recovered
+    # sessions report their stages in /metrics like new ones.
     server = ServiceServer(
         registry,
         host=args.host,
         port=args.port,
         max_body_bytes=args.max_body_bytes,
     )
+    try:
+        recovered = registry.recover_all()
+    except BaseException:
+        server.close()
+        raise
     for session_id in recovered:
         print(f"recovered session {session_id}", flush=True)
     return server

@@ -235,8 +235,7 @@ class ServiceApp:
         self.max_body_bytes = int(max_body_bytes)
         self.metrics = ServiceMetrics()
         # Policies built from here on report per-stage hot-path timings
-        # into the /metrics histograms (sessions recovered before the app
-        # existed keep running unprofiled — attach-at-build only).
+        # into the /metrics histograms.
         self.registry.hotpath_profile = self.metrics.hotpath
 
     # -- WSGI entry ----------------------------------------------------------

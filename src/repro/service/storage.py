@@ -59,10 +59,6 @@ from repro.utils.exceptions import ConfigurationError, DirectoryLockedError, Dur
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d+)-(\d+)\.json$")
 _SEGMENT_NAME = re.compile(r"^wal-(\d+)\.jsonl$")
 
-#: Durability backend names accepted by :func:`create_backend` (and by
-#: ``DurabilitySpec.backend`` — keep ``repro.config.spec`` in sync).
-BACKEND_NAMES = ("jsonl", "sqlite")
-
 
 def _fsync_directory(directory: pathlib.Path) -> None:
     """fsync a directory so a rename/create inside it survives power loss."""
@@ -164,6 +160,9 @@ class StorageBackend:
 
     name = "abstract"
     _lock_fd: Optional[int] = None
+    #: A read-only view's log size in bytes up to its last complete
+    #: record, as the view found it (``durable_summary`` reports it).
+    _log_bytes: int
 
     # directory lock ----------------------------------------------------------
 
@@ -433,12 +432,15 @@ class JsonlBackend(StorageBackend):
     def _scan_log(self) -> int:
         """Check the sealed segments and count the active (newest) one.
 
-        Returns the active segment's length up to its last complete record.
+        Returns the active segment's length up to its last complete record;
+        ``_log_bytes`` keeps the whole log's, as scanned.
         """
         segments = wal_segment_files(self.directory)
         last: Optional[dict] = None
+        sealed_bytes = 0
         for (first, path), (following, _path) in zip(segments, segments[1:]):
             records, valid_bytes = read_wal(path)
+            sealed_bytes += valid_bytes
             if valid_bytes != path.stat().st_size:
                 raise DurabilityError(
                     f"sealed WAL segment {path.name} is corrupt "
@@ -460,6 +462,7 @@ class JsonlBackend(StorageBackend):
         records, valid_bytes = read_wal(path)
         self._active_first, self._active_count, self._active_path = first, len(records), path
         self._last = records[-1] if records else last
+        self._log_bytes = sealed_bytes + valid_bytes
         return valid_bytes
 
     def _open_log(self) -> None:
@@ -527,7 +530,9 @@ class JsonlBackend(StorageBackend):
 
     @property
     def segment_count(self) -> int:
-        return len(self._sealed) + 1
+        # The active segment counts once its file exists (a read-only view
+        # of an empty directory has none).
+        return len(self._sealed) + (1 if self._active_path.exists() else 0)
 
     def truncate_before(self, index: int) -> int:
         dropped = 0
@@ -665,6 +670,7 @@ class SqliteBackend(StorageBackend):
             check_same_thread=False,
         )
         backend._count = backend._next_index()
+        backend._log_bytes = backend.path.stat().st_size
         return backend
 
     def _open_database(self) -> None:

@@ -73,8 +73,6 @@ from repro.service.storage import (
     SqliteBackend,
     StorageBackend,
     create_backend,
-    read_wal,
-    wal_segment_files,
 )
 from repro.utils.exceptions import (
     AssignmentError,
@@ -112,6 +110,14 @@ def _worker_id(value) -> str:
     if not isinstance(value, str) or not value:
         raise TypeError(f"worker id {value!r} is not a non-empty string")
     return value
+
+
+def _logged_answers(record: dict) -> list:
+    """The ``(row, col, value)`` entries of an ``answers`` record: a list."""
+    entries = record["a"]
+    if not isinstance(entries, list):
+        raise TypeError(f"answers {entries!r} are not a list")
+    return entries
 
 
 # -- durable session ----------------------------------------------------------
@@ -380,7 +386,7 @@ class DurableSession:
             kind = record.get("t")
             if kind == "answers":
                 worker = _worker_id(record["w"])
-                for row, col, value in record["a"]:
+                for row, col, value in _logged_answers(record):
                     self.answers.add_answer(worker, int(row), int(col), value)
             elif kind in ("select", "decision"):
                 worker, k = _worker_id(record["w"]), int(record["k"])
@@ -563,40 +569,32 @@ def durable_summary(directory) -> Dict[str, object]:
     """Cheap, read-only summary of a durable directory (tests/inspection).
 
     Takes no lock and writes nothing (a missing directory is not created),
-    so it also reads a directory a live session holds.  The log is read by
-    layout: JSONL segments are found by
-    :func:`~repro.service.storage.wal_segment_files` and scanned with
-    :func:`read_wal` (no truncation), SQLite rows are read through
-    :meth:`~repro.service.storage.SqliteBackend.open_read_only`.  The
-    newest snapshot within the log is picked by
-    :meth:`~repro.service.storage.StorageBackend.latest_snapshot` on the
-    backend's read-only view, on both layouts.
+    so it also reads a directory a live session holds.  Everything comes
+    from the layout's read-only view
+    (:meth:`~repro.service.storage.JsonlBackend.open_read_only` or
+    :meth:`~repro.service.storage.SqliteBackend.open_read_only`): the log's
+    records, count, segments and bytes, and the newest snapshot within it
+    (:meth:`~repro.service.storage.StorageBackend.latest_snapshot`).  An
+    ``answers`` record whose answers are not a list is a
+    :class:`DurabilityError` naming its global index, as in recovery.
     """
     directory = pathlib.Path(directory)
-    database = directory / SqliteBackend.FILENAME
-    sqlite = database.exists()
+    sqlite = (directory / SqliteBackend.FILENAME).exists()
     backend = (SqliteBackend if sqlite else JsonlBackend).open_read_only(directory)
     try:
-        if sqlite:
-            records = backend.records()
-            wal_records = backend.record_count
-            wal_segments = 1
-            wal_bytes = database.stat().st_size
-        else:
-            segments = wal_segment_files(directory)
-            records = []
-            wal_bytes = 0
-            for _first, path in segments:
-                part, valid_bytes = read_wal(path)
-                records.extend(part)
-                wal_bytes += valid_bytes
-            wal_records = (segments[-1][0] + len(part)) if segments else 0
-            wal_segments = len(segments)
+        first, wal_records = backend.first_record_index, backend.record_count
+        # Only the counted records: a live session may append meanwhile.
+        records = backend.records()[: wal_records - first]
+        wal_bytes, wal_segments = backend._log_bytes, backend.segment_count
         snapshot = backend.latest_snapshot(max_wal_records=wal_records)
         snapshots = backend.snapshot_count
     finally:
         backend.close()
-    answers = sum(len(r["a"]) for r in records if r.get("t") == "answers")
+    answers = 0
+    for index, record in enumerate(records, first):
+        with _malformed(f"WAL record {index}"):
+            if record.get("t") == "answers":
+                answers += len(_logged_answers(record))
     return {
         "wal_records": wal_records,
         "wal_bytes": wal_bytes,

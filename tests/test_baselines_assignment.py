@@ -4,14 +4,13 @@ import pytest
 
 from repro.baselines.assignment_askit import AskItAssigner
 from repro.baselines.assignment_cdas import CDASAssigner
-from repro.baselines.assignment_simple import (
-    EntropyAssigner,
-    LoopingAssigner,
-    RandomAssigner,
-)
+from repro.baselines.assignment_simple import LoopingAssigner, RandomAssigner
+from repro.config import StrategySpec
 from repro.core.answers import AnswerSet
+from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.core.schema import Column, TableSchema
+from repro.strategies import build_strategy
 from repro.utils.exceptions import AssignmentError
 
 
@@ -94,7 +93,14 @@ class TestLoopingAssigner:
         assert len(batch) == 2
 
 
-class TestEntropyAssigner:
+class TestEntropyHeuristic:
+    """Figure 5's Entropy heuristic: the ``uncertainty`` strategy."""
+
+    @staticmethod
+    def _assigner(schema, model):
+        strategy = build_strategy(StrategySpec(name="uncertainty"))
+        return TCrowdAssigner(schema, model=model, strategy=strategy)
+
     def test_prefers_most_uncertain_cell(self, tiny_schema):
         answers = AnswerSet(tiny_schema)
         # Cell (0,0) gets unanimous answers, (1,0) gets split answers.
@@ -105,18 +111,14 @@ class TestEntropyAssigner:
         for i in range(3):
             for worker in ("w1", "w2"):
                 answers.add_answer(worker, i, 1, 50.0)
-        model = TCrowdModel(max_iterations=5)
-        assigner = EntropyAssigner(tiny_schema, model=model)
+        assigner = self._assigner(tiny_schema, TCrowdModel(max_iterations=5))
         batch = assigner.select("new", answers, k=1)
         assert batch.cells[0] != (0, 0)
 
     def test_requires_seed_answers(self, tiny_schema):
-        assigner = EntropyAssigner(tiny_schema, model=TCrowdModel(max_iterations=3))
+        assigner = self._assigner(tiny_schema, TCrowdModel(max_iterations=3))
         with pytest.raises(AssignmentError):
             assigner.select("w", AnswerSet(tiny_schema), k=1)
-
-    def test_name(self, tiny_schema):
-        assert EntropyAssigner(tiny_schema).name == "Entropy"
 
 
 class TestCDASAssigner:

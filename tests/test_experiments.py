@@ -1,8 +1,8 @@
 """Smoke tests for every experiment harness (at reduced scale).
 
 These tests check that each table/figure harness runs end-to-end and produces
-a structurally valid report; the recorded full-scale results live in
-EXPERIMENTS.md.
+a structurally valid report; ``scripts/run_all_experiments.py`` writes the
+full-scale reports.
 """
 
 import pytest

@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro.config import SessionSpec, SpecValidationError
+from repro.config.spec import DURABILITY_BACKENDS
 from repro.config.factory import build_policy
 from repro.service.app import ServiceServer
 from repro.service.client import ServiceClient
@@ -30,7 +31,7 @@ from repro.service.registry import (
     schema_from_dict,
     schema_to_dict,
 )
-from repro.service.storage import BACKEND_NAMES, create_backend, wal_segment_files
+from repro.service.storage import create_backend, wal_segment_files
 from repro.service.wal import durable_summary
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 
@@ -899,7 +900,7 @@ class TestUnreadableNewestSnapshot:
     recovery, ``durable_summary`` and ``recover_all`` fall back to the
     older retained snapshot and the WAL tail it needs."""
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DURABILITY_BACKENDS)
     @pytest.mark.parametrize(
         "damage",
         [lambda payload: [], lambda payload: {**payload, "epoch": None}],
@@ -1010,7 +1011,7 @@ class TestMalformedDurableState:
         finally:
             fresh.close_all()
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DURABILITY_BACKENDS)
     @pytest.mark.parametrize(
         "record",
         [
@@ -1031,11 +1032,16 @@ class TestMalformedDurableState:
     def test_malformed_wal_record(self, backend, record, tmp_path, caplog):
         self._two_sessions(tmp_path, backend)
         index = _append_wal_record(tmp_path / "bad", backend, record)
+        if isinstance(record.get("a", []), list):
+            assert durable_summary(tmp_path / "bad")["wal_records"] == index + 1
+        else:  # the summary counts answers, so it refuses them as recovery does
+            with pytest.raises(DurabilityError, match=f"WAL record {index} is malformed"):
+                durable_summary(tmp_path / "bad")
         self._assert_only_bad_fails(
             tmp_path, backend, f"WAL record {index} is malformed", caplog
         )
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DURABILITY_BACKENDS)
     def test_unknown_record_types_are_still_skipped(self, backend, tmp_path):
         self._two_sessions(tmp_path, backend)
         _append_wal_record(tmp_path / "bad", backend, {"t": "later", "x": [1]})
@@ -1045,7 +1051,7 @@ class TestMalformedDurableState:
         finally:
             fresh.close_all()
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("backend", DURABILITY_BACKENDS)
     @pytest.mark.parametrize(
         "damage",
         [
@@ -1347,6 +1353,31 @@ class TestIngestionValidationAndLimits:
             )
         finally:
             server.close()
+
+    def test_cli_recovered_sessions_report_hot_path_stages(self, tmp_path):
+        """The CLI recovers sessions after the app attached its profile, so
+        a recovered session's selects reach ``/metrics`` like a new one's."""
+        from repro.service.__main__ import build_server
+
+        argv = ["--port", "0", "--durable-root", str(tmp_path)]
+        server = build_server(argv).start()
+        try:
+            api = ServiceClient(server.address)
+            session_id = api.create_session(_config(durable=True))["session_id"]
+            _seed(api, session_id)
+        finally:
+            server.close()
+        server = build_server(argv).start()
+        try:
+            api = ServiceClient(server.address)
+            assert api.get_tasks(session_id, "after-restart", k=1)[0] == 200
+            text = api.get_metrics()
+        finally:
+            server.close()
+        prefix = 'repro_hotpath_stage_seconds_count{stage="gains_batch"} '
+        assert [line for line in text.splitlines() if line.startswith(prefix)] == [
+            prefix + "1"
+        ]
 
     def test_explicit_spec_backend_beats_the_cli_default(self, tmp_path):
         registry = SessionRegistry(durable_root=tmp_path, durable_backend="sqlite")

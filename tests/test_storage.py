@@ -22,7 +22,7 @@ from repro.config.spec import (
 from repro.core.assignment import TCrowdAssigner
 from repro.core.inference import TCrowdModel
 from repro.service.storage import (
-    BACKEND_NAMES,
+    STORAGE_BACKENDS,
     JsonlBackend,
     SqliteBackend,
     create_backend,
@@ -59,7 +59,7 @@ def _snapshot_payload(epoch, wal_records, standalone=True):
     return payload
 
 
-@pytest.fixture(params=list(BACKEND_NAMES))
+@pytest.fixture(params=list(DURABILITY_BACKENDS))
 def backend_name(request):
     return request.param
 
@@ -521,7 +521,7 @@ class TestDurableSessionBoundedStorage:
         assert summary["snapshots"] <= 2
         assert not (tmp_path / "wal-00000000.jsonl").exists()
 
-    @pytest.mark.parametrize("backend", list(BACKEND_NAMES))
+    @pytest.mark.parametrize("backend", list(DURABILITY_BACKENDS))
     def test_recovery_identical_under_rotation(self, backend, tmp_path):
         summary = verify_recovery_identical(
             mode="plain",
@@ -538,7 +538,7 @@ class TestDurableSessionBoundedStorage:
             # Transactional appends: there is never a torn tail to drop.
             assert summary["recovery_truncated_bytes"] == 0
 
-    @pytest.mark.parametrize("backend", list(BACKEND_NAMES))
+    @pytest.mark.parametrize("backend", list(DURABILITY_BACKENDS))
     def test_rotation_with_gc_survives_a_restart_disk_bounded(
         self, backend, tmp_path
     ):
@@ -586,7 +586,7 @@ class TestDurableSessionBoundedStorage:
 
 class TestDurabilitySpecFields:
     def test_backends_stay_in_sync_with_storage(self):
-        assert tuple(DURABILITY_BACKENDS) == tuple(BACKEND_NAMES)
+        assert set(STORAGE_BACKENDS) == set(DURABILITY_BACKENDS)
 
     def test_spec_round_trips_the_new_knobs(self):
         spec = (
