@@ -35,9 +35,11 @@ drives a scripted audited session, fetches every decision record over
 reproducibility chain client-side** — plain ``hashlib`` over the
 sorted-keys compact JSON of each record's core fields, no repro imports —
 asserts it against the served ``record_hash``/``decision_chain_hash``,
-then restarts the server (SIGINT + fresh process) and asserts the
-recovered session serves the identical ledger record for record, and that
-its next select reaches the ``/metrics`` hot-path histograms.  It then
+checks that back-to-back reads of one page send the same raw bytes and
+that ``limit=0`` is a 400, then restarts the server (SIGINT + fresh
+process) and asserts the recovered session serves the identical ledger
+record for record and byte for byte, and that its next select reaches
+the ``/metrics`` hot-path histograms.  It then
 boots a server over a copy of the committed audit-format-1 fixture
 (``tests/fixtures/audit_format1/jsonl``, written before model hashes
 moved to raw buffers) and asserts the upgraded server replays that ledger
@@ -420,6 +422,21 @@ def fetch_full_ledger(client, session_id: str) -> list:
     return records
 
 
+def fetch_ledger_bytes(client, session_id: str) -> bytes:
+    """The first ledger page's raw bytes, which back-to-back reads must
+    repeat (each record's text is kept once encoded); an empty page, which
+    would hand back its own ``since`` forever, is a 400."""
+    path = f"/sessions/{session_id}/decisions?since=0&limit=100"
+    first, second = (client.request_raw("GET", path) for _ in range(2))
+    assert first[0] == second[0] == 200, (first[0], second[0])
+    assert first[1] == second[1], "back-to-back GET /decisions bodies differ"
+    status, body = client.request(
+        "GET", f"/sessions/{session_id}/decisions?since=0&limit=0"
+    )
+    assert status == 400, (status, body)
+    return first[1]
+
+
 def audit_main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-audit-smoke-") as tmp:
         root = pathlib.Path(tmp)
@@ -466,6 +483,8 @@ def audit_main() -> int:
                 f"client-side chain recompute OK: {len(records)} records, "
                 f"head {head[:12]}…"
             )
+            ledger_bytes = fetch_ledger_bytes(client, session_id)
+            print(f"ledger page served as the same {len(ledger_bytes)} bytes twice")
 
             metrics = client.get_metrics()
             assert "# TYPE repro_decisions_recorded gauge" in metrics, metrics
@@ -498,6 +517,9 @@ def audit_main() -> int:
             after = fetch_full_ledger(client, session_id)
             assert after == records, (
                 "decision ledger differs across the restart"
+            )
+            assert fetch_ledger_bytes(client, session_id) == ledger_bytes, (
+                "ledger page bytes differ across the restart"
             )
             status, stats = client.request("GET", f"/sessions/{session_id}")
             assert status == 200, (status, stats)

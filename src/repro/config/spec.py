@@ -148,7 +148,9 @@ def _check_str(path: str, value, optional: bool = False, choices=None):
 
 
 def _check_version(path: str, value):
-    if value != SPEC_VERSION:
+    # As in _check_int: ``true`` and ``1.0`` compare equal to 1 but are no
+    # integer, and to_dict would write them back as given.
+    if isinstance(value, bool) or not isinstance(value, int) or value != SPEC_VERSION:
         raise SpecValidationError(path, f"must be {SPEC_VERSION}, got {value!r}")
     return value
 

@@ -8,7 +8,10 @@ whitespace) so two processes that hold the same model state produce the
 same digest.
 
 The codec lives in ``core`` so the engine layer can serialize and hash
-model states without importing the service layer.
+model states without importing the service layer.  For the same reason it
+holds :func:`strict_json`, the one encoder of API response text: the
+service encodes whole bodies with it and the decision recorder each
+record's text, so the two cannot drift.
 
 :func:`model_state_hash` hashes a model state under one of two schemes,
 picked by the session's audit format (see
@@ -34,7 +37,11 @@ from repro.core.inference import (
 )
 from repro.core.schema import TableSchema
 from repro.core.worker_model import WorkerModel
-from repro.utils.exceptions import ConfigurationError, DurabilityError
+from repro.utils.exceptions import (
+    ConfigurationError,
+    DurabilityError,
+    ResponseEncodingError,
+)
 
 
 def serialize_result(result: InferenceResult) -> dict:
@@ -167,6 +174,24 @@ def canonical_json(payload) -> str:
     doubles — and only bit-identical doubles — produce identical text.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: Strict JSON encoder of API response text, built once (``json.dumps``
+#: with keyword arguments would build a new encoder per call).
+_STRICT_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def strict_json(payload) -> str:
+    """``payload`` as the API sends it: strict JSON, default separators.
+
+    A non-finite number raises :class:`ResponseEncodingError`, which the
+    API answers with a 500: it is a server fault, never the 400 that a
+    bare ``ValueError`` maps to.
+    """
+    try:
+        return _STRICT_ENCODER.encode(payload)
+    except ValueError as exc:
+        raise ResponseEncodingError(f"Response is not valid JSON: {exc}") from None
 
 
 def payload_hash(payload) -> str:

@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.core.codec import model_state_hash, payload_hash
+from repro.core.codec import model_state_hash, payload_hash, strict_json
 from repro.utils.exceptions import ConfigurationError, DurabilityError
 
 Cell = Tuple[int, int]
@@ -183,6 +183,20 @@ class DecisionRecord:
         )
 
 
+class DecisionPage(NamedTuple):
+    """One page of a ledger, read under one recorder-lock acquisition."""
+
+    #: Each record's :meth:`DecisionRecord.to_dict` as
+    #: :func:`~repro.core.codec.strict_json` text, in ledger order.
+    texts: List[str]
+    #: The ``since`` of the next page, or ``None`` when this one reaches
+    #: the end of the ledger.
+    next_since: Optional[int]
+    #: Records chained so far.
+    total: int
+    chain_head: str
+
+
 class DecisionRecorder:
     """Builds and chains :class:`DecisionRecord`\\ s for one session.
 
@@ -191,6 +205,10 @@ class DecisionRecorder:
     each select yields exactly one record).  ``sink`` — when set by a
     durable session — receives every live record for WAL persistence.
     ``audit_format`` picks the model-hash scheme (see the module docs).
+
+    A committed record never changes, so its JSON text is encoded once, on
+    its first read (:meth:`page`, :meth:`text`), and kept until
+    :meth:`restore` replaces the records; the select path never encodes.
     """
 
     def __init__(
@@ -209,6 +227,9 @@ class DecisionRecorder:
         self._genesis = strategy_genesis(strategy)
         self._lock = threading.Lock()
         self._records: List[DecisionRecord] = []
+        #: ``_texts[i]`` is record ``i``'s JSON text, or ``None`` until its
+        #: first read; the list is extended on reads, never on commits.
+        self._texts: List[Optional[str]] = []
         self._head = self._genesis
         self._epoch = -1
         self._last_answers_seen: Optional[int] = None
@@ -233,21 +254,41 @@ class DecisionRecorder:
         with self._lock:
             return self._head
 
-    def get(self, decision_id: int) -> DecisionRecord:
-        """Record ``decision_id`` (raises :class:`KeyError` when absent)."""
+    def text(self, decision_id: int) -> str:
+        """Record ``decision_id`` as JSON text (raises :class:`KeyError`
+        when absent)."""
         with self._lock:
             if 0 <= decision_id < len(self._records):
-                return self._records[decision_id]
+                return self._texts_of(decision_id, decision_id + 1)[0]
         raise KeyError(f"no decision record {decision_id}")
 
-    def page(
-        self, since: int = 0, limit: int = DEFAULT_PAGE_LIMIT
-    ) -> List[DecisionRecord]:
-        """Up to ``limit`` records with ``decision_id >= since``."""
+    def page(self, since: int = 0, limit: int = DEFAULT_PAGE_LIMIT) -> DecisionPage:
+        """Up to ``limit`` records with ``decision_id >= since``, as JSON texts."""
         since = max(0, int(since))
         limit = max(0, min(int(limit), MAX_PAGE_LIMIT))
         with self._lock:
-            return list(self._records[since:since + limit])
+            total = len(self._records)
+            stop = min(since + limit, total)
+            texts = self._texts_of(since, stop)
+            next_since = self._records[stop - 1].decision_id + 1 if texts else since
+            return DecisionPage(
+                texts, next_since if next_since < total else None, total, self._head
+            )
+
+    def _texts_of(self, start: int, stop: int) -> List[str]:
+        """Records ``start:stop`` as JSON texts, each encoded on its first
+        read (the caller holds the lock).  A record that cannot be encoded
+        raises :class:`~repro.utils.exceptions.ResponseEncodingError` and
+        keeps no text."""
+        texts = self._texts
+        texts.extend([None] * (stop - len(texts)))
+        page = texts[start:stop]
+        if None in page:
+            for index in range(start, stop):
+                if texts[index] is None:
+                    texts[index] = strict_json(self._records[index].to_dict())
+            page = texts[start:stop]
+        return page
 
     # -- recording ------------------------------------------------------------
 
@@ -398,6 +439,7 @@ class DecisionRecorder:
                 DecisionRecord.from_dict(payload)
                 for payload in state.get("records", [])
             ]
+            self._texts = []
             self._head = str(state.get("chain_head", self._genesis))
             self._epoch = int(state.get("epoch", -1))
             seen = state.get("answers_seen")

@@ -22,6 +22,10 @@ GET       ``/sessions/{id}/decisions``         paginated audit records (``?since
 GET       ``/sessions/{id}/decisions/{n}``     one decision's audit record
 ========  ===================================  =================================
 
+``k``, ``since``, ``limit`` and the decision id ``{n}`` are ASCII digits
+after an optional minus sign; ``k`` and ``limit`` are at least 1 and
+``limit`` at most 1000 (default 100), ``since`` and ``{n}`` at least 0.
+
 ``POST /sessions`` takes a version-1 :class:`~repro.config.SessionSpec`
 body; one without ``version`` is a 400 with ``"path": "version"`` (see
 :mod:`repro.service.registry`).  ``GET /sessions/{id}/config`` returns the
@@ -57,11 +61,8 @@ from socketserver import ThreadingMixIn
 
 from repro.config.spec import SESSION_ID_PATTERN
 from repro.engine.profiling import HotPathProfile, StageStats, histogram_lines
-from repro.service.registry import (
-    ResponseEncodingError,
-    SessionRegistry,
-    encode_response,
-)
+from repro.engine.provenance import DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT
+from repro.service.registry import SessionRegistry, encode_response
 from repro.utils.exceptions import (
     AssignmentError,
     ConfigurationError,
@@ -69,6 +70,7 @@ from repro.utils.exceptions import (
     DirectoryLockedError,
     DurabilityError,
     InferenceError,
+    ResponseEncodingError,
 )
 
 _STATUS = {
@@ -121,6 +123,21 @@ def _refuse_constant(name: str):
 #: would build a new decoder per request); responses are encoded by
 #: :func:`~repro.service.registry.encode_response`.
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+#: An integer URL parameter: ASCII digits after an optional minus sign.
+#: ``int`` alone also takes ``+3``, ``1_0``, padding spaces and non-ASCII
+#: digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(name: str, raw: str, minimum: int) -> int:
+    """The URL parameter ``name`` as an integer, at least ``minimum``."""
+    if not _INTEGER.fullmatch(raw):
+        raise _HTTPError(400, f"{name} must be an integer, got {raw!r}")
+    value = int(raw)
+    if value < minimum:
+        raise _HTTPError(400, f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class ServiceMetrics:
@@ -270,7 +287,7 @@ class ServiceApp:
         else:
             content_type = "application/json"
             if isinstance(body, bytes):
-                payload = body  # encoded by the session (GET /estimates)
+                payload = body  # encoded by the session (estimates, ledger)
             else:
                 try:
                     payload = encode_response(body)
@@ -337,13 +354,9 @@ class ServiceApp:
         if verb == "decisions":
             self._require(method, "GET")
             if arg is not None:
-                try:
-                    decision_id = int(arg)
-                except ValueError:
-                    raise _HTTPError(
-                        400, f"Decision id must be an integer, got {arg!r}"
-                    )
-                return "decisions", 200, session.decision(decision_id)
+                return "decisions", 200, session.decision(
+                    _integer("Decision id", arg, 0)
+                )
             return "decisions", 200, self._decisions(session, environ)
         raise _HTTPError(404, f"Unknown path {path!r}")
 
@@ -354,12 +367,7 @@ class ServiceApp:
         worker = (query.get("worker") or [None])[0]
         if not worker:
             raise _HTTPError(400, "The 'worker' query parameter is required")
-        try:
-            k = int((query.get("k") or ["1"])[0])
-        except ValueError:
-            raise _HTTPError(400, "'k' must be an integer")
-        if k < 1:
-            raise _HTTPError(400, f"'k' must be >= 1, got {k}")
+        k = _integer("'k'", (query.get("k") or ["1"])[0], 1)
         start = time.perf_counter()
         assignment = session.select(worker, k=k)
         self.metrics.observe_select(time.perf_counter() - start)
@@ -370,31 +378,19 @@ class ServiceApp:
             "gains": [float(gain) for gain in assignment.gains],
         }
 
-    def _decisions(self, session, environ) -> Dict[str, object]:
+    def _decisions(self, session, environ) -> bytes:
         """Paginated audit records: ``GET .../decisions?since=&limit=``."""
-        from repro.engine.provenance import DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT
-
         query = parse_qs(environ.get("QUERY_STRING", ""))
-        values = {}
-        for name, default in (
-            ("since", 0), ("limit", DEFAULT_PAGE_LIMIT),
-        ):
-            raw = (query.get(name) or [None])[0]
-            if raw is None:
-                values[name] = default
-                continue
-            try:
-                values[name] = int(raw)
-            except ValueError:
-                raise _HTTPError(400, f"{name!r} must be an integer, got {raw!r}")
-            if values[name] < 0:
-                raise _HTTPError(400, f"{name!r} must be >= 0, got {values[name]}")
-        if values["limit"] > MAX_PAGE_LIMIT:
+        since = _integer("'since'", (query.get("since") or ["0"])[0], 0)
+        # A page of 0 records would hand back next_since == since forever.
+        limit = _integer(
+            "'limit'", (query.get("limit") or [str(DEFAULT_PAGE_LIMIT)])[0], 1
+        )
+        if limit > MAX_PAGE_LIMIT:
             raise _HTTPError(
-                400,
-                f"'limit' must be <= {MAX_PAGE_LIMIT}, got {values['limit']}",
+                400, f"'limit' must be <= {MAX_PAGE_LIMIT}, got {limit}"
             )
-        return session.decisions(since=values["since"], limit=values["limit"])
+        return session.decisions(since=since, limit=limit)
 
     def _answers(self, session, environ) -> Dict[str, object]:
         body = self._read_json(environ)

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ModelSpec, SessionSpec, SpecValidationError, split_envelope
 from repro.config.factory import build_durable_session, build_policy
+from repro.core.codec import strict_json
 from repro.core.schema import Column, TableSchema
 from repro.engine.provenance import AUDIT_FORMAT, DEFAULT_PAGE_LIMIT
 from repro.service.wal import DurableSession
@@ -43,27 +44,12 @@ from repro.utils.exceptions import ConfigurationError, ReproError
 
 _log = logging.getLogger("repro.service.registry")
 
-#: Strict JSON encoder of every response body, built once (``json.dumps``
-#: with keyword arguments would build a new encoder per request).
-_ENCODER = json.JSONEncoder(allow_nan=False)
-
-
-class ResponseEncodingError(ReproError):
-    """A response body that cannot be encoded as strict JSON (the API's 500)."""
-
 
 def encode_response(body) -> bytes:
-    """``body`` as strict JSON plus a newline, in UTF-8.
-
-    A non-finite number raises :class:`ResponseEncodingError`, which the
-    API answers with a 500: it is a server fault, never the 400 that a
-    bare ``ValueError`` maps to.
-    """
-    try:
-        text = _ENCODER.encode(body)
-    except ValueError as exc:
-        raise ResponseEncodingError(f"Response is not valid JSON: {exc}") from None
-    return (text + "\n").encode("utf-8")
+    """``body`` as :func:`~repro.core.codec.strict_json` plus a newline, in
+    UTF-8 (a non-finite number raises
+    :class:`~repro.utils.exceptions.ResponseEncodingError`)."""
+    return (strict_json(body) + "\n").encode("utf-8")
 
 
 #: Version of the durable ``session.json`` manifest.  Format 2 pins the
@@ -330,33 +316,32 @@ class ServedSession:
             )
         return recorder
 
-    def decision(self, decision_id: int) -> Dict[str, object]:
-        """One audit record (``GET /sessions/{id}/decisions/{n}``).
+    # Both bodies are spliced from the recorder's per-record texts, byte for
+    # byte what encode_response makes of the same dicts.
+
+    def decision(self, decision_id: int) -> bytes:
+        """The encoded ``GET /sessions/{id}/decisions/{n}`` body: one record.
 
         Raises :class:`KeyError` for an unknown decision id (the API's
         404) and :class:`ConfigurationError` when auditing is off.
         """
         with self.lock:
-            record = self._recorder().get(int(decision_id))
-        return {"session_id": self.session_id, **record.to_dict()}
+            text = self._recorder().text(int(decision_id))
+        session_id = strict_json(self.session_id)
+        return f'{{"session_id": {session_id}, {text[1:]}\n'.encode("utf-8")
 
-    def decisions(
-        self, since: int = 0, limit: int = DEFAULT_PAGE_LIMIT
-    ) -> Dict[str, object]:
-        """A page of audit records (``GET /sessions/{id}/decisions``)."""
+    def decisions(self, since: int = 0, limit: int = DEFAULT_PAGE_LIMIT) -> bytes:
+        """The encoded ``GET /sessions/{id}/decisions`` body: a page of records."""
         with self.lock:
-            recorder = self._recorder()
-            records = recorder.page(since, limit)
-            total = recorder.count
-            head = recorder.chain_head
-        next_since = records[-1].decision_id + 1 if records else int(since)
-        return {
+            page = self._recorder().page(since, limit)
+        envelope = strict_json({
             "session_id": self.session_id,
-            "total": total,
-            "chain_head": head,
-            "next_since": next_since if next_since < total else None,
-            "decisions": [record.to_dict() for record in records],
-        }
+            "total": page.total,
+            "chain_head": page.chain_head,
+            "next_since": page.next_since,
+        })
+        records = ", ".join(page.texts)
+        return f'{envelope[:-1]}, "decisions": [{records}]}}\n'.encode("utf-8")
 
     def _served_model(self) -> Optional[Dict[str, object]]:
         """The served fit, read without running one (``None`` before the

@@ -32,3 +32,7 @@ class DurabilityError(ReproError):
 
 class DirectoryLockedError(DurabilityError):
     """Raised when a durable directory is already open in another session."""
+
+
+class ResponseEncodingError(ReproError):
+    """A response body that cannot be encoded as strict JSON (the API's 500)."""

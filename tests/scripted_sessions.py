@@ -31,7 +31,6 @@ import numpy as np
 from repro.config import SessionSpec
 from repro.config.factory import build_policy
 from repro.datasets import load_celebrity
-from repro.engine.provenance import MAX_PAGE_LIMIT
 from repro.service.wal import DurableSession, durable_summary
 from repro.utils.exceptions import AssignmentError, DurabilityError
 
@@ -77,10 +76,10 @@ def staleness_profile(recorder) -> Dict[str, int]:
     A bounded-staleness run must show both above 0, or it silently
     degenerated into bound 0 (or never refitted).
     """
-    records = recorder.page(0, MAX_PAGE_LIMIT)
+    records = recorder.state()["records"]
     return {
-        "max_staleness": max((r.staleness for r in records), default=0),
-        "refits_after_first": max((r.epoch for r in records), default=0),
+        "max_staleness": max((r["staleness"] for r in records), default=0),
+        "refits_after_first": max((r["epoch"] for r in records), default=0),
     }
 
 

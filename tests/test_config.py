@@ -212,6 +212,9 @@ class TestValidation:
             # Only an absent or null section means its defaults.
             *[({section: value}, section)
               for section in SECTIONS for value in (False, [], 0, "")],
+            # Equal to 1, but no integer: to_dict would write them back.
+            ({"version": True}, "version"),
+            ({"version": 1.0}, "version"),
         ],
     )
     def test_path_qualified_errors(self, payload, path):

@@ -345,11 +345,11 @@ class TestFormat1Fixtures:
             assert model.warm_iterations == model.max_iterations == 4
 
             session.select("w002", k=2)
-            record = recorder.get(expected["decisions"])
-            assert record.prev_hash == expected["chain_head"]
+            record = recorder.state()["records"][expected["decisions"]]
+            assert record["prev_hash"] == expected["chain_head"]
             served = session.durable.policy.last_result
-            assert record.model_hash == model_state_hash(served, 1)
-            assert record.model_hash != model_state_hash(served, 2)
+            assert record["model_hash"] == model_state_hash(served, 1)
+            assert record["model_hash"] != model_state_hash(served, 2)
         finally:
             registry.close_all()
 

@@ -11,7 +11,13 @@ must serve it faithfully.
 
 from __future__ import annotations
 
+import collections
 import functools
+import json
+import pathlib
+import shutil
+import sys
+import threading
 
 import pytest
 
@@ -28,10 +34,18 @@ from repro.engine.provenance import (
     DecisionRecorder,
     record_core,
 )
-from repro.core.codec import payload_hash
+from repro.core.codec import payload_hash, strict_json
+from repro.engine import provenance
 from repro.service.app import ServiceServer
 from repro.service.client import ServiceClient
-from scripted_sessions import SERVING_MODES, run_scripted_session, verify_audit_replay
+from repro.service.registry import SessionRegistry, encode_response
+from repro.utils.exceptions import ResponseEncodingError
+from scripted_sessions import (
+    SERVING_MODES,
+    abandon_session,
+    run_scripted_session,
+    verify_audit_replay,
+)
 
 SCHEMA_SPEC = {
     "entity_attribute": "item",
@@ -62,9 +76,9 @@ def _result():
     return TCrowdModel(**FAST_MODEL).fit(schema, answers)
 
 
-def _record(recorder, n, *, answers_seen=5, worker="w0"):
+def _record(recorder, n, *, answers_seen=5, worker="w0", gains=(2.0, 1.0)):
     return recorder.record(
-        _assignment(worker=worker),
+        _assignment(worker=worker, gains=gains),
         answers_seen=answers_seen,
         answers_total=answers_seen + n,
         candidates=8,
@@ -114,24 +128,118 @@ class TestDecisionRecorder:
         replayer.end_replay()
         assert replayer.replay_verified == 1
         assert replayer.replay_mismatches == 0
-        assert replayer.get(0).to_dict() == _record(DecisionRecorder(), 0).to_dict()
+        assert replayer.state()["records"] == [_record(DecisionRecorder(), 0).to_dict()]
         assert replayer.chain_head == live.chain_head
 
     def test_get_unknown_id_raises_key_error(self):
         recorder = DecisionRecorder()
         _record(recorder, 0)
         with pytest.raises(KeyError):
-            recorder.get(5)
+            recorder.text(5)
+        with pytest.raises(KeyError):
+            recorder.text(-1)
 
     def test_page_clamps_and_paginates(self):
         recorder = DecisionRecorder()
         for n in range(7):
             _record(recorder, n)
-        assert [r.decision_id for r in recorder.page(0, 3)] == [0, 1, 2]
-        assert [r.decision_id for r in recorder.page(5, 100)] == [5, 6]
-        assert recorder.page(7, 10) == []
-        assert len(recorder.page(0, MAX_PAGE_LIMIT + 999)) == 7
+
+        def ids(page):
+            return [json.loads(text)["decision_id"] for text in page.texts]
+
+        first = recorder.page(0, 3)
+        assert ids(first) == [0, 1, 2] and first.next_since == 3
+        assert (first.total, first.chain_head) == (7, recorder.chain_head)
+        last = recorder.page(5, 100)
+        assert ids(last) == [5, 6] and last.next_since is None
+        assert recorder.page(7, 10).texts == []
+        assert recorder.page(7, 10).next_since is None
+        assert len(recorder.page(0, MAX_PAGE_LIMIT + 999).texts) == 7
         assert DEFAULT_PAGE_LIMIT <= MAX_PAGE_LIMIT
+
+    def test_texts_are_encoded_once_on_first_read(self, monkeypatch):
+        """Recording encodes nothing; each record is encoded on its first
+        read and served from its kept text after that."""
+        encoded = []
+
+        def counting(payload):
+            encoded.append(payload["decision_id"])
+            return strict_json(payload)
+
+        monkeypatch.setattr(provenance, "strict_json", counting)
+        recorder = DecisionRecorder()
+        records = [_record(recorder, n) for n in range(5)]
+        assert encoded == []
+        first = recorder.page(1, 2)
+        assert encoded == [1, 2]
+        whole = recorder.page(0, 5)
+        assert sorted(encoded) == [0, 1, 2, 3, 4]
+        assert whole.texts[1:3] == first.texts
+        assert all(a is b for a, b in zip(whole.texts[1:3], first.texts))
+        assert recorder.text(3) is whole.texts[3]
+        assert len(encoded) == 5
+        assert whole.texts == [strict_json(r.to_dict()) for r in records]
+
+    def test_racing_readers_encode_each_record_once(self, monkeypatch):
+        """Readers page through the ledger while records commit: each
+        record is encoded exactly once and every text read is its own."""
+        encoded = collections.Counter()
+
+        def counting(payload):
+            encoded[payload["decision_id"]] += 1
+            return strict_json(payload)
+
+        monkeypatch.setattr(provenance, "strict_json", counting)
+        recorder = DecisionRecorder()
+        _result()  # fit the hashed model state before the race
+        done = threading.Event()
+        misplaced = []
+
+        def read():
+            while not done.is_set():
+                for n, text in enumerate(recorder.page(0, MAX_PAGE_LIMIT).texts):
+                    if not text.startswith(f'{{"decision_id": {n}, '):
+                        misplaced.append((n, text[:40]))
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for n in range(60):
+                _record(recorder, n, answers_seen=5 + n // 10)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert misplaced == []
+        recorder.page(0, MAX_PAGE_LIMIT)
+        assert encoded == collections.Counter(range(60))
+
+    def test_restore_drops_the_kept_texts(self):
+        recorder = DecisionRecorder()
+        for n in range(3):
+            _record(recorder, n)
+        other = DecisionRecorder()
+        for n in range(3):
+            _record(other, n, worker="w9")
+        assert recorder.page().texts != other.page().texts
+        recorder.restore(other.state())
+        assert recorder.page().texts == other.page().texts
+        assert recorder.text(2) == other.text(2)
+
+    def test_a_record_that_is_not_strict_json_keeps_no_text(self):
+        """A non-finite gain hashes, but serving it is the API's 500."""
+        recorder = DecisionRecorder()
+        _record(recorder, 0, gains=(float("nan"), 1.0))
+        for _attempt in range(2):
+            with pytest.raises(ResponseEncodingError):
+                recorder.page()
+            with pytest.raises(ResponseEncodingError):
+                recorder.text(0)
 
     def test_state_restore_round_trip(self):
         recorder = DecisionRecorder()
@@ -164,7 +272,7 @@ class TestDecisionRecorder:
         replayer.apply_logged(tampered)
         replayer.end_replay()
         assert replayer.replay_mismatches == 1
-        assert replayer.get(1).record_hash == "f" * 64
+        assert replayer.state()["records"][1]["record_hash"] == "f" * 64
 
     def test_sink_fires_on_live_commits_only(self):
         seen = []
@@ -194,7 +302,7 @@ class TestGoldenAuditMatrix:
     @pytest.fixture(scope="class")
     def ledgers(self, recorders):
         return {
-            mode: [r.to_dict() for r in recorder.page(0, MAX_PAGE_LIMIT)]
+            mode: recorder.state()["records"]
             for mode, recorder in recorders.items()
         }
 
@@ -236,6 +344,98 @@ class TestAuditCrashRecovery:
             # A stale snapshot was served and caught up at least once.
             assert summary["audit_max_staleness"] > 0, summary
             assert summary["audit_refits_after_first"] > 0, summary
+
+
+FORMAT1_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "audit_format1"
+
+
+def _reference_page(session, since, limit):
+    """The page dict the service built per request before it kept each
+    record's text: every record's ``to_dict`` under the envelope."""
+    recorder = session.durable.recorder
+    records = recorder.state()["records"]
+    total = len(records)
+    chunk = records[since:since + limit]
+    next_since = chunk[-1]["decision_id"] + 1 if chunk else since
+    return {
+        "session_id": session.session_id,
+        "total": total,
+        "chain_head": recorder.chain_head,
+        "next_since": next_since if next_since < total else None,
+        "decisions": chunk,
+    }
+
+
+def _assert_ledger_bytes(session):
+    """Every page of a grid and every single record is byte for byte
+    ``encode_response`` of the dict built from the records; the grid runs
+    twice, so the second pass reads only kept texts."""
+    records = session.durable.recorder.state()["records"]
+    total = len(records)
+    sinces = sorted({0, 1, 5, total - 1, total, total + 3} - {-1})
+    for _pass in range(2):
+        for since in sinces:
+            for limit in (1, 2, DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT):
+                expected = encode_response(_reference_page(session, since, limit))
+                assert session.decisions(since, limit) == expected, (since, limit)
+        for record in records:
+            expected = encode_response({"session_id": session.session_id, **record})
+            assert session.decision(record["decision_id"]) == expected
+    return session.decisions(0, MAX_PAGE_LIMIT)
+
+
+class TestLedgerBytes:
+    """The ledger bodies spliced from kept texts equal the encoded dicts."""
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("decisions", [0, 1, 130])
+    def test_fresh_and_recovered(self, decisions, backend, tmp_path):
+        spec = (
+            SessionSpec.builder()
+            .model(**FAST_MODEL)
+            .policy(refit_every=1)
+            .durable(None, backend=backend, snapshot_every_answers=4)
+            .build()
+        )
+        registry = SessionRegistry(durable_root=tmp_path)
+        session = registry.create({
+            "schema": dict(SCHEMA_SPEC), "session_id": "ledger", "durable": True,
+            **spec.to_dict(),
+        })
+        for row in range(4):
+            session.ingest(f"seed-{row % 2}", [(row, 0, "red"), (row, 1, 10.0 + row)])
+        for n in range(decisions):
+            worker = f"w{n}"
+            cells = session.select(worker, k=1 + n % 2).cells
+            if n % 10 == 9:
+                row, col = cells[0]
+                session.ingest(worker, [(row, col, "blue" if col == 0 else 40.0 + n)])
+        assert session.durable.recorder.count == decisions
+        fresh = _assert_ledger_bytes(session)
+        abandon_session(session.durable)  # a kill: no closing snapshot
+
+        recovered_registry = SessionRegistry(durable_root=tmp_path)
+        try:
+            assert recovered_registry.recover_all() == ["ledger"]
+            recovered = recovered_registry.get("ledger")
+            assert recovered.stats()["audit_replay_mismatches"] == 0
+            assert _assert_ledger_bytes(recovered) == fresh
+        finally:
+            recovered_registry.close_all()
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_audit_format1_fixtures(self, backend, tmp_path):
+        expected = json.loads((FORMAT1_FIXTURES / backend / "expected.json").read_text())
+        session_id = expected["session_id"]
+        shutil.copytree(FORMAT1_FIXTURES / backend / session_id, tmp_path / session_id)
+        registry = SessionRegistry(durable_root=tmp_path)
+        try:
+            assert registry.recover_all() == [session_id]
+            session = registry.get(session_id)
+            assert session.durable.recorder.count == expected["decisions"]
+            _assert_ledger_bytes(session)
+        finally:
+            registry.close_all()
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +529,27 @@ class TestDecisionsAPI:
             f"/sessions/{session_id}/decisions?limit={MAX_PAGE_LIMIT + 1}",
         )
         assert status == 400
+        # An empty page would hand back next_since == since forever.
+        status, body = client.request(
+            "GET", f"/sessions/{session_id}/decisions?since=0&limit=0"
+        )
+        assert status == 400 and body["error"] == "'limit' must be >= 1, got 0"
+        status, body = client.request("GET", f"/sessions/{session_id}/decisions/-1")
+        assert status == 400 and body["error"] == "Decision id must be >= 0, got -1"
+        # Integers are ASCII digits after an optional minus sign, nothing
+        # else that int() would take.
+        for text in ("1_0", "+1", "%201", "1%20", "%D9%A1", "%EF%BC%91"):
+            for query in (f"since={text}", f"limit={text}"):
+                status, body = client.request(
+                    "GET", f"/sessions/{session_id}/decisions?{query}"
+                )
+                assert status == 400, (query, body)
+                assert "must be an integer" in body["error"], body
+            status, body = client.request(
+                "GET", f"/sessions/{session_id}/decisions/{text}"
+            )
+            assert status == 400, (text, body)
+            assert body["error"].startswith("Decision id must be an integer"), body
         status, _ = client.request(
             "POST", f"/sessions/{session_id}/decisions", {}
         )

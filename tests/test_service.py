@@ -346,6 +346,13 @@ class TestErrorContract:
             client.request("GET", f"/sessions/{session_id}/tasks?worker=w&k=0")[0]
             == 400
         )
+        # int() would take every one of these (k=1_0 ran as k=10).
+        for text in ("1_0", "+1", "%201", "1%20", "%D9%A1", "%EF%BC%91"):
+            status, body = client.request(
+                "GET", f"/sessions/{session_id}/tasks?worker=w&k={text}"
+            )
+            assert status == 400, (text, body)
+            assert body["error"].startswith("'k' must be an integer"), body
         client.delete_session(session_id)
 
     def test_bad_config_is_400(self, client):
@@ -792,7 +799,7 @@ class TestDurableSessionsOverHTTP:
             estimates = json.loads(session.estimates())["estimates"]
             recorder = session.durable.recorder
             head = recorder.chain_head
-            decisions = [record.cells for record in recorder.page(0, 100)]
+            decisions = [record["cells"] for record in recorder.state()["records"]]
             session_id, spec = session.session_id, session.spec
             session.durable._storage.close()  # crash: no closing snapshot
 
@@ -833,8 +840,8 @@ class TestDurableSessionsOverHTTP:
                 assert stats["audit_replay_verified"] > 0
                 assert stats["audit_replay_mismatches"] == 0
                 assert stats["decision_chain_hash"] == head
-                records = recovered.durable.recorder.page(0, 100)
-                assert [record.cells for record in records] == decisions
+                records = recovered.durable.recorder.state()["records"]
+                assert [record["cells"] for record in records] == decisions
                 assert json.loads(recovered.estimates())["estimates"] == estimates
                 serving = recovered.config_payload()["serving"]
                 assert not set(retired) & set(serving), serving
